@@ -65,8 +65,18 @@ from .bisnomial import (
     pq_gaussian,
     q_bisnomial,
 )
+from . import identities, symfun
 
 __version__ = "0.1.0"
+
+
+def clear_caches() -> None:
+    """Empty every memo table in the package, so the next call starts cold."""
+    symfun.clear_caches()
+    identities._PAIR_CONV.clear()
+    for cached in (bisnomial, gaussian, pq_bisnomial, pq_gaussian, q_bisnomial, cyclotomic_coeffs):
+        cached.cache_clear()
+
 
 __all__ = [
     "BiPoly",
@@ -83,6 +93,7 @@ __all__ = [
     "bisnomial_row",
     "check_conversion",
     "classical",
+    "clear_caches",
     "conjugate",
     "cyc_as_integer",
     "cyc_power_sum",

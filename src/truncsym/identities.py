@@ -532,7 +532,14 @@ def _chk_vanish_e(n: int, k: int, s: int):
 
 
 def _chk_mono_H(n: int, k: int, s: int):
-    lhs = H(k, s, n)
+    # H is built as this orbit sum, so rebuild it from E: H_m = sum_j (-1)^(j+1) E_j H_(m-j)
+    rebuilt = [MPoly.one(n)]
+    for top in range(1, k + 1):
+        acc: dict = {}
+        for j in range(1, min(top, s * n) + 1):
+            accumulate_product(acc, E(j, s, n), rebuilt[top - j], _sign(j + 1))
+        rebuilt.append(collect(n, acc))
+    lhs = rebuilt[k]
     m = s + 1
     rhs = MPoly.zero(n)
     for lam in enum_partitions(k, mod01=m):

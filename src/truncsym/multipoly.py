@@ -64,6 +64,14 @@ class MPoly:
         raise AttributeError("MPoly is immutable")
 
     @classmethod
+    def _trusted(cls, n: int, terms: dict) -> "MPoly":
+        """Adopt a dict of valid length-n exponents and nonzero coefficients as is."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "terms", terms)
+        return self
+
+    @classmethod
     def zero(cls, n: int) -> "MPoly":
         return cls(n)
 

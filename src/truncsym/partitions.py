@@ -47,21 +47,22 @@ def enum_partitions(
     def allowed(part: int) -> bool:
         return mod01 is None or part % mod01 in (0, 1)
 
-    def gen(remaining: int, cap: int, slots: Optional[int]) -> Iterator[Partition]:
-        if remaining == 0:
-            yield ()
-            return
-        if slots is not None and slots == 0:
-            return
+    def gen(remaining: int, cap: int, slots: int) -> Iterator[Partition]:
         for part in range(min(cap, remaining), 0, -1):
+            if part * slots < remaining:
+                return  # parts only shrink from here: the rest cannot fit
             if not allowed(part):
                 continue
-            rest_slots = None if slots is None else slots - 1
-            for rest in gen(remaining - part, part, rest_slots):
+            if part == remaining:
+                yield (part,)
+                continue
+            for rest in gen(remaining - part, part, slots - 1):
                 yield (part,) + rest
 
+    if k == 0:
+        return [()]
     cap = k if max_part is None else min(max_part, k)
-    return list(gen(k, cap, max_length))
+    return list(gen(k, cap, k if max_length is None else max_length))
 
 
 def conjugate(lam: Partition) -> Partition:
@@ -102,18 +103,22 @@ def distinct_orbit(lam: Partition, n: int) -> list[tuple[int, ...]]:
         raise ValueError(f"length must be >= 0, got {n}")
     if len(lam) > n:
         return []
-    padded = sorted(lam + (0,) * (n - len(lam)), reverse=True)
-
-    def gen(pool: list[int]) -> Iterator[tuple[int, ...]]:
-        if not pool:
-            yield ()
-            return
-        seen = None
-        for i, v in enumerate(pool):
-            if v == seen:
-                continue
-            seen = v
-            for rest in gen(pool[:i] + pool[i + 1 :]):
-                yield (v,) + rest
-
-    return list(gen(padded))
+    a = sorted(lam + (0,) * (n - len(lam)), reverse=True)
+    out = [tuple(a)]
+    last = n - 1
+    while True:
+        i = last - 1
+        while i >= 0 and a[i] <= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return out
+        j = last
+        while a[j] >= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        lo, hi = i + 1, last  # the suffix is ascending: reverse it to descending
+        while lo < hi:
+            a[lo], a[hi] = a[hi], a[lo]
+            lo += 1
+            hi -= 1
+        out.append(tuple(a))

@@ -10,36 +10,40 @@ their generating products at degree s:
 At s = 1 they reduce to e_k and h_k; at s >= k, E reduces to the full
 monomial sum h_k restricted to exponents <= s (equal to h_k when s = k).
 
-Every value is computed along two independent code paths and the results
-are compared before being cached:
+Both are built as sums over partition orbits, so the work grows with the
+output, not with the degree s*n of the generating product: E(k, s, n) sums
+m_lam over lam |- k with parts <= s, and H(k, s, n) sums (-1)^(k + r) m_lam
+over lam |- k with parts congruent to 0 or 1 mod s+1, r of them to 1.
 
-* E: the variable-peeling recurrence against the truncated-series product,
-* H: the series inverse against peeling the last variable (which must
-  reproduce the (n-1)-variable value).
+Before it is cached, each value is checked by peeling the last variable
+off the generating product, against cached values (j = 0..s):
 
-A disagreement raises ``ArithmeticError`` rather than returning anything.
+* E(k, s, n) = sum_j x_n^j E(k-j, s, n-1),
+* sum_j (-x_n)^j H(k-j, s, n) = H(k, s, n-1).
+
+These recurrences fix both families from n = 0, so by induction every
+cached value is the product's coefficient.  A disagreement raises
+``ArithmeticError``.  Lower values are filled bottom-up, not recursively.
 """
 
 from __future__ import annotations
 
-from functools import reduce
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .exactalg import CycInt
-from .multipoly import MPoly, TSeries, accumulate_product, collect, tseries_mul
+from .multipoly import MPoly, accumulate_product
 from .partitions import (
     Partition,
     conjugate,
     distinct_orbit,
+    enum_partitions,
     is_partition,
 )
 
 _M_CACHE: dict = {}
 _CLASSICAL_CACHE: dict = {}
 _E_CACHE: dict = {}
-_E_SERIES_CACHE: dict = {}
 _H_CACHE: dict = {}
-_H_SERIES_CACHE: dict = {}
 
 
 def _validate_sn(s: int, n: int) -> None:
@@ -67,7 +71,7 @@ def m_lambda(lam: Sequence[int], n: int) -> MPoly:
     key = (lam, n)
     cached = _M_CACHE.get(key)
     if cached is None:
-        cached = MPoly(n, {exps: 1 for exps in distinct_orbit(lam, n)})
+        cached = _orbit_sum(n, [(lam, 1)])
         _M_CACHE[key] = cached
     return cached
 
@@ -105,56 +109,38 @@ def classical(kind: str, k: int, n: int) -> MPoly:
     return val
 
 
-def _e_series(s: int, n: int) -> list[MPoly]:
-    """Full coefficient list of prod_i (1 + x_i t + ... + (x_i t)^s)."""
-    key = (s, n)
-    cached = _E_SERIES_CACHE.get(key)
-    if cached is None:
-        T = s * n
-        factors = []
-        for i in range(1, n + 1):
-            coeffs = []
-            for j in range(T + 1):
-                if j <= s:
-                    exps_j = tuple(j if col == i - 1 else 0 for col in range(n))
-                    coeffs.append(MPoly.monomial(n, exps_j))
-                else:
-                    coeffs.append(MPoly.zero(n))
-            factors.append(TSeries(n, T, coeffs))
-        product = reduce(tseries_mul, factors, TSeries.one(n, T))
-        cached = list(product.coeffs)
-        _E_SERIES_CACHE[key] = cached
-    return cached
+def _orbit_sum(n: int, signed: Iterable[tuple[Partition, int]]) -> MPoly:
+    """sum of c * m_lam over (lam, c); distinct lam have disjoint orbits."""
+    terms: dict = {}
+    for lam, c in signed:
+        terms.update(dict.fromkeys(distinct_orbit(lam, n), c))
+    return MPoly._trusted(n, terms)
 
 
-def _h_series(s: int, n: int, upto: int) -> list[MPoly]:
-    """Coefficients of prod_i (sum_j (-x_i t)^j for j <= s)^(-1) through t^upto."""
-    key = (s, n)
-    cached = _H_SERIES_CACHE.get(key)
-    if cached is None:
-        T = s * n
-        factors = []
-        for i in range(1, n + 1):
-            coeffs = []
-            for j in range(T + 1):
-                if j <= s:
-                    exps_j = tuple(j if col == i - 1 else 0 for col in range(n))
-                    coeffs.append(MPoly.monomial(n, exps_j, -1 if j % 2 else 1))
-                else:
-                    coeffs.append(MPoly.zero(n))
-            factors.append(TSeries(n, T, coeffs))
-        u = reduce(tseries_mul, factors, TSeries.one(n, T))
-        cached = (list(u.coeffs), [MPoly.one(n)])
-        _H_SERIES_CACHE[key] = cached
-    u, v = cached
-    while len(v) <= upto:
-        m = len(v)
-        acc: dict = {}
-        for j in range(1, min(m, len(u) - 1) + 1):
-            if u[j]:
-                accumulate_product(acc, u[j], v[m - j], -1)
-        v.append(collect(n, acc))
-    return v
+def _checked_E(k: int, s: int, n: int) -> MPoly:
+    if n == 0:
+        return MPoly.one(0)
+    val = _orbit_sum(n, ((lam, 1) for lam in enum_partitions(k, max_part=s, max_length=n)))
+    acc: dict = {}
+    for j in range(min(s, k) + 1):
+        power = MPoly.monomial(n, (0,) * (n - 1) + (j,))
+        accumulate_product(acc, power, E(k - j, s, n - 1).pad(n))
+    if acc != val.terms:  # no cancellation: every coefficient is positive
+        raise ArithmeticError(f"E({k},{s},{n}): orbit sum fails the variable-peeling check")
+    return val
+
+
+def _checked_H(k: int, s: int, n: int) -> MPoly:
+    m = s + 1
+    lams = enum_partitions(k, max_length=n, mod01=m)
+    val = _orbit_sum(n, ((lam, (-1) ** (k + sum(p % m for p in lam))) for lam in lams))
+    acc = dict(val.terms)
+    for j in range(1, min(s, k) + 1):
+        power = MPoly.monomial(n, (0,) * (n - 1) + (j,), -1 if j % 2 else 1)
+        accumulate_product(acc, power, H(k - j, s, n))
+    if {exps: c for exps, c in acc.items() if c} != H(k, s, n - 1).pad(n).terms:
+        raise ArithmeticError(f"H({k},{s},{n}): orbit sum fails the variable-peeling check")
+    return val
 
 
 def E(k: int, s: int, n: int) -> MPoly:
@@ -164,24 +150,14 @@ def E(k: int, s: int, n: int) -> MPoly:
         return MPoly.zero(n)
     key = (k, s, n)
     cached = _E_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if n == 0:
-        val = MPoly.one(0)
-    else:
-        xn = MPoly.variable(n, n)
-        val = MPoly.zero(n)
-        power = MPoly.one(n)
-        for j in range(min(s, k) + 1):
-            lower = E(k - j, s, n - 1)
-            if lower:
-                val = val + power * lower.pad(n)
-            power = power * xn
-        series_val = _e_series(s, n)[k]
-        if val != series_val:
-            raise ArithmeticError(f"E({k},{s},{n}): recurrence and series disagree")
-    _E_CACHE[key] = val
-    return val
+    if cached is None:
+        # each value peels onto the n-1 values with index k-s..k
+        for m in range(n + 1):
+            for kk in range(max(0, k - s * (n - m)), min(k, s * m) + 1):
+                if (kk, s, m) not in _E_CACHE:
+                    _E_CACHE[(kk, s, m)] = _checked_E(kk, s, m)
+        cached = _E_CACHE[key]
+    return cached
 
 
 def H(k: int, s: int, n: int) -> MPoly:
@@ -193,21 +169,14 @@ def H(k: int, s: int, n: int) -> MPoly:
         return MPoly.one(0) if k == 0 else MPoly.zero(0)
     key = (k, s, n)
     cached = _H_CACHE.get(key)
-    if cached is not None:
-        return cached
-    v = _h_series(s, n, k)
-    val = v[k]
-    xn = MPoly.variable(n, n)
-    peeled = MPoly.zero(n)
-    power = MPoly.one(n)
-    for j in range(min(s, k) + 1):
-        term = power * v[k - j]
-        peeled = peeled + (term if j % 2 == 0 else -term)
-        power = power * xn
-    if peeled != H(k, s, n - 1).pad(n):
-        raise ArithmeticError(f"H({k},{s},{n}): series fails the variable-peeling check")
-    _H_CACHE[key] = val
-    return val
+    if cached is None:
+        # each value peels onto the lower k at n and onto the same k at n-1
+        for m in range(1, n + 1):
+            for kk in range(k + 1):
+                if (kk, s, m) not in _H_CACHE:
+                    _H_CACHE[(kk, s, m)] = _checked_H(kk, s, m)
+        cached = _H_CACHE[key]
+    return cached
 
 
 def P(k: int, s: int, n: int) -> MPoly:
@@ -316,6 +285,4 @@ def clear_caches() -> None:
     _M_CACHE.clear()
     _CLASSICAL_CACHE.clear()
     _E_CACHE.clear()
-    _E_SERIES_CACHE.clear()
     _H_CACHE.clear()
-    _H_SERIES_CACHE.clear()

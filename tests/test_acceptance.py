@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from truncsym import clear_caches
 from truncsym.bisnomial import (
     bisnomial,
     bisnomial_row,
@@ -31,7 +32,7 @@ from truncsym.exactalg import cyc_as_integer, cyc_power_sum
 from truncsym.identities import default_grid, list_identities, verify_grid
 from truncsym.multipoly import MPoly, is_symmetric, specialize
 from truncsym.partitions import enum_partitions
-from truncsym.symfun import E, H, classical, clear_caches, m_lambda, m_lambda_at_roots
+from truncsym.symfun import E, H, classical, m_lambda, m_lambda_at_roots
 
 
 def _criterion(num, label, capsys, budget, body):

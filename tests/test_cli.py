@@ -1,6 +1,8 @@
 """End-to-end tests for the command line interface."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -246,3 +248,24 @@ def test_range_parser():
         cli.parse_range("5..1")
     with pytest.raises(ValueError):
         cli.parse_range("a..b")
+
+
+# The five large expansions of the benchmark's expand_large workload; their
+# output digests were recorded in bench/golden.json and must not change.
+GOLDEN_EXPANSIONS = (
+    "expand --kind H --k 12 --s 3 --n 8",
+    "expand --kind E --k 1 --s 4 --n 8",
+    "expand --kind E --k 12 --s 3 --n 8",
+    "schur --lambda 2,1 --s 2 --n 7",
+    "schur --lambda 3,2,1 --s 2 --n 6",
+)
+
+
+def test_large_expansions_match_the_recorded_digests(capsys):
+    golden = json.loads((Path(__file__).parents[1] / "bench" / "golden.json").read_text())
+    for line in GOLDEN_EXPANSIONS:
+        argv = line.split() + ["--format", "json", "--deterministic"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, line
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == golden["cli " + " ".join(argv)], line

@@ -1,5 +1,6 @@
 """Unit tests for integer partition utilities."""
 
+import itertools
 import math
 
 import pytest
@@ -111,6 +112,38 @@ def test_orbit_is_sorted_descending_lex():
     orbit = distinct_orbit((2, 1), 3)
     assert orbit == sorted(orbit, reverse=True)
     assert orbit[0] == (2, 1, 0)
+
+
+def _all_partitions(k_max):
+    """Partitions of 0..k_max by insertion into smaller ones, reverse lexicographic."""
+    found = [{()}]
+    for k in range(1, k_max + 1):
+        found.append({
+            tuple(sorted(lam + (part,), reverse=True))
+            for part in range(1, k + 1)
+            for lam in found[k - part]
+        })
+    return [sorted(lams, reverse=True) for lams in found]
+
+
+def test_enumeration_and_orbits_match_a_brute_force_filter():
+    for k, lams in enumerate(_all_partitions(20)):
+        for max_part, max_length, mod01 in itertools.product(
+            (None, 2, 3), (None, 0, 2, 3), (None, 3)
+        ):
+            want = [
+                lam for lam in lams
+                if (max_part is None or all(p <= max_part for p in lam))
+                and (max_length is None or len(lam) <= max_length)
+                and (mod01 is None or all(p % mod01 in (0, 1) for p in lam))
+            ]
+            got = enum_partitions(k, max_part=max_part, max_length=max_length, mod01=mod01)
+            assert got == want, (k, max_part, max_length, mod01)
+        for lam in lams:
+            for n in range(len(lam), 6):
+                padded = lam + (0,) * (n - len(lam))
+                want = sorted(set(itertools.permutations(padded)), reverse=True)
+                assert distinct_orbit(lam, n) == want, (lam, n)
 
 
 def test_enum_rejects_negative_weight():

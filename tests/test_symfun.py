@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from truncsym import symfun
+from series_oracle import e_series, h_series
+from truncsym import clear_caches, symfun
 from truncsym.exactalg import CycInt, cyc_as_integer
 from truncsym.multipoly import MPoly, is_symmetric
 from truncsym.partitions import enum_partitions
@@ -13,7 +14,6 @@ from truncsym.symfun import (
     H,
     P,
     classical,
-    clear_caches,
     m_lambda,
     m_lambda_at_roots,
     product_over_partition,
@@ -46,14 +46,35 @@ def test_classical_goldens():
 
 
 def test_truncated_elementary_matches_the_bounded_monomial_expansion():
-    # E(k, s, n) is the sum of m_lambda over partitions of k with parts <= s
+    # the generating product's t^k coefficient is the sum of m_lambda over
+    # partitions of k with parts <= s
     for n in range(5):
         for s in range(1, 4):
+            series = e_series(s, n)
             for k in range(s * n + 1):
                 want = MPoly.zero(n)
                 for lam in enum_partitions(k, max_part=s, max_length=n):
                     want = want + m_lambda(lam, n)
-                assert E(k, s, n) == want, (k, s, n)
+                assert series[k] == want, (k, s, n)
+
+
+def test_families_match_the_series_oracle():
+    for n in range(5):
+        for s in range(1, 5):
+            series = e_series(s, n)
+            for k in range(s * n + 1):
+                assert E(k, s, n) == series[k], ("E", k, s, n)
+            series = h_series(s, n, 10)
+            for k in range(11):
+                assert H(k, s, n) == series[k], ("H", k, s, n)
+
+
+def test_complete_family_at_high_degree_needs_no_deep_recursion():
+    clear_caches()
+    try:
+        assert H(1500, 1, 1) == MPoly.monomial(1, (1500,))
+    finally:
+        clear_caches()
 
 
 def test_truncated_elementary_goldens():
@@ -182,26 +203,24 @@ def test_determinant_forms_validate_shape():
         schur_det((2, 1), 2, 2, basis="x")
 
 
-def test_elementary_guard_detects_a_corrupted_series():
+def test_elementary_guard_detects_a_corrupted_lower_value():
     clear_caches()
     try:
-        x1 = MPoly.variable(1, 1)
-        symfun._E_SERIES_CACHE[(1, 1)] = [MPoly.one(1), 2 * x1]
+        E(1, 1, 1)
+        symfun._E_CACHE[(1, 1, 1)] = 2 * MPoly.variable(1, 1)
         with pytest.raises(ArithmeticError):
-            E(1, 1, 1)
+            E(1, 1, 2)
     finally:
         clear_caches()
 
 
-def test_complete_guard_detects_a_corrupted_series():
+def test_complete_guard_detects_a_corrupted_lower_value():
     clear_caches()
     try:
-        x1 = MPoly.variable(1, 1)
-        u = [MPoly.one(1), -1 * x1]
-        v = [MPoly.one(1), 2 * x1]
-        symfun._H_SERIES_CACHE[(1, 1)] = (u, v)
+        H(1, 1, 1)
+        symfun._H_CACHE[(1, 1, 1)] = 2 * MPoly.variable(1, 1)
         with pytest.raises(ArithmeticError):
-            H(1, 1, 1)
+            H(1, 1, 2)
     finally:
         clear_caches()
 
