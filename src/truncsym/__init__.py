@@ -65,7 +65,8 @@ from .bisnomial import (
     pq_gaussian,
     q_bisnomial,
 )
-from . import identities, symfun
+from .bisnomial import _BANDS as _bisnomial_bands
+from . import identities, multipoly, symfun
 
 __version__ = "0.1.0"
 
@@ -74,7 +75,9 @@ def clear_caches() -> None:
     """Empty every memo table in the package, so the next call starts cold."""
     symfun.clear_caches()
     identities._PAIR_CONV.clear()
-    for cached in (bisnomial, gaussian, pq_bisnomial, pq_gaussian, q_bisnomial, cyclotomic_coeffs):
+    _bisnomial_bands.clear()
+    for cached in (bisnomial, gaussian, pq_bisnomial, pq_gaussian, q_bisnomial, cyclotomic_coeffs,
+                   multipoly._layout):
         cached.cache_clear()
 
 

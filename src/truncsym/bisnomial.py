@@ -6,6 +6,9 @@ The q- and (p,q)-variants evaluate the truncated elementary family on the
 geometric grids q^(i-1) and p^(n-i) q^(i-1); all three satisfy the same
 one-variable-peeling recurrence, which is the production path here (the
 polynomial constructors stay the reference oracle in the test suite).
+Before the recurrence runs, the rows below that it reads are filled
+bottom-up from the highest row already cached, so no call recurses more
+than one row deep.
 
 ``check_conversion`` verifies the closed-form conversion identities that
 tie the s-truncated triangles to ordinary binomials and Gaussian
@@ -20,6 +23,46 @@ from math import comb
 
 from .exactalg import BiPoly, UniPoly
 from .identities import IdentityReport
+
+
+_BANDS: dict = {}  # (fn, args) -> {row: (lo, hi)}: fn(row, kk, *args) is cached for lo <= kk <= hi
+
+
+def _record(bands: dict, m: int, lo: int, hi: int) -> None:
+    old = bands.get(m)
+    if old is not None and old[0] <= hi + 1 and lo <= old[1] + 1:  # overlapping or adjacent: merge
+        lo, hi = (lo if lo < old[0] else old[0]), (hi if hi > old[1] else old[1])
+    bands[m] = (lo, hi)
+
+
+def _rows_below(fn, n: int, k: int, s: int, args: tuple) -> None:
+    """Cache bottom-up what the one-row recurrence at (n, k) reads, then record (n, k).
+
+    Row m < n is read at kk = max(0, k - s*(n-m)) .. min(k, s*m). Filling starts
+    above the highest row whose band is recorded, so a table filled row by row
+    fills nothing, and each fn call made here recurses one row deep.
+    """
+    bands = _BANDS.get((fn, args))
+    if bands is None:
+        bands = _BANDS[fn, args] = {}
+    have = bands.get(n - 1)
+    if have is None or have[0] > max(0, k - s) or have[1] < min(k, s * (n - 1)):
+        m = n - 2
+        while m > 0:
+            have = bands.get(m)
+            if have is not None and have[0] <= max(0, k - s * (n - m)) and min(k, s * m) <= have[1]:
+                break
+            m -= 1
+        for m in range(m + 1, n):
+            lo, hi = max(0, k - s * (n - m)), min(k, s * m)
+            for kk in range(lo, hi + 1):
+                fn(m, kk, *args)
+            _record(bands, m, lo, hi)
+    have = bands.get(n)
+    if have is not None and have[1] == k - 1:  # the next cell of a row filled left to right
+        bands[n] = (have[0], k)
+    else:
+        _record(bands, n, k, k)
 
 
 def _validate(n: int, k: int, s: int) -> None:
@@ -37,7 +80,8 @@ def bisnomial(n: int, k: int, s: int) -> int:
         return 0
     if n == 0:
         return 1
-    return sum(bisnomial(n - 1, k - j, s) for j in range(min(s, k) + 1))
+    _rows_below(bisnomial, n, k, s, (s,))
+    return sum([bisnomial(n - 1, k - j, s) for j in range(min(s, k) + 1)])
 
 
 def bisnomial_row(n: int, s: int) -> list[int]:
@@ -55,6 +99,7 @@ def gaussian(n: int, k: int) -> UniPoly:
         return UniPoly()
     if k == 0 or k == n:
         return UniPoly(1)
+    _rows_below(gaussian, n, k, 1, ())
     return gaussian(n - 1, k - 1) + UniPoly.term(1, k) * gaussian(n - 1, k)
 
 
@@ -67,6 +112,7 @@ def pq_gaussian(n: int, k: int) -> BiPoly:
         return BiPoly()
     if k == 0 or k == n:
         return BiPoly(1)
+    _rows_below(pq_gaussian, n, k, 1, ())
     return BiPoly.term(1, n - k, 0) * pq_gaussian(n - 1, k - 1) + BiPoly.term(
         1, 0, k
     ) * pq_gaussian(n - 1, k)
@@ -84,6 +130,7 @@ def q_bisnomial(n: int, k: int, s: int) -> UniPoly:
         return UniPoly()
     if n == 0:
         return UniPoly(1)
+    _rows_below(q_bisnomial, n, k, s, (s,))
     total = UniPoly()
     for j in range(min(s, k) + 1):
         lower = q_bisnomial(n - 1, k - j, s)
@@ -104,6 +151,7 @@ def pq_bisnomial(n: int, k: int, s: int) -> BiPoly:
         return BiPoly()
     if n == 0:
         return BiPoly(1)
+    _rows_below(pq_bisnomial, n, k, s, (s,))
     total = BiPoly()
     for j in range(min(s, k) + 1):
         lower = pq_bisnomial(n - 1, k - j, s)

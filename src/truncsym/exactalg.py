@@ -17,7 +17,7 @@ reduces to a literal integer for every order, composite orders included.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 
 def _exact_div(num: list[int], den: tuple[int, ...]) -> list[int]:
@@ -72,6 +72,42 @@ def _reduce_mod_cyclotomic(order: int, coeffs: list[int]) -> tuple[int, ...]:
     coeffs = coeffs[:deg]
     coeffs.extend([0] * (deg - len(coeffs)))
     return tuple(coeffs)
+
+
+def _power(x, n: int, one):
+    """x**n by repeated squaring from the identity one; shared by every ring here."""
+    if n < 0:
+        raise ValueError("negative powers are not defined here")
+    result = one
+    while n:
+        if n & 1:
+            result = result * x
+        x = x * x
+        n >>= 1
+    return result
+
+
+def _power_text(var: str, e: int) -> str:
+    """var^e as text: '' for e = 0, var for e = 1."""
+    return "" if e == 0 else var if e == 1 else f"{var}^{e}"
+
+
+def _dense_text(coeffs: Sequence, var: str) -> str:
+    return _render_terms([(c, _power_text(var, e)) for e, c in enumerate(coeffs) if c])
+
+
+def _render_terms(terms: Iterable[tuple[object, str]], coeff_text: Callable = str) -> str:
+    """'a + b - c' from (coefficient, monomial text) pairs; every ring renders through it."""
+    parts = [
+        coeff_text(c) if not mono
+        else mono if c == 1
+        else f"-{mono}" if c == -1
+        else f"{coeff_text(c)}*{mono}"
+        for c, mono in terms
+    ]
+    if not parts:
+        return "0"
+    return parts[0] + "".join([f" - {p[1:]}" if p[0] == "-" else f" + {p}" for p in parts[1:]])
 
 
 class CycInt:
@@ -148,16 +184,7 @@ class CycInt:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "CycInt":
-        if n < 0:
-            raise ValueError("negative powers are not defined here")
-        result = CycInt(self.order, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, CycInt(self.order, 1))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, CycInt):
@@ -182,26 +209,7 @@ class CycInt:
         return f"CycInt(order={self.order}, coeffs={list(self.coeffs)})"
 
     def __str__(self) -> str:
-        parts = []
-        for e, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if e == 0:
-                parts.append(str(c))
-            else:
-                var = "x" if e == 1 else f"x^{e}"
-                if c == 1:
-                    parts.append(var)
-                elif c == -1:
-                    parts.append(f"-{var}")
-                else:
-                    parts.append(f"{c}*{var}")
-        if not parts:
-            return "0"
-        text = parts[0]
-        for p in parts[1:]:
-            text += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return text
+        return _dense_text(self.coeffs, "x")
 
     def to_json(self) -> dict:
         return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}
@@ -322,16 +330,7 @@ class UniPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "UniPoly":
-        if n < 0:
-            raise ValueError("negative powers are not defined here")
-        result = UniPoly(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, UniPoly(1))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, UniPoly):
@@ -367,26 +366,7 @@ class UniPoly:
         return f"UniPoly({list(self.coeffs)})"
 
     def __str__(self) -> str:
-        parts = []
-        for e, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if e == 0:
-                parts.append(str(c))
-            else:
-                var = "q" if e == 1 else f"q^{e}"
-                if c == 1:
-                    parts.append(var)
-                elif c == -1:
-                    parts.append(f"-{var}")
-                else:
-                    parts.append(f"{c}*{var}")
-        if not parts:
-            return "0"
-        text = parts[0]
-        for p in parts[1:]:
-            text += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return text
+        return _dense_text(self.coeffs, "q")
 
     def to_json(self) -> list[str]:
         return [str(c) for c in self.coeffs]
@@ -462,16 +442,7 @@ class BiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "BiPoly":
-        if n < 0:
-            raise ValueError("negative powers are not defined here")
-        result = BiPoly(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, BiPoly(1))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, BiPoly):
@@ -511,33 +482,9 @@ class BiPoly:
         return f"BiPoly({dict(sorted(self.terms.items()))})"
 
     def __str__(self) -> str:
-        def mono(i: int, j: int) -> str:
-            factors = []
-            if i:
-                factors.append("p" if i == 1 else f"p^{i}")
-            if j:
-                factors.append("q" if j == 1 else f"q^{j}")
-            return "*".join(factors)
-
         keys = sorted(self.terms, key=lambda ij: (ij[0] + ij[1], ij))
-        parts = []
-        for key in keys:
-            c = self.terms[key]
-            m = mono(*key)
-            if not m:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(m)
-            elif c == -1:
-                parts.append(f"-{m}")
-            else:
-                parts.append(f"{c}*{m}")
-        if not parts:
-            return "0"
-        text = parts[0]
-        for p in parts[1:]:
-            text += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return text
+        monos = [_power_text("p", i) + ("*" if i and j else "") + _power_text("q", j) for i, j in keys]
+        return _render_terms(zip(map(self.terms.get, keys), monos))
 
     def to_json(self) -> list[list]:
         return [[i, j, str(c)] for (i, j), c in sorted(self.terms.items())]

@@ -164,23 +164,17 @@ def _roots_sum(k: int, s: int, basis: str, n: int) -> MPoly:
     acc: dict = {}
     for lam in enum_partitions(k, max_length=s):
         c = m_lambda_at_roots(lam, s)
-        if not c:
-            continue
-        base = product_over_partition(basis, lam, None, n)
-        for exps, ci in base.terms.items():
-            v = ci * c
-            if exps in acc:
-                acc[exps] = acc[exps] + v
-            else:
-                acc[exps] = v
+        if c:
+            base = product_over_partition(basis, lam, None, n)
+            accumulate_product(acc, MPoly.constant(n, c), base)
     reduced: dict = {}
-    for exps, v in acc.items():
+    for key, v in acc.items():
         iv = cyc_as_integer(v)
         if iv is None:
             raise ArithmeticError(f"aggregated coefficient {v} is not a rational integer")
         if iv:
-            reduced[exps] = iv
-    return MPoly(n, reduced)
+            reduced[key] = iv
+    return MPoly._trusted(n, reduced)
 
 
 def _conv_sum_h(n: int, k: int, s: int) -> MPoly:

@@ -2,7 +2,14 @@
 
 ``MPoly`` is a sparse polynomial in variables x1..xn over any of the exact
 coefficient domains from :mod:`truncsym.exactalg` (or plain ``int`` /
-``fractions.Fraction``).  Exponent vectors are plain tuples of length n.
+``fractions.Fraction``).  A term is stored under a packed exponent: one int
+holding the exponent of x_i in bits 32(i-1) .. 32i-1.  Every stored exponent
+is below 2**31, so two keys add without a carry between fields: a product is
+one int add per pair of terms, checked once for an exponent that reached
+2**31 (``OverflowError``, never a wrapped monomial), and a pad to more
+variables keeps every key.  Exponent tuples appear only at the API edge:
+``terms`` is a tuple-keyed view unpacked on demand, and the constructor
+refuses an exponent of 2**31 or more.
 
 ``TSeries`` is a power series in one extra formal variable t with ``MPoly``
 coefficients, truncated at a fixed order; it exists so that generating
@@ -18,58 +25,136 @@ cosmetic only.
 
 from __future__ import annotations
 
+import struct
+from collections.abc import Mapping
 from fractions import Fraction
-from operator import add as _add
+from functools import lru_cache, reduce
+from operator import or_
 from typing import Callable, Iterable, Optional, Union
 
-from .exactalg import BiPoly, CycInt, UniPoly
+from .exactalg import BiPoly, CycInt, UniPoly, _power, _render_terms
 
 Coeff = Union[int, Fraction, CycInt, UniPoly, BiPoly]
 Monomial = tuple[int, ...]
 
 _SCALAR_TYPES = (int, Fraction, CycInt, UniPoly, BiPoly)
+_LIMIT = 2**31  # every stored exponent is below this
 
 
-def _canon_key(exps: Monomial) -> tuple:
+@lru_cache(maxsize=None)
+def _layout(n: int) -> tuple[Callable, Callable, int]:
+    """pack (an exponent tuple to a key, unchecked), unpack, and the fields' top bits."""
+    fields, size = struct.Struct(f"<{n}I"), 4 * n
+    return (
+        lambda exps: int.from_bytes(fields.pack(*exps), "little"),
+        lambda key: fields.unpack(key.to_bytes(size, "little")),
+        int.from_bytes(b"\0\0\0\x80" * n, "little"),
+    )
+
+
+def _monomial_text(exps: Monomial) -> str:
+    return "*".join([f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(exps, 1) if e])
+
+
+def _canon_key(item: tuple[Monomial, Coeff]) -> tuple:
+    exps = item[0]
     return (sum(exps), exps)
 
 
-def _display_key(exps: Monomial) -> tuple:
+def _display_key(item: tuple[Monomial, Coeff]) -> tuple:
+    exps = item[0]
     shape = tuple(-e for e in sorted(exps, reverse=True))
     return (sum(exps), shape, tuple(-e for e in exps))
+
+
+class _Terms(Mapping):
+    """Read-only view of packed terms keyed by exponent tuple, unpacked on demand."""
+
+    __slots__ = ("_packed", "_n")
+
+    def __init__(self, packed: dict, n: int):
+        self._packed, self._n = packed, n
+
+    def __len__(self) -> int:
+        return len(self._packed)
+
+    def __iter__(self):
+        return map(_layout(self._n)[1], self._packed)
+
+    def __getitem__(self, exps: Monomial) -> Coeff:
+        try:  # a tuple the constructor would refuse packs to no stored key
+            return self._packed[_layout(self._n)[0](exps)]
+        except (struct.error, TypeError):
+            raise KeyError(exps) from None
+
+    def values(self):
+        return self._packed.values()
+
+    def items(self) -> list[tuple[Monomial, Coeff]]:
+        return list(zip(self, self._packed.values()))
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+def _product(acc: dict, a: dict, b: dict, scalar: Coeff, top: int) -> None:
+    """acc += scalar * a * b on packed term dicts: the one product loop."""
+    b_items = list(b.items())
+    get = acc.get
+    for e1, c1 in a.items():
+        c1s = c1 * scalar
+        for e2, c2 in b_items:
+            key = e1 + e2
+            old = get(key)
+            acc[key] = c1s * c2 if old is None else old + c1s * c2
+    # no field carries, as each was below 2**31; a top bit set is an exponent past the limit
+    if reduce(or_, acc, 0) & top:
+        raise OverflowError("a product has an exponent of 2**31 or more")
+
+
+def _nonzero(terms: dict) -> dict:
+    """terms, with its zero coefficients deleted in place."""
+    if not all(terms.values()):
+        for key in [key for key, c in terms.items() if not c]:
+            del terms[key]
+    return terms
 
 
 class MPoly:
     """Sparse polynomial in x1..xn with exact coefficients."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "_packed")
     __hash__ = None
 
     def __init__(self, n: int, terms: Optional[dict] = None):
         if n < 0:
             raise ValueError(f"variable count must be >= 0, got {n}")
-        clean: dict = {}
-        if terms:
-            for exps, c in terms.items():
-                if len(exps) != n:
-                    raise ValueError(f"exponent tuple {exps} has length != {n}")
-                if any(e < 0 for e in exps):
-                    raise ValueError(f"negative exponent in {exps}")
-                if c:
-                    clean[tuple(exps)] = c
+        pack, _, top = _layout(n)
+        try:
+            packed = {pack(exps): c for exps, c in terms.items()} if terms else {}
+            valid = not reduce(or_, packed, 0) & top
+        except struct.error:
+            valid = False
+        if not valid:
+            raise ValueError(f"exponent tuples need {n} entries in 0..2**31-1")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_packed", _nonzero(packed))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("MPoly is immutable")
 
     @classmethod
-    def _trusted(cls, n: int, terms: dict) -> "MPoly":
-        """Adopt a dict of valid length-n exponents and nonzero coefficients as is."""
+    def _trusted(cls, n: int, packed: dict) -> "MPoly":
+        """Adopt a dict of valid packed keys and nonzero coefficients as is."""
         self = object.__new__(cls)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_packed", packed)
         return self
+
+    @property
+    def terms(self) -> Mapping:
+        """The terms keyed by exponent tuple: a read-only view, unpacked on demand."""
+        return _Terms(self._packed, self.n)
 
     @classmethod
     def zero(cls, n: int) -> "MPoly":
@@ -105,13 +190,13 @@ class MPoly:
     def __add__(self, other: object) -> "MPoly":
         if isinstance(other, MPoly):
             self._check_same_vars(other)
-            out = dict(self.terms)
-            for exps, c in other.terms.items():
-                if exps in out:
-                    out[exps] = out[exps] + c
+            out = dict(self._packed)
+            for key, c in other._packed.items():
+                if key in out:
+                    out[key] = out[key] + c
                 else:
-                    out[exps] = c
-            return MPoly(self.n, out)
+                    out[key] = c
+            return MPoly._trusted(self.n, _nonzero(out))
         if isinstance(other, _SCALAR_TYPES):
             return self + MPoly.constant(self.n, other)
         return NotImplemented
@@ -120,7 +205,7 @@ class MPoly:
         return self.__add__(other)
 
     def __neg__(self) -> "MPoly":
-        return MPoly(self.n, {exps: -c for exps, c in self.terms.items()})
+        return MPoly._trusted(self.n, {key: -c for key, c in self._packed.items()})
 
     def __sub__(self, other: object) -> "MPoly":
         if isinstance(other, MPoly):
@@ -135,65 +220,41 @@ class MPoly:
     def __mul__(self, other: object) -> "MPoly":
         if isinstance(other, MPoly):
             self._check_same_vars(other)
-            a, b = self.terms, other.terms
-            if len(a) < len(b):
-                a, b = b, a
-            out: dict = {}
-            b_items = list(b.items())
-            for e1, c1 in a.items():
-                for e2, c2 in b_items:
-                    key = tuple(map(_add, e1, e2))
-                    c = c1 * c2
-                    if key in out:
-                        out[key] = out[key] + c
-                    else:
-                        out[key] = c
-            return MPoly(self.n, out)
+            acc: dict = {}
+            _product(acc, self._packed, other._packed, 1, _layout(self.n)[2])
+            return MPoly._trusted(self.n, _nonzero(acc))
         if isinstance(other, _SCALAR_TYPES):
-            if not other:
-                return MPoly(self.n)
-            return MPoly(self.n, {exps: c * other for exps, c in self.terms.items()})
+            scaled = {key: c * other for key, c in self._packed.items()}
+            return MPoly._trusted(self.n, _nonzero(scaled))
         return NotImplemented
 
     def __rmul__(self, other: object) -> "MPoly":
         if isinstance(other, _SCALAR_TYPES):
-            if not other:
-                return MPoly(self.n)
-            return MPoly(self.n, {exps: other * c for exps, c in self.terms.items()})
+            scaled = {key: other * c for key, c in self._packed.items()}
+            return MPoly._trusted(self.n, _nonzero(scaled))
         return NotImplemented
 
     def __pow__(self, k: int) -> "MPoly":
-        if k < 0:
-            raise ValueError("negative powers are not defined here")
-        result = MPoly.one(self.n)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _power(self, k, MPoly.one(self.n))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, MPoly):
-            return self.n == other.n and self.terms == other.terms
+            return self.n == other.n and self._packed == other._packed
         if isinstance(other, _SCALAR_TYPES):
-            return self.terms == MPoly.constant(self.n, other).terms
+            return self._packed == ({0: other} if other else {})
         return NotImplemented
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._packed)
 
     # -- structure ---------------------------------------------------------
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(exps) for exps in self.terms)
+        return max(map(sum, self.terms), default=-1)
 
     def is_homogeneous(self, k: Optional[int] = None) -> bool:
-        degrees = {sum(exps) for exps in self.terms}
+        degrees = set(map(sum, self.terms))
         if k is not None:
             return degrees <= {k}
         return len(degrees) <= 1
@@ -202,32 +263,19 @@ class MPoly:
         """Reinterpret in n >= self.n variables, new variables unused."""
         if n < self.n:
             raise ValueError(f"cannot shrink from {self.n} to {n} variables")
-        if n == self.n:
-            return self
-        extra = (0,) * (n - self.n)
-        return MPoly(n, {exps + extra: c for exps, c in self.terms.items()})
+        return self if n == self.n else MPoly._trusted(n, self._packed)
 
     def map_coeffs(self, f: Callable[[Coeff], Coeff]) -> "MPoly":
-        return MPoly(self.n, {exps: f(c) for exps, c in self.terms.items()})
+        return MPoly._trusted(self.n, _nonzero({key: f(c) for key, c in self._packed.items()}))
 
     def coeff(self, exps: Iterable[int]) -> Coeff:
         return self.terms.get(tuple(exps), 0)
 
     def canonical_terms(self) -> list[tuple[Monomial, Coeff]]:
         """Terms sorted graded-lexicographically (ascending)."""
-        return [(exps, self.terms[exps]) for exps in sorted(self.terms, key=_canon_key)]
+        return sorted(self.terms.items(), key=_canon_key)
 
     # -- rendering -----------------------------------------------------------
-
-    @staticmethod
-    def _render_monomial(exps: Monomial) -> str:
-        factors = []
-        for i, e in enumerate(exps, start=1):
-            if e == 1:
-                factors.append(f"x{i}")
-            elif e > 1:
-                factors.append(f"x{i}^{e}")
-        return "*".join(factors)
 
     @staticmethod
     def _render_coeff(c: Coeff) -> str:
@@ -236,24 +284,8 @@ class MPoly:
         return f"({c})"
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for exps in sorted(self.terms, key=_display_key):
-            c = self.terms[exps]
-            mono = self._render_monomial(exps)
-            if not mono:
-                parts.append(self._render_coeff(c))
-            elif c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{self._render_coeff(c)}*{mono}")
-        text = parts[0]
-        for p in parts[1:]:
-            text += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return text
+        terms = sorted(self.terms.items(), key=_display_key)
+        return _render_terms([(c, _monomial_text(exps)) for exps, c in terms], self._render_coeff)
 
     def __repr__(self) -> str:
         return f"MPoly(n={self.n}, terms={dict(self.canonical_terms())})"
@@ -314,35 +346,31 @@ def mpoly_mul(a: MPoly, b: MPoly) -> MPoly:
 
 
 def accumulate_product(acc: dict, a: MPoly, b: MPoly, scalar: Coeff = 1) -> None:
-    """acc += scalar * a * b, in place on a raw term dict.
+    """acc += scalar * a * b, in place; a and b have the same variable count.
 
     Shared by the identity checks that sum many pairwise products; avoids
-    building every intermediate polynomial.
+    building every intermediate polynomial.  acc is opaque (packed keys):
+    start it empty, read it only through ``collect``, and drop it after an
+    OverflowError.
     """
-    if not scalar:
-        return
-    b_items = list(b.terms.items())
-    for e1, c1 in a.terms.items():
-        c1s = c1 * scalar
-        for e2, c2 in b_items:
-            key = tuple(map(_add, e1, e2))
-            c = c1s * c2
-            if key in acc:
-                acc[key] = acc[key] + c
-            else:
-                acc[key] = c
+    a._check_same_vars(b)
+    if scalar:
+        _product(acc, a._packed, b._packed, scalar, _layout(a.n)[2])
 
 
 def collect(n: int, acc: dict) -> MPoly:
     """Finish an accumulate_product run, dropping zero entries."""
-    return MPoly(n, acc)
+    return MPoly._trusted(n, _nonzero(acc))
 
 
 def substitute_power(p: MPoly, s: int) -> MPoly:
     """p(x1^s, ..., xn^s): every exponent multiplied by s."""
     if s < 1:
         raise ValueError(f"power must be >= 1, got {s}")
-    return MPoly(p.n, {tuple(e * s for e in exps): c for exps, c in p.terms.items()})
+    # the fields scale without a carry while every product stays below 2**31
+    if max((max(exps, default=0) for exps in p.terms), default=0) * s >= _LIMIT:
+        raise OverflowError("a substituted power has an exponent of 2**31 or more")
+    return MPoly._trusted(p.n, {key * s: c for key, c in p._packed.items()})
 
 
 def specialize(p: MPoly, kind: str) -> Union[int, UniPoly, BiPoly]:
@@ -354,11 +382,11 @@ def specialize(p: MPoly, kind: str) -> Union[int, UniPoly, BiPoly]:
 
     Coefficients must be plain integers.
     """
-    for c in p.terms.values():
+    for c in p._packed.values():
         if not isinstance(c, int):
             raise TypeError("specialize requires integer coefficients")
     if kind == "all-ones":
-        return sum(p.terms.values())
+        return sum(p._packed.values())
     if kind == "geometric-q":
         out = UniPoly()
         for exps, c in p.terms.items():
@@ -380,13 +408,14 @@ def is_symmetric(p: MPoly) -> bool:
     Invariance under the adjacent transpositions (i, i+1) generates the
     full symmetric group, so only n-1 swaps are checked.
     """
+    terms = dict(p.terms.items())
     for i in range(p.n - 1):
         swapped = {}
-        for exps, c in p.terms.items():
+        for exps, c in terms.items():
             e = list(exps)
             e[i], e[i + 1] = e[i + 1], e[i]
             swapped[tuple(e)] = c
-        if swapped != p.terms:
+        if swapped != terms:
             return False
     return True
 

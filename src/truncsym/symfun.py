@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from .exactalg import CycInt
-from .multipoly import MPoly, accumulate_product
+from .multipoly import MPoly, accumulate_product, collect
 from .partitions import (
     Partition,
     conjugate,
@@ -94,19 +94,24 @@ def classical(kind: str, k: int, n: int) -> MPoly:
     if cached is not None:
         return cached
     if kind == "p":
-        val = MPoly(n, {tuple(k if j == i else 0 for j in range(n)): 1 for i in range(n)})
-    elif k == 0:
-        val = MPoly.one(n)
-    elif n == 0 or (kind == "e" and k > n):
-        val = MPoly.zero(n)
+        _CLASSICAL_CACHE[key] = MPoly(n, {(0,) * i + (k,) + (0,) * (n - 1 - i): 1 for i in range(n)})
     else:
-        xn = MPoly.variable(n, n)
-        if kind == "e":
-            val = classical("e", k, n - 1).pad(n) + xn * classical("e", k - 1, n - 1).pad(n)
-        else:
-            val = classical("h", k, n - 1).pad(n) + xn * classical("h", k - 1, n)
-    _CLASSICAL_CACHE[key] = val
-    return val
+        # bottom-up: e_k(m) = e_k(m-1) + x_m e_(k-1)(m-1), h_k(m) = h_k(m-1) + x_m h_(k-1)(m)
+        for m in range(n + 1):
+            for kk in range(max(0, k - (n - m)) if kind == "e" else 0, k + 1):
+                if (kind, kk, m) not in _CLASSICAL_CACHE:
+                    _CLASSICAL_CACHE[(kind, kk, m)] = _classical_step(kind, kk, m)
+    return _CLASSICAL_CACHE[key]
+
+
+def _classical_step(kind: str, k: int, n: int) -> MPoly:
+    """e_k or h_k in n variables from the cached values it peels onto."""
+    if k == 0:
+        return MPoly.one(n)
+    if n == 0 or (kind == "e" and k > n):
+        return MPoly.zero(n)
+    lower = _CLASSICAL_CACHE[(kind, k - 1, n - 1 if kind == "e" else n)]
+    return _CLASSICAL_CACHE[(kind, k, n - 1)].pad(n) + MPoly.variable(n, n) * lower.pad(n)
 
 
 def _orbit_sum(n: int, signed: Iterable[tuple[Partition, int]]) -> MPoly:
@@ -114,7 +119,7 @@ def _orbit_sum(n: int, signed: Iterable[tuple[Partition, int]]) -> MPoly:
     terms: dict = {}
     for lam, c in signed:
         terms.update(dict.fromkeys(distinct_orbit(lam, n), c))
-    return MPoly._trusted(n, terms)
+    return MPoly(n, terms)
 
 
 def _checked_E(k: int, s: int, n: int) -> MPoly:
@@ -125,7 +130,7 @@ def _checked_E(k: int, s: int, n: int) -> MPoly:
     for j in range(min(s, k) + 1):
         power = MPoly.monomial(n, (0,) * (n - 1) + (j,))
         accumulate_product(acc, power, E(k - j, s, n - 1).pad(n))
-    if acc != val.terms:  # no cancellation: every coefficient is positive
+    if collect(n, acc) != val:
         raise ArithmeticError(f"E({k},{s},{n}): orbit sum fails the variable-peeling check")
     return val
 
@@ -134,11 +139,11 @@ def _checked_H(k: int, s: int, n: int) -> MPoly:
     m = s + 1
     lams = enum_partitions(k, max_length=n, mod01=m)
     val = _orbit_sum(n, ((lam, (-1) ** (k + sum(p % m for p in lam))) for lam in lams))
-    acc = dict(val.terms)
+    acc = dict(val._packed)
     for j in range(1, min(s, k) + 1):
         power = MPoly.monomial(n, (0,) * (n - 1) + (j,), -1 if j % 2 else 1)
         accumulate_product(acc, power, H(k - j, s, n))
-    if {exps: c for exps, c in acc.items() if c} != H(k, s, n - 1).pad(n).terms:
+    if collect(n, acc) != H(k, s, n - 1).pad(n):
         raise ArithmeticError(f"H({k},{s},{n}): orbit sum fails the variable-peeling check")
     return val
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import truncsym
 from truncsym import cli
 from truncsym.identities import IdentitySpec, REGISTRY
 
@@ -269,3 +270,55 @@ def test_large_expansions_match_the_recorded_digests(capsys):
         assert code == 0, line
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == golden["cli " + " ".join(argv)], line
+
+
+# Identities whose checks run on the product kernel, packed equality and
+# rendering; their output digests were recorded in bench/golden.json.
+GOLDEN_VERIFICATIONS = ("ortho", "cubic_E", "cubic_H", "mono_H", "conv_roots_h")
+
+
+def test_kernel_heavy_verifications_match_the_recorded_digests(capsys):
+    golden = json.loads((Path(__file__).parents[1] / "bench" / "golden.json").read_text())
+    for name in GOLDEN_VERIFICATIONS:
+        argv = ["verify", "--id", name, "--format", "json", "--deterministic"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, name
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == golden["cli " + " ".join(argv)], name
+
+
+@pytest.mark.parametrize("kind", ["e", "h"])
+def test_classical_in_many_variables_needs_no_deep_recursion(capsys, kind):
+    try:
+        code, out, err = run_cli(
+            capsys, "expand", "--kind", kind, "--k", "1", "--n", "1500", "--deterministic"
+        )
+    finally:
+        truncsym.clear_caches()
+    assert (code, err) == (0, "")
+    assert out == " + ".join(f"x{i}" for i in range(1, 1501)) + "\n"
+
+
+def test_bisnomial_in_many_slots_needs_no_deep_recursion(capsys):
+    try:
+        code, out, err = run_cli(
+            capsys, "bisnomial", "--n", "3000", "--k", "2", "--s", "2", "--deterministic"
+        )
+    finally:
+        truncsym.clear_caches()
+    assert (code, out, err) == (0, "4501500\n", "")
+
+
+def test_a_bisnomial_table_computes_each_cell_once(capsys):
+    # each cell is one call that reads at most s + 1 cells of the row below;
+    # refilling the lower rows for every cell of a table would make many more calls
+    n, s = 150, 3
+    truncsym.clear_caches()
+    try:
+        code, out, _ = run_cli(capsys, "bisnomial", "--table", "--n", str(n), "--s", str(s), "--format", "csv")
+        info = truncsym.bisnomial.cache_info()
+    finally:
+        truncsym.clear_caches()
+    cells = sum(s * m + 1 for m in range(n + 1))
+    assert code == 0 and out.count("\n") == cells + 1
+    assert info.hits + info.misses <= (s + 2) * cells

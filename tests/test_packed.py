@@ -1,0 +1,145 @@
+"""The packed-exponent MPoly against a naive tuple-keyed reference.
+
+The reference keeps terms in a plain dict keyed by exponent tuple and adds
+exponents entry by entry; every MPoly operation must give the same dict.
+"""
+
+import json
+from fractions import Fraction
+from operator import add
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from truncsym.exactalg import CycInt
+from truncsym.multipoly import MPoly, accumulate_product, collect, substitute_power
+
+LIMIT = 2**31
+
+COEFFS = {
+    "int": st.integers(-4, 4),
+    "fraction": st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
+    "cycint": st.builds(lambda cs: CycInt(5, cs), st.lists(st.integers(-2, 2), max_size=4)),
+}
+
+
+def ref_clean(terms):
+    return {exps: c for exps, c in terms.items() if c}
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for exps, c in b.items():
+        out[exps] = out[exps] + c if exps in out else c
+    return ref_clean(out)
+
+
+def ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            exps = tuple(map(add, e1, e2))
+            out[exps] = out[exps] + c1 * c2 if exps in out else c1 * c2
+    return ref_clean(out)
+
+
+@st.composite
+def operands(draw, count=2):
+    """count term dicts over one variable count and one coefficient ring."""
+    n = draw(st.integers(0, 6))
+    coeff = COEFFS[draw(st.sampled_from(sorted(COEFFS)))]
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    return n, [ref_clean(draw(st.dictionaries(exps, coeff, max_size=5))) for _ in range(count)]
+
+
+@settings(max_examples=150)
+@given(operands())
+def test_ring_operations_match_the_reference(case):
+    n, (a, b) = case
+    pa, pb = MPoly(n, a), MPoly(n, b)
+    assert pa.terms == a and dict(pa.terms.items()) == a
+    assert (pa + pb).terms == ref_add(a, b)
+    assert (pa - pb).terms == ref_add(a, {e: -c for e, c in b.items()})
+    assert (pa * pb).terms == ref_mul(a, b)
+    assert (pa == pb) == (a == b)
+    acc: dict = {}
+    accumulate_product(acc, pa, pb, 3)
+    accumulate_product(acc, pb, pa, -3)
+    assert collect(n, acc) == MPoly.zero(n)
+
+
+@settings(max_examples=60)
+@given(operands(count=1), st.integers(0, 3))
+def test_powers_match_repeated_products(case, k):
+    n, (a,) = case
+    expected = {(0,) * n: 1}
+    for _ in range(k):
+        expected = ref_mul(expected, a)
+    assert (MPoly(n, a) ** k).terms == expected
+
+
+@given(operands(count=1), st.integers(0, 3), st.integers(1, 4))
+def test_pad_and_substitute_power_match_the_reference(case, extra, s):
+    n, (a,) = case
+    p = MPoly(n, a)
+    padded = p.pad(n + extra)
+    assert padded.terms == {exps + (0,) * extra: c for exps, c in a.items()}
+    assert padded.n == n + extra and (padded == p) == (extra == 0)
+    assert substitute_power(p, s).terms == {tuple(e * s for e in exps): c for exps, c in a.items()}
+
+
+@given(operands(count=1))
+def test_json_round_trip(case):
+    n, (a,) = case
+    p = MPoly(n, a)
+    payload = json.loads(json.dumps(p.to_json()))
+    assert [tuple(t["exps"]) for t in payload["terms"]] == sorted(a, key=lambda e: (sum(e), e))
+    assert MPoly.from_json(payload) == p
+
+
+def test_the_largest_exponent_is_accepted():
+    top = LIMIT - 1
+    p = MPoly(3, {(top, 0, top): 2})
+    assert p.terms == {(top, 0, top): 2}
+    assert p.coeff((top, 0, top)) == 2
+    assert str(p) == f"2*x1^{top}*x3^{top}"
+    assert MPoly.from_json(p.to_json()) == p
+    # an exponent at the limit in one field leaves its neighbours alone
+    assert (p * MPoly.monomial(3, (0, 5, 0))).terms == {(top, 5, top): 2}
+
+
+@pytest.mark.parametrize("bad", [LIMIT, 2**32, 2**40])
+def test_an_exponent_of_2_to_the_31_or_more_is_refused(bad):
+    with pytest.raises(ValueError):
+        MPoly(2, {(0, bad): 1})
+    assert MPoly.variable(2, 1).coeff((0, bad)) == 0
+
+
+def test_negative_exponents_are_refused():
+    with pytest.raises(ValueError):
+        MPoly(3, {(0, -1, 0): 1})
+    with pytest.raises(ValueError):
+        MPoly.monomial(1, (-(2**32),))
+
+
+def test_a_product_reaching_the_limit_raises_instead_of_wrapping():
+    half = MPoly.monomial(2, (LIMIT // 2, 1))
+    with pytest.raises(OverflowError):
+        half * half
+    with pytest.raises(OverflowError):
+        MPoly.monomial(2, (LIMIT - 1, 0)) * MPoly.variable(2, 1)
+    with pytest.raises(OverflowError):
+        accumulate_product({}, MPoly.monomial(1, (LIMIT - 1,)), MPoly.monomial(1, (1,)))
+    with pytest.raises(OverflowError):
+        MPoly.monomial(1, (2**16,)) ** (2**15)
+    with pytest.raises(OverflowError):
+        substitute_power(MPoly.monomial(2, (1, 2**30)), 2)
+    assert issubclass(OverflowError, ArithmeticError)  # the CLI's exit 2
+
+
+def test_accumulate_product_refuses_operands_in_different_variable_counts():
+    acc: dict = {}
+    with pytest.raises(ValueError):
+        accumulate_product(acc, MPoly.variable(1, 1), MPoly.variable(2, 2))
+    assert acc == {}
