@@ -46,6 +46,7 @@ from .identities import (
     verify_grid,
 )
 from .combinatorics import (
+    enum_objects,
     enum_paths,
     enum_tilings,
     path_sign,
@@ -104,6 +105,7 @@ __all__ = [
     "cyclotomic_coeffs",
     "default_grid",
     "distinct_orbit",
+    "enum_objects",
     "enum_partitions",
     "enum_paths",
     "enum_tilings",

@@ -20,6 +20,7 @@ from __future__ import annotations
 import time
 from functools import lru_cache
 from math import comb
+from operator import add
 
 from .exactalg import BiPoly, UniPoly
 from .identities import IdentityReport
@@ -65,6 +66,25 @@ def _rows_below(fn, n: int, k: int, s: int, args: tuple) -> None:
         _record(bands, n, k, k)
 
 
+def _shift_add(parts: list[tuple[int, tuple[int, ...]]]) -> list[int]:
+    """Coefficients of sum q^shift * poly over (shift, coeffs) pairs, in one pass."""
+    out = [0] * max([shift + len(coeffs) for shift, coeffs in parts], default=0)
+    for shift, coeffs in parts:
+        end = shift + len(coeffs)
+        out[shift:end] = map(add, out[shift:end], coeffs)
+    return out
+
+
+def _shift_add_terms(parts: list[tuple[int, int, dict]]) -> dict:
+    """Terms of sum p^dp q^dq * poly over (dp, dq, terms) triples, in one pass."""
+    out: dict = {}
+    for dp, dq, terms in parts:
+        for (i, j), c in terms.items():
+            key = (i + dp, j + dq)
+            out[key] = out.get(key, 0) + c
+    return out
+
+
 def _validate(n: int, k: int, s: int) -> None:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -100,7 +120,7 @@ def gaussian(n: int, k: int) -> UniPoly:
     if k == 0 or k == n:
         return UniPoly(1)
     _rows_below(gaussian, n, k, 1, ())
-    return gaussian(n - 1, k - 1) + UniPoly.term(1, k) * gaussian(n - 1, k)
+    return UniPoly(_shift_add([(0, gaussian(n - 1, k - 1).coeffs), (k, gaussian(n - 1, k).coeffs)]))
 
 
 @lru_cache(maxsize=None)
@@ -113,9 +133,9 @@ def pq_gaussian(n: int, k: int) -> BiPoly:
     if k == 0 or k == n:
         return BiPoly(1)
     _rows_below(pq_gaussian, n, k, 1, ())
-    return BiPoly.term(1, n - k, 0) * pq_gaussian(n - 1, k - 1) + BiPoly.term(
-        1, 0, k
-    ) * pq_gaussian(n - 1, k)
+    return BiPoly(_shift_add_terms(
+        [(n - k, 0, pq_gaussian(n - 1, k - 1).terms), (0, k, pq_gaussian(n - 1, k).terms)]
+    ))
 
 
 @lru_cache(maxsize=None)
@@ -131,12 +151,9 @@ def q_bisnomial(n: int, k: int, s: int) -> UniPoly:
     if n == 0:
         return UniPoly(1)
     _rows_below(q_bisnomial, n, k, s, (s,))
-    total = UniPoly()
-    for j in range(min(s, k) + 1):
-        lower = q_bisnomial(n - 1, k - j, s)
-        if lower:
-            total = total + UniPoly.term(1, j * (n - 1)) * lower
-    return total
+    return UniPoly(_shift_add(
+        [(j * (n - 1), q_bisnomial(n - 1, k - j, s).coeffs) for j in range(min(s, k) + 1)]
+    ))
 
 
 @lru_cache(maxsize=None)
@@ -152,12 +169,9 @@ def pq_bisnomial(n: int, k: int, s: int) -> BiPoly:
     if n == 0:
         return BiPoly(1)
     _rows_below(pq_bisnomial, n, k, s, (s,))
-    total = BiPoly()
-    for j in range(min(s, k) + 1):
-        lower = pq_bisnomial(n - 1, k - j, s)
-        if lower:
-            total = total + BiPoly.term(1, k - j, j * (n - 1)) * lower
-    return total
+    return BiPoly(_shift_add_terms(
+        [(k - j, j * (n - 1), pq_bisnomial(n - 1, k - j, s).terms) for j in range(min(s, k) + 1)]
+    ))
 
 
 _CONVERSION_KINDS = ("plain", "q", "pq", "binom_recovery", "qs_recovery")

@@ -27,18 +27,7 @@ from .bisnomial import (
     pq_bisnomial,
     q_bisnomial,
 )
-from .combinatorics import (
-    describe,
-    enum_paths,
-    enum_tilings,
-    path_sign,
-    path_weight,
-    paths_svg,
-    tiling_sign,
-    tiling_weight,
-    tilings_svg,
-    weight_sum,
-)
+from .combinatorics import describe_line, enum_objects, paths_svg, tilings_svg
 from .identities import default_grid, list_identities, verify_grid
 from .multipoly import MPoly
 from .partitions import is_partition
@@ -155,47 +144,40 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
 
 def _cmd_objects(args: argparse.Namespace, objects: str) -> tuple[str, int]:
     n, k, s, model = args.n, args.k, args.s, args.model
-    if objects == "paths":
-        items = enum_paths(n, k, s, model)
-        weight, sign, svg = path_weight, path_sign, paths_svg
-    else:
-        items = enum_tilings(n, k, s, model)
-        weight, sign, svg = tiling_weight, tiling_sign, tilings_svg
-    total = weight_sum(n, k, s, model, objects)
-    if args.format == "text":
-        lines = [describe(obj, n, s, model) for obj in items]
-        lines.append(f"count={len(items)}")
-        lines.append(f"weight_sum={total}")
-        return "\n".join(lines) + "\n", 0
-    if args.format == "json":
-        rows = []
-        for obj in items:
-            row: dict = {"steps": obj, "weight": list(weight(obj, n))}
-            if model == "H":
-                row["sign"] = sign(obj, s)
-            rows.append(row)
-        payload = {
-            "objects": objects,
-            "n": n,
-            "k": k,
-            "s": s,
-            "model": model,
-            "count": len(items),
-            "items": rows,
-            "weight_sum": total.to_json(),
-        }
-        return _json_line(payload) + "\n", 0
     if args.format == "svg":
+        svg = paths_svg if objects == "paths" else tilings_svg
         return svg(n, k, s, model) + "\n", 0
+    rows = enum_objects(n, k, s, model, objects)
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["steps", "weight", "sign"])
-        for obj in items:
-            sgn = sign(obj, s) if model == "H" else 1
-            writer.writerow([obj, ",".join(map(str, weight(obj, n))), sgn])
+        for obj, weight, sign in rows:
+            writer.writerow([obj, ",".join(map(str, weight)), sign])
         return buf.getvalue(), 0
-    raise ValueError(f"unsupported format: {args.format!r}")
+    total = MPoly(n, {weight: sign for _, weight, sign in rows})  # the weight_sum
+    if args.format == "text":
+        lines = [describe_line(obj, weight, sign, model) for obj, weight, sign in rows]
+        lines.append(f"count={len(rows)}")
+        lines.append(f"weight_sum={total}")
+        return "\n".join(lines) + "\n", 0
+    items = []
+    for obj, weight, sign in rows:
+        row: dict = {"steps": obj, "weight": list(weight)}
+        if model == "H":
+            row["sign"] = sign
+        items.append(row)
+    payload = {
+        "objects": objects,
+        "n": n,
+        "k": k,
+        "s": s,
+        "model": model,
+        "count": len(rows),
+        "items": items,
+        "weight_sum": total.to_json(),
+    }
+    return _json_line(payload) + "\n", 0
 
 
 def _bisnomial_value(flavor: str, n: int, k: int, s: int):
@@ -367,6 +349,9 @@ def run(argv: Optional[list[str]] = None) -> int:
         payload, code = args.handler(args)
     except (ValueError, KeyError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:

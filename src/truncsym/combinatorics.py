@@ -3,7 +3,9 @@
 A path is a string over 'E'/'N' from (0,0) to (k, n-1): k East steps, n-1
 North steps.  East steps at height m (m North steps taken so far) carry
 the variable x_(m+1), so a path contributes the product of its East-step
-variables.  Admissibility looks at maximal East runs:
+variables.  A path is therefore fixed by its run vector (r_1, ..., r_n),
+the number of East steps at each height, and its weight is that vector.
+Admissibility looks at the runs:
 
 * E model: every run has length <= s; the weights sum to E(k, s, n).
 * H model: every run length is 0 or 1 mod (s+1); weights signed by
@@ -14,13 +16,15 @@ board with k red and n-1 green cells; a red cell preceded by m green
 cells carries x_(m+1).  Reading East as red and North as green is the
 weight- and sign-preserving bijection between the two models.
 
-Enumeration is lexicographic on the step strings ('E' < 'N', 'g' < 'r'),
-so every listing and rendering is deterministic.
+Enumeration generates the admissible run vectors only, without recursion,
+and drops a branch as soon as the runs left cannot hold the rest of k, so
+its cost follows the size of the output.  Listings are lexicographic on
+the step strings ('E' < 'N', 'g' < 'r'), so every listing and rendering
+is deterministic; as 'g' < 'r' reverses the alphabet order of 'E' < 'N',
+the tilings come in the reverse order of their paths.
 """
 
 from __future__ import annotations
-
-from typing import Iterator
 
 from .multipoly import MPoly
 
@@ -28,46 +32,62 @@ Path = str
 Tiling = str
 
 
-def _arrangements(first: str, a: int, second: str, b: int) -> Iterator[str]:
-    """All strings with a copies of first and b of second, lexicographic."""
-    if a == 0:
-        yield second * b
-        return
-    if b == 0:
-        yield first * a
-        return
-    for rest in _arrangements(first, a - 1, second, b):
-        yield first + rest
-    for rest in _arrangements(first, a, second, b - 1):
-        yield second + rest
+def _run_vectors(n: int, k: int, s: int, model: str) -> list[tuple[int, ...]]:
+    """Admissible run vectors summing to k, descending lexicographic (the path order).
 
-
-def _runs(text: str, ch: str) -> list[int]:
-    """Lengths of maximal blocks of ch."""
-    runs = []
-    count = 0
-    for c in text:
-        if c == ch:
-            count += 1
-        elif count:
-            runs.append(count)
-            count = 0
-    if count:
-        runs.append(count)
-    return runs
-
-
-def _validate_model(s: int, model: str) -> None:
+    Run i takes, largest first, the admissible lengths that leave a rest the
+    runs after it can hold: at most s each in the E model; in the H model m
+    runs hold a rest R exactly when R mod (s+1) <= m (and R = 0 when m = 0).
+    So every branch taken ends in a vector.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
     if model not in ("E", "H"):
         raise ValueError(f"model must be 'E' or 'H', got {model!r}")
+    step = s + 1
+
+    def lengths(rest: int, later: int):
+        if model == "E":
+            return range(min(s, rest), max(rest - s * later, 0) - 1, -1)
+        if later == 0:
+            return (rest,) if rest % step < 2 else ()
+        return sorted(  # the lengths = 0 and = 1 mod (s+1) whose rest the later runs hold
+            (r for c in (0, 1) if (rest - c) % step <= later
+             for r in range(rest - (rest - c) % step, -1, -step)),
+            reverse=True,
+        )
+
+    out: list[tuple[int, ...]] = []
+    runs = [0] * n
+    rests = [k] * n
+    last = n - 1
+    stack = [iter(lengths(k, last))]
+    while stack:
+        i = len(stack) - 1
+        for r in stack[i]:
+            runs[i] = r
+            if i == last:
+                out.append(tuple(runs))
+            else:
+                rests[i + 1] = rest = rests[i] - r
+                stack.append(iter(lengths(rest, last - i - 1)))
+                break
+        else:
+            stack.pop()
+    return out
 
 
-def _admissible(runs: list[int], s: int, model: str) -> bool:
-    if model == "E":
-        return all(r <= s for r in runs)
-    return all(r % (s + 1) in (0, 1) for r in runs)
+def _sign(runs: tuple[int, ...], s: int) -> int:
+    step = s + 1
+    return -1 if sum(r + r % step for r in runs) % 2 else 1
+
+
+def _path(runs: tuple[int, ...]) -> Path:
+    return "N".join(["E" * r for r in runs])
 
 
 def _validate_path(path: Path) -> None:
@@ -75,58 +95,52 @@ def _validate_path(path: Path) -> None:
         raise ValueError(f"path may only contain 'E' and 'N': {path!r}")
 
 
-def _validate_tiling(tiling: Tiling) -> None:
-    if set(tiling) - {"r", "g"}:
-        raise ValueError(f"tiling may only contain 'r' and 'g': {tiling!r}")
+def _path_runs(path: Path) -> tuple[int, ...]:
+    _validate_path(path)
+    return tuple(map(len, path.split("N")))
 
 
 def enum_paths(n: int, k: int, s: int, model: str) -> list[Path]:
     """Admissible paths to (k, n-1), lexicographic ('E' < 'N')."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    _validate_model(s, model)
-    return [
-        p for p in _arrangements("E", k, "N", n - 1) if _admissible(_runs(p, "E"), s, model)
-    ]
+    return [_path(runs) for runs in _run_vectors(n, k, s, model)]
 
 
 def enum_tilings(n: int, k: int, s: int, model: str) -> list[Tiling]:
     """Admissible tilings of the 1 x (k+n-1) board, lexicographic ('g' < 'r')."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    _validate_model(s, model)
-    return [
-        t for t in _arrangements("g", n - 1, "r", k) if _admissible(_runs(t, "r"), s, model)
-    ]
+    return [path_to_tiling(p) for p in reversed(enum_paths(n, k, s, model))]
+
+
+def enum_objects(
+    n: int, k: int, s: int, model: str, objects: str = "paths"
+) -> list[tuple[str, tuple[int, ...], int]]:
+    """(object, weight, sign) of every admissible path or tiling, in listing order.
+
+    One enumeration serves a whole report; the sign is +1 in the E model.
+    """
+    if objects not in ("paths", "tilings"):
+        raise ValueError(f"objects must be 'paths' or 'tilings', got {objects!r}")
+    vectors = _run_vectors(n, k, s, model)
+    items = [_path(runs) for runs in vectors]
+    if objects == "tilings":
+        vectors.reverse()
+        items = [path_to_tiling(p) for p in reversed(items)]
+    return [(obj, runs, _sign(runs, s) if model == "H" else 1) for obj, runs in zip(items, vectors)]
 
 
 def path_weight(path: Path, n: int) -> tuple[int, ...]:
-    """Exponent vector of the path's variable product."""
-    _validate_path(path)
-    height = path.count("N")
-    if height != n - 1:
-        raise ValueError(f"path has {height} North steps, expected {n - 1}")
-    exps = [0] * n
-    level = 0
-    for step in path:
-        if step == "N":
-            level += 1
-        else:
-            exps[level] += 1
-    return tuple(exps)
+    """Exponent vector of the path's variable product: its run vector."""
+    runs = _path_runs(path)
+    if len(runs) != n:
+        raise ValueError(f"path has {len(runs) - 1} North steps, expected {n - 1}")
+    return runs
+
 
 def path_sign(path: Path, s: int) -> int:
     """(-1)^(k + sum of East-run lengths reduced mod (s+1)); +1 when s is odd."""
-    _validate_path(path)
+    runs = _path_runs(path)
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
-    k = path.count("E")
-    reduced = sum(r % (s + 1) for r in _runs(path, "E"))
-    return -1 if (k + reduced) % 2 else 1
+    return _sign(runs, s)
 
 
 def path_to_tiling(path: Path) -> Tiling:
@@ -137,77 +151,48 @@ def path_to_tiling(path: Path) -> Tiling:
 
 def tiling_to_path(tiling: Tiling) -> Path:
     """Red -> East, green -> North; inverse of path_to_tiling."""
-    _validate_tiling(tiling)
+    if set(tiling) - {"r", "g"}:
+        raise ValueError(f"tiling may only contain 'r' and 'g': {tiling!r}")
     return tiling.replace("r", "E").replace("g", "N")
 
 
 def tiling_weight(tiling: Tiling, n: int) -> tuple[int, ...]:
     """Exponent vector: a red cell after m green cells contributes x_(m+1)."""
-    _validate_tiling(tiling)
-    greens = tiling.count("g")
-    if greens != n - 1:
-        raise ValueError(f"tiling has {greens} green cells, expected {n - 1}")
-    exps = [0] * n
-    seen = 0
-    for cell in tiling:
-        if cell == "g":
-            seen += 1
-        else:
-            exps[seen] += 1
-    return tuple(exps)
+    return path_weight(tiling_to_path(tiling), n)
 
 
 def tiling_sign(tiling: Tiling, s: int) -> int:
     """Same sign rule as paths, on maximal red runs."""
-    _validate_tiling(tiling)
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
-    k = tiling.count("r")
-    reduced = sum(r % (s + 1) for r in _runs(tiling, "r"))
-    return -1 if (k + reduced) % 2 else 1
+    return path_sign(tiling_to_path(tiling), s)
 
 
 def weight_sum(n: int, k: int, s: int, model: str, objects: str = "paths") -> MPoly:
     """Signed weight generating polynomial of the admissible objects.
 
     The E model sums weights; the H model attaches the run sign.  The
-    result matches E(k, s, n) or H(k, s, n) monomial by monomial.
+    result matches E(k, s, n) or H(k, s, n) monomial by monomial.  Paths
+    and tilings have the same weights, and distinct run vectors are
+    distinct monomials, so each object gives one term.
     """
-    if objects == "paths":
-        items = enum_paths(n, k, s, model)
-        weight, sign = path_weight, path_sign
-    elif objects == "tilings":
-        items = enum_tilings(n, k, s, model)
-        weight, sign = tiling_weight, tiling_sign
-    else:
+    if objects not in ("paths", "tilings"):
         raise ValueError(f"objects must be 'paths' or 'tilings', got {objects!r}")
-    acc: dict = {}
-    for item in items:
-        exps = weight(item, n)
-        c = sign(item, s) if model == "H" else 1
-        acc[exps] = acc.get(exps, 0) + c
-    return MPoly(n, acc)
+    vectors = _run_vectors(n, k, s, model)
+    return MPoly(n, {runs: _sign(runs, s) if model == "H" else 1 for runs in vectors})
 
 
-def _weight_text(exps: tuple[int, ...]) -> str:
-    factors = []
-    for i, e in enumerate(exps, start=1):
-        if e == 1:
-            factors.append(f"x{i}")
-        elif e > 1:
-            factors.append(f"x{i}^{e}")
-    return "*".join(factors) if factors else "1"
+def describe_line(obj: str, weight: tuple[int, ...], sign: int, model: str) -> str:
+    """One text line: the object, its weight monomial and (H model) its sign."""
+    factors = [f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(weight, start=1) if e]
+    line = f"{obj} weight={'*'.join(factors) if factors else '1'}"
+    if model == "H":
+        return f"{line} sign={'+1' if sign > 0 else '-1'}"
+    return line
 
 
 def describe(obj: str, n: int, s: int, model: str) -> str:
-    """One text line: the object, its weight monomial and (H model) its sign."""
-    if set(obj) <= {"E", "N"}:
-        exps, sgn = path_weight(obj, n), path_sign(obj, s)
-    else:
-        exps, sgn = tiling_weight(obj, n), tiling_sign(obj, s)
-    if model == "H":
-        return f"{obj} weight={_weight_text(exps)} sign={'+1' if sgn > 0 else '-1'}"
-    return f"{obj} weight={_weight_text(exps)}"
+    """``describe_line`` of one path or tiling, read from its steps."""
+    path = obj if set(obj) <= {"E", "N"} else tiling_to_path(obj)
+    return describe_line(obj, path_weight(path, n), path_sign(path, s), model)
 
 
 # -- SVG rendering -------------------------------------------------------------

@@ -17,6 +17,7 @@ reduces to a literal integer for every order, composite orders included.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 
@@ -290,10 +291,7 @@ class UniPoly:
         a, b = self.coeffs, o.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UniPoly(out)
+        return UniPoly([*map(add, a, b), *a[len(b):]])
 
     __radd__ = __add__
 

@@ -2,13 +2,15 @@
 
 Partitions are plain tuples of weakly decreasing positive integers; the
 empty partition is ``()``.  Enumeration is reverse lexicographic (largest
-first part first), which keeps every downstream report byte-stable.
+first part first), which keeps every downstream report byte-stable.  It
+keeps one level per part on an explicit stack instead of recursing, so a
+partition may have any number of parts.
 """
 
 from __future__ import annotations
 
 from math import factorial
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 Partition = tuple[int, ...]
 
@@ -33,7 +35,9 @@ def enum_partitions(
     * ``max_length``: at most that many parts,
     * ``mod01``: every part congruent to 0 or 1 modulo mod01.
 
-    ``enum_partitions(0)`` is ``[()]``.
+    ``enum_partitions(0)`` is ``[()]``.  A level stops trying smaller
+    parts once they cannot hold the rest in the parts still allowed, and a
+    tail of ones is emitted at once.
     """
     if k < 0:
         raise ValueError(f"partition weight must be >= 0, got {k}")
@@ -44,25 +48,30 @@ def enum_partitions(
     if mod01 is not None and mod01 < 1:
         raise ValueError("mod01 must be >= 1")
 
-    def allowed(part: int) -> bool:
-        return mod01 is None or part % mod01 in (0, 1)
-
-    def gen(remaining: int, cap: int, slots: int) -> Iterator[Partition]:
-        for part in range(min(cap, remaining), 0, -1):
-            if part * slots < remaining:
-                return  # parts only shrink from here: the rest cannot fit
-            if not allowed(part):
-                continue
-            if part == remaining:
-                yield (part,)
-                continue
-            for rest in gen(remaining - part, part, slots - 1):
-                yield (part,) + rest
-
     if k == 0:
         return [()]
-    cap = k if max_part is None else min(max_part, k)
-    return list(gen(k, cap, k if max_length is None else max_length))
+    slots = k if max_length is None else max_length
+    out: list[Partition] = []
+    prefix: list[int] = []  # the parts chosen above the current level
+    levels = [(k, k if max_part is None else min(max_part, k))]  # (rest, next part to try)
+    while levels:
+        rest, part = levels[-1]
+        while mod01 and part % mod01 > 1:
+            part -= 1
+        if not part or part * (slots - len(prefix)) < rest:
+            levels.pop()  # parts only shrink from here: the rest cannot fit
+            if prefix:
+                prefix.pop()
+            continue
+        levels[-1] = (rest, part - 1)
+        if part == rest:
+            out.append((*prefix, part))
+        elif part == 1:
+            out.append((*prefix, *[1] * rest))
+        else:
+            prefix.append(part)
+            levels.append((rest - part, min(part, rest - part)))
+    return out
 
 
 def conjugate(lam: Partition) -> Partition:

@@ -240,21 +240,24 @@ def m_lambda_at_roots(lam: Sequence[int], s: int) -> CycInt:
     return total
 
 
-def _det(mat: list[list[MPoly]]) -> MPoly:
-    m = len(mat)
-    if m == 1:
-        return mat[0][0]
-    n_vars = mat[0][0].n
-    total = MPoly.zero(n_vars)
-    rest = mat[1:]
-    for j in range(m):
-        pivot = mat[0][j]
-        if not pivot:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in rest]
-        term = pivot * _det(minor)
-        total = total + (term if j % 2 == 0 else -term)
-    return total
+def _det(mat: list[list[MPoly]], n: int) -> MPoly:
+    """Division-free determinant of a square matrix over n-variable polynomials.
+
+    Row by row, ``minors[cols]`` holds the minor on the rows so far and the
+    columns in the bit set ``cols``; each grows by expanding along its new
+    last row.  That is m * 2^(m-1) products for an m x m matrix, not the
+    m! of a Laplace expansion, and no recursion.
+    """
+    minors = {0: MPoly.one(n)}
+    for row in mat:
+        grown: dict = {}
+        for cols, minor in minors.items():
+            for j, entry in enumerate(row):
+                if entry and not cols >> j & 1:
+                    sign = -1 if (cols >> j).bit_count() % 2 else 1  # columns of cols right of j
+                    accumulate_product(grown.setdefault(cols | 1 << j, {}), entry, minor, sign)
+        minors = {cols: minor for cols, acc in grown.items() if (minor := collect(n, acc))}
+    return minors.get((1 << len(mat)) - 1, MPoly.zero(n))
 
 
 def schur_det(lam: Sequence[int], s: int, n: int, basis: str = "h") -> MPoly:
@@ -262,7 +265,9 @@ def schur_det(lam: Sequence[int], s: int, n: int, basis: str = "h") -> MPoly:
 
     ``basis='h'`` uses F = H and mu = lam (needs len(lam) <= n);
     ``basis='e'`` uses F = E and mu = the conjugate of lam (needs
-    lam_1 <= n).  Negative indices contribute zero entries.
+    lam_1 <= n).  Negative indices contribute zero entries.  The rows of
+    the zero padding are zero left of the diagonal and F_0 = 1 on it, so
+    only the top-left len(mu) x len(mu) block is expanded.
     """
     _validate_sn(s, n)
     if n < 1:
@@ -280,9 +285,8 @@ def schur_det(lam: Sequence[int], s: int, n: int, basis: str = "h") -> MPoly:
         ctor = E
     else:
         raise ValueError(f"basis must be 'h' or 'e', got {basis!r}")
-    mu = mu + (0,) * (n - len(mu))
-    mat = [[ctor(mu[i] - i + j, s, n) for j in range(n)] for i in range(n)]
-    return _det(mat)
+    size = len(mu)
+    return _det([[ctor(mu[i] - i + j, s, n) for j in range(size)] for i in range(size)], n)
 
 
 def clear_caches() -> None:

@@ -1,6 +1,7 @@
 """End-to-end tests for the command line interface."""
 
 import hashlib
+import importlib.util
 import json
 from pathlib import Path
 
@@ -285,6 +286,46 @@ def test_kernel_heavy_verifications_match_the_recorded_digests(capsys):
         assert code == 0, name
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == golden["cli " + " ".join(argv)], name
+
+
+def _load_bench_workloads():
+    path = Path(__file__).parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_counting_commands_match_the_recorded_digests(capsys):
+    # the paths, tilings and bisnomial-table commands of the benchmark's count_enumerate workload
+    golden = json.loads((Path(__file__).parents[1] / "bench" / "golden.json").read_text())
+    for argv in _load_bench_workloads().COUNT_CLI:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == golden["cli " + " ".join(argv)], argv
+
+
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        (["--n", "1200", "--k", "1", "--s", "1", "--format", "text"], 1200),  # 1199 North steps
+        (["--n", "2", "--k", "3000", "--s", "3000"], 3001),  # 3000 East steps
+    ],
+)
+def test_long_paths_need_no_deep_recursion(capsys, argv, count):
+    code, out, err = run_cli(capsys, "paths", "--model", "E", *argv, "--deterministic")
+    assert (code, err) == (0, "")
+    assert f"\ncount={count}\n" in out
+
+
+def test_running_out_of_memory_is_a_one_line_error(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_cmd_expand", exhausted)
+    code, out, err = run_cli(capsys, "expand", "--kind", "e", "--k", "3", "--n", "2000")
+    assert (code, out, err) == (2, "", "error: out of memory\n")
 
 
 @pytest.mark.parametrize("kind", ["e", "h"])

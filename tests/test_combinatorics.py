@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import arrangement_oracle as oracle
 from truncsym.combinatorics import (
     describe,
+    enum_objects,
     enum_paths,
     enum_tilings,
     path_sign,
@@ -101,6 +103,23 @@ def test_weight_sums_reproduce_the_symmetric_families():
                     assert weight_sum(n, k, s, model="H", objects=objects) == H(k, s, n)
 
 
+def test_enumeration_matches_the_brute_force_oracle():
+    for model in ("E", "H"):
+        for n in range(1, 6):
+            for k in range(11):
+                for s in range(1, 4):
+                    paths = oracle.paths(n, k, s, model)
+                    tilings = oracle.tilings(n, k, s, model)
+                    assert enum_paths(n, k, s, model) == paths
+                    assert enum_tilings(n, k, s, model) == tilings
+                    total = oracle.weight_sum(n, k, s, model)
+                    assert weight_sum(n, k, s, model, "paths") == total
+                    assert weight_sum(n, k, s, model, "tilings") == total
+                    for objects, items in (("paths", paths), ("tilings", tilings)):
+                        rows = [(obj, oracle.weight(obj, n), oracle.sign(obj, s, model)) for obj in items]
+                        assert enum_objects(n, k, s, model, objects) == rows
+
+
 def test_weight_sum_of_an_empty_family_is_zero():
     assert weight_sum(2, 5, 2, model="E") == MPoly.zero(2)
     assert enum_paths(2, 5, 2, model="E") == []
@@ -115,6 +134,8 @@ def test_model_and_input_validation():
         tiling_weight("rxg", 2)
     with pytest.raises(ValueError):
         weight_sum(2, 2, 2, model="E", objects="widgets")
+    with pytest.raises(ValueError):
+        enum_objects(2, 2, 2, model="E", objects="widgets")
 
 
 def test_describe_lines():

@@ -41,6 +41,10 @@ def test_residue_restriction_keeps_parts_in_classes_zero_and_one():
         assert all(part % 4 in (0, 1) for part in lam)
 
 
+def test_many_parts_need_no_deep_recursion():
+    assert enum_partitions(3000, max_part=1) == [(1,) * 3000]
+
+
 def test_is_partition():
     assert is_partition((3, 1, 1))
     assert not is_partition((1, 3))
@@ -129,7 +133,7 @@ def _all_partitions(k_max):
 def test_enumeration_and_orbits_match_a_brute_force_filter():
     for k, lams in enumerate(_all_partitions(20)):
         for max_part, max_length, mod01 in itertools.product(
-            (None, 2, 3), (None, 0, 2, 3), (None, 3)
+            (None, 1, 2, 3), (None, 0, 2, 3), (None, 2, 3)
         ):
             want = [
                 lam for lam in lams

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import laplace_oracle
 from series_oracle import e_series, h_series
 from truncsym import clear_caches, symfun
 from truncsym.exactalg import CycInt, cyc_as_integer
@@ -192,6 +193,17 @@ def test_determinant_forms_golden_and_symmetry():
                 assert is_symmetric(schur_det(lam, s, 2, basis="h"))
             if lam[0] <= 2:
                 assert is_symmetric(schur_det(lam, s, 2, basis="e"))
+
+
+def test_block_determinant_matches_the_full_laplace_expansion():
+    for k in range(5):
+        for lam in enum_partitions(k):
+            for s in range(1, 4):
+                for n in range(1, 6):
+                    for basis, rows in (("h", len(lam)), ("e", lam[0] if lam else 0)):
+                        if rows <= n:
+                            want = laplace_oracle.schur_det(lam, s, n, basis)
+                            assert schur_det(lam, s, n, basis) == want, (lam, s, n, basis)
 
 
 def test_determinant_forms_validate_shape():
