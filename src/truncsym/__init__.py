@@ -4,7 +4,6 @@ from .exactalg import (
     BiPoly,
     CycInt,
     UniPoly,
-    cyc_as_integer,
     cyc_power_sum,
     cyc_root_power,
     cyclotomic_coeffs,
@@ -13,11 +12,8 @@ from .multipoly import (
     MPoly,
     TSeries,
     is_symmetric,
-    mpoly_mul,
     specialize,
     substitute_power,
-    tseries_inverse,
-    tseries_mul,
 )
 from .partitions import (
     conjugate,
@@ -60,7 +56,6 @@ from .combinatorics import (
 from .bisnomial import (
     bisnomial,
     bisnomial_row,
-    check_conversion,
     gaussian,
     pq_bisnomial,
     pq_gaussian,
@@ -77,8 +72,7 @@ def clear_caches() -> None:
     symfun.clear_caches()
     identities._PAIR_CONV.clear()
     _bisnomial_bands.clear()
-    for cached in (bisnomial, gaussian, pq_bisnomial, pq_gaussian, q_bisnomial, cyclotomic_coeffs,
-                   multipoly._layout):
+    for cached in (bisnomial, gaussian, q_bisnomial, cyclotomic_coeffs, multipoly._layout):
         cached.cache_clear()
 
 
@@ -95,11 +89,9 @@ __all__ = [
     "UniPoly",
     "bisnomial",
     "bisnomial_row",
-    "check_conversion",
     "classical",
     "clear_caches",
     "conjugate",
-    "cyc_as_integer",
     "cyc_power_sum",
     "cyc_root_power",
     "cyclotomic_coeffs",
@@ -115,7 +107,6 @@ __all__ = [
     "list_identities",
     "m_lambda",
     "m_lambda_at_roots",
-    "mpoly_mul",
     "multinomial",
     "multiplicities",
     "path_sign",
@@ -131,8 +122,6 @@ __all__ = [
     "tiling_sign",
     "tiling_to_path",
     "tiling_weight",
-    "tseries_inverse",
-    "tseries_mul",
     "verify",
     "verify_grid",
     "weight_sum",

@@ -1,29 +1,26 @@
-"""Bisnomial triangles: counting, q- and (p,q)-specializations, conversions.
+"""Bisnomial triangles: counting and their q- and (p,q)-specializations.
 
 ``bisnomial(n, k, s)`` counts multisets drawn from n slots with each slot
 used at most s times, i.e. the coefficient of t^k in (1 + t + ... + t^s)^n.
 The q- and (p,q)-variants evaluate the truncated elementary family on the
-geometric grids q^(i-1) and p^(n-i) q^(i-1); all three satisfy the same
-one-variable-peeling recurrence, which is the production path here (the
-polynomial constructors stay the reference oracle in the test suite).
-Before the recurrence runs, the rows below that it reads are filled
-bottom-up from the highest row already cached, so no call recurses more
-than one row deep.
+geometric grids q^(i-1) and p^(n-i) q^(i-1).  The count, the q-variant and
+the Gaussian binomial run one-row recurrences, which are the production
+path here (the polynomial constructors stay the reference oracle in the
+test suite).  Before a recurrence runs, the rows below that it reads are
+filled bottom-up from the highest row already cached, so no call recurses
+more than one row deep.  Each (p,q)-variant is homogeneous: it is its
+q-version homogenized to its degree.
 
-``check_conversion`` verifies the closed-form conversion identities that
-tie the s-truncated triangles to ordinary binomials and Gaussian
-binomials.
+The conversion identities that tie these triangles to ordinary and
+Gaussian binomials are checked by ``identities`` as ``conversion:<kind>``.
 """
 
 from __future__ import annotations
 
-import time
 from functools import lru_cache
-from math import comb
 from operator import add
 
 from .exactalg import BiPoly, UniPoly
-from .identities import IdentityReport
 
 
 _BANDS: dict = {}  # (fn, args) -> {row: (lo, hi)}: fn(row, kk, *args) is cached for lo <= kk <= hi
@@ -75,16 +72,6 @@ def _shift_add(parts: list[tuple[int, tuple[int, ...]]]) -> list[int]:
     return out
 
 
-def _shift_add_terms(parts: list[tuple[int, int, dict]]) -> dict:
-    """Terms of sum p^dp q^dq * poly over (dp, dq, terms) triples, in one pass."""
-    out: dict = {}
-    for dp, dq, terms in parts:
-        for (i, j), c in terms.items():
-            key = (i + dp, j + dq)
-            out[key] = out.get(key, 0) + c
-    return out
-
-
 def _validate(n: int, k: int, s: int) -> None:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -124,21 +111,6 @@ def gaussian(n: int, k: int) -> UniPoly:
 
 
 @lru_cache(maxsize=None)
-def pq_gaussian(n: int, k: int) -> BiPoly:
-    """Homogeneous two-parameter Gaussian binomial in p and q."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if k < 0 or k > n:
-        return BiPoly()
-    if k == 0 or k == n:
-        return BiPoly(1)
-    _rows_below(pq_gaussian, n, k, 1, ())
-    return BiPoly(_shift_add_terms(
-        [(n - k, 0, pq_gaussian(n - 1, k - 1).terms), (0, k, pq_gaussian(n - 1, k).terms)]
-    ))
-
-
-@lru_cache(maxsize=None)
 def q_bisnomial(n: int, k: int, s: int) -> UniPoly:
     """The truncated elementary family evaluated at x_i = q^(i-1).
 
@@ -156,87 +128,20 @@ def q_bisnomial(n: int, k: int, s: int) -> UniPoly:
     ))
 
 
-@lru_cache(maxsize=None)
+def _homogenize(u: UniPoly, degree: int) -> BiPoly:
+    """p^degree * u(q/p): the coefficient of q^j moves to p^(degree-j) q^j."""
+    return BiPoly({(degree - j, j): c for j, c in enumerate(u.coeffs) if c})
+
+
+def pq_gaussian(n: int, k: int) -> BiPoly:
+    """Homogeneous two-parameter Gaussian binomial in p and q, of degree k(n-k)."""
+    return _homogenize(gaussian(n, k), k * (n - k))
+
+
 def pq_bisnomial(n: int, k: int, s: int) -> BiPoly:
     """The truncated elementary family evaluated at x_i = p^(n-i) q^(i-1).
 
-    Peeling x_n = q^(n-1) leaves the (n-1)-slot grid scaled by p, so
-    PQ(n, k) = sum_j q^(j*(n-1)) p^(k-j) PQ(n-1, k-j).
+    Each monomial of degree k picks up p^(k(n-1)) (q/p)^(its q-degree), so
+    PQ(n, k) is the q-refinement homogenized to degree k(n-1).
     """
-    _validate(n, k, s)
-    if k < 0 or k > s * n:
-        return BiPoly()
-    if n == 0:
-        return BiPoly(1)
-    _rows_below(pq_bisnomial, n, k, s, (s,))
-    return BiPoly(_shift_add_terms(
-        [(k - j, j * (n - 1), pq_bisnomial(n - 1, k - j, s).terms) for j in range(min(s, k) + 1)]
-    ))
-
-
-_CONVERSION_KINDS = ("plain", "q", "pq", "binom_recovery", "qs_recovery")
-
-
-def check_conversion(kind: str, n: int, k: int, s: int) -> IdentityReport:
-    """Check one conversion identity between triangles at (n, k, s).
-
-    s is the step parameter of the identity (s >= 2); the truncated
-    triangle involved is the one at truncation depth s-1.
-    """
-    if kind not in _CONVERSION_KINDS:
-        raise ValueError(f"kind must be one of {_CONVERSION_KINDS}, got {kind!r}")
-    if n < 1 or k < 0 or s < 2:
-        raise ValueError(f"need n >= 1, k >= 0, s >= 2; got n={n}, k={k}, s={s}")
-    start = time.perf_counter()
-    if kind == "plain":
-        lhs = bisnomial(n, k, s - 1)
-        rhs = sum(
-            (-1) ** j * comb(n, j) * comb(n + k - s * j - 1, k - s * j)
-            for j in range(k // s + 1)
-        )
-    elif kind == "q":
-        lhs = q_bisnomial(n, k, s - 1)
-        rhs = UniPoly()
-        for j in range(k // s + 1):
-            term = (
-                UniPoly.term((-1) ** j, s * comb(j, 2))
-                * gaussian(n, j).scale_exponents(s)
-                * gaussian(n + k - s * j - 1, k - s * j)
-            )
-            rhs = rhs + term
-    elif kind == "pq":
-        lhs = pq_bisnomial(n, k, s - 1)
-        rhs = BiPoly()
-        for j in range(k // s + 1):
-            e = s * comb(j, 2)
-            term = (
-                BiPoly.term((-1) ** j, e, e)
-                * pq_gaussian(n, j).scale_exponents(s)
-                * pq_gaussian(n + k - s * j - 1, k - s * j)
-            )
-            rhs = rhs + term
-    elif kind == "binom_recovery":
-        lhs = comb(n, k)
-        rhs = sum(
-            (-1) ** (k + j) * comb(n, j) * bisnomial(n, k * s - j, s - 1)
-            for j in range(k * s + 1)
-        )
-    else:  # qs_recovery, multiplied through to stay in Z[q]
-        lhs = UniPoly.term(1, s * comb(k, 2)) * gaussian(n, k).scale_exponents(s)
-        rhs = UniPoly()
-        for j in range(k * s + 1):
-            term = (
-                UniPoly.term((-1) ** (k + j), comb(j, 2))
-                * gaussian(n, j)
-                * q_bisnomial(n, k * s - j, s - 1)
-            )
-            rhs = rhs + term
-    elapsed = time.perf_counter() - start
-    return IdentityReport(
-        identity_id=f"conversion:{kind}",
-        params={"n": n, "k": k, "s": s},
-        holds=lhs == rhs,
-        lhs=str(lhs),
-        rhs=str(rhs),
-        elapsed=elapsed,
-    )
+    return _homogenize(q_bisnomial(n, k, s), k * (n - 1))

@@ -19,14 +19,11 @@ import io
 import json
 import sys
 import time
+from itertools import groupby
+from operator import itemgetter
 from typing import Optional
 
-from .bisnomial import (
-    bisnomial,
-    check_conversion,
-    pq_bisnomial,
-    q_bisnomial,
-)
+from .bisnomial import bisnomial, pq_bisnomial, q_bisnomial
 from .combinatorics import describe_line, enum_objects, paths_svg, tilings_svg
 from .identities import default_grid, list_identities, verify_grid
 from .multipoly import MPoly
@@ -103,7 +100,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     if args.id == "all":
         targets = list_identities()
     elif args.id == "conversions":
-        targets = []
+        targets = [name for name in list_identities() if name.startswith("conversion:")]
     else:
         targets = [args.id]
     reports = []
@@ -114,17 +111,6 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
             if value is not None and axis in grid:
                 grid[axis] = parse_range(value)
         reports.extend(verify_grid(name, grid))
-    if args.id in ("all", "conversions"):
-        n_hi = max(parse_range(args.n)) if args.n else 4
-        k_hi = max(parse_range(args.k)) if args.k else 6
-        s_axis = parse_range(args.s) if args.s else range(2, 5)
-        for kind in ("plain", "q", "pq", "binom_recovery", "qs_recovery"):
-            for s in s_axis:
-                if s < 2:
-                    continue
-                for n in range(1, n_hi + 1):
-                    for k in range(0, k_hi + 1):
-                        reports.append(check_conversion(kind, n, k, s))
     failed = sum(1 for r in reports if not r.holds)
     if args.format == "text":
         lines = []
@@ -180,14 +166,6 @@ def _cmd_objects(args: argparse.Namespace, objects: str) -> tuple[str, int]:
     return _json_line(payload) + "\n", 0
 
 
-def _bisnomial_value(flavor: str, n: int, k: int, s: int):
-    if flavor == "plain":
-        return bisnomial(n, k, s)
-    if flavor == "q":
-        return q_bisnomial(n, k, s)
-    return pq_bisnomial(n, k, s)
-
-
 def _bisnomial_json_value(value) -> object:
     if isinstance(value, int):
         return str(value)
@@ -198,14 +176,13 @@ def _cmd_bisnomial(args: argparse.Namespace) -> tuple[str, int]:
     n, k, s, flavor = args.n, args.k, args.s, args.flavor
     if n is None or s is None:
         raise ValueError("bisnomial needs --n and --s")
+    triangle = {"plain": bisnomial, "q": q_bisnomial, "pq": pq_bisnomial}[flavor]
     if args.table:
-        cells = [(m, kk, _bisnomial_value(flavor, m, kk, s)) for m in range(n + 1) for kk in range(s * m + 1)]
+        cells = [(m, kk, triangle(m, kk, s)) for m in range(n + 1) for kk in range(s * m + 1)]
         if args.format == "text":
             if flavor == "plain":
-                lines = [
-                    " ".join(str(bisnomial(m, kk, s)) for kk in range(s * m + 1))
-                    for m in range(n + 1)
-                ]
+                rows = groupby(cells, itemgetter(0))  # the cells run row by row
+                lines = [" ".join(str(value) for _, _, value in row) for _, row in rows]
             else:
                 lines = [f"[{m},{kk}] {value}" for m, kk, value in cells]
             return "\n".join(lines) + "\n", 0
@@ -229,7 +206,7 @@ def _cmd_bisnomial(args: argparse.Namespace) -> tuple[str, int]:
         raise ValueError("bisnomial tables support text, csv or json")
     if k is None:
         raise ValueError("bisnomial needs --k (or --table)")
-    value = _bisnomial_value(flavor, n, k, s)
+    value = triangle(n, k, s)
     if args.format == "text":
         return f"{value}\n", 0
     if args.format == "json":
@@ -303,7 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_expand)
 
     p = sub.add_parser("verify", help="run identity checks over parameter grids")
-    p.add_argument("--id", required=True, help="identity name, 'all' or 'conversions'")
+    p.add_argument("--id", required=True, help="identity name such as ortho or conversion:pq, 'all' or 'conversions'")
     p.add_argument("--n", help="range like 1..4")
     p.add_argument("--k", help="range like 0..8")
     p.add_argument("--s", help="range like 1..4")

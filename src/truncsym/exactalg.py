@@ -245,11 +245,6 @@ def cyc_power_sum(s: int, k: int) -> CycInt:
     return total
 
 
-def cyc_as_integer(v: CycInt) -> Optional[int]:
-    """Integer content of v, or None when v has a nonzero non-rational part."""
-    return v.as_integer()
-
-
 class UniPoly:
     """Integer polynomial in one variable q, dense ascending coefficients."""
 

@@ -4,7 +4,9 @@ Every entry in ``REGISTRY`` evaluates both sides of one identity from
 scratch on concrete parameters and reports whether they match.  Checks
 never assume each other's conclusions: convolution sums are recomputed
 rather than routed through an already-verified equivalent form, so each
-identity remains an independent probe of the constructors.
+identity remains an independent probe of the constructors.  The
+``conversion:<kind>`` entries check the closed forms that tie the
+bisnomial triangles to ordinary and Gaussian binomials.
 
 ``verify`` runs a single point and returns an ``IdentityReport``;
 ``verify_grid`` sweeps parameter ranges in a deterministic order.  Checks
@@ -22,10 +24,11 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _cartesian
-from math import factorial
+from math import comb, factorial
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .exactalg import cyc_as_integer
+from .bisnomial import bisnomial, gaussian, pq_bisnomial, pq_gaussian, q_bisnomial
+from .exactalg import BiPoly, UniPoly
 from .multipoly import MPoly, accumulate_product, collect, substitute_power
 from .partitions import (
     Partition,
@@ -169,7 +172,7 @@ def _roots_sum(k: int, s: int, basis: str, n: int) -> MPoly:
             accumulate_product(acc, MPoly.constant(n, c), base)
     reduced: dict = {}
     for key, v in acc.items():
-        iv = cyc_as_integer(v)
+        iv = v.as_integer()
         if iv is None:
             raise ArithmeticError(f"aggregated coefficient {v} is not a rational integer")
         if iv:
@@ -458,7 +461,7 @@ def _chk_mroots_closed_k(lam: Partition):
     length = len(lam)
     lhs = m_lambda_at_roots(lam, k - 1)
     rhs = _sign(length) * (1 - Fraction(k, length)) * multinomial(multiplicities(lam).values())
-    iv = cyc_as_integer(lhs)
+    iv = lhs.as_integer()
     holds = iv is not None and Fraction(iv) == rhs
     return holds, lhs, rhs
 
@@ -474,7 +477,7 @@ def _chk_mroots_closed_km1(lam: Partition):
         rhs = Fraction(_sign(length) * base)
     else:
         rhs = _sign(length) * (1 - Fraction(t1 * (k - 1), length * length - length)) * base
-    iv = cyc_as_integer(lhs)
+    iv = lhs.as_integer()
     holds = iv is not None and Fraction(iv) == rhs
     return holds, lhs, rhs
 
@@ -552,9 +555,73 @@ def _chk_mono_bridge(n: int, k: int, s: int):
     return lhs == rhs, lhs, rhs
 
 
+# Conversions between the triangles of ``bisnomial``: s is the step of the
+# identity (s >= 2), and the truncated triangle involved has depth s-1.
+
+
+def _chk_conversion_plain(n: int, k: int, s: int):
+    lhs = bisnomial(n, k, s - 1)
+    rhs = sum(
+        (-1) ** j * comb(n, j) * comb(n + k - s * j - 1, k - s * j)
+        for j in range(k // s + 1)
+    )
+    return lhs == rhs, lhs, rhs
+
+
+def _chk_conversion_q(n: int, k: int, s: int):
+    lhs = q_bisnomial(n, k, s - 1)
+    rhs = UniPoly()
+    for j in range(k // s + 1):
+        term = (
+            UniPoly.term((-1) ** j, s * comb(j, 2))
+            * gaussian(n, j).scale_exponents(s)
+            * gaussian(n + k - s * j - 1, k - s * j)
+        )
+        rhs = rhs + term
+    return lhs == rhs, lhs, rhs
+
+
+def _chk_conversion_pq(n: int, k: int, s: int):
+    lhs = pq_bisnomial(n, k, s - 1)
+    rhs = BiPoly()
+    for j in range(k // s + 1):
+        e = s * comb(j, 2)
+        term = (
+            BiPoly.term((-1) ** j, e, e)
+            * pq_gaussian(n, j).scale_exponents(s)
+            * pq_gaussian(n + k - s * j - 1, k - s * j)
+        )
+        rhs = rhs + term
+    return lhs == rhs, lhs, rhs
+
+
+def _chk_conversion_binom_recovery(n: int, k: int, s: int):
+    lhs = comb(n, k)
+    rhs = sum(
+        (-1) ** (k + j) * comb(n, j) * bisnomial(n, k * s - j, s - 1)
+        for j in range(k * s + 1)
+    )
+    return lhs == rhs, lhs, rhs
+
+
+def _chk_conversion_qs_recovery(n: int, k: int, s: int):
+    # multiplied through to stay in Z[q]
+    lhs = UniPoly.term(1, s * comb(k, 2)) * gaussian(n, k).scale_exponents(s)
+    rhs = UniPoly()
+    for j in range(k * s + 1):
+        term = (
+            UniPoly.term((-1) ** (k + j), comb(j, 2))
+            * gaussian(n, j)
+            * q_bisnomial(n, k * s - j, s - 1)
+        )
+        rhs = rhs + term
+    return lhs == rhs, lhs, rhs
+
+
 # -- registry ------------------------------------------------------------------
 
 _NKS = ("n", "k", "s")
+_SNK = ("s", "n", "k")  # s outermost: the line order of verify --id conversions
 
 
 def _spec(
@@ -617,6 +684,11 @@ REGISTRY: dict[str, IdentitySpec] = {
         _spec("vanish_e", _chk_vanish_e, k_min=1, s_min=2, avoid_k_mult_of_s=True),
         _spec("mono_H", _chk_mono_H),
         _spec("mono_bridge", _chk_mono_bridge),
+        _spec("conversion:plain", _chk_conversion_plain, arity=_SNK, k_default_max=6, s_min=2),
+        _spec("conversion:q", _chk_conversion_q, arity=_SNK, k_default_max=6, s_min=2),
+        _spec("conversion:pq", _chk_conversion_pq, arity=_SNK, k_default_max=6, s_min=2),
+        _spec("conversion:binom_recovery", _chk_conversion_binom_recovery, arity=_SNK, k_default_max=6, s_min=2),
+        _spec("conversion:qs_recovery", _chk_conversion_qs_recovery, arity=_SNK, k_default_max=6, s_min=2),
     ]
 }
 

@@ -338,13 +338,6 @@ def _coeff_from_json(obj: object) -> Coeff:
     raise ValueError(f"unrecognized coefficient payload: {obj!r}")
 
 
-def mpoly_mul(a: MPoly, b: MPoly) -> MPoly:
-    """Product of two polynomials over the same variable set."""
-    if not isinstance(a, MPoly) or not isinstance(b, MPoly):
-        raise TypeError("mpoly_mul expects two MPoly arguments")
-    return a * b
-
-
 def accumulate_product(acc: dict, a: MPoly, b: MPoly, scalar: Coeff = 1) -> None:
     """acc += scalar * a * b, in place; a and b have the same variable count.
 
@@ -500,13 +493,3 @@ class TSeries:
 
     def __repr__(self) -> str:
         return f"TSeries(n={self.n}, T={self.T})"
-
-
-def tseries_mul(a: TSeries, b: TSeries) -> TSeries:
-    """Cauchy product truncated at min(a.T, b.T)."""
-    return a * b
-
-
-def tseries_inverse(u: TSeries) -> TSeries:
-    """Inverse series v with u*v = 1 + O(t^(T+1)); u must start at 1."""
-    return u.inverse()

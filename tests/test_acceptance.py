@@ -13,7 +13,6 @@ from truncsym import clear_caches
 from truncsym.bisnomial import (
     bisnomial,
     bisnomial_row,
-    check_conversion,
     pq_bisnomial,
     q_bisnomial,
 )
@@ -28,8 +27,8 @@ from truncsym.combinatorics import (
     tiling_weight,
     weight_sum,
 )
-from truncsym.exactalg import cyc_as_integer, cyc_power_sum
-from truncsym.identities import default_grid, list_identities, verify_grid
+from truncsym.exactalg import cyc_power_sum
+from truncsym.identities import default_grid, list_identities, verify, verify_grid
 from truncsym.multipoly import MPoly, is_symmetric, specialize
 from truncsym.partitions import enum_partitions
 from truncsym.symfun import E, H, classical, m_lambda, m_lambda_at_roots
@@ -109,12 +108,12 @@ def test_criterion_4_root_of_unity_layer(capsys):
         for s in range(1, 7):
             for k in range(1, 31):
                 expected = s if k % (s + 1) == 0 else -1
-                assert cyc_as_integer(cyc_power_sum(s, k)) == expected, (s, k)
+                assert cyc_power_sum(s, k).as_integer() == expected, (s, k)
         checked = 0
         for s in range(1, 7):
             for k in range(9):
                 for lam in enum_partitions(k):
-                    assert cyc_as_integer(m_lambda_at_roots(lam, s)) is not None, (lam, s)
+                    assert m_lambda_at_roots(lam, s).as_integer() is not None, (lam, s)
                     checked += 1
         return f"180 power sums, {checked} integral evaluations"
 
@@ -168,7 +167,7 @@ def test_criterion_7_generalized_binomials(capsys):
             for n in range(1, 5):
                 for s in (2, 3, 4):
                     for k in range(7):
-                        assert check_conversion(kind, n, k, s).holds, (kind, n, k, s)
+                        assert verify(f"conversion:{kind}", n=n, k=k, s=s).holds, (kind, n, k, s)
                         conversions += 1
         for n in range(6):
             for s in range(1, 5):

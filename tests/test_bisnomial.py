@@ -4,16 +4,17 @@ from math import comb
 
 import pytest
 
+from pq_oracle import pq_bisnomial_rows, pq_gaussian_rows
 from truncsym.bisnomial import (
     bisnomial,
     bisnomial_row,
-    check_conversion,
     gaussian,
     pq_bisnomial,
     pq_gaussian,
     q_bisnomial,
 )
 from truncsym.exactalg import BiPoly, UniPoly
+from truncsym.identities import verify
 from truncsym.multipoly import specialize
 from truncsym.symfun import E
 
@@ -104,6 +105,20 @@ def test_pq_gaussian_is_homogeneous_and_projects_to_gaussian():
             assert all(i + j == k * (n - k) for (i, j) in g.terms)
 
 
+def test_pq_gaussian_matches_the_two_term_recurrence():
+    for n, row in enumerate(pq_gaussian_rows(12)):
+        for k, value in enumerate(row):
+            assert pq_gaussian(n, k) == value, (n, k)
+        assert not pq_gaussian(n, -1) and not pq_gaussian(n, n + 1)
+
+
+def test_pq_refinement_matches_the_peeling_recurrence():
+    for s in range(1, 4):
+        for n, row in enumerate(pq_bisnomial_rows(8, s)):
+            for k, value in enumerate(row):
+                assert pq_bisnomial(n, k, s) == value, (n, k, s)
+
+
 def test_pq_refinement_matches_the_grid_specialization():
     for n in range(4):
         for s in range(1, 4):
@@ -124,12 +139,12 @@ def test_every_conversion_holds_on_a_small_grid():
         for n in range(1, 5):
             for s in (2, 3):
                 for k in range(7):
-                    r = check_conversion(kind, n, k, s)
+                    r = verify(f"conversion:{kind}", n=n, k=k, s=s)
                     assert r.holds, (kind, n, k, s, r.lhs, r.rhs)
 
 
 def test_conversion_reports_carry_a_namespaced_id():
-    r = check_conversion("plain", 3, 2, 2)
+    r = verify("conversion:plain", n=3, k=2, s=2)
     assert r.identity_id == "conversion:plain"
     assert r.params == {"n": 3, "k": 2, "s": 2}
     assert r.holds and r.lhs == "3"
@@ -137,10 +152,10 @@ def test_conversion_reports_carry_a_namespaced_id():
 
 def test_conversion_validation():
     with pytest.raises(ValueError):
-        check_conversion("plain", 3, 2, 1)  # the conversions need s >= 2
+        verify("conversion:plain", n=3, k=2, s=1)  # the conversions need s >= 2
     with pytest.raises(ValueError):
-        check_conversion("nope", 3, 2, 2)
+        verify("conversion:nope", n=3, k=2, s=2)
     with pytest.raises(ValueError):
-        check_conversion("plain", 0, 2, 2)
+        verify("conversion:plain", n=0, k=2, s=2)
     with pytest.raises(ValueError):
-        check_conversion("plain", 3, -1, 2)
+        verify("conversion:plain", n=3, k=-1, s=2)

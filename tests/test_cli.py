@@ -83,6 +83,27 @@ def test_verify_all_runs_every_identity_and_conversion(capsys):
     assert "conversion:plain" in ids and "conversion:qs_recovery" in ids
 
 
+def test_verify_ranges_bound_the_conversions_from_both_ends(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "--id", "conversions", "--n", "3..3", "--k", "2..2",
+        "--s", "2..2", "--format", "text", "--deterministic",
+    )
+    assert code == 0
+    kinds = ("plain", "q", "pq", "binom_recovery", "qs_recovery")
+    assert out == "".join(f"PASS conversion:{kind} k=2 n=3 s=2\n" for kind in kinds) + "total=5 failed=0\n"
+
+
+def test_verify_runs_one_conversion_family_by_name(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "--id", "conversion:pq", "--n", "3", "--k", "2", "--s", "2",
+        "--deterministic",
+    )
+    assert (code, err) == (0, "1 checks, 0 failed\n")
+    rec = json.loads(out)
+    assert rec["identity_id"] == "conversion:pq" and rec["holds"] is True
+    assert rec["params"] == {"k": 2, "n": 3, "s": 2}
+
+
 def test_verify_exit_code_flags_failures(capsys, monkeypatch):
     spec = IdentitySpec(
         name="always_false",
@@ -273,9 +294,18 @@ def test_large_expansions_match_the_recorded_digests(capsys):
         assert digest == golden["cli " + " ".join(argv)], line
 
 
-# Identities whose checks run on the product kernel, packed equality and
-# rendering; their output digests were recorded in bench/golden.json.
-GOLDEN_VERIFICATIONS = ("ortho", "cubic_E", "cubic_H", "mono_H", "conv_roots_h")
+def _load_bench_workloads():
+    path = Path(__file__).parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# Every verify command of the benchmark's verify_sweep workload: each
+# identity on its default grid, then the conversion families; their output
+# digests were recorded in bench/golden.json.
+GOLDEN_VERIFICATIONS = (*_load_bench_workloads().IDENTITIES, "conversions")
 
 
 def test_kernel_heavy_verifications_match_the_recorded_digests(capsys):
@@ -286,14 +316,6 @@ def test_kernel_heavy_verifications_match_the_recorded_digests(capsys):
         assert code == 0, name
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == golden["cli " + " ".join(argv)], name
-
-
-def _load_bench_workloads():
-    path = Path(__file__).parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_counting_commands_match_the_recorded_digests(capsys):

@@ -48,6 +48,11 @@ EXPECTED_IDS = [
     "vanish_e",
     "mono_H",
     "mono_bridge",
+    "conversion:plain",
+    "conversion:q",
+    "conversion:pq",
+    "conversion:binom_recovery",
+    "conversion:qs_recovery",
 ]
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import laplace_oracle
 from series_oracle import e_series, h_series
 from truncsym import clear_caches, symfun
-from truncsym.exactalg import CycInt, cyc_as_integer
+from truncsym.exactalg import CycInt
 from truncsym.multipoly import MPoly, is_symmetric
 from truncsym.partitions import enum_partitions
 from truncsym.symfun import (
@@ -171,7 +171,7 @@ def test_monomials_at_roots_of_unity_are_rational_integers():
         for k in range(7):
             for lam in enum_partitions(k):
                 v = m_lambda_at_roots(lam, s)
-                assert cyc_as_integer(v) is not None, (lam, s)
+                assert v.as_integer() is not None, (lam, s)
 
 
 def test_determinant_forms_agree_with_the_classical_schur_cases():
