@@ -10,7 +10,6 @@ from .exactalg import (
 )
 from .multipoly import (
     MPoly,
-    TSeries,
     is_symmetric,
     specialize,
     substitute_power,
@@ -85,7 +84,6 @@ __all__ = [
     "MPoly",
     "P",
     "REGISTRY",
-    "TSeries",
     "UniPoly",
     "bisnomial",
     "bisnomial_row",

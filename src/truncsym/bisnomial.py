@@ -128,14 +128,9 @@ def q_bisnomial(n: int, k: int, s: int) -> UniPoly:
     ))
 
 
-def _homogenize(u: UniPoly, degree: int) -> BiPoly:
-    """p^degree * u(q/p): the coefficient of q^j moves to p^(degree-j) q^j."""
-    return BiPoly({(degree - j, j): c for j, c in enumerate(u.coeffs) if c})
-
-
 def pq_gaussian(n: int, k: int) -> BiPoly:
     """Homogeneous two-parameter Gaussian binomial in p and q, of degree k(n-k)."""
-    return _homogenize(gaussian(n, k), k * (n - k))
+    return BiPoly.homogenize(gaussian(n, k), k * (n - k))
 
 
 def pq_bisnomial(n: int, k: int, s: int) -> BiPoly:
@@ -144,4 +139,4 @@ def pq_bisnomial(n: int, k: int, s: int) -> BiPoly:
     Each monomial of degree k picks up p^(k(n-1)) (q/p)^(its q-degree), so
     PQ(n, k) is the q-refinement homogenized to degree k(n-1).
     """
-    return _homogenize(q_bisnomial(n, k, s), k * (n - 1))
+    return BiPoly.homogenize(q_bisnomial(n, k, s), k * (n - 1))

@@ -8,7 +8,8 @@ combinatorial models), ``bisnomial`` (triangle values and tables) and
 stdout carries only the payload and is byte-stable for fixed inputs;
 timing goes to stderr and is silenced by ``--deterministic``.  Exit code
 0 on success, 1 when a verification found a failing identity, 2 on bad
-arguments.
+arguments, a sweep with no valid point, or an ``--out`` that cannot be
+written.
 """
 
 from __future__ import annotations
@@ -103,14 +104,19 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
         targets = [name for name in list_identities() if name.startswith("conversion:")]
     else:
         targets = [args.id]
-    reports = []
+    reports, empty = [], None
     for name in targets:
         grid = default_grid(name)
         for axis in ("n", "k", "s"):
             value = getattr(args, axis)
             if value is not None and axis in grid:
                 grid[axis] = parse_range(value)
-        reports.extend(verify_grid(name, grid))
+        try:
+            reports.extend(verify_grid(name, grid))
+        except ValueError as exc:  # the grid has every axis, so this id has no valid point
+            empty = empty or exc  # an error only if no id has one
+    if not reports:
+        raise empty
     failed = sum(1 for r in reports if not r.holds)
     if args.format == "text":
         lines = []
@@ -331,8 +337,12 @@ def run(argv: Optional[list[str]] = None) -> int:
         print("error: out of memory", file=sys.stderr)
         return 2
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(payload)
     if not args.deterministic:

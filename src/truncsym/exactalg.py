@@ -5,7 +5,8 @@ Coefficient domains used throughout the package:
 * plain Python ``int`` (arbitrary precision),
 * ``fractions.Fraction`` for the few identities that divide,
 * ``CycInt`` for values living in the ring of integers of a cyclotomic field,
-* ``UniPoly`` / ``BiPoly`` for q- and (p,q)-analogues.
+* ``UniPoly`` for q-analogues and ``BiPoly``, a homogenized ``UniPoly``, for
+  (p,q)-analogues.
 
 ``CycInt`` models Z[x]/Phi_m(x) where Phi_m is the m-th cyclotomic
 polynomial, so x is a primitive m-th root of unity.  Working modulo Phi_m
@@ -366,118 +367,99 @@ class UniPoly:
 
 
 class BiPoly:
-    """Integer polynomial in p and q, sparse {(i, j): coeff} for p^i * q^j."""
+    """Homogeneous integer polynomial in p and q: p^degree * u(q/p) for a UniPoly u.
 
-    __slots__ = ("terms",)
+    The coefficient of q^j in u is that of p^(degree-j) q^j.  Every value the
+    package builds is homogeneous (a homogenized q-polynomial or a
+    ``pq-grid`` image), so the ring operations are those of ``UniPoly``.
+    The zero polynomial has degree 0.
+    """
+
+    __slots__ = ("degree", "_q")
 
     def __init__(self, terms: Union[int, dict] = 0):
+        """From an int or a {(p_exp, q_exp): coeff} dict whose terms share one total degree."""
         if isinstance(terms, int):
-            terms = {(0, 0): terms} if terms else {}
-        clean = {}
+            terms = {(0, 0): terms}
+        out = BiPoly.homogenize(UniPoly(), 0)
         for (i, j), c in terms.items():
-            if c:
-                if i < 0 or j < 0:
-                    raise ValueError("exponents must be >= 0")
-                clean[(i, j)] = c
-        object.__setattr__(self, "terms", clean)
+            out = out + BiPoly.term(c, i, j)
+        object.__setattr__(self, "degree", out.degree)
+        object.__setattr__(self, "_q", out._q)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("BiPoly is immutable")
 
     @classmethod
-    def term(cls, coeff: int, p_exp: int, q_exp: int) -> "BiPoly":
-        return cls({(p_exp, q_exp): coeff})
+    def homogenize(cls, u: UniPoly, degree: int) -> "BiPoly":
+        """p^degree * u(q/p): the coefficient of q^j moves to p^(degree-j) q^j.
 
-    def _coerce(self, other: object) -> Optional["BiPoly"]:
-        if isinstance(other, BiPoly):
-            return other
-        if isinstance(other, int):
-            return BiPoly(other)
-        return None
+        A zero u gives zero at any degree, a negative one included.
+        """
+        if u and u.degree > degree:
+            raise ValueError(f"a q-polynomial of degree {u.degree} has no homogenization to {degree}")
+        self = object.__new__(cls)
+        object.__setattr__(self, "degree", degree if u else 0)
+        object.__setattr__(self, "_q", u)
+        return self
+
+    @classmethod
+    def term(cls, coeff: int, p_exp: int, q_exp: int) -> "BiPoly":
+        return cls.homogenize(UniPoly.term(coeff, q_exp), p_exp + q_exp)
+
+    @property
+    def terms(self) -> dict:
+        """{(p_exp, q_exp): coeff} for the nonzero coefficients."""
+        return {(self.degree - j, j): c for j, c in enumerate(self._q.coeffs) if c}
 
     def __add__(self, other: object) -> "BiPoly":
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, BiPoly):
             return NotImplemented
-        out = dict(self.terms)
-        for key, c in o.terms.items():
-            out[key] = out.get(key, 0) + c
-        return BiPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "BiPoly":
-        return BiPoly({key: -c for key, c in self.terms.items()})
-
-    def __sub__(self, other: object) -> "BiPoly":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other: object) -> "BiPoly":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+        if self and other and self.degree != other.degree:
+            raise ValueError(f"a BiPoly is homogeneous: degrees {self.degree} and {other.degree} do not add")
+        return BiPoly.homogenize(self._q + other._q, self.degree if self else other.degree)
 
     def __mul__(self, other: object) -> "BiPoly":
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, int):
+            return BiPoly.homogenize(self._q * other, self.degree)
+        if not isinstance(other, BiPoly):
             return NotImplemented
-        out: dict = {}
-        for (i1, j1), a in self.terms.items():
-            for (i2, j2), b in o.terms.items():
-                key = (i1 + i2, j1 + j2)
-                out[key] = out.get(key, 0) + a * b
-        return BiPoly(out)
+        return BiPoly.homogenize(self._q * other._q, self.degree + other.degree)
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "BiPoly":
-        return _power(self, n, BiPoly(1))
-
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, BiPoly):
-            return self.terms == other.terms
         if isinstance(other, int):
-            return self.terms == BiPoly(other).terms
+            other = BiPoly(other)
+        if isinstance(other, BiPoly):
+            return self.degree == other.degree and self._q == other._q
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted(self.terms.items())))
+        return hash((self.degree, self._q))
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._q)
 
     def __call__(self, p: int, q: int) -> int:
-        return sum(c * p**i * q**j for (i, j), c in self.terms.items())
+        return UniPoly([c * p ** (self.degree - j) for j, c in enumerate(self._q.coeffs)])(q)
 
     def at_p1(self) -> UniPoly:
         """Substitute p = 1, leaving a polynomial in q."""
-        out: dict = {}
-        for (_, j), c in self.terms.items():
-            out[j] = out.get(j, 0) + c
-        if not out:
-            return UniPoly()
-        coeffs = [0] * (max(out) + 1)
-        for j, c in out.items():
-            coeffs[j] = c
-        return UniPoly(coeffs)
+        return self._q
 
     def scale_exponents(self, s: int) -> "BiPoly":
         """Substitute p -> p^s and q -> q^s."""
-        if s < 1:
-            raise ValueError("scale factor must be >= 1")
-        return BiPoly({(s * i, s * j): c for (i, j), c in self.terms.items()})
+        return BiPoly.homogenize(self._q.scale_exponents(s), s * self.degree)
 
     def __repr__(self) -> str:
         return f"BiPoly({dict(sorted(self.terms.items()))})"
 
     def __str__(self) -> str:
-        keys = sorted(self.terms, key=lambda ij: (ij[0] + ij[1], ij))
-        monos = [_power_text("p", i) + ("*" if i and j else "") + _power_text("q", j) for i, j in keys]
-        return _render_terms(zip(map(self.terms.get, keys), monos))
+        terms = sorted(self.terms.items())  # ascending p-exponent
+        return _render_terms(
+            [(c, _power_text("p", i) + ("*" if i and j else "") + _power_text("q", j)) for (i, j), c in terms]
+        )
 
     def to_json(self) -> list[list]:
         return [[i, j, str(c)] for (i, j), c in sorted(self.terms.items())]

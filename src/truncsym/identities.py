@@ -8,6 +8,19 @@ identity remains an independent probe of the constructors.  The
 ``conversion:<kind>`` entries check the closed forms that tie the
 bisnomial triangles to ordinary and Gaussian binomials.
 
+The identities restate a few relations between the generating products
+E(t) and H(t), so the checks are built from a few shared shapes:
+
+* ``_conv``: sum of c * A * B over the terms of a convolution, in one
+  accumulator: E(t) H(-t) = 1, the Newton-type sums, the power
+  substitutions and the sums that vanish;
+* ``_partition_sum``: sum over lam |- k of coef(lam) * F_lam, and its
+  scalar twin ``_scalar_sum``;
+* ``_roots_sum``: sum over lam of m_lam at roots of unity times a basis.
+
+An E/H twin is one check body: its registry row binds the family by name,
+and the body looks the constructor up when it runs.
+
 ``verify`` runs a single point and returns an ``IdentityReport``;
 ``verify_grid`` sweeps parameter ranges in a deterministic order.  Checks
 that divide by an aggregate first confirm the divisor is nonzero, and
@@ -23,8 +36,9 @@ import json
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product as _cartesian
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .bisnomial import bisnomial, gaussian, pq_bisnomial, pq_gaussian, q_bisnomial
@@ -80,82 +94,124 @@ class IdentityReport:
 
 @dataclass(frozen=True)
 class IdentitySpec:
+    """One registry entry: a check, its parameter names and its valid points.
+
+    Without an explicit ``requires``, a point (n, k, s) is valid when n >= 1,
+    s >= s_min, k >= k_min and, with ``avoid_k_mult_of_s``, s does not divide
+    k; a partition is valid when its weight is at least k_min and its length
+    at most the weight less k_min - 1.
+    """
+
     name: str
-    arity: tuple[str, ...]
     check: Callable[..., tuple[bool, object, object]]
-    requires: Callable[..., Optional[str]]
+    arity: tuple[str, ...] = ("n", "k", "s")
+    requires: Optional[Callable[..., Optional[str]]] = None
     k_default_max: int = 8
     k_min: int = 0
     s_min: int = 1
+    avoid_k_mult_of_s: bool = False
 
+    def __post_init__(self) -> None:
+        if self.requires is None:
+            object.__setattr__(self, "requires", self._default_requires)
 
-# -- parameter validation ----------------------------------------------------
-
-
-def _req_nks(k_min: int = 0, s_min: int = 1, avoid_k_mult_of_s: bool = False):
-    def req(n: int, k: int, s: int) -> Optional[str]:
+    def _default_requires(
+        self, n: int = 1, k: int = 0, s: int = 1, lam: Optional[Sequence[int]] = None
+    ) -> Optional[str]:
+        if lam is not None:
+            lam, margin = tuple(lam), self.k_min - 1
+            if not is_partition(lam):
+                return f"not a partition: {lam}"
+            if sum(lam) < self.k_min:
+                return f"weight must be >= {self.k_min}"
+            if margin and len(lam) > sum(lam) - margin:
+                return f"length must be <= weight - {margin}"
+            return None
         if n < 1:
             return "n must be >= 1"
-        if s < s_min:
-            return f"s must be >= {s_min}"
-        if k < k_min:
-            return f"k must be >= {k_min}"
-        if avoid_k_mult_of_s and k % s == 0:
+        if s < self.s_min:
+            return f"s must be >= {self.s_min}"
+        if k < self.k_min:
+            return f"k must be >= {self.k_min}"
+        if self.avoid_k_mult_of_s and k % s == 0:
             return "k must not be a multiple of s"
         return None
 
-    return req
 
-
-def _req_ks(k_min: int = 1, s_min: int = 1):
-    def req(k: int, s: int) -> Optional[str]:
-        if s < s_min:
-            return f"s must be >= {s_min}"
-        if k < k_min:
-            return f"k must be >= {k_min}"
-        return None
-
-    return req
-
-
-def _req_lam(weight_min: int, length_margin: int):
-    def req(lam: Sequence[int]) -> Optional[str]:
-        lam = tuple(lam)
-        if not is_partition(lam):
-            return f"not a partition: {lam}"
-        k = sum(lam)
-        if k < weight_min:
-            return f"weight must be >= {weight_min}"
-        if length_margin and len(lam) > k - length_margin:
-            return f"length must be <= weight - {length_margin}"
-        return None
-
-    return req
-
-
-# -- shared computations -----------------------------------------------------
+# -- shared shapes -----------------------------------------------------------
 
 _PAIR_CONV: dict = {}
+
+
+def _family(kind: str) -> Callable[[int, int, int], MPoly]:
+    """E or H by name, looked up when a check runs."""
+    return E if kind == "E" else H
+
+
+def _conv(n: int, terms: Iterable[tuple[object, MPoly, MPoly]]) -> MPoly:
+    """sum of c * A * B over the (c, A, B) terms, in one accumulator.
+
+    A term with a zero factor adds nothing.  The callers filter on the
+    factor that may be zero, so the other one is built only where it counts.
+    """
+    acc: dict = {}
+    for c, a, b in terms:
+        if a and b:
+            accumulate_product(acc, a, b, c)
+    return collect(n, acc)
 
 
 def _pair_conv(kind: str, m: int, s: int, n: int) -> MPoly:
     """sum over a+b=m of F_a F_b with F = E or H, cached."""
     key = (kind, m, s, n)
     cached = _PAIR_CONV.get(key)
-    if cached is not None:
-        return cached
-    F = E if kind == "E" else H
-    acc: dict = {}
-    for a in range(m + 1):
-        Fa = F(a, s, n)
-        if not Fa:
-            continue
-        Fb = F(m - a, s, n)
-        if Fb:
-            accumulate_product(acc, Fa, Fb)
-    out = collect(n, acc)
-    _PAIR_CONV[key] = out
-    return out
+    if cached is None:
+        F = _family(kind)
+        cached = _conv(n, ((1, Fa, F(m - a, s, n)) for a in range(m + 1) if (Fa := F(a, s, n))))
+        _PAIR_CONV[key] = cached
+    return cached
+
+
+def _conv_sum(f: str, n: int, k: int, s: int) -> MPoly:
+    """sum_j (-1)^(s*j) h_j(x^s) e_(k-s*j)(x) for f = 'h', sum_j (-1)^j e_j(x^s) h_(k-s*j)(x) for f = 'e'.
+
+    The memoized classical factors are looked up for every j; the power
+    substitution and the product are made only where both are nonzero.
+    """
+    g, step = ("e", s) if f == "h" else ("h", 1)
+    pairs = ((j, classical(f, j, n), classical(g, k - s * j, n)) for j in range(k // s + 1))
+    return _conv(n, ((_sign(step * j), substitute_power(a, s), b) for j, a, b in pairs if a and b))
+
+
+def _alt_sum(kind: str, n: int, m: int, s: int) -> MPoly:
+    """sum_j (-1)^j f_j F(m-j, s-1) for (f, F) = (h, H) or (e, E); e_j = 0 past j = n."""
+    F, f = _family(kind), kind.lower()
+    top = m if kind == "H" else min(n, m)
+    terms = ((_sign(j), classical(f, j, n), Fj) for j in range(top + 1) if (Fj := F(m - j, s - 1, n)))
+    return _conv(n, terms)
+
+
+def _mult(lam: Partition) -> int:
+    """The multinomial coefficient of the part multiplicities of lam."""
+    return multinomial(multiplicities(lam).values())
+
+
+def _weight(lam: Partition, shift: int, scale: int = 1) -> Fraction:
+    """(-1)^(shift + l) * scale / l times the multinomial of lam, l = len(lam)."""
+    return Fraction(_sign(shift + len(lam)) * scale, len(lam)) * _mult(lam)
+
+
+def _partition_sum(kind: str, k: int, s: int, n: int, coef: Callable[[Partition], object]) -> MPoly:
+    """sum over lam |- k of coef(lam) * F_lam, F = E, H or P."""
+    total = MPoly.zero(n)
+    for lam in enum_partitions(k):
+        total = total + coef(lam) * product_over_partition(kind, lam, s, n)
+    return total
+
+
+def _scalar_sum(k: int, s: int, coef: Callable[[Partition], Fraction]) -> Fraction:
+    """sum over lam |- k with parts <= s of coef(lam)."""
+    return sum([coef(lam) for lam in enum_partitions(k, max_part=s)], Fraction(0))
 
 
 def _roots_sum(k: int, s: int, basis: str, n: int) -> MPoly:
@@ -180,136 +236,64 @@ def _roots_sum(k: int, s: int, basis: str, n: int) -> MPoly:
     return MPoly._trusted(n, reduced)
 
 
-def _conv_sum_h(n: int, k: int, s: int) -> MPoly:
-    """sum_j (-1)^(s*j) h_j(x^s) e_(k-s*j)(x)."""
-    acc: dict = {}
-    for j in range(k // s + 1):
-        e_part = classical("e", k - s * j, n)
-        if not e_part:
-            continue
-        h_sub = substitute_power(classical("h", j, n), s)
-        accumulate_product(acc, h_sub, e_part, _sign(s * j))
-    return collect(n, acc)
-
-
-def _conv_sum_e(n: int, k: int, s: int) -> MPoly:
-    """sum_j (-1)^j e_j(x^s) h_(k-s*j)(x)."""
-    acc: dict = {}
-    for j in range(k // s + 1):
-        e_sub = classical("e", j, n)
-        if not e_sub:
-            break
-        accumulate_product(acc, substitute_power(e_sub, s), classical("h", k - s * j, n), _sign(j))
-    return collect(n, acc)
-
-
-def _cycle_index_weight(t: Mapping[int, int]) -> int:
-    """prod_i i^(t_i) * t_i!."""
-    out = 1
-    for i, ti in t.items():
-        out *= i**ti * factorial(ti)
-    return out
+def _mono_sum(n: int, k: int, s: int, shift: int) -> MPoly:
+    """sum of (-1)^(shift + r) m_lam over lam |- k with parts 0 or 1 mod s+1, r the residue sum."""
+    m = s + 1
+    lams = enum_partitions(k, mod01=m)
+    return sum((_sign(shift + sum(part % m for part in lam)) * m_lambda(lam, n) for lam in lams), MPoly.zero(n))
 
 
 # -- checks ------------------------------------------------------------------
+# A body with a leading ``kind`` serves an E/H twin; the registry binds it.
 
 
 def _chk_ortho(n: int, k: int, s: int):
-    acc: dict = {}
-    for j in range(k + 1):
-        Ej = E(j, s, n)
-        if Ej:
-            accumulate_product(acc, Ej, H(k - j, s, n), _sign(j))
-    lhs = collect(n, acc)
+    lhs = _conv(n, ((_sign(j), Ej, H(k - j, s, n)) for j in range(k + 1) if (Ej := E(j, s, n))))
     rhs = MPoly.one(n) if k == 0 else MPoly.zero(n)
     return lhs == rhs, lhs, rhs
 
 
-def _chk_inv_H(n: int, k: int, s: int):
-    total = MPoly.zero(n)
-    for lam in enum_partitions(k):
-        coef = _sign(k + len(lam)) * multinomial(multiplicities(lam).values())
-        total = total + coef * product_over_partition("E", lam, s, n)
-    lhs = H(k, s, n)
-    return lhs == total, lhs, total
-
-
-def _chk_inv_E(n: int, k: int, s: int):
-    total = MPoly.zero(n)
-    for lam in enum_partitions(k):
-        coef = _sign(k + len(lam)) * multinomial(multiplicities(lam).values())
-        total = total + coef * product_over_partition("H", lam, s, n)
-    lhs = E(k, s, n)
-    return lhs == total, lhs, total
-
-
-def _chk_newton_E(n: int, k: int, s: int):
-    lhs = k * E(k, s, n)
-    acc: dict = {}
-    for j in range(1, k + 1):
-        Ej = E(k - j, s, n)
-        if Ej:
-            accumulate_product(acc, P(j, s, n), Ej, _sign(j - 1))
-    rhs = collect(n, acc)
+def _chk_inv(kind: str, n: int, k: int, s: int):
+    rhs = _partition_sum("E" if kind == "H" else "H", k, s, n, lambda lam: _sign(k + len(lam)) * _mult(lam))
+    lhs = _family(kind)(k, s, n)
     return lhs == rhs, lhs, rhs
 
 
-def _chk_newton_H(n: int, k: int, s: int):
-    lhs = k * H(k, s, n)
-    acc: dict = {}
-    for j in range(1, k + 1):
-        accumulate_product(acc, P(j, s, n), H(k - j, s, n))
-    rhs = collect(n, acc)
+def _chk_newton(kind: str, n: int, k: int, s: int):
+    F, sign = _family(kind), (-1 if kind == "E" else 1)
+    lhs = k * F(k, s, n)
+    rhs = _conv(n, ((sign ** (j - 1), P(j, s, n), Fj) for j in range(1, k + 1) if (Fj := F(k - j, s, n))))
     return lhs == rhs, lhs, rhs
 
 
 def _chk_newton_P(n: int, k: int, s: int):
     lhs = P(k, s, n)
-    acc: dict = {}
-    for j in range(1, k + 1):
-        Ej = E(j, s, n)
-        if Ej:
-            accumulate_product(acc, Ej, H(k - j, s, n), _sign(j - 1) * j)
-    rhs = collect(n, acc)
+    rhs = _conv(n, ((_sign(j - 1) * j, Ej, H(k - j, s, n)) for j in range(1, k + 1) if (Ej := E(j, s, n))))
     return lhs == rhs, lhs, rhs
 
 
 def _chk_cubic_E(n: int, k: int, s: int):
     lhs = (2 * k) * E(k, s, n)
-    acc: dict = {}
-    for m in range(1, k + 1):
-        conv = _pair_conv("E", m, s, n)
-        if not conv:
-            continue
-        Hk3 = H(k - m, s, n)
-        accumulate_product(acc, conv, Hk3, _sign(k - m) * m)
-    rhs = collect(n, acc)
+    rhs = _conv(n, (
+        (_sign(k - m) * m, conv, H(k - m, s, n))
+        for m in range(1, k + 1) if (conv := _pair_conv("E", m, s, n))
+    ))
     return lhs == rhs, lhs, rhs
 
 
 def _chk_cubic_H(n: int, k: int, s: int):
     lhs = k * H(k, s, n)
-    acc: dict = {}
-    for m in range(k):
-        k3 = k - m
-        Ek3 = E(k3, s, n)
-        if not Ek3:
-            continue
-        accumulate_product(acc, _pair_conv("H", m, s, n), Ek3, _sign(k3 - 1) * k3)
-    rhs = collect(n, acc)
+    rhs = _conv(n, (
+        (_sign(k - m - 1) * (k - m), _pair_conv("H", m, s, n), Ek3)
+        for m in range(k) if (Ek3 := E(k - m, s, n))
+    ))
     return lhs == rhs, lhs, rhs
 
 
-def _chk_pk_from_E(n: int, k: int, s: int):
-    num = MPoly.zero(n)
-    for lam in enum_partitions(k):
-        length = len(lam)
-        coef = Fraction(_sign(length), length) * multinomial(multiplicities(lam).values())
-        num = num + coef * product_over_partition("E", lam, s, n)
-    den = Fraction(0)
-    for lam in enum_partitions(k, max_part=s):
-        length = len(lam)
-        den += Fraction(_sign(length), length) * multinomial(multiplicities(lam).values())
+def _chk_pk_from(kind: str, n: int, k: int, s: int):
+    num_shift, den_shift = (0, 0) if kind == "E" else (1, k)
+    num = _partition_sum(kind, k, s, n, lambda lam: _weight(lam, num_shift))
+    den = _scalar_sum(k, s, lambda lam: _weight(lam, den_shift))
     if den == 0:
         return False, "zero denominator", _describe(num)
     lhs = classical("p", k, n)
@@ -317,69 +301,25 @@ def _chk_pk_from_E(n: int, k: int, s: int):
     return rhs == lhs, lhs, rhs
 
 
-def _chk_pk_from_H(n: int, k: int, s: int):
-    num = MPoly.zero(n)
-    for lam in enum_partitions(k):
-        length = len(lam)
-        coef = Fraction(_sign(1 + length), length) * multinomial(multiplicities(lam).values())
-        num = num + coef * product_over_partition("H", lam, s, n)
-    den = Fraction(0)
-    for lam in enum_partitions(k, max_part=s):
-        length = len(lam)
-        den += Fraction(_sign(k + length), length) * multinomial(multiplicities(lam).values())
-    if den == 0:
-        return False, "zero denominator", _describe(num)
-    lhs = classical("p", k, n)
-    rhs = (1 / den) * num
-    return rhs == lhs, lhs, rhs
-
-
-def _chk_P_from_E(n: int, k: int, s: int):
+def _chk_P_from(kind: str, n: int, k: int, s: int):
     lhs = P(k, s, n)
-    rhs = MPoly.zero(n)
-    for lam in enum_partitions(k):
-        length = len(lam)
-        coef = Fraction(_sign(k + length) * k, length) * multinomial(multiplicities(lam).values())
-        rhs = rhs + coef * product_over_partition("E", lam, s, n)
-    return rhs == lhs, lhs, rhs
-
-
-def _chk_P_from_H(n: int, k: int, s: int):
-    lhs = P(k, s, n)
-    rhs = MPoly.zero(n)
-    for lam in enum_partitions(k):
-        length = len(lam)
-        coef = Fraction(_sign(1 + length) * k, length) * multinomial(multiplicities(lam).values())
-        rhs = rhs + coef * product_over_partition("H", lam, s, n)
+    rhs = _partition_sum(kind, k, s, n, lambda lam: _weight(lam, k if kind == "E" else 1, k))
     return rhs == lhs, lhs, rhs
 
 
 def _chk_scalar_c(k: int, s: int):
-    total = Fraction(0)
-    for lam in enum_partitions(k, max_part=s):
-        length = len(lam)
-        total += Fraction(_sign(length) * k, length) * multinomial(multiplicities(lam).values())
+    total = _scalar_sum(k, s, lambda lam: _weight(lam, 0, k))
     expected = Fraction(s) if k % (s + 1) == 0 else Fraction(-1)
     return total == expected, total, expected
 
 
-def _chk_H_from_P(n: int, k: int, s: int):
-    lhs = H(k, s, n)
-    rhs = MPoly.zero(n)
-    for lam in enum_partitions(k):
-        t = multiplicities(lam)
-        coef = Fraction(1, _cycle_index_weight(t))
-        rhs = rhs + coef * product_over_partition("P", lam, s, n)
-    return rhs == lhs, lhs, rhs
+def _chk_from_P(kind: str, n: int, k: int, s: int):
+    def coef(lam: Partition) -> Fraction:  # 1/z_lam for H, signed for E; z_lam = prod_i i^(t_i) t_i!
+        z = prod(i**t * factorial(t) for i, t in multiplicities(lam).items())
+        return Fraction(_sign(k + len(lam)) if kind == "E" else 1, z)
 
-
-def _chk_E_from_P(n: int, k: int, s: int):
-    lhs = E(k, s, n)
-    rhs = MPoly.zero(n)
-    for lam in enum_partitions(k):
-        t = multiplicities(lam)
-        coef = Fraction(_sign(k + len(lam)), _cycle_index_weight(t))
-        rhs = rhs + coef * product_over_partition("P", lam, s, n)
+    lhs = _family(kind)(k, s, n)
+    rhs = _partition_sum("P", k, s, n, coef)
     return rhs == lhs, lhs, rhs
 
 
@@ -405,125 +345,52 @@ def _chk_rec_E(n: int, k: int, s: int):
     return lhs == rhs, lhs, rhs
 
 
-def _chk_roots_H(n: int, k: int, s: int):
-    lhs = H(k, s, n)
-    rhs = _sign(k) * _roots_sum(k, s, "h", n)
-    return lhs == rhs, lhs, rhs
-
-
-def _chk_roots_E(n: int, k: int, s: int):
-    lhs = E(k, s, n)
-    rhs = _sign(k) * _roots_sum(k, s, "e", n)
+def _chk_roots(kind: str, n: int, k: int, s: int):
+    lhs = _family(kind)(k, s, n)
+    rhs = _sign(k) * _roots_sum(k, s, kind.lower(), n)
     return lhs == rhs, lhs, rhs
 
 
 def _chk_conj_bridge(n: int, k: int, s: int):
-    lhs = MPoly.zero(n)
-    for lam in enum_partitions(k, max_part=s):
-        lhs = lhs + m_lambda(lam, n)
+    lhs = sum((m_lambda(lam, n) for lam in enum_partitions(k, max_part=s)), MPoly.zero(n))
     rhs = _sign(k) * _roots_sum(k, s, "e", n)
     return lhs == rhs, lhs, rhs
 
 
-def _chk_conv_H(n: int, k: int, s: int):
-    lhs = H(k, s - 1, n)
-    rhs = _conv_sum_h(n, k, s)
+def _chk_conv(kind: str, n: int, k: int, s: int):
+    lhs = _family(kind)(k, s - 1, n)
+    rhs = _conv_sum(kind.lower(), n, k, s)
     return lhs == rhs, lhs, rhs
 
 
-def _chk_conv_E(n: int, k: int, s: int):
-    lhs = E(k, s - 1, n)
-    rhs = _conv_sum_e(n, k, s)
+def _chk_conv_roots(f: str, n: int, k: int, s: int):
+    lhs = _conv_sum(f, n, k, s)
+    rhs = _sign(k) * _roots_sum(k, s - 1, f, n)
     return lhs == rhs, lhs, rhs
 
 
-def _chk_conv_roots_h(n: int, k: int, s: int):
-    lhs = _conv_sum_h(n, k, s)
-    rhs = _sign(k) * _roots_sum(k, s - 1, "h", n)
-    return lhs == rhs, lhs, rhs
-
-
-def _chk_conv_roots_e(n: int, k: int, s: int):
-    lhs = _conv_sum_e(n, k, s)
-    rhs = _sign(k) * _roots_sum(k, s - 1, "e", n)
-    return lhs == rhs, lhs, rhs
-
-
-def _chk_mroots_closed_k1(lam: Partition):
-    k = sum(lam)
-    lhs = m_lambda_at_roots(lam, k)
-    rhs = _sign(len(lam)) * multinomial(multiplicities(lam).values())
-    return lhs == rhs, lhs, rhs
-
-
-def _chk_mroots_closed_k(lam: Partition):
-    k = sum(lam)
-    length = len(lam)
-    lhs = m_lambda_at_roots(lam, k - 1)
-    rhs = _sign(length) * (1 - Fraction(k, length)) * multinomial(multiplicities(lam).values())
-    iv = lhs.as_integer()
-    holds = iv is not None and Fraction(iv) == rhs
-    return holds, lhs, rhs
-
-
-def _chk_mroots_closed_km1(lam: Partition):
-    k = sum(lam)
-    length = len(lam)
-    t = multiplicities(lam)
-    lhs = m_lambda_at_roots(lam, k - 2)
-    base = multinomial(t.values())
-    t1 = t.get(1, 0)
-    if t1 == 0:
-        rhs = Fraction(_sign(length) * base)
+def _chk_mroots_closed(drop: int, lam: Partition):
+    """m_lam at the s = k - drop roots against its closed form, k = |lam|, drop = 0, 1 or 2."""
+    k, length, t1 = sum(lam), len(lam), multiplicities(lam).get(1, 0)
+    lhs = m_lambda_at_roots(lam, k - drop)
+    if drop == 0:
+        cut = 0
+    elif drop == 1:
+        cut = Fraction(k, length)
     else:
-        rhs = _sign(length) * (1 - Fraction(t1 * (k - 1), length * length - length)) * base
-    iv = lhs.as_integer()
-    holds = iv is not None and Fraction(iv) == rhs
-    return holds, lhs, rhs
+        cut = Fraction(t1 * (k - 1), length * length - length) if t1 else 0
+    rhs = _sign(length) * (1 - cut) * _mult(lam)
+    return lhs.as_integer() == rhs, lhs, rhs
 
 
-def _chk_powsub_h(n: int, k: int, s: int):
-    lhs = substitute_power(classical("h", k, n), s)
-    ks = k * s
-    acc: dict = {}
-    for j in range(ks + 1):
-        Hj = H(ks - j, s - 1, n)
-        if Hj:
-            accumulate_product(acc, classical("h", j, n), Hj, _sign(j))
-    rhs = _sign(ks) * collect(n, acc)
+def _chk_powsub(kind: str, n: int, k: int, s: int):
+    lhs = substitute_power(classical(kind.lower(), k, n), s)
+    rhs = _sign(k * s if kind == "H" else k) * _alt_sum(kind, n, k * s, s)
     return lhs == rhs, lhs, rhs
 
 
-def _chk_powsub_e(n: int, k: int, s: int):
-    lhs = substitute_power(classical("e", k, n), s)
-    ks = k * s
-    acc: dict = {}
-    for j in range(min(n, ks) + 1):
-        Ej = E(ks - j, s - 1, n)
-        if Ej:
-            accumulate_product(acc, classical("e", j, n), Ej, _sign(j))
-    rhs = _sign(k) * collect(n, acc)
-    return lhs == rhs, lhs, rhs
-
-
-def _chk_vanish_h(n: int, k: int, s: int):
-    acc: dict = {}
-    for j in range(k + 1):
-        Hj = H(k - j, s - 1, n)
-        if Hj:
-            accumulate_product(acc, classical("h", j, n), Hj, _sign(j))
-    lhs = collect(n, acc)
-    rhs = MPoly.zero(n)
-    return lhs == rhs, lhs, rhs
-
-
-def _chk_vanish_e(n: int, k: int, s: int):
-    acc: dict = {}
-    for j in range(min(n, k) + 1):
-        Ej = E(k - j, s - 1, n)
-        if Ej:
-            accumulate_product(acc, classical("e", j, n), Ej, _sign(j))
-    lhs = collect(n, acc)
+def _chk_vanish(kind: str, n: int, k: int, s: int):
+    lhs = _alt_sum(kind, n, k, s)
     rhs = MPoly.zero(n)
     return lhs == rhs, lhs, rhs
 
@@ -532,25 +399,15 @@ def _chk_mono_H(n: int, k: int, s: int):
     # H is built as this orbit sum, so rebuild it from E: H_m = sum_j (-1)^(j+1) E_j H_(m-j)
     rebuilt = [MPoly.one(n)]
     for top in range(1, k + 1):
-        acc: dict = {}
-        for j in range(1, min(top, s * n) + 1):
-            accumulate_product(acc, E(j, s, n), rebuilt[top - j], _sign(j + 1))
-        rebuilt.append(collect(n, acc))
+        js = range(1, min(top, s * n) + 1)
+        rebuilt.append(_conv(n, ((_sign(j + 1), E(j, s, n), rebuilt[top - j]) for j in js)))
     lhs = rebuilt[k]
-    m = s + 1
-    rhs = MPoly.zero(n)
-    for lam in enum_partitions(k, mod01=m):
-        residue = sum(part % m for part in lam)
-        rhs = rhs + _sign(k + residue) * m_lambda(lam, n)
+    rhs = _mono_sum(n, k, s, k)
     return lhs == rhs, lhs, rhs
 
 
 def _chk_mono_bridge(n: int, k: int, s: int):
-    m = s + 1
-    lhs = MPoly.zero(n)
-    for lam in enum_partitions(k, mod01=m):
-        residue = sum(part % m for part in lam)
-        lhs = lhs + _sign(residue) * m_lambda(lam, n)
+    lhs = _mono_sum(n, k, s, 0)
     rhs = _roots_sum(k, s, "h", n)
     return lhs == rhs, lhs, rhs
 
@@ -568,30 +425,16 @@ def _chk_conversion_plain(n: int, k: int, s: int):
     return lhs == rhs, lhs, rhs
 
 
-def _chk_conversion_q(n: int, k: int, s: int):
-    lhs = q_bisnomial(n, k, s - 1)
-    rhs = UniPoly()
-    for j in range(k // s + 1):
-        term = (
-            UniPoly.term((-1) ** j, s * comb(j, 2))
-            * gaussian(n, j).scale_exponents(s)
-            * gaussian(n + k - s * j - 1, k - s * j)
-        )
-        rhs = rhs + term
-    return lhs == rhs, lhs, rhs
-
-
-def _chk_conversion_pq(n: int, k: int, s: int):
-    lhs = pq_bisnomial(n, k, s - 1)
-    rhs = BiPoly()
+def _chk_conversion_q(flavor: str, n: int, k: int, s: int):
+    """The q or (p,q) triangle as an alternating sum of Gaussian products."""
+    pq = flavor == "pq"
+    gauss = pq_gaussian if pq else gaussian
+    lhs = (pq_bisnomial if pq else q_bisnomial)(n, k, s - 1)
+    rhs = BiPoly() if pq else UniPoly()
     for j in range(k // s + 1):
         e = s * comb(j, 2)
-        term = (
-            BiPoly.term((-1) ** j, e, e)
-            * pq_gaussian(n, j).scale_exponents(s)
-            * pq_gaussian(n + k - s * j - 1, k - s * j)
-        )
-        rhs = rhs + term
+        unit = BiPoly.term((-1) ** j, e, e) if pq else UniPoly.term((-1) ** j, e)
+        rhs = rhs + unit * gauss(n, j).scale_exponents(s) * gauss(n + k - s * j - 1, k - s * j)
     return lhs == rhs, lhs, rhs
 
 
@@ -620,75 +463,49 @@ def _chk_conversion_qs_recovery(n: int, k: int, s: int):
 
 # -- registry ------------------------------------------------------------------
 
-_NKS = ("n", "k", "s")
 _SNK = ("s", "n", "k")  # s outermost: the line order of verify --id conversions
-
-
-def _spec(
-    name: str,
-    check: Callable,
-    *,
-    arity: tuple[str, ...] = _NKS,
-    requires: Optional[Callable] = None,
-    k_default_max: int = 8,
-    k_min: int = 0,
-    s_min: int = 1,
-    avoid_k_mult_of_s: bool = False,
-) -> IdentitySpec:
-    if requires is None:
-        requires = _req_nks(k_min=k_min, s_min=s_min, avoid_k_mult_of_s=avoid_k_mult_of_s)
-    return IdentitySpec(
-        name=name,
-        arity=arity,
-        check=check,
-        requires=requires,
-        k_default_max=k_default_max,
-        k_min=k_min,
-        s_min=s_min,
-    )
-
 
 REGISTRY: dict[str, IdentitySpec] = {
     spec.name: spec
     for spec in [
-        _spec("ortho", _chk_ortho),
-        _spec("inv_H", _chk_inv_H, k_default_max=6),
-        _spec("inv_E", _chk_inv_E, k_default_max=6),
-        _spec("newton_E", _chk_newton_E, k_min=1),
-        _spec("newton_H", _chk_newton_H, k_min=1),
-        _spec("newton_P", _chk_newton_P, k_min=1),
-        _spec("cubic_E", _chk_cubic_E, k_min=1),
-        _spec("cubic_H", _chk_cubic_H, k_min=1),
-        _spec("pk_from_E", _chk_pk_from_E, k_min=1, k_default_max=6),
-        _spec("pk_from_H", _chk_pk_from_H, k_min=1, k_default_max=6),
-        _spec("P_from_E", _chk_P_from_E, k_min=1, k_default_max=6),
-        _spec("P_from_H", _chk_P_from_H, k_min=1, k_default_max=6),
-        _spec("scalar_c", _chk_scalar_c, arity=("k", "s"), requires=_req_ks(), k_min=1),
-        _spec("H_from_P", _chk_H_from_P, k_min=1, k_default_max=6),
-        _spec("E_from_P", _chk_E_from_P, k_min=1, k_default_max=6),
-        _spec("rec_H", _chk_rec_H),
-        _spec("rec_E", _chk_rec_E),
-        _spec("roots_H", _chk_roots_H),
-        _spec("roots_E", _chk_roots_E),
-        _spec("conj_bridge", _chk_conj_bridge),
-        _spec("conv_H", _chk_conv_H, s_min=2),
-        _spec("conv_E", _chk_conv_E, s_min=2),
-        _spec("conv_roots_h", _chk_conv_roots_h, s_min=2),
-        _spec("conv_roots_e", _chk_conv_roots_e, s_min=2),
-        _spec("mroots_closed_k1", _chk_mroots_closed_k1, arity=("lam",), requires=_req_lam(1, 0), k_min=1),
-        _spec("mroots_closed_k", _chk_mroots_closed_k, arity=("lam",), requires=_req_lam(2, 1), k_min=2),
-        _spec("mroots_closed_km1", _chk_mroots_closed_km1, arity=("lam",), requires=_req_lam(3, 2), k_min=3),
-        _spec("powsub_h", _chk_powsub_h, k_min=1, s_min=2),
-        _spec("powsub_e", _chk_powsub_e, k_min=1, s_min=2),
-        _spec("vanish_h", _chk_vanish_h, k_min=1, s_min=2, avoid_k_mult_of_s=True),
-        _spec("vanish_e", _chk_vanish_e, k_min=1, s_min=2, avoid_k_mult_of_s=True),
-        _spec("mono_H", _chk_mono_H),
-        _spec("mono_bridge", _chk_mono_bridge),
-        _spec("conversion:plain", _chk_conversion_plain, arity=_SNK, k_default_max=6, s_min=2),
-        _spec("conversion:q", _chk_conversion_q, arity=_SNK, k_default_max=6, s_min=2),
-        _spec("conversion:pq", _chk_conversion_pq, arity=_SNK, k_default_max=6, s_min=2),
-        _spec("conversion:binom_recovery", _chk_conversion_binom_recovery, arity=_SNK, k_default_max=6, s_min=2),
-        _spec("conversion:qs_recovery", _chk_conversion_qs_recovery, arity=_SNK, k_default_max=6, s_min=2),
+        IdentitySpec("ortho", _chk_ortho),
+        IdentitySpec("inv_H", partial(_chk_inv, "H"), k_default_max=6),
+        IdentitySpec("inv_E", partial(_chk_inv, "E"), k_default_max=6),
+        IdentitySpec("newton_E", partial(_chk_newton, "E"), k_min=1),
+        IdentitySpec("newton_H", partial(_chk_newton, "H"), k_min=1),
+        IdentitySpec("newton_P", _chk_newton_P, k_min=1),
+        IdentitySpec("cubic_E", _chk_cubic_E, k_min=1),
+        IdentitySpec("cubic_H", _chk_cubic_H, k_min=1),
+        IdentitySpec("pk_from_E", partial(_chk_pk_from, "E"), k_min=1, k_default_max=6),
+        IdentitySpec("pk_from_H", partial(_chk_pk_from, "H"), k_min=1, k_default_max=6),
+        IdentitySpec("P_from_E", partial(_chk_P_from, "E"), k_min=1, k_default_max=6),
+        IdentitySpec("P_from_H", partial(_chk_P_from, "H"), k_min=1, k_default_max=6),
+        IdentitySpec("scalar_c", _chk_scalar_c, ("k", "s"), k_min=1),
+        IdentitySpec("H_from_P", partial(_chk_from_P, "H"), k_min=1, k_default_max=6),
+        IdentitySpec("E_from_P", partial(_chk_from_P, "E"), k_min=1, k_default_max=6),
+        IdentitySpec("rec_H", _chk_rec_H),
+        IdentitySpec("rec_E", _chk_rec_E),
+        IdentitySpec("roots_H", partial(_chk_roots, "H")),
+        IdentitySpec("roots_E", partial(_chk_roots, "E")),
+        IdentitySpec("conj_bridge", _chk_conj_bridge),
+        IdentitySpec("conv_H", partial(_chk_conv, "H"), s_min=2),
+        IdentitySpec("conv_E", partial(_chk_conv, "E"), s_min=2),
+        IdentitySpec("conv_roots_h", partial(_chk_conv_roots, "h"), s_min=2),
+        IdentitySpec("conv_roots_e", partial(_chk_conv_roots, "e"), s_min=2),
+        IdentitySpec("mroots_closed_k1", partial(_chk_mroots_closed, 0), ("lam",), k_min=1),
+        IdentitySpec("mroots_closed_k", partial(_chk_mroots_closed, 1), ("lam",), k_min=2),
+        IdentitySpec("mroots_closed_km1", partial(_chk_mroots_closed, 2), ("lam",), k_min=3),
+        IdentitySpec("powsub_h", partial(_chk_powsub, "H"), k_min=1, s_min=2),
+        IdentitySpec("powsub_e", partial(_chk_powsub, "E"), k_min=1, s_min=2),
+        IdentitySpec("vanish_h", partial(_chk_vanish, "H"), k_min=1, s_min=2, avoid_k_mult_of_s=True),
+        IdentitySpec("vanish_e", partial(_chk_vanish, "E"), k_min=1, s_min=2, avoid_k_mult_of_s=True),
+        IdentitySpec("mono_H", _chk_mono_H),
+        IdentitySpec("mono_bridge", _chk_mono_bridge),
+        IdentitySpec("conversion:plain", _chk_conversion_plain, _SNK, k_default_max=6, s_min=2),
+        IdentitySpec("conversion:q", partial(_chk_conversion_q, "q"), _SNK, k_default_max=6, s_min=2),
+        IdentitySpec("conversion:pq", partial(_chk_conversion_q, "pq"), _SNK, k_default_max=6, s_min=2),
+        IdentitySpec("conversion:binom_recovery", _chk_conversion_binom_recovery, _SNK, k_default_max=6, s_min=2),
+        IdentitySpec("conversion:qs_recovery", _chk_conversion_qs_recovery, _SNK, k_default_max=6, s_min=2),
     ]
 }
 
@@ -734,27 +551,30 @@ def verify_grid(identity_id: str, grid: Mapping[str, Iterable[int]]) -> list[Ide
     For partition-indexed identities the grid supplies ``k`` and every
     partition of each k is visited.  Iteration order is the sorted grid
     order (partitions reverse lexicographic), so output is reproducible.
+    A grid with no valid point raises ValueError with the first point's
+    reason, so that an empty sweep never reads as a passing one.
     """
     spec = REGISTRY.get(identity_id)
     if spec is None:
         raise ValueError(f"unknown identity: {identity_id!r}")
-    reports = []
     if spec.arity == ("lam",):
         if "k" not in grid:
             raise ValueError(f"{identity_id} needs a 'k' range of partition weights")
-        for k in grid["k"]:
-            for lam in enum_partitions(k):
-                if spec.requires(lam=lam) is None:
-                    reports.append(verify(identity_id, lam=lam))
-        return reports
-    missing = [axis for axis in spec.arity if axis not in grid]
-    if missing:
-        raise ValueError(f"{identity_id} needs ranges for {missing}")
-    axes = [list(grid[axis]) for axis in spec.arity]
-    for combo in _cartesian(*axes):
-        point = dict(zip(spec.arity, combo))
-        if spec.requires(**point) is None:
+        points = ({"lam": lam} for k in grid["k"] for lam in enum_partitions(k))
+    else:
+        missing = [axis for axis in spec.arity if axis not in grid]
+        if missing:
+            raise ValueError(f"{identity_id} needs ranges for {missing}")
+        axes = [list(grid[axis]) for axis in spec.arity]
+        points = (dict(zip(spec.arity, combo)) for combo in _cartesian(*axes))
+    reports, first_reason = [], None
+    for point in points:
+        reason = spec.requires(**point)
+        if reason is None:
             reports.append(verify(identity_id, **point))
+        first_reason = first_reason or reason
+    if not reports:
+        raise ValueError(f"no valid point for {identity_id}: {first_reason or 'the grid is empty'}")
     return reports
 
 
@@ -770,10 +590,8 @@ def default_grid(
     for axis in spec.arity:
         if axis == "n":
             grid["n"] = range(1, n_max + 1)
-        elif axis == "k":
-            grid["k"] = range(spec.k_min, k_hi + 1)
         elif axis == "s":
             grid["s"] = range(spec.s_min, s_max + 1)
-        elif axis == "lam":
+        else:  # k, or the partition weights of lam
             grid["k"] = range(spec.k_min, k_hi + 1)
     return grid

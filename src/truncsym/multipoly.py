@@ -1,4 +1,4 @@
-"""Sparse multivariate polynomials and truncated power series.
+"""Sparse multivariate polynomials, their specializations and a symmetry test.
 
 ``MPoly`` is a sparse polynomial in variables x1..xn over any of the exact
 coefficient domains from :mod:`truncsym.exactalg` (or plain ``int`` /
@@ -10,11 +10,6 @@ one int add per pair of terms, checked once for an exponent that reached
 variables keeps every key.  Exponent tuples appear only at the API edge:
 ``terms`` is a tuple-keyed view unpacked on demand, and the constructor
 refuses an exponent of 2**31 or more.
-
-``TSeries`` is a power series in one extra formal variable t with ``MPoly``
-coefficients, truncated at a fixed order; it exists so that generating
-function definitions can be evaluated literally (product of factors, then
-coefficient extraction, with series inversion for the denominators).
 
 Canonical term order for serialization and iteration is graded
 lexicographic: total degree first, then exponent tuple.  Rendering via
@@ -371,7 +366,8 @@ def specialize(p: MPoly, kind: str) -> Union[int, UniPoly, BiPoly]:
 
     * ``all-ones``: x_i = 1, giving an integer.
     * ``geometric-q``: x_i = q^(i-1), giving a UniPoly.
-    * ``pq-grid``: x_i = p^(n-i) q^(i-1), giving a BiPoly.
+    * ``pq-grid``: x_i = p^(n-i) q^(i-1), giving a BiPoly; p must be
+      homogeneous, as a BiPoly is (``ValueError`` otherwise).
 
     Coefficients must be plain integers.
     """
@@ -386,12 +382,12 @@ def specialize(p: MPoly, kind: str) -> Union[int, UniPoly, BiPoly]:
             out = out + UniPoly.term(c, sum((i - 1) * e for i, e in enumerate(exps, 1)))
         return out
     if kind == "pq-grid":
-        out = BiPoly()
+        out: dict = {}
         for exps, c in p.terms.items():
-            dp = sum((p.n - i) * e for i, e in enumerate(exps, 1))
             dq = sum((i - 1) * e for i, e in enumerate(exps, 1))
-            out = out + BiPoly.term(c, dp, dq)
-        return out
+            key = ((p.n - 1) * sum(exps) - dq, dq)
+            out[key] = out.get(key, 0) + c
+        return BiPoly(out)
     raise ValueError(f"unknown specialization kind: {kind!r}")
 
 
@@ -412,84 +408,3 @@ def is_symmetric(p: MPoly) -> bool:
             return False
     return True
 
-
-class TSeries:
-    """Power series in t with MPoly coefficients, truncated after t^T."""
-
-    __slots__ = ("n", "T", "coeffs")
-
-    def __init__(self, n: int, T: int, coeffs: Optional[list[MPoly]] = None):
-        if T < 0:
-            raise ValueError(f"truncation order must be >= 0, got {T}")
-        if coeffs is None:
-            coeffs = [MPoly.zero(n) for _ in range(T + 1)]
-        if len(coeffs) != T + 1:
-            raise ValueError(f"expected {T + 1} coefficients, got {len(coeffs)}")
-        for c in coeffs:
-            if c.n != n:
-                raise ValueError("coefficient variable count mismatch")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "T", T)
-        object.__setattr__(self, "coeffs", list(coeffs))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("TSeries is immutable")
-
-    @classmethod
-    def one(cls, n: int, T: int) -> "TSeries":
-        coeffs = [MPoly.one(n)] + [MPoly.zero(n) for _ in range(T)]
-        return cls(n, T, coeffs)
-
-    @classmethod
-    def from_polys(cls, n: int, T: int, polys: Iterable[MPoly]) -> "TSeries":
-        coeffs = list(polys)[: T + 1]
-        coeffs += [MPoly.zero(n) for _ in range(T + 1 - len(coeffs))]
-        return cls(n, T, coeffs)
-
-    def coeff(self, k: int) -> MPoly:
-        if not 0 <= k <= self.T:
-            raise IndexError(f"order {k} outside truncation 0..{self.T}")
-        return self.coeffs[k]
-
-    def truncate(self, T: int) -> "TSeries":
-        if T > self.T:
-            raise ValueError(f"cannot extend truncation {self.T} to {T}")
-        return TSeries(self.n, T, self.coeffs[: T + 1])
-
-    def __mul__(self, other: "TSeries") -> "TSeries":
-        if not isinstance(other, TSeries):
-            return NotImplemented
-        if self.n != other.n:
-            raise ValueError("variable count mismatch")
-        T = min(self.T, other.T)
-        out = []
-        for m in range(T + 1):
-            acc: dict = {}
-            for j in range(m + 1):
-                accumulate_product(acc, self.coeffs[j], other.coeffs[m - j])
-            out.append(collect(self.n, acc))
-        return TSeries(self.n, T, out)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TSeries):
-            return NotImplemented
-        return self.n == other.n and self.T == other.T and self.coeffs == other.coeffs
-
-    __hash__ = None
-
-    def inverse(self) -> "TSeries":
-        """Multiplicative inverse, requires constant term 1."""
-        if self.coeffs[0] != 1:
-            raise ValueError("series inverse requires constant term 1")
-        inv = [MPoly.one(self.n)]
-        for m in range(1, self.T + 1):
-            acc: dict = {}
-            for j in range(1, m + 1):
-                uj = self.coeffs[j]
-                if uj:
-                    accumulate_product(acc, uj, inv[m - j], -1)
-            inv.append(collect(self.n, acc))
-        return TSeries(self.n, self.T, inv)
-
-    def __repr__(self) -> str:
-        return f"TSeries(n={self.n}, T={self.T})"

@@ -239,6 +239,34 @@ def test_out_writes_to_a_file(capsys, tmp_path):
     assert target.read_text() == "-x1^3 - x2^3 - x3^3 + x1*x2*x3\n"
 
 
+def test_an_unwritable_out_is_a_one_line_error(capsys, tmp_path):
+    target = tmp_path / "no-such-dir" / "x"
+    code, out, err = run_cli(
+        capsys, "expand", "--kind", "E", "--k", "2", "--s", "1", "--n", "2",
+        "--out", str(target), "--deterministic",
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 2] No such file or directory: '{target}'\n"
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (("--id", "conversions", "--s", "1..1", "--format", "text"), "conversion:plain: s must be >= 2"),
+    (("--id", "conversion:pq", "--n", "0..0"), "conversion:pq: n must be >= 1"),
+], ids=["conversions-s1", "pq-n0"])
+def test_a_sweep_with_no_valid_point_is_a_one_line_error(capsys, argv, reason):
+    code, out, err = run_cli(capsys, "verify", *argv, "--deterministic")
+    assert (code, out, err) == (2, "", f"error: no valid point for {reason}\n")
+
+
+def test_a_sweep_runs_the_ids_that_have_a_valid_point(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "--id", "all", "--n", "1", "--k", "1", "--s", "1..1",
+        "--format", "text", "--deterministic",
+    )
+    assert code == 0
+    assert "PASS ortho k=1 n=1 s=1\n" in out and "conv_H" not in out
+
+
 def test_usage_errors_exit_two(capsys):
     assert run_cli(capsys, "expand", "--kind", "Z", "--k", "1", "--n", "1")[0] == 2
     assert run_cli(capsys, "nonsense")[0] == 2

@@ -12,6 +12,7 @@ from truncsym.exactalg import (
     cyc_root_power,
     cyclotomic_coeffs,
 )
+from truncsym.multipoly import MPoly, specialize
 
 # ascending coefficients, standard table
 CYCLOTOMIC_KNOWN = {
@@ -223,37 +224,56 @@ def test_unipoly_term_and_str():
 
 # -- BiPoly --------------------------------------------------------------------
 
-bipolys = st.builds(
-    BiPoly,
-    st.dictionaries(
-        st.tuples(st.integers(0, 4), st.integers(0, 4)), st.integers(-9, 9), max_size=5
-    ),
-)
+@st.composite
+def bipolys(draw, degree=None):
+    """Homogeneous values: every term of one total degree, drawn unless given."""
+    d = draw(st.integers(0, 4)) if degree is None else degree
+    coeffs = draw(st.lists(st.integers(-9, 9), max_size=d + 1))
+    return BiPoly({(d - j, j): c for j, c in enumerate(coeffs)})
+
+
+@st.composite
+def bipoly_pairs(draw):
+    """Two values of one shared degree, so that their sum is homogeneous too."""
+    d = draw(st.integers(0, 4))
+    return draw(bipolys(d)), draw(bipolys(d))
 
 
 class TestBiPoly:
-    @given(a=bipolys, b=bipolys, p=st.integers(-3, 3), q=st.integers(-3, 3))
-    def test_evaluation_is_a_ring_homomorphism(self, a, b, p, q):
-        """(a+b)(p,q) = a(p,q)+b(p,q) and (a*b)(p,q) = a(p,q)*b(p,q)."""
+    @given(ab=bipoly_pairs(), c=bipolys(), p=st.integers(-3, 3), q=st.integers(-3, 3))
+    def test_evaluation_is_a_ring_homomorphism(self, ab, c, p, q):
+        """(a+b)(p,q) = a(p,q)+b(p,q) and (a*c)(p,q) = a(p,q)*c(p,q)."""
+        a, b = ab
         assert (a + b)(p, q) == a(p, q) + b(p, q)
-        assert (a * b)(p, q) == a(p, q) * b(p, q)
+        assert (a * c)(p, q) == a(p, q) * c(p, q)
 
-    @given(a=bipolys, q=st.integers(-3, 3))
+    @given(a=bipolys(), q=st.integers(-3, 3))
     def test_at_p1_fixes_p(self, a, q):
         """a.at_p1()(q) = a(1, q)."""
         assert a.at_p1()(q) == a(1, q)
 
-    @given(a=bipolys, s=st.integers(1, 3), p=st.integers(-2, 2), q=st.integers(-2, 2))
+    @given(a=bipolys(), s=st.integers(1, 3), p=st.integers(-2, 2), q=st.integers(-2, 2))
     def test_scale_exponents(self, a, s, p, q):
         """scale_exponents substitutes p -> p^s and q -> q^s."""
         assert a.scale_exponents(s)(p, q) == a(p**s, q**s)
 
 
 def test_bipoly_str_orders_by_total_degree():
-    v = BiPoly({(2, 0): 1, (0, 1): -3, (1, 1): 1})
-    assert str(v) == "-3*q + p*q + p^2"
+    v = BiPoly({(2, 0): 1, (0, 2): -3, (1, 1): 1})
+    assert str(v) == "-3*q^2 + p*q + p^2"
 
 
 def test_bipoly_json_rows_sorted():
-    v = BiPoly({(1, 0): 2, (0, 2): -1})
-    assert v.to_json() == [[0, 2, "-1"], [1, 0, "2"]]
+    v = BiPoly({(2, 0): 2, (0, 2): -1})
+    assert v.to_json() == [[0, 2, "-1"], [2, 0, "2"]]
+
+
+def test_bipoly_refuses_a_non_homogeneous_value():
+    with pytest.raises(ValueError):
+        BiPoly({(1, 0): 2, (0, 2): -1})
+    with pytest.raises(ValueError):
+        specialize(MPoly(2, {(1, 0): 1, (0, 2): 1}), "pq-grid")
+    with pytest.raises(ValueError):
+        BiPoly.term(1, 1, 0) + BiPoly.term(1, 0, 2)
+    assert BiPoly({(1, 0): 2, (0, 1): 0, (0, 2): 0}) == BiPoly.term(2, 1, 0)
+    assert not BiPoly.homogenize(UniPoly(), -3)  # the zero value at a negative degree

@@ -4,6 +4,9 @@ import json
 
 import pytest
 
+import truncsym
+from truncsym import identities
+from truncsym.exactalg import BiPoly
 from truncsym.identities import (
     REGISTRY,
     IdentityReport,
@@ -163,3 +166,46 @@ def test_report_is_a_plain_dataclass():
         identity_id="x", params={"k": 1}, holds=True, lhs="0", rhs="0", elapsed=0.0
     )
     assert json.loads(r.to_json())["holds"] is True
+
+
+def test_a_grid_with_no_valid_point_is_an_error():
+    with pytest.raises(ValueError, match="no valid point for conv_H: s must be >= 2"):
+        verify_grid("conv_H", {"n": [1], "k": [0, 1], "s": [1]})
+    with pytest.raises(ValueError, match="no valid point for mroots_closed_km1: weight must be >= 3"):
+        verify_grid("mroots_closed_km1", {"k": range(3)})
+
+
+# One constructor per identity that its check reads on one side only (for
+# rec_H and rec_E, the only family they read).  Returning a wrong value from
+# it must fail some point of a small grid: a row that compares a route with
+# itself, or drops the operand, would still pass.
+ONE_SIDED = {
+    "ortho": "E", "inv_H": "H", "inv_E": "E", "newton_E": "P", "newton_H": "P",
+    "newton_P": "P", "cubic_E": "H", "cubic_H": "E", "pk_from_E": "classical",
+    "pk_from_H": "classical", "P_from_E": "P", "P_from_H": "P", "scalar_c": "multinomial",
+    "H_from_P": "H", "E_from_P": "E", "rec_H": "H", "rec_E": "E", "roots_H": "H",
+    "roots_E": "E", "conj_bridge": "m_lambda", "conv_H": "H", "conv_E": "E",
+    "conv_roots_h": "m_lambda_at_roots", "conv_roots_e": "m_lambda_at_roots",
+    "mroots_closed_k1": "m_lambda_at_roots", "mroots_closed_k": "m_lambda_at_roots",
+    "mroots_closed_km1": "m_lambda_at_roots", "powsub_h": "H", "powsub_e": "E",
+    "vanish_h": "H", "vanish_e": "E", "mono_H": "m_lambda", "mono_bridge": "m_lambda",
+    "conversion:plain": "bisnomial", "conversion:q": "gaussian", "conversion:pq": "pq_bisnomial",
+    "conversion:binom_recovery": "bisnomial", "conversion:qs_recovery": "q_bisnomial",
+}
+
+
+def _wrong(value):
+    """A value other than a nonzero value: doubled for a BiPoly, else one more."""
+    return value * 2 if isinstance(value, BiPoly) else value + 1
+
+
+@pytest.mark.parametrize("name", EXPECTED_IDS)
+def test_every_identity_fails_when_a_one_sided_constructor_is_wrong(name, monkeypatch):
+    real = getattr(identities, ONE_SIDED[name])
+    monkeypatch.setattr(identities, ONE_SIDED[name], lambda *args: _wrong(real(*args)))
+    truncsym.clear_caches()
+    try:
+        reports = verify_grid(name, default_grid(name, n_max=2, k_max=4, s_max=3))
+    finally:
+        truncsym.clear_caches()
+    assert any(not r.holds for r in reports), (name, ONE_SIDED[name])

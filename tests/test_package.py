@@ -1,6 +1,8 @@
 """Package-level entry points."""
 
+import doctest
 import sys
+from pathlib import Path
 
 import truncsym
 
@@ -33,3 +35,9 @@ def test_clear_caches_empties_every_memo_table():
         assert f"truncsym.{table}" in filled, table
     truncsym.clear_caches()
     assert _filled_caches() == []
+
+
+def test_the_readme_library_example_runs_as_shown():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    result = doctest.testfile(str(readme), module_relative=False)
+    assert result.attempted >= 5 and result.failed == 0
