@@ -230,12 +230,8 @@ def _cmd_bisnomial(args: argparse.Namespace) -> tuple[str, int]:
 def _cmd_schur(args: argparse.Namespace) -> tuple[str, int]:
     lam = parse_partition(args.lam)
     s, n = args.s, args.n
-    h_poly: Optional[MPoly] = None
-    e_poly: Optional[MPoly] = None
-    if len(lam) <= n:
-        h_poly = schur_det(lam, s, n, "h")
-    if (lam[0] if lam else 0) <= n:
-        e_poly = schur_det(lam, s, n, "e")
+    h_poly = schur_det(lam, s, n, "h") if len(lam) <= n else None
+    e_poly = schur_det(lam, s, n, "e") if (lam[0] if lam else 0) <= n else None
     equal = (h_poly == e_poly) if h_poly is not None and e_poly is not None else None
     if args.format == "text":
         lines = [

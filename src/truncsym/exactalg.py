@@ -76,6 +76,17 @@ def _reduce_mod_cyclotomic(order: int, coeffs: list[int]) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Ascending coefficients of a product of dense polynomials: CycInt's and UniPoly's multiply."""
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+    return out
+
+
 def _power(x, n: int, one):
     """x**n by repeated squaring from the identity one; shared by every ring here."""
     if n < 0:
@@ -171,17 +182,12 @@ class CycInt:
         return o - self
 
     def __mul__(self, other: object) -> "CycInt":
+        if isinstance(other, int):  # by a scalar: no convolution
+            return CycInt(self.order, [a * other for a in self.coeffs])
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        prod = [0] * (2 * len(self.coeffs) - 1 or 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(o.coeffs):
-                if b:
-                    prod[i + j] += a * b
-        return CycInt(self.order, prod)
+        return CycInt(self.order, _convolve(self.coeffs, o.coeffs))
 
     __rmul__ = __mul__
 
@@ -240,10 +246,7 @@ def cyc_power_sum(s: int, k: int) -> CycInt:
         raise ValueError(f"s must be >= 1, got {s}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    total = CycInt(s + 1, 0)
-    for j in range(1, s + 1):
-        total = total + cyc_root_power(s, j, k)
-    return total
+    return sum((cyc_root_power(s, j, k) for j in range(1, s + 1)), CycInt(s + 1, 0))
 
 
 class UniPoly:
@@ -310,16 +313,7 @@ class UniPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self.coeffs or not o.coeffs:
-            return UniPoly()
-        out = [0] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(o.coeffs):
-                if b:
-                    out[i + j] += a * b
-        return UniPoly(out)
+        return UniPoly(_convolve(self.coeffs, o.coeffs))
 
     __rmul__ = __mul__
 
@@ -349,11 +343,8 @@ class UniPoly:
         """Substitute q -> q^s."""
         if s < 1:
             raise ValueError("scale factor must be >= 1")
-        if not self.coeffs:
-            return self
-        out = [0] * (s * self.degree + 1)
-        for e, c in enumerate(self.coeffs):
-            out[s * e] = c
+        out = [0] * (s * self.degree + 1)  # empty for the zero polynomial
+        out[::s] = self.coeffs
         return UniPoly(out)
 
     def __repr__(self) -> str:

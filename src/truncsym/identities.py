@@ -12,11 +12,18 @@ The identities restate a few relations between the generating products
 E(t) and H(t), so the checks are built from a few shared shapes:
 
 * ``_conv``: sum of c * A * B over the terms of a convolution, in one
-  accumulator: E(t) H(-t) = 1, the Newton-type sums, the power
-  substitutions and the sums that vanish;
+  accumulator: E(t) H(-t) = 1, the Newton-type sums and the sums over
+  x^s-substituted classical factors;
 * ``_partition_sum``: sum over lam |- k of coef(lam) * F_lam, and its
   scalar twin ``_scalar_sum``;
-* ``_roots_sum``: sum over lam of m_lam at roots of unity times a basis.
+* ``_roots_sum``: sum over lam of m_lam at roots of unity times a basis;
+* ``_linear_passes``: a graded series times prod_i (1 + x_i t)^(-1) or
+  prod_i (1 - x_i t), one linear pass per variable: the power substitutions
+  and the sums that vanish.  The rows that convolve E with H or E with E at
+  one s (ortho, newton_*, cubic_*, mono_H) stay on ``_conv``: a pass with
+  the family's own truncated factor is the constructors' peeling guard,
+  so they would restate it.  So does ``_conv_sum`` (conv_*): as passes it
+  would test H against its own generating product, the tests' oracle.
 
 An E/H twin is one check body: its registry row binds the family by name,
 and the body looks the constructor up when it runs.
@@ -43,7 +50,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .bisnomial import bisnomial, gaussian, pq_bisnomial, pq_gaussian, q_bisnomial
 from .exactalg import BiPoly, UniPoly
-from .multipoly import MPoly, accumulate_product, collect, substitute_power
+from .multipoly import MPoly, accumulate_product, accumulate_shift, collect, substitute_power
 from .partitions import (
     Partition,
     enum_partitions,
@@ -183,12 +190,26 @@ def _conv_sum(f: str, n: int, k: int, s: int) -> MPoly:
     return _conv(n, ((_sign(step * j), substitute_power(a, s), b) for j, a, b in pairs if a and b))
 
 
+def _linear_passes(n: int, series: list[MPoly], divide: bool) -> MPoly:
+    """[t^m] of F_0 + ... + F_m t^m times prod_i (1 + x_i t)^(-1), or times prod_i (1 - x_i t).
+
+    One pass per variable: dividing by 1 + x_i t is G_d = F_d - x_i G_(d-1),
+    multiplying by 1 - x_i t is G_d = F_d - x_i F_(d-1).
+    """
+    for i in range(1, n + 1):
+        passed = series[:1]  # G_0 = F_0
+        for d in range(1, len(series)):
+            acc: dict = {}
+            accumulate_shift(acc, series[d], i, 0)
+            accumulate_shift(acc, (passed if divide else series)[d - 1], i, 1, -1)
+            passed.append(collect(n, acc))
+        series = passed
+    return series[-1]
+
+
 def _alt_sum(kind: str, n: int, m: int, s: int) -> MPoly:
-    """sum_j (-1)^j f_j F(m-j, s-1) for (f, F) = (h, H) or (e, E); e_j = 0 past j = n."""
-    F, f = _family(kind), kind.lower()
-    top = m if kind == "H" else min(n, m)
-    terms = ((_sign(j), classical(f, j, n), Fj) for j in range(top + 1) if (Fj := F(m - j, s - 1, n)))
-    return _conv(n, terms)
+    """sum_j (-1)^j f_j F(m-j, s-1), (f, F) = (h, H) or (e, E): [t^m] of F(t) sum_j f_j (-t)^j."""
+    return _linear_passes(n, [_family(kind)(d, s - 1, n) for d in range(m + 1)], kind == "H")
 
 
 def _mult(lam: Partition) -> int:
@@ -450,14 +471,13 @@ def _chk_conversion_binom_recovery(n: int, k: int, s: int):
 def _chk_conversion_qs_recovery(n: int, k: int, s: int):
     # multiplied through to stay in Z[q]
     lhs = UniPoly.term(1, s * comb(k, 2)) * gaussian(n, k).scale_exponents(s)
-    rhs = UniPoly()
-    for j in range(k * s + 1):
-        term = (
-            UniPoly.term((-1) ** (k + j), comb(j, 2))
-            * gaussian(n, j)
-            * q_bisnomial(n, k * s - j, s - 1)
-        )
-        rhs = rhs + term
+    rhs = sum(
+        (
+            UniPoly.term((-1) ** (k + j), comb(j, 2)) * gaussian(n, j) * q_bisnomial(n, k * s - j, s - 1)
+            for j in range(k * s + 1)
+        ),
+        UniPoly(),
+    )
     return lhs == rhs, lhs, rhs
 
 

@@ -9,7 +9,8 @@ one int add per pair of terms, checked once for an exponent that reached
 2**31 (``OverflowError``, never a wrapped monomial), and a pad to more
 variables keeps every key.  Exponent tuples appear only at the API edge:
 ``terms`` is a tuple-keyed view unpacked on demand, and the constructor
-refuses an exponent of 2**31 or more.
+refuses an exponent of 2**31 or more.  A product by a monomial x_i^j
+(``accumulate_shift``) is one add of j << 32(i-1) per term.
 
 Canonical term order for serialization and iteration is graded
 lexicographic: total degree first, then exponent tuple.  Rendering via
@@ -187,17 +188,13 @@ class MPoly:
             self._check_same_vars(other)
             out = dict(self._packed)
             for key, c in other._packed.items():
-                if key in out:
-                    out[key] = out[key] + c
-                else:
-                    out[key] = c
+                out[key] = out[key] + c if key in out else c
             return MPoly._trusted(self.n, _nonzero(out))
         if isinstance(other, _SCALAR_TYPES):
             return self + MPoly.constant(self.n, other)
         return NotImplemented
 
-    def __radd__(self, other: object) -> "MPoly":
-        return self.__add__(other)
+    __radd__ = __add__
 
     def __neg__(self) -> "MPoly":
         return MPoly._trusted(self.n, {key: -c for key, c in self._packed.items()})
@@ -260,9 +257,6 @@ class MPoly:
             raise ValueError(f"cannot shrink from {self.n} to {n} variables")
         return self if n == self.n else MPoly._trusted(n, self._packed)
 
-    def map_coeffs(self, f: Callable[[Coeff], Coeff]) -> "MPoly":
-        return MPoly._trusted(self.n, _nonzero({key: f(c) for key, c in self._packed.items()}))
-
     def coeff(self, exps: Iterable[int]) -> Coeff:
         return self.terms.get(tuple(exps), 0)
 
@@ -305,9 +299,7 @@ class MPoly:
 
 
 def _coeff_to_json(c: Coeff) -> object:
-    if isinstance(c, int):
-        return str(c)
-    if isinstance(c, Fraction):
+    if isinstance(c, (int, Fraction)):
         return str(c)
     if isinstance(c, CycInt):
         return c.to_json()
@@ -346,6 +338,23 @@ def accumulate_product(acc: dict, a: MPoly, b: MPoly, scalar: Coeff = 1) -> None
         _product(acc, a._packed, b._packed, scalar, _layout(a.n)[2])
 
 
+def accumulate_shift(acc: dict, p: MPoly, i: int, j: int, scalar: Coeff = 1) -> None:
+    """acc += scalar * x_i^j * p, in place, in one linear pass; acc as for accumulate_product.
+
+    Only the keys written are checked for an exponent of 2**31 or more.
+    """
+    if not 1 <= i <= p.n or not 0 <= j < _LIMIT:
+        raise ValueError(f"x{i}^{j} is not a monomial in {p.n} variables")
+    offset, get, written = j << 32 * (i - 1), acc.get, 0
+    for key, c in p._packed.items():
+        key += offset
+        written |= key
+        old = get(key)
+        acc[key] = scalar * c if old is None else old + scalar * c
+    if written & _layout(p.n)[2]:
+        raise OverflowError("a shifted term has an exponent of 2**31 or more")
+
+
 def collect(n: int, acc: dict) -> MPoly:
     """Finish an accumulate_product run, dropping zero entries."""
     return MPoly._trusted(n, _nonzero(acc))
@@ -377,10 +386,8 @@ def specialize(p: MPoly, kind: str) -> Union[int, UniPoly, BiPoly]:
     if kind == "all-ones":
         return sum(p._packed.values())
     if kind == "geometric-q":
-        out = UniPoly()
-        for exps, c in p.terms.items():
-            out = out + UniPoly.term(c, sum((i - 1) * e for i, e in enumerate(exps, 1)))
-        return out
+        degrees = ((sum((i - 1) * e for i, e in enumerate(exps, 1)), c) for exps, c in p.terms.items())
+        return sum((UniPoly.term(c, d) for d, c in degrees), UniPoly())
     if kind == "pq-grid":
         out: dict = {}
         for exps, c in p.terms.items():

@@ -9,6 +9,7 @@ partition may have any number of parts.
 
 from __future__ import annotations
 
+from collections import Counter
 from math import factorial
 from typing import Iterable, Optional
 
@@ -84,10 +85,7 @@ def conjugate(lam: Partition) -> Partition:
 
 def multiplicities(lam: Partition) -> dict[int, int]:
     """Map part value -> number of occurrences."""
-    out: dict[int, int] = {}
-    for p in lam:
-        out[p] = out.get(p, 0) + 1
-    return out
+    return dict(Counter(lam))
 
 
 def multinomial(counts: Iterable[int]) -> int:

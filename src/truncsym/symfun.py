@@ -16,14 +16,16 @@ m_lam over lam |- k with parts <= s, and H(k, s, n) sums (-1)^(k + r) m_lam
 over lam |- k with parts congruent to 0 or 1 mod s+1, r of them to 1.
 
 Before it is cached, each value is checked by peeling the last variable
-off the generating product, against cached values (j = 0..s):
+off the generating product, against cached values (j = 0..s), by shift-adds
+of x_n^j (``accumulate_shift``):
 
 * E(k, s, n) = sum_j x_n^j E(k-j, s, n-1),
 * sum_j (-x_n)^j H(k-j, s, n) = H(k, s, n-1).
 
 These recurrences fix both families from n = 0, so by induction every
 cached value is the product's coefficient.  A disagreement raises
-``ArithmeticError``.  Lower values are filled bottom-up, not recursively.
+``ArithmeticError`` naming the first monomial where the two sides differ.
+Lower values are filled bottom-up, not recursively.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from .exactalg import CycInt
-from .multipoly import MPoly, accumulate_product, collect
+from .multipoly import MPoly, accumulate_product, accumulate_shift, collect
 from .partitions import (
     Partition,
     conjugate,
@@ -122,16 +124,29 @@ def _orbit_sum(n: int, signed: Iterable[tuple[Partition, int]]) -> MPoly:
     return MPoly(n, terms)
 
 
+def _peel_check(family: str, k: int, s: int, n: int, left: MPoly, right: MPoly) -> None:
+    """Raise ArithmeticError at the first monomial where the two sides differ."""
+    if left != right:
+        exps = (left - right).canonical_terms()[0][0]
+        left_label, right_label = (
+            ("the orbit sum", "sum_j x_n^j E(k-j, s, n-1)") if family == "E"
+            else ("sum_j (-x_n)^j H(k-j, s, n)", "H(k, s, n-1)")
+        )
+        raise ArithmeticError(
+            f"{family}(k={k}, s={s}, n={n}) fails the variable-peeling check at "
+            f"{MPoly.monomial(n, exps)}: {left.coeff(exps)} in {left_label}, "
+            f"{right.coeff(exps)} in {right_label}"
+        )
+
+
 def _checked_E(k: int, s: int, n: int) -> MPoly:
     if n == 0:
         return MPoly.one(0)
     val = _orbit_sum(n, ((lam, 1) for lam in enum_partitions(k, max_part=s, max_length=n)))
     acc: dict = {}
     for j in range(min(s, k) + 1):
-        power = MPoly.monomial(n, (0,) * (n - 1) + (j,))
-        accumulate_product(acc, power, E(k - j, s, n - 1).pad(n))
-    if collect(n, acc) != val:
-        raise ArithmeticError(f"E({k},{s},{n}): orbit sum fails the variable-peeling check")
+        accumulate_shift(acc, E(k - j, s, n - 1).pad(n), n, j)
+    _peel_check("E", k, s, n, val, collect(n, acc))
     return val
 
 
@@ -139,12 +154,10 @@ def _checked_H(k: int, s: int, n: int) -> MPoly:
     m = s + 1
     lams = enum_partitions(k, max_length=n, mod01=m)
     val = _orbit_sum(n, ((lam, (-1) ** (k + sum(p % m for p in lam))) for lam in lams))
-    acc = dict(val._packed)
-    for j in range(1, min(s, k) + 1):
-        power = MPoly.monomial(n, (0,) * (n - 1) + (j,), -1 if j % 2 else 1)
-        accumulate_product(acc, power, H(k - j, s, n))
-    if collect(n, acc) != H(k, s, n - 1).pad(n):
-        raise ArithmeticError(f"H({k},{s},{n}): orbit sum fails the variable-peeling check")
+    acc: dict = {}
+    for j in range(min(s, k) + 1):
+        accumulate_shift(acc, H(k - j, s, n) if j else val, n, j, -1 if j % 2 else 1)
+    _peel_check("H", k, s, n, collect(n, acc), H(k, s, n - 1).pad(n))
     return val
 
 
@@ -234,10 +247,10 @@ def m_lambda_at_roots(lam: Sequence[int], s: int) -> CycInt:
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
     order = s + 1
-    total = CycInt(order, 0)
+    counts = [0] * order  # orbit elements per power of the root, reduced once
     for exps in distinct_orbit(lam, s):
-        total = total + CycInt.root(order, sum(j * e for j, e in enumerate(exps, 1)))
-    return total
+        counts[sum(j * e for j, e in enumerate(exps, 1)) % order] += 1
+    return CycInt(order, counts)
 
 
 def _det(mat: list[list[MPoly]], n: int) -> MPoly:

@@ -115,6 +115,7 @@ class TestCycIntRing:
         a, _ = p
         assert a + 3 == a + CycInt(a.order, 3)
         assert 3 * a == CycInt(a.order, 3) * a
+        assert a * -2 == a * CycInt(a.order, -2) and 0 * a == CycInt(a.order, 0)
 
 
 def test_cycint_rejects_order_mismatch():

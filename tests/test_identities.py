@@ -3,14 +3,20 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import truncsym
+from series_oracle import series_inverse, series_product
 from truncsym import identities
 from truncsym.exactalg import BiPoly
+from truncsym.multipoly import MPoly
+from truncsym.symfun import E, H, classical
 from truncsym.identities import (
     REGISTRY,
     IdentityReport,
     IdentitySpec,
+    _linear_passes,
     default_grid,
     list_identities,
     verify,
@@ -209,3 +215,50 @@ def test_every_identity_fails_when_a_one_sided_constructor_is_wrong(name, monkey
     finally:
         truncsym.clear_caches()
     assert any(not r.holds for r in reports), (name, ONE_SIDED[name])
+
+
+# The checks whose right side is a product of a graded series with
+# prod_i (1 + x_i t)^(-1) or prod_i (1 - x_i t), computed by linear passes.
+# The rows that convolve E with H (or E with E) at one s stay on the product
+# kernel: a pass with the family's own factor is the constructors' guard.
+PASS_ROUTED = {"powsub_h", "powsub_e", "vanish_h", "vanish_e"}
+
+
+def test_exactly_the_alternating_sums_run_on_linear_passes(monkeypatch):
+    def refuse(*args):
+        raise RuntimeError("linear pass")
+
+    monkeypatch.setattr(identities, "_linear_passes", refuse)
+    failing = set()
+    for name in EXPECTED_IDS:
+        for report in verify_grid(name, default_grid(name, n_max=2, k_max=3, s_max=3)):
+            if not report.holds:
+                assert report.lhs == "error: RuntimeError: linear pass", (name, report.params)
+                failing.add(name)
+    assert failing == PASS_ROUTED
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 4), st.booleans(), st.data())
+def test_linear_passes_match_the_series_oracle(n, m, divide, data):
+    # any series, not only a symmetric one: a pass on the wrong variable shows
+    exps = st.tuples(*[st.integers(0, 2)] * n)
+    series = [MPoly(n, data.draw(st.dictionaries(exps, st.integers(-3, 3), max_size=4))) for _ in range(m + 1)]
+    factor = [MPoly.one(n)] + [MPoly.zero(n)] * m  # prod_i (1 + x_i t), or (1 - x_i t) to multiply
+    for i in range(1, n + 1):
+        step = [MPoly.one(n), (1 if divide else -1) * MPoly.variable(n, i)] + [MPoly.zero(n)] * (m - 1)
+        factor = series_product(factor, step[: m + 1])
+    expected = series_product(series, series_inverse(factor) if divide else factor)[m]
+    assert _linear_passes(n, series, divide) == expected
+
+
+@pytest.mark.parametrize("kind", ["H", "E"])
+def test_alternating_sums_match_the_kernel_convolution(kind):
+    F, f = (H, "h") if kind == "H" else (E, "e")
+    for n in range(1, 4):
+        for s in range(2, 4):
+            for m in range(9):
+                expected = MPoly.zero(n)
+                for j in range(m + 1):
+                    expected = expected + (-1) ** j * classical(f, j, n) * F(m - j, s - 1, n)
+                assert identities._alt_sum(kind, n, m, s) == expected, (n, m, s)

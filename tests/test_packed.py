@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from truncsym.exactalg import CycInt
-from truncsym.multipoly import MPoly, accumulate_product, collect, substitute_power
+from truncsym.identities import _linear_passes
+from truncsym.multipoly import MPoly, accumulate_product, accumulate_shift, collect, substitute_power
 
 LIMIT = 2**31
 
@@ -136,6 +137,36 @@ def test_a_product_reaching_the_limit_raises_instead_of_wrapping():
     with pytest.raises(OverflowError):
         substitute_power(MPoly.monomial(2, (1, 2**30)), 2)
     assert issubclass(OverflowError, ArithmeticError)  # the CLI's exit 2
+
+
+@settings(max_examples=100)
+@given(operands(count=1), st.data())
+def test_a_shift_is_the_product_by_a_monomial(case, data):
+    n, (a,) = case
+    if n == 0:
+        return
+    i, j = data.draw(st.integers(1, n)), data.draw(st.integers(0, 3))
+    scalar = data.draw(st.sampled_from([1, -1, 3]))
+    monomial = tuple(j if col == i - 1 else 0 for col in range(n))
+    shifted: dict = {}
+    accumulate_shift(shifted, MPoly(n, a), i, j, scalar)
+    assert collect(n, shifted).terms == ref_mul(a, {monomial: scalar})
+
+
+def test_a_shift_reaching_the_limit_raises_instead_of_wrapping():
+    top = MPoly.monomial(2, (LIMIT - 1, 0))
+    with pytest.raises(OverflowError):
+        accumulate_shift({}, top, 1, 1)
+    acc: dict = {}
+    accumulate_shift(acc, top, 2, LIMIT - 1)  # the neighbouring field reaches its own limit only
+    assert collect(2, acc).terms == {(LIMIT - 1, LIMIT - 1): 1}
+    for i, j in [(0, 1), (3, 1), (1, -1), (1, LIMIT)]:
+        with pytest.raises(ValueError):
+            accumulate_shift({}, top, i, j)
+    # every pass of a linear factor shifts by x_i, so the series' top exponent may reach the limit
+    for divide in (True, False):
+        with pytest.raises(OverflowError):
+            _linear_passes(1, [MPoly.monomial(1, (LIMIT - 1,)), MPoly.zero(1)], divide)
 
 
 def test_accumulate_product_refuses_operands_in_different_variable_counts():

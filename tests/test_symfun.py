@@ -9,7 +9,7 @@ from series_oracle import e_series, h_series
 from truncsym import clear_caches, symfun
 from truncsym.exactalg import CycInt
 from truncsym.multipoly import MPoly, is_symmetric
-from truncsym.partitions import enum_partitions
+from truncsym.partitions import distinct_orbit, enum_partitions
 from truncsym.symfun import (
     E,
     H,
@@ -165,6 +165,17 @@ def test_monomials_at_roots_of_unity_goldens():
     assert m_lambda_at_roots((3,), 2) == 2  # cube of each primitive cube root is 1
 
 
+def test_monomials_at_roots_of_unity_sum_one_root_per_orbit_element():
+    # the direct sum of a root power per arrangement, against the histogram
+    for s in range(1, 6):
+        for k in range(9):
+            for lam in enum_partitions(k):
+                direct = CycInt(s + 1, 0)
+                for exps in distinct_orbit(lam, s):
+                    direct = direct + CycInt.root(s + 1, sum(j * e for j, e in enumerate(exps, 1)))
+                assert m_lambda_at_roots(lam, s) == direct, (lam, s)
+
+
 def test_monomials_at_roots_of_unity_are_rational_integers():
     # Galois-fixed values collapse to honest integers even for composite s+1
     for s in range(1, 6):
@@ -233,6 +244,28 @@ def test_complete_guard_detects_a_corrupted_lower_value():
         symfun._H_CACHE[(1, 1, 1)] = 2 * MPoly.variable(1, 1)
         with pytest.raises(ArithmeticError):
             H(1, 1, 2)
+    finally:
+        clear_caches()
+
+
+@pytest.mark.parametrize("family, ctor, cache, message", [
+    ("E", E, symfun._E_CACHE,
+     "E(k=1, s=1, n=2) fails the variable-peeling check at x1: "
+     "1 in the orbit sum, 2 in sum_j x_n^j E(k-j, s, n-1)"),
+    ("H", H, symfun._H_CACHE,
+     "H(k=1, s=1, n=2) fails the variable-peeling check at x1: "
+     "1 in sum_j (-x_n)^j H(k-j, s, n), 2 in H(k, s, n-1)"),
+])
+def test_a_guard_error_names_the_family_the_point_and_the_first_differing_monomial(
+    family, ctor, cache, message
+):
+    clear_caches()
+    try:
+        ctor(1, 1, 1)
+        cache[(1, 1, 1)] = 2 * MPoly.variable(1, 1)
+        with pytest.raises(ArithmeticError) as info:
+            ctor(1, 1, 2)
+        assert str(info.value) == message, family
     finally:
         clear_caches()
 
