@@ -66,13 +66,11 @@ def _sign(m: int) -> int:
 
 
 def _describe(value: object) -> str:
-    if isinstance(value, MPoly):
-        if len(value.terms) <= 40:
-            return str(value)
-        blob = json.dumps(value.to_json(), sort_keys=True).encode()
-        digest = hashlib.sha256(blob).hexdigest()[:12]
-        return f"<{len(value.terms)} terms, degree {value.degree()}, sha256 {digest}>"
-    return str(value)
+    if not isinstance(value, MPoly) or len(value._packed) <= 40:
+        return str(value)
+    blob = json.dumps(value.to_json(), sort_keys=True).encode()
+    digest = hashlib.sha256(blob).hexdigest()[:12]
+    return f"<{len(value._packed)} terms, degree {value.degree()}, sha256 {digest}>"
 
 
 @dataclass
@@ -246,7 +244,7 @@ def _roots_sum(k: int, s: int, basis: str, n: int) -> MPoly:
         c = m_lambda_at_roots(lam, s)
         if c:
             base = product_over_partition(basis, lam, None, n)
-            accumulate_product(acc, MPoly.constant(n, c), base)
+            accumulate_shift(acc, base, 1, 0, c)  # c * base, in one pass
     reduced: dict = {}
     for key, v in acc.items():
         iv = v.as_integer()

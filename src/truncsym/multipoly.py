@@ -5,12 +5,14 @@ coefficient domains from :mod:`truncsym.exactalg` (or plain ``int`` /
 ``fractions.Fraction``).  A term is stored under a packed exponent: one int
 holding the exponent of x_i in bits 32(i-1) .. 32i-1.  Every stored exponent
 is below 2**31, so two keys add without a carry between fields: a product is
-one int add per pair of terms, checked once for an exponent that reached
+one int add per pair of terms (one per term with a one-term operand or the
+x_i^j of ``accumulate_shift``), checked once for an exponent that reached
 2**31 (``OverflowError``, never a wrapped monomial), and a pad to more
-variables keeps every key.  Exponent tuples appear only at the API edge:
-``terms`` is a tuple-keyed view unpacked on demand, and the constructor
-refuses an exponent of 2**31 or more.  A product by a monomial x_i^j
-(``accumulate_shift``) is one add of j << 32(i-1) per term.
+variables keeps every key.  As 2**32 = 1 mod 2**32 - 1, a key mod 2**32 - 1
+is its degree while no field reaches 2**(32 - bit_length(n-1)) (else it is
+unpacked and summed); ``is_symmetric`` swaps adjacent fields with masks.
+Exponent tuples appear only at the API edge: ``terms`` is a tuple-keyed view
+unpacked on demand, and the constructor refuses an exponent of 2**31 or more.
 
 Canonical term order for serialization and iteration is graded
 lexicographic: total degree first, then exponent tuple.  Rendering via
@@ -35,16 +37,20 @@ Monomial = tuple[int, ...]
 
 _SCALAR_TYPES = (int, Fraction, CycInt, UniPoly, BiPoly)
 _LIMIT = 2**31  # every stored exponent is below this
+_FIELD = 2**32 - 1  # one field's bits; 2**32 = 1 modulo it, so a key folds to its field sum
 
 
 @lru_cache(maxsize=None)
-def _layout(n: int) -> tuple[Callable, Callable, int]:
-    """pack (an exponent tuple to a key, unchecked), unpack, and the fields' top bits."""
-    fields, size = struct.Struct(f"<{n}I"), 4 * n
+def _layout(n: int) -> tuple[Callable, Callable, int, int]:
+    """pack (an exponent tuple to a key, unchecked), unpack, the top and the too-wide bits."""
+    if n < 0:
+        raise ValueError(f"variable count must be >= 0, got {n}")
+    fields, size, low = struct.Struct(f"<{n}I"), 4 * n, 32 - (n - 1).bit_length()
     return (
         lambda exps: int.from_bytes(fields.pack(*exps), "little"),
         lambda key: fields.unpack(key.to_bytes(size, "little")),
-        int.from_bytes(b"\0\0\0\x80" * n, "little"),
+        int.from_bytes(fields.pack(*[_LIMIT] * n), "little"),
+        int.from_bytes(fields.pack(*[_FIELD >> low << low] * n), "little"),
     )
 
 
@@ -52,15 +58,9 @@ def _monomial_text(exps: Monomial) -> str:
     return "*".join([f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(exps, 1) if e])
 
 
-def _canon_key(item: tuple[Monomial, Coeff]) -> tuple:
-    exps = item[0]
-    return (sum(exps), exps)
-
-
 def _display_key(item: tuple[Monomial, Coeff]) -> tuple:
-    exps = item[0]
-    shape = tuple(-e for e in sorted(exps, reverse=True))
-    return (sum(exps), shape, tuple(-e for e in exps))
+    negated = tuple(-e for e in item[0])
+    return (-sum(negated), tuple(sorted(negated)), negated)
 
 
 class _Terms(Mapping):
@@ -93,8 +93,15 @@ class _Terms(Mapping):
         return repr(dict(self.items()))
 
 
-def _product(acc: dict, a: dict, b: dict, scalar: Coeff, top: int) -> None:
-    """acc += scalar * a * b on packed term dicts: the one product loop."""
+def _checked(terms: dict, top: int) -> dict:
+    """terms; no field carries, as each was below 2**31, so a top bit set is past the limit."""
+    if reduce(or_, terms, 0) & top:
+        raise OverflowError("a product has an exponent of 2**31 or more")
+    return terms
+
+
+def _product(acc: dict, a: dict, b: dict, scalar: Coeff, top: int) -> dict:
+    """acc += scalar * a * b on packed term dicts, returning acc: the one product loop."""
     b_items = list(b.items())
     get = acc.get
     for e1, c1 in a.items():
@@ -103,9 +110,14 @@ def _product(acc: dict, a: dict, b: dict, scalar: Coeff, top: int) -> None:
             key = e1 + e2
             old = get(key)
             acc[key] = c1s * c2 if old is None else old + c1s * c2
-    # no field carries, as each was below 2**31; a top bit set is an exponent past the limit
-    if reduce(or_, acc, 0) & top:
-        raise OverflowError("a product has an exponent of 2**31 or more")
+    return _checked(acc, top)
+
+
+def _degrees(p: "MPoly") -> Iterable[int]:
+    """The degree of each term: its key mod 2**32 - 1, exact while its n fields sum below that."""
+    if reduce(or_, p._packed, 0) & _layout(p.n)[3]:
+        return map(sum, p.terms)
+    return map(_FIELD.__rmod__, p._packed)
 
 
 def _nonzero(terms: dict) -> dict:
@@ -120,21 +132,15 @@ class MPoly:
     """Sparse polynomial in x1..xn with exact coefficients."""
 
     __slots__ = ("n", "_packed")
-    __hash__ = None
 
     def __init__(self, n: int, terms: Optional[dict] = None):
-        if n < 0:
-            raise ValueError(f"variable count must be >= 0, got {n}")
-        pack, _, top = _layout(n)
+        pack, _, top, _ = _layout(n)
         try:
-            packed = {pack(exps): c for exps, c in terms.items()} if terms else {}
-            valid = not reduce(or_, packed, 0) & top
-        except struct.error:
-            valid = False
-        if not valid:
-            raise ValueError(f"exponent tuples need {n} entries in 0..2**31-1")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_packed", _nonzero(packed))
+            packed = _checked({pack(exps): c for exps, c in terms.items()} if terms else {}, top)
+        except (struct.error, OverflowError):
+            raise ValueError(f"exponent tuples need {n} entries in 0..2**31-1") from None
+        _set_n(self, n)
+        _set_packed(self, _nonzero(packed))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("MPoly is immutable")
@@ -143,8 +149,8 @@ class MPoly:
     def _trusted(cls, n: int, packed: dict) -> "MPoly":
         """Adopt a dict of valid packed keys and nonzero coefficients as is."""
         self = object.__new__(cls)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_packed", packed)
+        _set_n(self, n)
+        _set_packed(self, packed)
         return self
 
     @property
@@ -154,24 +160,23 @@ class MPoly:
 
     @classmethod
     def zero(cls, n: int) -> "MPoly":
-        return cls(n)
+        return cls.constant(n, 0)
 
     @classmethod
     def one(cls, n: int) -> "MPoly":
-        return cls(n, {(0,) * n: 1})
+        return cls.constant(n, 1)
 
     @classmethod
     def constant(cls, n: int, c: Coeff) -> "MPoly":
-        return cls(n, {(0,) * n: c})
+        _layout(n)  # refuses n < 0
+        return cls._trusted(n, {0: c} if c else {})
 
     @classmethod
     def variable(cls, n: int, i: int) -> "MPoly":
         """x_i, with i in 1..n."""
         if not 1 <= i <= n:
             raise ValueError(f"variable index {i} out of range 1..{n}")
-        exps = [0] * n
-        exps[i - 1] = 1
-        return cls(n, {tuple(exps): 1})
+        return cls._trusted(n, {1 << 32 * (i - 1): 1})
 
     @classmethod
     def monomial(cls, n: int, exps: Iterable[int], c: Coeff = 1) -> "MPoly":
@@ -200,10 +205,8 @@ class MPoly:
         return MPoly._trusted(self.n, {key: -c for key, c in self._packed.items()})
 
     def __sub__(self, other: object) -> "MPoly":
-        if isinstance(other, MPoly):
+        if isinstance(other, (MPoly, *_SCALAR_TYPES)):
             return self + (-other)
-        if isinstance(other, _SCALAR_TYPES):
-            return self + MPoly.constant(self.n, -other)
         return NotImplemented
 
     def __rsub__(self, other: object) -> "MPoly":
@@ -212,19 +215,21 @@ class MPoly:
     def __mul__(self, other: object) -> "MPoly":
         if isinstance(other, MPoly):
             self._check_same_vars(other)
-            acc: dict = {}
-            _product(acc, self._packed, other._packed, 1, _layout(self.n)[2])
-            return MPoly._trusted(self.n, _nonzero(acc))
+            a, b, top = self._packed, other._packed, _layout(self.n)[2]
+            if len(b) == 1:  # every coefficient ring commutes
+                a, b = b, a
+            if len(a) == 1:  # one add per term of the other operand
+                ((ka, ca),) = a.items()
+                out = _checked({ka + kb: ca * cb for kb, cb in b.items()}, top)
+            else:
+                out = _product({}, a, b, 1, top)
+            return MPoly._trusted(self.n, _nonzero(out))
         if isinstance(other, _SCALAR_TYPES):
             scaled = {key: c * other for key, c in self._packed.items()}
             return MPoly._trusted(self.n, _nonzero(scaled))
         return NotImplemented
 
-    def __rmul__(self, other: object) -> "MPoly":
-        if isinstance(other, _SCALAR_TYPES):
-            scaled = {key: other * c for key, c in self._packed.items()}
-            return MPoly._trusted(self.n, _nonzero(scaled))
-        return NotImplemented
+    __rmul__ = __mul__  # a scalar on the left
 
     def __pow__(self, k: int) -> "MPoly":
         return _power(self, k, MPoly.one(self.n))
@@ -243,13 +248,11 @@ class MPoly:
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return max(map(sum, self.terms), default=-1)
+        return max(_degrees(self), default=-1)
 
     def is_homogeneous(self, k: Optional[int] = None) -> bool:
-        degrees = set(map(sum, self.terms))
-        if k is not None:
-            return degrees <= {k}
-        return len(degrees) <= 1
+        degrees = set(_degrees(self))
+        return len(degrees) <= 1 and (k is None or degrees <= {k})
 
     def pad(self, n: int) -> "MPoly":
         """Reinterpret in n >= self.n variables, new variables unused."""
@@ -262,7 +265,7 @@ class MPoly:
 
     def canonical_terms(self) -> list[tuple[Monomial, Coeff]]:
         """Terms sorted graded-lexicographically (ascending)."""
-        return sorted(self.terms.items(), key=_canon_key)
+        return sorted(self.terms.items(), key=lambda item: (sum(item[0]), item[0]))
 
     # -- rendering -----------------------------------------------------------
 
@@ -296,6 +299,9 @@ class MPoly:
             tuple(t["exps"]): _coeff_from_json(t["coeff"]) for t in obj["terms"]
         }
         return cls(obj["n"], terms)
+
+
+_set_n, _set_packed = MPoly.n.__set__, MPoly._packed.__set__  # the slots, past __setattr__
 
 
 def _coeff_to_json(c: Coeff) -> object:
@@ -380,38 +386,34 @@ def specialize(p: MPoly, kind: str) -> Union[int, UniPoly, BiPoly]:
 
     Coefficients must be plain integers.
     """
-    for c in p._packed.values():
-        if not isinstance(c, int):
-            raise TypeError("specialize requires integer coefficients")
+    if not all(isinstance(c, int) for c in p._packed.values()):
+        raise TypeError("specialize requires integer coefficients")
     if kind == "all-ones":
         return sum(p._packed.values())
+    if kind not in ("geometric-q", "pq-grid"):
+        raise ValueError(f"unknown specialization kind: {kind!r}")
+    degrees = ((sum((i - 1) * e for i, e in enumerate(exps, 1)), c) for exps, c in p.terms.items())
+    image = sum((UniPoly.term(c, d) for d, c in degrees), UniPoly())
     if kind == "geometric-q":
-        degrees = ((sum((i - 1) * e for i, e in enumerate(exps, 1)), c) for exps, c in p.terms.items())
-        return sum((UniPoly.term(c, d) for d, c in degrees), UniPoly())
-    if kind == "pq-grid":
-        out: dict = {}
-        for exps, c in p.terms.items():
-            dq = sum((i - 1) * e for i, e in enumerate(exps, 1))
-            key = ((p.n - 1) * sum(exps) - dq, dq)
-            out[key] = out.get(key, 0) + c
-        return BiPoly(out)
-    raise ValueError(f"unknown specialization kind: {kind!r}")
+        return image
+    if not p.is_homogeneous():
+        raise ValueError("the pq-grid image of a polynomial that is not homogeneous is no BiPoly")
+    return BiPoly.homogenize(image, (p.n - 1) * p.degree())
 
 
 def is_symmetric(p: MPoly) -> bool:
     """True when p is invariant under every permutation of its variables.
 
     Invariance under the adjacent transpositions (i, i+1) generates the
-    full symmetric group, so only n-1 swaps are checked.
+    full symmetric group, so only n-1 swaps are checked.  A swap is one to
+    one on keys, so it fixes p when each swapped key holds the same coefficient.
     """
-    terms = dict(p.terms.items())
+    get = p._packed.get
     for i in range(p.n - 1):
-        swapped = {}
-        for exps, c in terms.items():
-            e = list(exps)
-            e[i], e[i + 1] = e[i + 1], e[i]
-            swapped[tuple(e)] = c
-        if swapped != terms:
-            return False
+        mask = _FIELD << 32 * i  # the field of x_(i+1)
+        for key, c in p._packed.items():
+            moved = (key ^ key >> 32) & mask  # fields i+1 and i+2 differ in these bits
+            if get(key ^ moved ^ moved << 32) != c:
+                return False
     return True
 

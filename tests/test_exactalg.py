@@ -272,8 +272,9 @@ def test_bipoly_json_rows_sorted():
 def test_bipoly_refuses_a_non_homogeneous_value():
     with pytest.raises(ValueError):
         BiPoly({(1, 0): 2, (0, 2): -1})
-    with pytest.raises(ValueError):
-        specialize(MPoly(2, {(1, 0): 1, (0, 2): 1}), "pq-grid")
+    for n, terms in [(2, {(1, 0): 1, (0, 2): 1}), (1, {(1,): 1, (2,): 1})]:
+        with pytest.raises(ValueError):
+            specialize(MPoly(n, terms), "pq-grid")
     with pytest.raises(ValueError):
         BiPoly.term(1, 1, 0) + BiPoly.term(1, 0, 2)
     assert BiPoly({(1, 0): 2, (0, 1): 0, (0, 2): 0}) == BiPoly.term(2, 1, 0)

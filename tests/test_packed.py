@@ -4,6 +4,7 @@ The reference keeps terms in a plain dict keyed by exponent tuple and adds
 exponents entry by entry; every MPoly operation must give the same dict.
 """
 
+import itertools
 import json
 from fractions import Fraction
 from operator import add
@@ -14,7 +15,16 @@ from hypothesis import strategies as st
 
 from truncsym.exactalg import CycInt
 from truncsym.identities import _linear_passes
-from truncsym.multipoly import MPoly, accumulate_product, accumulate_shift, collect, substitute_power
+from truncsym.multipoly import (
+    MPoly,
+    _layout,
+    _product,
+    accumulate_product,
+    accumulate_shift,
+    collect,
+    is_symmetric,
+    substitute_power,
+)
 
 LIMIT = 2**31
 
@@ -36,6 +46,14 @@ def ref_add(a, b):
     return ref_clean(out)
 
 
+def ref_is_symmetric(terms, n):
+    for i in range(n - 1):
+        swapped = {e[:i] + (e[i + 1], e[i]) + e[i + 2:]: c for e, c in terms.items()}
+        if swapped != terms:
+            return False
+    return True
+
+
 def ref_mul(a, b):
     out = {}
     for e1, c1 in a.items():
@@ -46,10 +64,10 @@ def ref_mul(a, b):
 
 
 @st.composite
-def operands(draw, count=2):
+def operands(draw, count=2, ring=None):
     """count term dicts over one variable count and one coefficient ring."""
     n = draw(st.integers(0, 6))
-    coeff = COEFFS[draw(st.sampled_from(sorted(COEFFS)))]
+    coeff = COEFFS[ring or draw(st.sampled_from(sorted(COEFFS)))]
     exps = st.tuples(*[st.integers(0, 3)] * n)
     return n, [ref_clean(draw(st.dictionaries(exps, coeff, max_size=5))) for _ in range(count)]
 
@@ -174,3 +192,123 @@ def test_accumulate_product_refuses_operands_in_different_variable_counts():
     with pytest.raises(ValueError):
         accumulate_product(acc, MPoly.variable(1, 1), MPoly.variable(2, 2))
     assert acc == {}
+
+
+# -- degree and symmetry on packed keys ------------------------------------------
+
+
+def assert_structure_matches_the_reference(n, terms):
+    p, degrees = MPoly(n, terms), {sum(exps) for exps in terms}
+    assert is_symmetric(p) == ref_is_symmetric(terms, n)
+    assert p.degree() == max(degrees, default=-1)
+    assert p.is_homogeneous() == (len(degrees) <= 1)
+    for k in {0, 1, *degrees}:
+        assert p.is_homogeneous(k) == (degrees <= {k})
+
+
+# a field near the limit makes the fields of a key sum past 2**32 - 1, the degree fold's bound
+EXPONENTS = st.one_of(st.integers(0, 3), st.integers(0, LIMIT - 1), st.integers(LIMIT - 4, LIMIT - 1))
+
+
+@st.composite
+def symmetrized(draw):
+    """A symmetric term dict (every permutation of a few exponent tuples), maybe with one
+    coefficient perturbed."""
+    n = draw(st.integers(0, 5))
+    seeds = draw(st.lists(st.tuples(*[EXPONENTS] * n), max_size=3))
+    terms = {}
+    for exps in seeds:
+        c = draw(st.integers(1, 4))
+        terms.update(dict.fromkeys(itertools.permutations(exps), c))
+    if terms and draw(st.booleans()):
+        exps = draw(st.sampled_from(sorted(terms)))
+        terms[exps] += draw(st.sampled_from([-1, 1]))
+    return n, ref_clean(terms)
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 5).flatmap(lambda n: st.tuples(
+    st.just(n), st.dictionaries(st.tuples(*[EXPONENTS] * n), st.integers(-2, 2), max_size=6))))
+def test_degree_and_symmetry_match_the_tuple_reference(case):
+    n, terms = case
+    assert_structure_matches_the_reference(n, ref_clean(terms))
+
+
+@settings(max_examples=300)
+@given(symmetrized())
+def test_symmetrized_inputs_and_one_perturbed_coefficient(case):
+    assert_structure_matches_the_reference(*case)
+
+
+@pytest.mark.parametrize(
+    "n, terms",
+    [
+        (0, {}),
+        (0, {(): 7}),
+        (1, {(LIMIT - 1,): 1, (2,): -1}),
+        (1, {(LIMIT - 1,): 3}),
+        # every field at the limit: the fields sum to 3 * (2**31 - 1), past 2**32 - 1
+        (3, {(LIMIT - 1,) * 3: 1}),
+        (3, {(LIMIT - 1, LIMIT - 2, LIMIT - 1): 1, (LIMIT - 2, LIMIT - 1, LIMIT - 1): 1}),
+        (3, {(LIMIT - 1, LIMIT - 1, 0): 1, (0, LIMIT - 1, LIMIT - 1): 1, (LIMIT - 1, 0, LIMIT - 1): 1}),
+        (3, {(2**30, 2**30, 2**30): 1, (0, 0, 1): 1}),
+        (5, {exps: 2 for exps in itertools.permutations((4, 3, 0, 0, 1))}),
+        (5, {**{exps: 2 for exps in itertools.permutations((4, 3, 0, 0, 1))}, (0, 0, 1, 3, 4): 1}),
+        (5, {(2**29 - 1,) * 5: 1, (0, 1, 0, 0, 0): 1}),
+        (5, {(2**29,) * 5: 1, (LIMIT - 1, 5 * 2**29 - LIMIT + 1, 0, 0, 0): -1}),
+    ],
+)
+def test_degree_and_symmetry_at_fixed_points(n, terms):
+    assert_structure_matches_the_reference(n, terms)
+
+
+# -- one-term products and the constructors -------------------------------------
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(sorted(COEFFS)), st.data())
+def test_a_one_term_product_matches_the_product_loop(ring, data):
+    n, (a, b) = data.draw(operands(count=2, ring=ring))
+    exps = data.draw(st.tuples(*[st.integers(0, 3)] * n))
+    c = data.draw(COEFFS[ring].filter(bool))
+    one, p = MPoly(n, {exps: c}), MPoly(n, a)
+    expected = collect(n, _product({}, one._packed, p._packed, 1, _layout(n)[2]))
+    assert one * p == expected and p * one == expected
+    assert expected.terms == ref_mul({exps: c}, a)
+    for scalar in (c, 0):
+        scaled = ref_clean({e: v * scalar for e, v in b.items()})
+        assert (scalar * MPoly(n, b)).terms == scaled and (MPoly(n, b) * scalar).terms == scaled
+
+
+def test_a_one_term_product_reaching_the_limit_raises_in_either_order():
+    top, x1 = MPoly.monomial(1, (LIMIT - 1,)), MPoly.variable(1, 1)
+    with pytest.raises(OverflowError):
+        top * x1
+    with pytest.raises(OverflowError):
+        x1 * top
+    wide = MPoly(2, {(LIMIT - 1, 0): 1, (0, 1): 2})
+    with pytest.raises(OverflowError):
+        wide * MPoly.variable(2, 1)
+    with pytest.raises(OverflowError):
+        MPoly.variable(2, 1) * wide
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 5])
+def test_the_constructors_match_their_tuple_forms(n):
+    origin = (0,) * n
+    assert MPoly.zero(n) == MPoly(n, {}) and MPoly.zero(n).terms == {}
+    assert MPoly.one(n) == MPoly(n, {origin: 1})
+    for c in (3, Fraction(-1, 2), CycInt(5, [1, 2])):
+        assert MPoly.constant(n, c) == MPoly(n, {origin: c})
+    for c in (0, Fraction(0), CycInt(5, [])):
+        assert MPoly.constant(n, c) == MPoly.zero(n) and len(MPoly.constant(n, c).terms) == 0
+    for i in range(1, n + 1):
+        assert MPoly.variable(n, i) == MPoly(n, {tuple(int(j == i - 1) for j in range(n)): 1})
+
+
+def test_the_constructors_refuse_a_bad_count_or_index():
+    for build in (lambda: MPoly.zero(-1), lambda: MPoly.one(-1), lambda: MPoly.constant(-1, 2),
+                  lambda: MPoly(-1), lambda: MPoly.variable(2, 3), lambda: MPoly.variable(2, 0),
+                  lambda: MPoly.variable(-1, 1)):
+        with pytest.raises(ValueError):
+            build()
