@@ -82,19 +82,15 @@ def _cmd_expand(args: argparse.Namespace) -> tuple[str, int]:
             raise ValueError(f"kind {kind} needs --k and --n")
         poly = classical(kind, args.k, args.n)
         meta.update(k=args.k, n=args.n)
-    elif kind in ("E", "H", "P"):
+    else:  # E, H or P: the parser allows no other kind
         if args.k is None or args.s is None or args.n is None:
             raise ValueError(f"kind {kind} needs --k, --s and --n")
         poly = {"E": E, "H": H, "P": P}[kind](args.k, args.s, args.n)
         meta.update(k=args.k, s=args.s, n=args.n)
-    else:
-        raise ValueError(f"unknown kind: {kind!r}")
     if args.format == "text":
         return f"{poly}\n", 0
-    if args.format == "json":
-        meta["poly"] = poly.to_json()
-        return _json_line(meta) + "\n", 0
-    raise ValueError("expand supports --format text or json")
+    meta["poly"] = poly.to_json()  # the parser allows text or json only
+    return _json_line(meta) + "\n", 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
@@ -134,8 +130,8 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     return payload, (1 if failed else 0)
 
 
-def _cmd_objects(args: argparse.Namespace, objects: str) -> tuple[str, int]:
-    n, k, s, model = args.n, args.k, args.s, args.model
+def _cmd_objects(args: argparse.Namespace) -> tuple[str, int]:
+    n, k, s, model, objects = args.n, args.k, args.s, args.model, args.command
     if args.format == "svg":
         svg = paths_svg if objects == "paths" else tilings_svg
         return svg(n, k, s, model) + "\n", 0
@@ -180,8 +176,6 @@ def _bisnomial_json_value(value) -> object:
 
 def _cmd_bisnomial(args: argparse.Namespace) -> tuple[str, int]:
     n, k, s, flavor = args.n, args.k, args.s, args.flavor
-    if n is None or s is None:
-        raise ValueError("bisnomial needs --n and --s")
     triangle = {"plain": bisnomial, "q": q_bisnomial, "pq": pq_bisnomial}[flavor]
     if args.table:
         cells = [(m, kk, triangle(m, kk, s)) for m in range(n + 1) for kk in range(s * m + 1)]
@@ -199,17 +193,15 @@ def _cmd_bisnomial(args: argparse.Namespace) -> tuple[str, int]:
             for m, kk, value in cells:
                 writer.writerow([m, kk, value])
             return buf.getvalue(), 0
-        if args.format == "json":
-            payload = {
-                "flavor": flavor,
-                "s": s,
-                "rows": [
-                    {"n": m, "k": kk, "value": _bisnomial_json_value(value)}
-                    for m, kk, value in cells
-                ],
-            }
-            return _json_line(payload) + "\n", 0
-        raise ValueError("bisnomial tables support text, csv or json")
+        payload = {  # json, the one format left
+            "flavor": flavor,
+            "s": s,
+            "rows": [
+                {"n": m, "k": kk, "value": _bisnomial_json_value(value)}
+                for m, kk, value in cells
+            ],
+        }
+        return _json_line(payload) + "\n", 0
     if k is None:
         raise ValueError("bisnomial needs --k (or --table)")
     value = triangle(n, k, s)
@@ -240,17 +232,15 @@ def _cmd_schur(args: argparse.Namespace) -> tuple[str, int]:
             f"equal: {'undefined' if equal is None else str(equal).lower()}",
         ]
         return "\n".join(lines) + "\n", 0
-    if args.format == "json":
-        payload = {
-            "lam": list(lam),
-            "s": s,
-            "n": n,
-            "h_basis": h_poly.to_json() if h_poly is not None else None,
-            "e_basis": e_poly.to_json() if e_poly is not None else None,
-            "equal": equal,
-        }
-        return _json_line(payload) + "\n", 0
-    raise ValueError("schur supports --format text or json")
+    payload = {  # the parser allows text or json only
+        "lam": list(lam),
+        "s": s,
+        "n": n,
+        "h_basis": h_poly.to_json() if h_poly is not None else None,
+        "e_basis": e_poly.to_json() if e_poly is not None else None,
+        "equal": equal,
+    }
+    return _json_line(payload) + "\n", 0
 
 
 # -- parser ------------------------------------------------------------------
@@ -279,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--lambda", dest="lam", help="partition, e.g. '2,1,1' or '1^2 2^1'")
     common(p, ["text", "json"])
-    p.set_defaults(handler=_cmd_expand)
+    p.set_defaults(handler="_cmd_expand")
 
     p = sub.add_parser("verify", help="run identity checks over parameter grids")
     p.add_argument("--id", required=True, help="identity name such as ortho or conversion:pq, 'all' or 'conversions'")
@@ -287,7 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", help="range like 0..8")
     p.add_argument("--s", help="range like 1..4")
     common(p, ["json", "text"], default="json")
-    p.set_defaults(handler=_cmd_verify)
+    p.set_defaults(handler="_cmd_verify")
 
     for name in ("paths", "tilings"):
         p = sub.add_parser(name, help=f"enumerate admissible {name}")
@@ -296,7 +286,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--s", type=int, required=True)
         p.add_argument("--model", required=True, choices=["E", "H"])
         common(p, ["text", "json", "svg", "csv"])
-        p.set_defaults(handler=lambda args, _name=name: _cmd_objects(args, _name))
+        p.set_defaults(handler="_cmd_objects")
 
     p = sub.add_parser("bisnomial", help="triangle values and tables")
     p.add_argument("--n", type=int, required=True)
@@ -305,27 +295,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flavor", choices=["plain", "q", "pq"], default="plain")
     p.add_argument("--table", action="store_true", help="emit rows 0..n instead of one value")
     common(p, ["text", "json", "csv"])
-    p.set_defaults(handler=_cmd_bisnomial)
+    p.set_defaults(handler="_cmd_bisnomial")
 
     p = sub.add_parser("schur", help="both determinantal forms of the truncated Schur function")
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     common(p, ["text", "json"])
-    p.set_defaults(handler=_cmd_schur)
+    p.set_defaults(handler="_cmd_schur")
 
     return parser
 
 
+_PARSER = _build_parser()  # configuration, built once; it names each handler, looked up per run
+
+
 def run(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     start = time.perf_counter()
     try:
-        payload, code = args.handler(args)
+        payload, code = globals()[args.handler](args)
     except (ValueError, KeyError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -182,8 +182,6 @@ class CycInt:
         return o - self
 
     def __mul__(self, other: object) -> "CycInt":
-        if isinstance(other, int):  # by a scalar: no convolution
-            return CycInt(self.order, [a * other for a in self.coeffs])
         o = self._coerce(other)
         if o is None:
             return NotImplemented

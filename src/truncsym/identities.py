@@ -14,9 +14,10 @@ E(t) and H(t), so the checks are built from a few shared shapes:
 * ``_conv``: sum of c * A * B over the terms of a convolution, in one
   accumulator: E(t) H(-t) = 1, the Newton-type sums and the sums over
   x^s-substituted classical factors;
-* ``_partition_sum``: sum over lam |- k of coef(lam) * F_lam, and its
-  scalar twin ``_scalar_sum``;
-* ``_roots_sum``: sum over lam of m_lam at roots of unity times a basis;
+* ``_partition_sum``: sum over lam |- k of coef(lam) * F_lam, over a common
+  denominator in one int accumulator, and its scalar twin ``_scalar_sum``;
+* ``_roots_sum``: sum over lam of m_lam at roots of unity times a basis,
+  one int accumulator per coordinate of m_lam in the cyclotomic ring;
 * ``_linear_passes``: a graded series times prod_i (1 + x_i t)^(-1) or
   prod_i (1 - x_i t), one linear pass per variable: the power substitutions
   and the sums that vanish.  The rows that convolve E with H or E with E at
@@ -45,11 +46,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import product as _cartesian
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .bisnomial import bisnomial, gaussian, pq_bisnomial, pq_gaussian, q_bisnomial
-from .exactalg import BiPoly, UniPoly
+from .exactalg import BiPoly, CycInt, UniPoly, cyclotomic_coeffs
 from .multipoly import MPoly, accumulate_product, accumulate_shift, collect, substitute_power
 from .partitions import (
     Partition,
@@ -221,11 +222,13 @@ def _weight(lam: Partition, shift: int, scale: int = 1) -> Fraction:
 
 
 def _partition_sum(kind: str, k: int, s: int, n: int, coef: Callable[[Partition], object]) -> MPoly:
-    """sum over lam |- k of coef(lam) * F_lam, F = E, H or P."""
-    total = MPoly.zero(n)
-    for lam in enum_partitions(k):
-        total = total + coef(lam) * product_over_partition(kind, lam, s, n)
-    return total
+    """sum over lam |- k of coef(lam) * F_lam, F = E, H or P: as ints times the lcm L of
+    the coefficient denominators, in one accumulator, then scaled by 1/L once."""
+    coefs = {lam: coef(lam) for lam in enum_partitions(k)}
+    scale, acc = lcm(*[c.denominator for c in coefs.values()]), {}
+    for lam, c in coefs.items():
+        accumulate_shift(acc, product_over_partition(kind, lam, s, n), 1, 0, c.numerator * scale // c.denominator)
+    return collect(n, acc) if scale == 1 else Fraction(1, scale) * collect(n, acc)
 
 
 def _scalar_sum(k: int, s: int, coef: Callable[[Partition], Fraction]) -> Fraction:
@@ -236,23 +239,24 @@ def _scalar_sum(k: int, s: int, coef: Callable[[Partition], Fraction]) -> Fracti
 def _roots_sum(k: int, s: int, basis: str, n: int) -> MPoly:
     """sum over lam |- k, len(lam) <= s of m_lam(roots) * basis_lam(x).
 
-    The cyclotomic coefficients are aggregated per monomial and must each
-    reduce to a rational integer.
+    Each int coordinate of m_lam(roots) on the basis 1, x, ..., x^(phi-1) has its own
+    accumulator; coordinates 1.. must collect to zero, and coordinate 0 is the sum.
     """
-    acc: dict = {}
+    coords: list = [{} for _ in cyclotomic_coeffs(s + 1)[1:]]
+    bases = []
     for lam in enum_partitions(k, max_length=s):
         c = m_lambda_at_roots(lam, s)
         if c:
-            base = product_over_partition(basis, lam, None, n)
-            accumulate_shift(acc, base, 1, 0, c)  # c * base, in one pass
-    reduced: dict = {}
-    for key, v in acc.items():
-        iv = v.as_integer()
-        if iv is None:
-            raise ArithmeticError(f"aggregated coefficient {v} is not a rational integer")
-        if iv:
-            reduced[key] = iv
-    return MPoly._trusted(n, reduced)
+            bases.append(base := product_over_partition(basis, lam, None, n))
+            for acc, a in zip(coords, c.coeffs):
+                if a:
+                    accumulate_shift(acc, base, 1, 0, a)  # a * base, in one pass
+    value, *rest = [collect(n, acc) for acc in coords]
+    if any(rest):  # the first such monomial, in the order the sum meets them
+        key = next(key for base in bases for key in base._packed if any(acc.get(key) for acc in coords[1:]))
+        v = CycInt(s + 1, [acc.get(key, 0) for acc in coords])
+        raise ArithmeticError(f"aggregated coefficient {v} is not a rational integer")
+    return value
 
 
 def _mono_sum(n: int, k: int, s: int, shift: int) -> MPoly:

@@ -26,10 +26,15 @@ These recurrences fix both families from n = 0, so by induction every
 cached value is the product's coefficient.  A disagreement raises
 ``ArithmeticError`` naming the first monomial where the two sides differ.
 Lower values are filled bottom-up, not recursively.
+
+Also memoized: m_lam at the roots by (lam, s) and the classical products
+e/h/p_lam by (kind, lam, n), which the roots sums reread for every s; not
+the E/H/P products, whose factors are cached and which are many and large.
 """
 
 from __future__ import annotations
 
+from math import prod
 from typing import Iterable, Optional, Sequence
 
 from .exactalg import CycInt
@@ -46,6 +51,8 @@ _M_CACHE: dict = {}
 _CLASSICAL_CACHE: dict = {}
 _E_CACHE: dict = {}
 _H_CACHE: dict = {}
+_PRODUCT_CACHE: dict = {}
+_ROOTS_CACHE: dict = {}
 
 
 def _validate_sn(s: int, n: int) -> None:
@@ -221,19 +228,18 @@ def product_over_partition(
     ``s`` is ignored for the classical kinds and required for 'E', 'H', 'P'.
     """
     lam = _validate_partition(lam)
-    out = MPoly.one(n)
-    if kind in ("e", "h", "p"):
-        for part in lam:
-            out = out * classical(kind, part, n)
-        return out
     if kind in ("E", "H", "P"):
         if s is None:
             raise ValueError(f"kind {kind!r} needs s")
-        ctor = {"E": E, "H": H, "P": P}[kind]
-        for part in lam:
-            out = out * ctor(part, s, n)
-        return out
-    raise ValueError(f"unknown kind: {kind!r}")
+        return prod([{"E": E, "H": H, "P": P}[kind](part, s, n) for part in lam], start=MPoly.one(n))
+    if kind not in ("e", "h", "p"):
+        raise ValueError(f"unknown kind: {kind!r}")
+    out = MPoly.one(n)  # every prefix of lam is cached, each built from the one before
+    for cut in range(1, len(lam) + 1):
+        if (kind, lam[:cut], n) not in _PRODUCT_CACHE:
+            _PRODUCT_CACHE[(kind, lam[:cut], n)] = out * classical(kind, lam[cut - 1], n)
+        out = _PRODUCT_CACHE[(kind, lam[:cut], n)]
+    return out
 
 
 def m_lambda_at_roots(lam: Sequence[int], s: int) -> CycInt:
@@ -246,11 +252,13 @@ def m_lambda_at_roots(lam: Sequence[int], s: int) -> CycInt:
     lam = _validate_partition(lam)
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
-    order = s + 1
-    counts = [0] * order  # orbit elements per power of the root, reduced once
-    for exps in distinct_orbit(lam, s):
-        counts[sum(j * e for j, e in enumerate(exps, 1)) % order] += 1
-    return CycInt(order, counts)
+    cached = _ROOTS_CACHE.get((lam, s))
+    if cached is None:
+        counts = [0] * (s + 1)  # orbit elements per power of the root, reduced once
+        for exps in distinct_orbit(lam, s):
+            counts[sum(j * e for j, e in enumerate(exps, 1)) % (s + 1)] += 1
+        cached = _ROOTS_CACHE[(lam, s)] = CycInt(s + 1, counts)
+    return cached
 
 
 def _det(mat: list[list[MPoly]], n: int) -> MPoly:
@@ -304,7 +312,5 @@ def schur_det(lam: Sequence[int], s: int, n: int, basis: str = "h") -> MPoly:
 
 def clear_caches() -> None:
     """Drop all memoized values (mainly for isolating benchmarks)."""
-    _M_CACHE.clear()
-    _CLASSICAL_CACHE.clear()
-    _E_CACHE.clear()
-    _H_CACHE.clear()
+    for table in (_M_CACHE, _CLASSICAL_CACHE, _E_CACHE, _H_CACHE, _PRODUCT_CACHE, _ROOTS_CACHE):
+        table.clear()

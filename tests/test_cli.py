@@ -346,6 +346,19 @@ def test_kernel_heavy_verifications_match_the_recorded_digests(capsys):
         assert digest == golden["cli " + " ".join(argv)], name
 
 
+def test_the_parser_is_built_once_and_serves_every_verb(capsys, monkeypatch):
+    def refuse():
+        raise AssertionError("parser rebuilt")
+
+    monkeypatch.setattr(cli, "_build_parser", refuse)
+    golden = json.loads((Path(__file__).parents[1] / "bench" / "golden.json").read_text())
+    verify = ["verify", "--id", "roots_H", "--format", "json", "--deterministic"]
+    for argv in (verify, list(_load_bench_workloads().COUNT_CLI[0]), verify):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == golden["cli " + " ".join(argv)], argv
+
+
 def test_counting_commands_match_the_recorded_digests(capsys):
     # the paths, tilings and bisnomial-table commands of the benchmark's count_enumerate workload
     golden = json.loads((Path(__file__).parents[1] / "bench" / "golden.json").read_text())

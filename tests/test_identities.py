@@ -1,15 +1,17 @@
 """Unit tests for the identity registry and the verification runners."""
 
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import truncsym
+import sum_oracle
 from series_oracle import series_inverse, series_product
 from truncsym import identities
-from truncsym.exactalg import BiPoly
+from truncsym.exactalg import BiPoly, CycInt
 from truncsym.multipoly import MPoly
 from truncsym.symfun import E, H, classical
 from truncsym.identities import (
@@ -262,3 +264,60 @@ def test_alternating_sums_match_the_kernel_convolution(kind):
                 for j in range(m + 1):
                     expected = expected + (-1) ** j * classical(f, j, n) * F(m - j, s - 1, n)
                 assert identities._alt_sum(kind, n, m, s) == expected, (n, m, s)
+
+
+@pytest.mark.parametrize("basis", ["e", "h", "p"])
+def test_roots_sums_match_the_per_monomial_cyclotomic_sum(basis):
+    for n in range(1, 4):
+        for s in range(1, 5):
+            for k in range(7):
+                got, expected = identities._roots_sum(k, s, basis, n), sum_oracle.roots_sum(k, s, basis, n)
+                assert got == expected, (basis, n, k, s)
+                assert (str(got), got.to_json()) == (str(expected), expected.to_json())
+
+
+@pytest.mark.parametrize(
+    "root", [lambda lam, s: CycInt.root(s + 1), lambda lam, s: CycInt.root(s + 1, len(lam))], ids=["x", "x^len"]
+)
+def test_a_roots_sum_off_the_integers_raises_the_per_monomial_message(root, monkeypatch):
+    # m_lam(roots) is always a rational integer; a stand-in that is not one must be refused,
+    # at the first monomial the sum meets whose aggregate is not an integer
+    monkeypatch.setattr(identities, "m_lambda_at_roots", root)
+    raised = 0
+    for n in range(1, 4):
+        for s in range(1, 5):
+            for k in range(1, 6):
+                try:
+                    expected = sum_oracle.roots_sum(k, s, "h", n)
+                except ArithmeticError as exc:
+                    with pytest.raises(ArithmeticError) as got:
+                        identities._roots_sum(k, s, "h", n)
+                    assert str(got.value) == str(exc), (n, k, s)
+                    raised += 1
+                else:
+                    assert identities._roots_sum(k, s, "h", n) == expected, (n, k, s)
+    assert raised > 30
+
+
+# The coefficients the partition-sum checks use: ints (inv_*), Fractions over len(lam)
+# (pk_from_*, P_from_*) and 1/z_lam (*_from_P).  Their denominators all divide the largest
+# one, so one more set, over lam_1 + 1, has a least common multiple above each of them.
+PARTITION_COEFS = {
+    "int": lambda k: lambda lam: (-1) ** (k + len(lam)) * identities._mult(lam),
+    "weight": lambda k: lambda lam: identities._weight(lam, 1),
+    "scaled": lambda k: lambda lam: identities._weight(lam, k, k),
+    "one_over_z": lambda k: lambda lam: 1 / Fraction(sum_oracle.z(lam)),
+    "coprime": lambda k: lambda lam: Fraction(len(lam), lam[0] + 1),
+}
+
+
+@pytest.mark.parametrize("coef", sorted(PARTITION_COEFS))
+@pytest.mark.parametrize("kind", ["E", "H", "P"])
+def test_partition_sums_match_the_polynomial_adds(kind, coef):
+    for n in range(1, 4):
+        for s in range(1, 4):
+            for k in range(0 if coef == "int" and kind != "P" else 1, 6):  # P_lam and 1/len(lam) need k >= 1
+                got = identities._partition_sum(kind, k, s, n, PARTITION_COEFS[coef](k))
+                expected = sum_oracle.partition_sum(kind, k, s, n, PARTITION_COEFS[coef](k))
+                assert got == expected, (kind, coef, n, k, s)
+                assert (str(got), got.to_json()) == (str(expected), expected.to_json())

@@ -27,11 +27,13 @@ def _filled_caches():
 def test_clear_caches_empties_every_memo_table():
     assert truncsym.verify("cubic_E", n=2, k=3, s=2).holds
     assert truncsym.verify("conversion:pq", n=3, k=2, s=2).holds
+    assert truncsym.verify("roots_H", n=2, k=3, s=2).holds
     assert truncsym.bisnomial(3, 2, 2) == 6
     truncsym.cyclotomic_coeffs(6)
     filled = _filled_caches()
     for table in ("symfun._E_CACHE", "symfun._H_CACHE", "identities._PAIR_CONV",
-                  "bisnomial.bisnomial", "bisnomial.q_bisnomial", "exactalg.cyclotomic_coeffs"):
+                  "bisnomial.bisnomial", "bisnomial.q_bisnomial", "exactalg.cyclotomic_coeffs",
+                  "symfun._PRODUCT_CACHE", "symfun._ROOTS_CACHE"):
         assert f"truncsym.{table}" in filled, table
     truncsym.clear_caches()
     assert _filled_caches() == []

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import laplace_oracle
+import sum_oracle
 from series_oracle import e_series, h_series
 from truncsym import clear_caches, symfun
 from truncsym.exactalg import CycInt
@@ -153,6 +154,44 @@ def test_products_over_partitions():
         product_over_partition("E", (2, 1), None, 2)
     with pytest.raises(ValueError):
         product_over_partition("x", (2, 1), 2, 2)
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending"])
+def test_memoized_classical_products_match_the_plain_product(order):
+    # every lam |- k <= 6 for n = 1..3 in one cache, so that a product kept under
+    # the wrong key (another kind, n or prefix) is read back somewhere
+    lams = [lam for k in range(7) for lam in enum_partitions(k)]
+    if order == "descending":
+        lams.reverse()
+    clear_caches()
+    try:
+        for _ in range(2):  # cold, then from the cache
+            for n in range(4):
+                for kind in ("e", "h", "p"):
+                    for lam in lams:
+                        got = product_over_partition(kind, lam, None, n)
+                        assert got == sum_oracle.plain_product(kind, lam, None, n), (kind, lam, n)
+                        assert got.n == n
+    finally:
+        clear_caches()
+
+
+def test_a_classical_product_of_many_parts_needs_no_deep_recursion():
+    clear_caches()
+    try:
+        assert product_over_partition("e", (1,) * 3000, None, 1) == MPoly.monomial(1, (3000,))
+    finally:
+        clear_caches()
+
+
+def test_truncated_products_are_not_memoized():
+    clear_caches()
+    try:
+        product_over_partition("E", (2, 1), 2, 2)
+        product_over_partition("h", (2, 1), None, 2)
+        assert [key[0] for key in symfun._PRODUCT_CACHE] == ["h", "h"]  # (2,) and (2, 1)
+    finally:
+        clear_caches()
 
 
 def test_monomials_at_roots_of_unity_goldens():
