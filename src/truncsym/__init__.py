@@ -71,7 +71,7 @@ def clear_caches() -> None:
     symfun.clear_caches()
     identities._PAIR_CONV.clear()
     _bisnomial_bands.clear()
-    for cached in (bisnomial, gaussian, q_bisnomial, cyclotomic_coeffs, multipoly._layout):
+    for cached in (bisnomial, gaussian, q_bisnomial, cyclotomic_coeffs, multipoly._layout, multipoly._display):
         cached.cache_clear()
 
 

@@ -6,10 +6,15 @@ combinatorial models), ``bisnomial`` (triangle values and tables) and
 ``schur`` (the two determinantal forms side by side).
 
 stdout carries only the payload and is byte-stable for fixed inputs;
-timing goes to stderr and is silenced by ``--deterministic``.  Exit code
+timing goes to stderr and is silenced by ``--deterministic``.  Each
+handler yields its payload in chunks (a table row, a block of listed
+objects, a report line) and returns the exit code; ``run`` writes each
+chunk to stdout or to ``--out``, opened at the first chunk.  Exit code
 0 on success, 1 when a verification found a failing identity, 2 on bad
-arguments, a sweep with no valid point, or an ``--out`` that cannot be
-written.
+arguments, a sweep with no valid point, an ``--out`` that cannot be
+written or a stdout closed by its reader.  An error before the first
+chunk writes nothing and creates no file; one after it (out of memory,
+a closed pipe) leaves the chunks already written in place.
 """
 
 from __future__ import annotations
@@ -18,11 +23,12 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
-from itertools import groupby
-from operator import itemgetter
-from typing import Optional
+from contextlib import ExitStack
+from itertools import chain
+from typing import Iterable, Iterator, Optional
 
 from .bisnomial import bisnomial, pq_bisnomial, q_bisnomial
 from .combinatorics import describe_line, enum_objects, paths_svg, tilings_svg
@@ -61,14 +67,44 @@ def parse_range(text: str) -> list[int]:
     return [int(text)]
 
 
-def _json_line(payload: dict) -> str:
+def _json_line(payload) -> str:
     return json.dumps(payload, separators=(", ", ": "))
 
 
-# -- verb handlers ---------------------------------------------------------
+def _joined(pieces: Iterable[str], sep: str) -> Iterator[str]:
+    """sep.join(pieces), one piece at a time."""
+    for i, piece in enumerate(pieces):
+        yield sep + piece if i else piece
 
 
-def _cmd_expand(args: argparse.Namespace) -> tuple[str, int]:
+def _text_stream(blocks: Iterable[list[str]]) -> Iterator[str]:
+    """'\\n'.join(every line) + '\\n', a block of lines at a time."""
+    yield from _joined(("\n".join(block) for block in blocks), "\n")
+    yield "\n"
+
+
+def _csv_stream(header: list[str], blocks: Iterable[list]) -> Iterator[str]:
+    """The header and each block of rows as csv (CRLF line ends), one writer drained per block."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    for block in chain([[header]], blocks):
+        writer.writerows(block)
+        yield buf.getvalue()
+        buf.seek(0)
+        buf.truncate()
+
+
+def _json_stream(head: dict, key: str, blocks: Iterable[list], tail: Optional[dict] = None) -> Iterator[str]:
+    """The JSON line of head, then key: every item, then tail: one json.dumps per block of items."""
+    yield f'{_json_line(head)[:-1]}, "{key}": ['
+    yield from _joined((_json_line(block)[1:-1] for block in blocks), ", ")
+    yield "]" + (", " + _json_line(tail)[1:] if tail else "}") + "\n"
+
+
+# -- verb handlers: each yields its payload in chunks and returns the exit code --
+
+
+def _cmd_expand(args: argparse.Namespace) -> Iterator[str]:
     kind = args.kind
     meta: dict = {"kind": kind}
     if kind == "m":
@@ -87,20 +123,16 @@ def _cmd_expand(args: argparse.Namespace) -> tuple[str, int]:
             raise ValueError(f"kind {kind} needs --k, --s and --n")
         poly = {"E": E, "H": H, "P": P}[kind](args.k, args.s, args.n)
         meta.update(k=args.k, s=args.s, n=args.n)
-    if args.format == "text":
-        return f"{poly}\n", 0
-    meta["poly"] = poly.to_json()  # the parser allows text or json only
-    return _json_line(meta) + "\n", 0
+    # the parser allows text or json only
+    yield f"{poly}\n" if args.format == "text" else _json_line({**meta, "poly": poly.to_json()}) + "\n"
+    return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
-    if args.id == "all":
-        targets = list_identities()
-    elif args.id == "conversions":
-        targets = [name for name in list_identities() if name.startswith("conversion:")]
-    else:
-        targets = [args.id]
-    reports, empty = [], None
+def _cmd_verify(args: argparse.Namespace) -> Iterator[str]:
+    names = list_identities()
+    conversions = [name for name in names if name.startswith("conversion:")]
+    targets = {"all": names, "conversions": conversions}.get(args.id, [args.id])
+    checks, failed, empty = 0, 0, None
     for name in targets:
         grid = default_grid(name)
         for axis in ("n", "k", "s"):
@@ -108,139 +140,103 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
             if value is not None and axis in grid:
                 grid[axis] = parse_range(value)
         try:
-            reports.extend(verify_grid(name, grid))
+            reports = verify_grid(name, grid)
         except ValueError as exc:  # the grid has every axis, so this id has no valid point
             empty = empty or exc  # an error only if no id has one
-    if not reports:
-        raise empty
-    failed = sum(1 for r in reports if not r.holds)
-    if args.format == "text":
-        lines = []
+            continue
         for r in reports:
-            status = "PASS" if r.holds else "FAIL"
-            params = " ".join(f"{key}={r.params[key]}" for key in sorted(r.params))
-            lines.append(f"{status} {r.identity_id} {params}")
-        lines.append(f"total={len(reports)} failed={failed}")
-        payload = "\n".join(lines) + "\n"
-    else:
-        payload = "".join(
-            r.to_json(include_elapsed=not args.deterministic) + "\n" for r in reports
-        )
-    print(f"{len(reports)} checks, {failed} failed", file=sys.stderr)
-    return payload, (1 if failed else 0)
+            checks, failed = checks + 1, failed + (not r.holds)
+            if args.format == "text":
+                params = " ".join(f"{key}={r.params[key]}" for key in sorted(r.params))
+                yield f"{'PASS' if r.holds else 'FAIL'} {r.identity_id} {params}\n"
+            else:
+                yield r.to_json(include_elapsed=not args.deterministic) + "\n"
+    if not checks:
+        raise empty
+    if args.format == "text":
+        yield f"total={checks} failed={failed}\n"
+    print(f"{checks} checks, {failed} failed", file=sys.stderr)
+    return 1 if failed else 0
 
 
-def _cmd_objects(args: argparse.Namespace) -> tuple[str, int]:
+def _cmd_objects(args: argparse.Namespace) -> Iterator[str]:
     n, k, s, model, objects = args.n, args.k, args.s, args.model, args.command
     if args.format == "svg":
-        svg = paths_svg if objects == "paths" else tilings_svg
-        return svg(n, k, s, model) + "\n", 0
+        yield (paths_svg if objects == "paths" else tilings_svg)(n, k, s, model) + "\n"
+        return 0
     rows = enum_objects(n, k, s, model, objects)
+    blocks = [rows[i:i + 256] for i in range(0, len(rows), 256)]  # 256 paths or tilings a chunk
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["steps", "weight", "sign"])
-        for obj, weight, sign in rows:
-            writer.writerow([obj, ",".join(map(str, weight)), sign])
-        return buf.getvalue(), 0
+        yield from _csv_stream(["steps", "weight", "sign"], (
+            [[obj, ",".join(map(str, weight)), sign] for obj, weight, sign in block] for block in blocks
+        ))
+        return 0
     total = MPoly(n, {weight: sign for _, weight, sign in rows})  # the weight_sum
     if args.format == "text":
-        lines = [describe_line(obj, weight, sign, model) for obj, weight, sign in rows]
-        lines.append(f"count={len(rows)}")
-        lines.append(f"weight_sum={total}")
-        return "\n".join(lines) + "\n", 0
-    items = []
-    for obj, weight, sign in rows:
-        row: dict = {"steps": obj, "weight": list(weight)}
-        if model == "H":
-            row["sign"] = sign
-        items.append(row)
-    payload = {
-        "objects": objects,
-        "n": n,
-        "k": k,
-        "s": s,
-        "model": model,
-        "count": len(rows),
-        "items": items,
-        "weight_sum": total.to_json(),
-    }
-    return _json_line(payload) + "\n", 0
+        lines = ([describe_line(obj, weight, sign, model) for obj, weight, sign in block] for block in blocks)
+        yield from _text_stream(chain(lines, [[f"count={len(rows)}", f"weight_sum={total}"]]))
+        return 0
+    keys = ("steps", "weight", "sign") if model == "H" else ("steps", "weight")  # an E sign is always +1
+    items = ([dict(zip(keys, (obj, list(weight), sign))) for obj, weight, sign in block] for block in blocks)
+    head = {"objects": objects, "n": n, "k": k, "s": s, "model": model, "count": len(rows)}
+    yield from _json_stream(head, "items", items, {"weight_sum": total.to_json()})
+    return 0
 
 
 def _bisnomial_json_value(value) -> object:
-    if isinstance(value, int):
-        return str(value)
-    return value.to_json()
+    return str(value) if isinstance(value, int) else value.to_json()
 
 
-def _cmd_bisnomial(args: argparse.Namespace) -> tuple[str, int]:
+def _cmd_bisnomial(args: argparse.Namespace) -> Iterator[str]:
     n, k, s, flavor = args.n, args.k, args.s, args.flavor
     triangle = {"plain": bisnomial, "q": q_bisnomial, "pq": pq_bisnomial}[flavor]
     if args.table:
-        cells = [(m, kk, triangle(m, kk, s)) for m in range(n + 1) for kk in range(s * m + 1)]
+        if n >= 0:  # the first cell refuses a bad s before the first chunk goes out
+            triangle(0, 0, s)
+        rows = ([(m, kk, triangle(m, kk, s)) for kk in range(s * m + 1)] for m in range(n + 1))
         if args.format == "text":
             if flavor == "plain":
-                rows = groupby(cells, itemgetter(0))  # the cells run row by row
-                lines = [" ".join(str(value) for _, _, value in row) for _, row in rows]
+                yield from _text_stream([" ".join(str(value) for _, _, value in row)] for row in rows)
             else:
-                lines = [f"[{m},{kk}] {value}" for m, kk, value in cells]
-            return "\n".join(lines) + "\n", 0
-        if args.format == "csv":
-            buf = io.StringIO()
-            writer = csv.writer(buf)
-            writer.writerow(["n", "k", "value"])
-            for m, kk, value in cells:
-                writer.writerow([m, kk, value])
-            return buf.getvalue(), 0
-        payload = {  # json, the one format left
-            "flavor": flavor,
-            "s": s,
-            "rows": [
-                {"n": m, "k": kk, "value": _bisnomial_json_value(value)}
-                for m, kk, value in cells
-            ],
-        }
-        return _json_line(payload) + "\n", 0
+                yield from _text_stream([f"[{m},{kk}] {value}" for m, kk, value in row] for row in rows)
+        elif args.format == "csv":
+            yield from _csv_stream(["n", "k", "value"], rows)
+        else:  # json, the one format left
+            yield from _json_stream({"flavor": flavor, "s": s}, "rows", (
+                [{"n": m, "k": kk, "value": _bisnomial_json_value(value)} for m, kk, value in row]
+                for row in rows
+            ))
+        return 0
     if k is None:
         raise ValueError("bisnomial needs --k (or --table)")
     value = triangle(n, k, s)
     if args.format == "text":
-        return f"{value}\n", 0
-    if args.format == "json":
-        payload = {
-            "flavor": flavor,
-            "n": n,
-            "k": k,
-            "s": s,
-            "value": _bisnomial_json_value(value),
-        }
-        return _json_line(payload) + "\n", 0
-    raise ValueError("bisnomial values support --format text or json")
+        yield f"{value}\n"
+    elif args.format == "json":
+        payload = {"flavor": flavor, "n": n, "k": k, "s": s, "value": _bisnomial_json_value(value)}
+        yield _json_line(payload) + "\n"
+    else:
+        raise ValueError("bisnomial values support --format text or json")
+    return 0
 
 
-def _cmd_schur(args: argparse.Namespace) -> tuple[str, int]:
+def _cmd_schur(args: argparse.Namespace) -> Iterator[str]:
     lam = parse_partition(args.lam)
     s, n = args.s, args.n
     h_poly = schur_det(lam, s, n, "h") if len(lam) <= n else None
     e_poly = schur_det(lam, s, n, "e") if (lam[0] if lam else 0) <= n else None
     equal = (h_poly == e_poly) if h_poly is not None and e_poly is not None else None
     if args.format == "text":
-        lines = [
-            f"H-basis: {h_poly if h_poly is not None else 'undefined (more parts than n)'}",
-            f"E-basis: {e_poly if e_poly is not None else 'undefined (largest part exceeds n)'}",
-            f"equal: {'undefined' if equal is None else str(equal).lower()}",
-        ]
-        return "\n".join(lines) + "\n", 0
-    payload = {  # the parser allows text or json only
-        "lam": list(lam),
-        "s": s,
-        "n": n,
-        "h_basis": h_poly.to_json() if h_poly is not None else None,
-        "e_basis": e_poly.to_json() if e_poly is not None else None,
-        "equal": equal,
-    }
-    return _json_line(payload) + "\n", 0
+        yield (
+            f"H-basis: {h_poly if h_poly is not None else 'undefined (more parts than n)'}\n"
+            f"E-basis: {e_poly if e_poly is not None else 'undefined (largest part exceeds n)'}\n"
+            f"equal: {'undefined' if equal is None else str(equal).lower()}\n"
+        )
+    else:  # the parser allows text or json only
+        h_json, e_json = (None if poly is None else poly.to_json() for poly in (h_poly, e_poly))
+        payload = {"lam": list(lam), "s": s, "n": n, "h_basis": h_json, "e_basis": e_json, "equal": equal}
+        yield _json_line(payload) + "\n"
+    return 0
 
 
 # -- parser ------------------------------------------------------------------
@@ -281,9 +277,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for name in ("paths", "tilings"):
         p = sub.add_parser(name, help=f"enumerate admissible {name}")
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--k", type=int, required=True)
-        p.add_argument("--s", type=int, required=True)
+        for axis in ("--n", "--k", "--s"):
+            p.add_argument(axis, type=int, required=True)
         p.add_argument("--model", required=True, choices=["E", "H"])
         common(p, ["text", "json", "svg", "csv"])
         p.set_defaults(handler="_cmd_objects")
@@ -310,6 +305,21 @@ def _build_parser() -> argparse.ArgumentParser:
 _PARSER = _build_parser()  # configuration, built once; it names each handler, looked up per run
 
 
+def _write(chunks: Iterator[str], out: Optional[str]) -> int:
+    """Send each chunk to stdout, or to the file out opened at the first chunk; the handler's exit code."""
+    with ExitStack() as stack:
+        sink = None
+        while True:
+            try:
+                chunk = next(chunks)
+            except StopIteration as stop:
+                sys.stdout.flush()  # a reader gone before the end shows here, not at exit
+                return stop.value
+            if sink is None:
+                sink = stack.enter_context(open(out, "w", encoding="utf-8", newline="")) if out else sys.stdout
+            sink.write(chunk)
+
+
 def run(argv: Optional[list[str]] = None) -> int:
     try:
         args = _PARSER.parse_args(argv)
@@ -317,22 +327,12 @@ def run(argv: Optional[list[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     start = time.perf_counter()
     try:
-        payload, code = globals()[args.handler](args)
-    except (ValueError, KeyError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        code = _write(globals()[args.handler](args), args.out)
+    except (ValueError, KeyError, ArithmeticError, OSError, MemoryError) as exc:
+        if isinstance(exc, BrokenPipeError) and not args.out:  # the reader left: flush the rest nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
-    except MemoryError:
-        print("error: out of memory", file=sys.stderr)
-        return 2
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(payload)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(payload)
     if not args.deterministic:
         print(f"elapsed {time.perf_counter() - start:.3f}s", file=sys.stderr)
     return code

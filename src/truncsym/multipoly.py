@@ -54,13 +54,12 @@ def _layout(n: int) -> tuple[Callable, Callable, int, int]:
     )
 
 
-def _monomial_text(exps: Monomial) -> str:
-    return "*".join([f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(exps, 1) if e])
-
-
-def _display_key(item: tuple[Monomial, Coeff]) -> tuple:
-    negated = tuple(-e for e in item[0])
-    return (-sum(negated), tuple(sorted(negated)), negated)
+@lru_cache(maxsize=4096)
+def _display(n: int, key: int) -> tuple[tuple, str]:
+    """A packed monomial's place in rendering order (descending sort key) and its text."""
+    exps = _layout(n)[1](key)
+    text = "*".join([f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(exps, 1) if e])
+    return (-sum(exps), tuple(sorted(exps, reverse=True)), exps), text
 
 
 class _Terms(Mapping):
@@ -276,8 +275,9 @@ class MPoly:
         return f"({c})"
 
     def __str__(self) -> str:
-        terms = sorted(self.terms.items(), key=_display_key)
-        return _render_terms([(c, _monomial_text(exps)) for exps, c in terms], self._render_coeff)
+        # distinct keys have distinct sort keys, so no coefficient is ever compared
+        shown = sorted([(_display(self.n, key), c) for key, c in self._packed.items()], reverse=True)
+        return _render_terms([(c, text) for (_, text), c in shown], self._render_coeff)
 
     def __repr__(self) -> str:
         return f"MPoly(n={self.n}, terms={dict(self.canonical_terms())})"

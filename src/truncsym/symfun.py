@@ -27,9 +27,9 @@ cached value is the product's coefficient.  A disagreement raises
 ``ArithmeticError`` naming the first monomial where the two sides differ.
 Lower values are filled bottom-up, not recursively.
 
-Also memoized: m_lam at the roots by (lam, s) and the classical products
-e/h/p_lam by (kind, lam, n), which the roots sums reread for every s; not
-the E/H/P products, whose factors are cached and which are many and large.
+Also memoized: m_lam at the roots by (lam, s) and the classical e/h/p_lam,
+in a trie of lam's prefixes per (kind, n), which the roots sums reread for
+every s; not the E/H/P products, many and large, whose factors are cached.
 """
 
 from __future__ import annotations
@@ -234,11 +234,11 @@ def product_over_partition(
         return prod([{"E": E, "H": H, "P": P}[kind](part, s, n) for part in lam], start=MPoly.one(n))
     if kind not in ("e", "h", "p"):
         raise ValueError(f"unknown kind: {kind!r}")
-    out = MPoly.one(n)  # every prefix of lam is cached, each built from the one before
-    for cut in range(1, len(lam) + 1):
-        if (kind, lam[:cut], n) not in _PRODUCT_CACHE:
-            _PRODUCT_CACHE[(kind, lam[:cut], n)] = out * classical(kind, lam[cut - 1], n)
-        out = _PRODUCT_CACHE[(kind, lam[:cut], n)]
+    out, node = MPoly.one(n), _PRODUCT_CACHE.setdefault((kind, n), {})  # part -> (prefix product, children)
+    for part in lam:
+        if part not in node:
+            node[part] = (out * classical(kind, part, n), {})
+        out, node = node[part]
     return out
 
 

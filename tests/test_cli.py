@@ -1,8 +1,13 @@
 """End-to-end tests for the command line interface."""
 
+import contextlib
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -426,3 +431,132 @@ def test_a_bisnomial_table_computes_each_cell_once(capsys):
     cells = sum(s * m + 1 for m in range(n + 1))
     assert code == 0 and out.count("\n") == cells + 1
     assert info.hits + info.misses <= (s + 2) * cells
+
+
+@pytest.mark.parametrize("argv", [
+    ["bisnomial", "--table", "--n", "3", "--s", "0", "--format", "json"],
+    ["verify", "--id", "conversions", "--s", "1..1"],
+    ["expand", "--kind", "m", "--n", "2"],
+    ["schur", "--lambda", "0", "--s", "2", "--n", "2"],
+], ids=["table-s0", "empty-sweep", "m-without-lambda", "bad-partition"])
+def test_an_error_before_the_first_chunk_writes_nothing(capsys, tmp_path, argv):
+    code, out, err = run_cli(capsys, *argv, "--deterministic")
+    assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
+    target = tmp_path / "out.txt"
+    assert run_cli(capsys, *argv, "--out", str(target), "--deterministic") == (2, "", err)
+    assert not target.exists()
+
+
+def test_an_error_after_the_first_chunk_keeps_what_was_written(capsys, monkeypatch):
+    def first_row_then_exhausted(args):
+        yield "1\n"
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_cmd_bisnomial", first_row_then_exhausted)
+    code, out, err = run_cli(capsys, "bisnomial", "--table", "--n", "3", "--s", "2")
+    assert (code, out, err) == (2, "1\n", "error: out of memory\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["bisnomial", "--table", "--flavor", "pq", "--n", "3", "--s", "2"],
+    ["bisnomial", "--table", "--n", "-1", "--s", "2"],
+    ["paths", "--model", "H", "--n", "4", "--k", "6", "--s", "2"],
+    ["tilings", "--model", "E", "--n", "7", "--k", "14", "--s", "1"],  # no admissible tiling
+], ids=["pq-table", "empty-table", "paths", "no-items"])
+def test_a_streamed_json_payload_is_the_one_line_dump(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv, "--format", "json", "--deterministic")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), separators=(", ", ": ")) + "\n"
+
+
+class _Chunks:
+    def __init__(self):
+        self.written = []
+
+    def write(self, text):
+        self.written.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("argv, chunks", [
+    # 2128 paths: 9 blocks of at most 256 lines, the count and weight_sum lines, the last newline
+    (["paths", "--model", "E", "--n", "7", "--k", "10", "--s", "3"], 11),
+    (["tilings", "--model", "E", "--n", "7", "--k", "10", "--s", "3", "--format", "json"], 11),
+    # the header or the head, then one chunk per row m = 0..20 (a json table adds its tail)
+    (["bisnomial", "--table", "--flavor", "q", "--n", "20", "--s", "4", "--format", "csv"], 22),
+    (["bisnomial", "--table", "--flavor", "plain", "--n", "20", "--s", "4", "--format", "json"], 23),
+], ids=["paths-text", "tilings-json", "q-table-csv", "plain-table-json"])
+def test_listings_and_tables_go_out_a_block_or_a_row_at_a_time(argv, chunks):
+    sink = _Chunks()
+    with contextlib.redirect_stdout(sink):
+        assert cli.run([*argv, "--deterministic"]) == 0
+    assert len(sink.written) == chunks
+
+
+class _Discard:
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+# tracemalloc peaks with warm caches while the payload went to a discarding
+# sink, when each handler built its whole payload first: 18.2 MiB for the
+# q table and 6.9 MiB for the plain one (Python 3.11, x86_64)
+@pytest.mark.parametrize("argv, built_mib", [
+    (["--flavor", "q", "--n", "20", "--s", "4"], 18.2),
+    (["--flavor", "plain", "--n", "60", "--s", "6"], 6.9),
+], ids=["q", "plain"])
+def test_a_json_table_streams_in_a_fraction_of_the_built_payload(argv, built_mib):
+    argv = ["bisnomial", "--table", *argv, "--format", "json", "--deterministic"]
+    try:
+        with contextlib.redirect_stdout(_Discard()):
+            assert cli.run(argv) == 0  # fills the caches
+            tracemalloc.start()
+            try:
+                assert cli.run(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    finally:
+        truncsym.clear_caches()
+    assert peak <= built_mib / 2 * 2**20
+
+
+def _cli_process(argv, unbuffered, stdout):
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(truncsym.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen([sys.executable, "-m", "truncsym.cli", *argv, "--deterministic"], env=env,
+                            stdout=stdout, stderr=subprocess.PIPE)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_reader_that_leaves_early_gets_a_one_line_error(unbuffered):
+    # the reader takes 20 bytes of the 1.7 MB q table and closes the pipe
+    argv = ["bisnomial", "--table", "--flavor", "q", "--n", "20", "--s", "4", "--format", "json"]
+    with _cli_process(argv, unbuffered, subprocess.PIPE) as proc:
+        assert proc.stdout.read(20) == b'{"flavor": "q", "s":'
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    assert (code, err) == (2, "error: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_reader_gone_before_a_short_payload_gets_a_one_line_error(unbuffered):
+    # a payload this short waits in the stdout buffer, so buffered the write that fails is the last flush
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        with _cli_process(["expand", "--kind", "e", "--k", "2", "--n", "3"], unbuffered, write_end) as proc:
+            err = proc.stderr.read().decode()
+            code = proc.wait(timeout=60)
+    finally:
+        os.close(write_end)
+    assert (code, err) == (2, "error: [Errno 32] Broken pipe\n")

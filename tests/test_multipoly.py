@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from truncsym.exactalg import BiPoly, CycInt, UniPoly
+from truncsym.exactalg import BiPoly, CycInt, UniPoly, _render_terms
 from truncsym.multipoly import (
     MPoly,
     accumulate_product,
@@ -164,6 +164,25 @@ def test_display_order_golden():
     assert str(p) == "-x1^3 - x2^3 - x3^3 + x1*x2*x3"
     assert str(MPoly.zero(2)) == "0"
     assert str(MPoly.constant(2, Fraction(3, 2))) == "3/2"
+
+
+def _old_display_key(item):
+    # the rendering order before the display memo: one sort key built per term per call
+    negated = tuple(-e for e in item[0])
+    return (-sum(negated), tuple(sorted(negated)), negated)
+
+
+def _old_monomial_text(exps):
+    return "*".join([f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(exps, 1) if e])
+
+
+@given(p=mpolys(n=None, coeff=st.one_of(st.integers(-3, 3), st.fractions(max_denominator=4))),
+       wide=mpolys(n=9))
+def test_rendering_keeps_the_per_term_display_order(p, wide):
+    for poly in (p, wide, p * p):
+        terms = sorted(poly.terms.items(), key=_old_display_key)
+        old = _render_terms([(c, _old_monomial_text(exps)) for exps, c in terms], MPoly._render_coeff)
+        assert str(poly) == old
 
 
 def test_specialize_goldens():

@@ -33,7 +33,7 @@ def test_clear_caches_empties_every_memo_table():
     filled = _filled_caches()
     for table in ("symfun._E_CACHE", "symfun._H_CACHE", "identities._PAIR_CONV",
                   "bisnomial.bisnomial", "bisnomial.q_bisnomial", "exactalg.cyclotomic_coeffs",
-                  "symfun._PRODUCT_CACHE", "symfun._ROOTS_CACHE"):
+                  "symfun._PRODUCT_CACHE", "symfun._ROOTS_CACHE", "multipoly._display"):
         assert f"truncsym.{table}" in filled, table
     truncsym.clear_caches()
     assert _filled_caches() == []

@@ -1,5 +1,7 @@
 """Unit tests for the truncated symmetric function constructors."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -184,12 +186,26 @@ def test_a_classical_product_of_many_parts_needs_no_deep_recursion():
         clear_caches()
 
 
+def test_a_classical_product_memo_grows_with_the_parts_not_their_square():
+    # keyed by whole prefix tuples, the 3000 prefixes of (1,) * 3000 held 35.6 MiB of keys
+    clear_caches()
+    tracemalloc.start()
+    try:
+        product_over_partition("e", (1,) * 3000, None, 1)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        clear_caches()
+    assert held < 4 * 2**20
+
+
 def test_truncated_products_are_not_memoized():
     clear_caches()
     try:
         product_over_partition("E", (2, 1), 2, 2)
         product_over_partition("h", (2, 1), None, 2)
-        assert [key[0] for key in symfun._PRODUCT_CACHE] == ["h", "h"]  # (2,) and (2, 1)
+        assert list(symfun._PRODUCT_CACHE) == [("h", 2)]  # one trie, holding (2,) and (2, 1)
+        assert list(symfun._PRODUCT_CACHE[("h", 2)][2][1]) == [1]
     finally:
         clear_caches()
 
