@@ -191,8 +191,7 @@ def _cmd_bisnomial(args: argparse.Namespace) -> Iterator[str]:
     n, k, s, flavor = args.n, args.k, args.s, args.flavor
     triangle = {"plain": bisnomial, "q": q_bisnomial, "pq": pq_bisnomial}[flavor]
     if args.table:
-        if n >= 0:  # the first cell refuses a bad s before the first chunk goes out
-            triangle(0, 0, s)
+        triangle(min(n, 0), 0, s)  # refuses a bad n or s before the first chunk goes out
         rows = ([(m, kk, triangle(m, kk, s)) for kk in range(s * m + 1)] for m in range(n + 1))
         if args.format == "text":
             if flavor == "plain":

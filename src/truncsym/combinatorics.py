@@ -189,12 +189,6 @@ def describe_line(obj: str, weight: tuple[int, ...], sign: int, model: str) -> s
     return line
 
 
-def describe(obj: str, n: int, s: int, model: str) -> str:
-    """``describe_line`` of one path or tiling, read from its steps."""
-    path = obj if set(obj) <= {"E", "N"} else tiling_to_path(obj)
-    return describe_line(obj, path_weight(path, n), path_sign(path, s), model)
-
-
 # -- SVG rendering -------------------------------------------------------------
 
 _CELL = 24

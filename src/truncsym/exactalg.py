@@ -417,6 +417,9 @@ class BiPoly:
 
     __rmul__ = __mul__
 
+    def __neg__(self) -> "BiPoly":
+        return self * -1
+
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
             other = BiPoly(other)

@@ -39,7 +39,6 @@ aggregated coefficient reduces to a rational integer, raising
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
 from dataclasses import dataclass
@@ -69,6 +68,7 @@ def _sign(m: int) -> int:
 def _describe(value: object) -> str:
     if not isinstance(value, MPoly) or len(value._packed) <= 40:
         return str(value)
+    import hashlib  # only a value past 40 terms needs it, so a CLI start does not load it
     blob = json.dumps(value.to_json(), sort_keys=True).encode()
     digest = hashlib.sha256(blob).hexdigest()[:12]
     return f"<{len(value._packed)} terms, degree {value.degree()}, sha256 {digest}>"

@@ -10,7 +10,9 @@ x_i^j of ``accumulate_shift``), checked once for an exponent that reached
 2**31 (``OverflowError``, never a wrapped monomial), and a pad to more
 variables keeps every key.  As 2**32 = 1 mod 2**32 - 1, a key mod 2**32 - 1
 is its degree while no field reaches 2**(32 - bit_length(n-1)) (else it is
-unpacked and summed); ``is_symmetric`` swaps adjacent fields with masks.
+unpacked and summed); ``is_symmetric`` checks (1 2) and the n-cycle, which
+generate S_n.  Every coefficient ring is an integral domain, so a product is
+filtered for zeros only when it has many-term operands, whose pairs may cancel.
 Exponent tuples appear only at the API edge: ``terms`` is a tuple-keyed view
 unpacked on demand, and the constructor refuses an exponent of 2**31 or more.
 
@@ -144,14 +146,6 @@ class MPoly:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("MPoly is immutable")
 
-    @classmethod
-    def _trusted(cls, n: int, packed: dict) -> "MPoly":
-        """Adopt a dict of valid packed keys and nonzero coefficients as is."""
-        self = object.__new__(cls)
-        _set_n(self, n)
-        _set_packed(self, packed)
-        return self
-
     @property
     def terms(self) -> Mapping:
         """The terms keyed by exponent tuple: a read-only view, unpacked on demand."""
@@ -168,14 +162,14 @@ class MPoly:
     @classmethod
     def constant(cls, n: int, c: Coeff) -> "MPoly":
         _layout(n)  # refuses n < 0
-        return cls._trusted(n, {0: c} if c else {})
+        return _trusted(n, {0: c} if c else {})
 
     @classmethod
     def variable(cls, n: int, i: int) -> "MPoly":
         """x_i, with i in 1..n."""
         if not 1 <= i <= n:
             raise ValueError(f"variable index {i} out of range 1..{n}")
-        return cls._trusted(n, {1 << 32 * (i - 1): 1})
+        return _trusted(n, {1 << 32 * (i - 1): 1})
 
     @classmethod
     def monomial(cls, n: int, exps: Iterable[int], c: Coeff = 1) -> "MPoly":
@@ -190,10 +184,14 @@ class MPoly:
     def __add__(self, other: object) -> "MPoly":
         if isinstance(other, MPoly):
             self._check_same_vars(other)
+            if not (self._packed and other._packed):  # values are immutable: share the nonzero one
+                return self or other
             out = dict(self._packed)
+            get = out.get
             for key, c in other._packed.items():
-                out[key] = out[key] + c if key in out else c
-            return MPoly._trusted(self.n, _nonzero(out))
+                old = get(key)
+                out[key] = c if old is None else old + c
+            return _trusted(self.n, _nonzero(out))
         if isinstance(other, _SCALAR_TYPES):
             return self + MPoly.constant(self.n, other)
         return NotImplemented
@@ -201,7 +199,7 @@ class MPoly:
     __radd__ = __add__
 
     def __neg__(self) -> "MPoly":
-        return MPoly._trusted(self.n, {key: -c for key, c in self._packed.items()})
+        return _trusted(self.n, {key: -c for key, c in self._packed.items()})
 
     def __sub__(self, other: object) -> "MPoly":
         if isinstance(other, (MPoly, *_SCALAR_TYPES)):
@@ -214,19 +212,22 @@ class MPoly:
     def __mul__(self, other: object) -> "MPoly":
         if isinstance(other, MPoly):
             self._check_same_vars(other)
+            if len(other._packed) == 1:  # every coefficient ring commutes
+                self, other = other, self
             a, b, top = self._packed, other._packed, _layout(self.n)[2]
-            if len(b) == 1:  # every coefficient ring commutes
-                a, b = b, a
-            if len(a) == 1:  # one add per term of the other operand
-                ((ka, ca),) = a.items()
-                out = _checked({ka + kb: ca * cb for kb, cb in b.items()}, top)
-            else:
-                out = _product({}, a, b, 1, top)
-            return MPoly._trusted(self.n, _nonzero(out))
-        if isinstance(other, _SCALAR_TYPES):
-            scaled = {key: c * other for key, c in self._packed.items()}
-            return MPoly._trusted(self.n, _nonzero(scaled))
-        return NotImplemented
+            if len(a) != 1:  # pairs may cancel, so only this sum is filtered
+                return _trusted(self.n, _nonzero(_product({}, a, b, 1, top)))
+            ((ka, ca),) = a.items()  # one add per term of the other operand, no two alike
+            if ka:
+                return _trusted(self.n, _checked({ka + kb: ca * cb for kb, cb in b.items()}, top))
+            self, other = other, ca  # a constant operand is a scalar
+        elif not isinstance(other, _SCALAR_TYPES):
+            return NotImplemented
+        if not other:  # every coefficient ring is a domain, so only a zero scalar gives zeros
+            return _trusted(self.n, {})
+        if type(other) is int and other == 1:  # a CycInt one would change the coefficient types
+            return self
+        return _trusted(self.n, {key: c * other for key, c in self._packed.items()})
 
     __rmul__ = __mul__  # a scalar on the left
 
@@ -257,7 +258,7 @@ class MPoly:
         """Reinterpret in n >= self.n variables, new variables unused."""
         if n < self.n:
             raise ValueError(f"cannot shrink from {self.n} to {n} variables")
-        return self if n == self.n else MPoly._trusted(n, self._packed)
+        return self if n == self.n else _trusted(n, self._packed)
 
     def coeff(self, exps: Iterable[int]) -> Coeff:
         return self.terms.get(tuple(exps), 0)
@@ -302,6 +303,14 @@ class MPoly:
 
 
 _set_n, _set_packed = MPoly.n.__set__, MPoly._packed.__set__  # the slots, past __setattr__
+
+
+def _trusted(n: int, packed: dict) -> MPoly:
+    """Adopt a dict of valid packed keys and nonzero coefficients as is."""
+    self = object.__new__(MPoly)
+    _set_n(self, n)
+    _set_packed(self, packed)
+    return self
 
 
 def _coeff_to_json(c: Coeff) -> object:
@@ -363,7 +372,7 @@ def accumulate_shift(acc: dict, p: MPoly, i: int, j: int, scalar: Coeff = 1) -> 
 
 def collect(n: int, acc: dict) -> MPoly:
     """Finish an accumulate_product run, dropping zero entries."""
-    return MPoly._trusted(n, _nonzero(acc))
+    return _trusted(n, _nonzero(acc))
 
 
 def substitute_power(p: MPoly, s: int) -> MPoly:
@@ -373,7 +382,7 @@ def substitute_power(p: MPoly, s: int) -> MPoly:
     # the fields scale without a carry while every product stays below 2**31
     if max((max(exps, default=0) for exps in p.terms), default=0) * s >= _LIMIT:
         raise OverflowError("a substituted power has an exponent of 2**31 or more")
-    return MPoly._trusted(p.n, {key * s: c for key, c in p._packed.items()})
+    return _trusted(p.n, {key * s: c for key, c in p._packed.items()})
 
 
 def specialize(p: MPoly, kind: str) -> Union[int, UniPoly, BiPoly]:
@@ -404,16 +413,15 @@ def specialize(p: MPoly, kind: str) -> Union[int, UniPoly, BiPoly]:
 def is_symmetric(p: MPoly) -> bool:
     """True when p is invariant under every permutation of its variables.
 
-    Invariance under the adjacent transpositions (i, i+1) generates the
-    full symmetric group, so only n-1 swaps are checked.  A swap is one to
-    one on keys, so it fixes p when each swapped key holds the same coefficient.
+    The transposition (1 2) and the n-cycle (1 2 ... n) generate the full
+    symmetric group, so only these two are checked.  Each is one to one on
+    keys, so it fixes p when each moved key holds the same coefficient.
     """
-    get = p._packed.get
-    for i in range(p.n - 1):
-        mask = _FIELD << 32 * i  # the field of x_(i+1)
-        for key, c in p._packed.items():
-            moved = (key ^ key >> 32) & mask  # fields i+1 and i+2 differ in these bits
-            if get(key ^ moved ^ moved << 32) != c:
-                return False
+    if p.n < 2:
+        return True
+    get, top = p._packed.get, 32 * (p.n - 1)
+    for key, c in p._packed.items():
+        moved = (key ^ key >> 32) & _FIELD  # the bits where the fields of x1 and x2 differ
+        if get(key ^ moved ^ moved << 32) != c or get(key >> 32 | (key & _FIELD) << top) != c:
+            return False
     return True
-

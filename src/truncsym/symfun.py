@@ -170,38 +170,34 @@ def _checked_H(k: int, s: int, n: int) -> MPoly:
 
 def E(k: int, s: int, n: int) -> MPoly:
     """Degree-s truncated elementary family; zero outside 0 <= k <= s*n."""
+    if (cached := _E_CACHE.get((k, s, n))) is not None:  # only validated keys are stored
+        return cached
     _validate_sn(s, n)
     if k < 0 or k > s * n:
         return MPoly.zero(n)
-    key = (k, s, n)
-    cached = _E_CACHE.get(key)
-    if cached is None:
-        # each value peels onto the n-1 values with index k-s..k
-        for m in range(n + 1):
-            for kk in range(max(0, k - s * (n - m)), min(k, s * m) + 1):
-                if (kk, s, m) not in _E_CACHE:
-                    _E_CACHE[(kk, s, m)] = _checked_E(kk, s, m)
-        cached = _E_CACHE[key]
-    return cached
+    # each value peels onto the n-1 values with index k-s..k
+    for m in range(n + 1):
+        for kk in range(max(0, k - s * (n - m)), min(k, s * m) + 1):
+            if (kk, s, m) not in _E_CACHE:
+                _E_CACHE[(kk, s, m)] = _checked_E(kk, s, m)
+    return _E_CACHE[(k, s, n)]
 
 
 def H(k: int, s: int, n: int) -> MPoly:
     """Degree-s truncated complete family; zero for k < 0."""
+    if (cached := _H_CACHE.get((k, s, n))) is not None:  # only validated keys are stored
+        return cached
     _validate_sn(s, n)
     if k < 0:
         return MPoly.zero(n)
     if n == 0:
         return MPoly.one(0) if k == 0 else MPoly.zero(0)
-    key = (k, s, n)
-    cached = _H_CACHE.get(key)
-    if cached is None:
-        # each value peels onto the lower k at n and onto the same k at n-1
-        for m in range(1, n + 1):
-            for kk in range(k + 1):
-                if (kk, s, m) not in _H_CACHE:
-                    _H_CACHE[(kk, s, m)] = _checked_H(kk, s, m)
-        cached = _H_CACHE[key]
-    return cached
+    # each value peels onto the lower k at n and onto the same k at n-1
+    for m in range(1, n + 1):
+        for kk in range(k + 1):
+            if (kk, s, m) not in _H_CACHE:
+                _H_CACHE[(kk, s, m)] = _checked_H(kk, s, m)
+    return _H_CACHE[(k, s, n)]
 
 
 def P(k: int, s: int, n: int) -> MPoly:

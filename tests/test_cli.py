@@ -435,10 +435,11 @@ def test_a_bisnomial_table_computes_each_cell_once(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["bisnomial", "--table", "--n", "3", "--s", "0", "--format", "json"],
+    ["bisnomial", "--table", "--n", "-1", "--s", "2", "--format", "json"],
     ["verify", "--id", "conversions", "--s", "1..1"],
     ["expand", "--kind", "m", "--n", "2"],
     ["schur", "--lambda", "0", "--s", "2", "--n", "2"],
-], ids=["table-s0", "empty-sweep", "m-without-lambda", "bad-partition"])
+], ids=["table-s0", "table-negative-n", "empty-sweep", "m-without-lambda", "bad-partition"])
 def test_an_error_before_the_first_chunk_writes_nothing(capsys, tmp_path, argv):
     code, out, err = run_cli(capsys, *argv, "--deterministic")
     assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
@@ -459,10 +460,9 @@ def test_an_error_after_the_first_chunk_keeps_what_was_written(capsys, monkeypat
 
 @pytest.mark.parametrize("argv", [
     ["bisnomial", "--table", "--flavor", "pq", "--n", "3", "--s", "2"],
-    ["bisnomial", "--table", "--n", "-1", "--s", "2"],
     ["paths", "--model", "H", "--n", "4", "--k", "6", "--s", "2"],
     ["tilings", "--model", "E", "--n", "7", "--k", "14", "--s", "1"],  # no admissible tiling
-], ids=["pq-table", "empty-table", "paths", "no-items"])
+], ids=["pq-table", "paths", "no-items"])
 def test_a_streamed_json_payload_is_the_one_line_dump(capsys, argv):
     code, out, _ = run_cli(capsys, *argv, "--format", "json", "--deterministic")
     assert code == 0

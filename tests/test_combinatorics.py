@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import arrangement_oracle as oracle
 from truncsym.combinatorics import (
-    describe,
+    describe_line,
     enum_objects,
     enum_paths,
     enum_tilings,
@@ -139,9 +139,13 @@ def test_model_and_input_validation():
 
 
 def test_describe_lines():
-    assert describe("EEENN", 3, 2, model="H") == "EEENN weight=x1^3 sign=-1"
-    assert describe("NEEEN", 3, 2, model="E") == "NEEEN weight=x2^3"
-    assert describe("ggrrr", 3, 2, model="H") == "ggrrr weight=x3^3 sign=-1"
+    def line(path, model):
+        return describe_line(path, path_weight(path, 3), path_sign(path, 2), model)
+
+    assert line("EEENN", model="H") == "EEENN weight=x1^3 sign=-1"
+    assert line("NEEEN", model="E") == "NEEEN weight=x2^3"
+    tiling = describe_line("ggrrr", tiling_weight("ggrrr", 3), tiling_sign("ggrrr", 2), "H")
+    assert tiling == "ggrrr weight=x3^3 sign=-1"
 
 
 def test_svg_output_is_well_formed():

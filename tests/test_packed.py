@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from truncsym.exactalg import CycInt
+from truncsym.exactalg import BiPoly, CycInt, UniPoly
 from truncsym.identities import _linear_passes
 from truncsym.multipoly import (
     MPoly,
@@ -32,6 +32,10 @@ COEFFS = {
     "int": st.integers(-4, 4),
     "fraction": st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
     "cycint": st.builds(lambda cs: CycInt(5, cs), st.lists(st.integers(-2, 2), max_size=4)),
+    "cycint6": st.builds(lambda cs: CycInt(6, cs), st.lists(st.integers(-2, 2), max_size=4)),  # composite order
+    "unipoly": st.builds(UniPoly, st.lists(st.integers(-2, 2), max_size=3)),
+    # one degree for every coefficient, as a BiPoly is homogeneous
+    "bipoly": st.builds(lambda cs: BiPoly.homogenize(UniPoly(cs), 2), st.lists(st.integers(-2, 2), max_size=3)),
 }
 
 
@@ -194,6 +198,15 @@ def test_accumulate_product_refuses_operands_in_different_variable_counts():
     assert acc == {}
 
 
+@pytest.mark.parametrize("n, m", [(2, 3), (3, 2), (0, 1)])
+def test_a_zero_operand_in_another_variable_count_is_refused(n, m):
+    p = MPoly.one(n) + MPoly.variable(n, n) if n else MPoly.one(0)
+    assert p + MPoly.zero(n) is p and MPoly.zero(n) + p is p  # values are immutable, so shared
+    for left, right in [(p, MPoly.zero(m)), (MPoly.zero(m), p), (MPoly.zero(n), MPoly.zero(m))]:
+        with pytest.raises(ValueError):
+            left + right
+
+
 # -- degree and symmetry on packed keys ------------------------------------------
 
 
@@ -256,6 +269,15 @@ def test_symmetrized_inputs_and_one_perturbed_coefficient(case):
         (5, {**{exps: 2 for exps in itertools.permutations((4, 3, 0, 0, 1))}, (0, 0, 1, 3, 4): 1}),
         (5, {(2**29 - 1,) * 5: 1, (0, 1, 0, 0, 0): 1}),
         (5, {(2**29,) * 5: 1, (LIMIT - 1, 5 * 2**29 - LIMIT + 1, 0, 0, 0): -1}),
+        # x1^2*x2 + x2^2*x3 + ... + xn^2*x1 is fixed by the n-cycle, not by (1 2);
+        # x1*x2 + x3 is fixed by (1 2), not by the n-cycle
+        *[(n, {tuple(2 if j == i else int(j == (i + 1) % n) for j in range(n)): 1 for i in range(n)})
+          for n in (3, 4, 5)],
+        *[(n, {(1, 1) + (0,) * (n - 2): 1, (0, 0, 1) + (0,) * (n - 3): 1}) for n in (3, 4, 5)],
+        (0, {(): -2}),
+        (1, {(0,): 1, (5,): 2}),
+        (2, {(2, 1): 1}),
+        (2, {(2, 1): 3, (1, 2): 3, (0, 0): 1}),
     ],
 )
 def test_degree_and_symmetry_at_fixed_points(n, terms):
@@ -275,9 +297,11 @@ def test_a_one_term_product_matches_the_product_loop(ring, data):
     expected = collect(n, _product({}, one._packed, p._packed, 1, _layout(n)[2]))
     assert one * p == expected and p * one == expected
     assert expected.terms == ref_mul({exps: c}, a)
-    for scalar in (c, 0):
+    assert all((one * p)._packed.values()) and all((p * one)._packed.values())
+    for scalar in (c, 0, 1):
         scaled = ref_clean({e: v * scalar for e, v in b.items()})
-        assert (scalar * MPoly(n, b)).terms == scaled and (MPoly(n, b) * scalar).terms == scaled
+        for product in (scalar * MPoly(n, b), MPoly(n, b) * scalar):
+            assert product.terms == scaled and all(product._packed.values())
 
 
 def test_a_one_term_product_reaching_the_limit_raises_in_either_order():
@@ -291,6 +315,14 @@ def test_a_one_term_product_reaching_the_limit_raises_in_either_order():
         wide * MPoly.variable(2, 1)
     with pytest.raises(OverflowError):
         MPoly.variable(2, 1) * wide
+
+
+def test_only_the_int_one_returns_the_operand_itself():
+    p = MPoly.variable(2, 1) + 3
+    assert 1 * p is p and p * 1 is p and p * MPoly.one(2) is p and MPoly.one(2) * p is p
+    for one in (CycInt(5, [1]), UniPoly([1]), Fraction(1)):  # equal to 1, but of another ring
+        for product in (one * p, p * one, MPoly.constant(2, one) * p, p * MPoly.constant(2, one)):
+            assert product == p and {type(c) for c in product.terms.values()} == {type(one)}
 
 
 @pytest.mark.parametrize("n", [0, 1, 3, 5])

@@ -330,3 +330,9 @@ def test_validation_of_s_and_n():
         E(1, 0, 2)
     with pytest.raises(ValueError):
         H(1, 2, -1)
+    # the cache is read before the validation, and holds only validated keys
+    E(2, 1, 3), H(1, 1, 2)
+    with pytest.raises(ValueError):
+        E(2, 0, 3)
+    with pytest.raises(ValueError):
+        H(1, 0, 2)
