@@ -60,8 +60,8 @@ from .bisnomial import (
     pq_gaussian,
     q_bisnomial,
 )
-from .bisnomial import _BANDS as _bisnomial_bands
-from . import identities, multipoly, symfun
+from . import exactalg, identities, multipoly, symfun
+from .bisnomial import _TRIANGLES as _bisnomial_triangles
 
 __version__ = "0.1.0"
 
@@ -69,9 +69,9 @@ __version__ = "0.1.0"
 def clear_caches() -> None:
     """Empty every memo table in the package, so the next call starts cold."""
     symfun.clear_caches()
-    identities._PAIR_CONV.clear()
-    _bisnomial_bands.clear()
-    for cached in (bisnomial, gaussian, q_bisnomial, cyclotomic_coeffs, multipoly._layout, multipoly._display):
+    for table in (identities._PAIR_CONV, _bisnomial_triangles, exactalg._POWER_TEXTS):
+        table.clear()
+    for cached in (cyclotomic_coeffs, multipoly._layout, multipoly._display):
         cached.cache_clear()
 
 

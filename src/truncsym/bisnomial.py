@@ -3,13 +3,25 @@
 ``bisnomial(n, k, s)`` counts multisets drawn from n slots with each slot
 used at most s times, i.e. the coefficient of t^k in (1 + t + ... + t^s)^n.
 The q- and (p,q)-variants evaluate the truncated elementary family on the
-geometric grids q^(i-1) and p^(n-i) q^(i-1).  The count, the q-variant and
-the Gaussian binomial run one-row recurrences, which are the production
-path here (the polynomial constructors stay the reference oracle in the
-test suite).  Before a recurrence runs, the rows below that it reads are
-filled bottom-up from the highest row already cached, so no call recurses
-more than one row deep.  Each (p,q)-variant is homogeneous: it is its
-q-version homogenized to its degree.
+geometric grids q^(i-1) and p^(n-i) q^(i-1).  Each (p,q)-variant is
+homogeneous: it is its q-version homogenized to its degree.  The polynomial
+constructors stay the reference oracle in the test suite.
+
+Row n of a triangle is generated by prod_i (1 - (x_i t)^(s+1)) / (1 - x_i t)
+over n slots; multiplying it by (1 - x_n t) gives three-term row recurrences:
+
+    B(n, k) = B(n, k-1) + B(n-1, k) - B(n-1, k-s-1)
+    Q(n, k) = Q(n-1, k) + q^(n-1) Q(n, k-1) - q^((s+1)(n-1)) Q(n-1, k-s-1)
+
+and the Gaussian binomials follow G(n, k) = G(n-1, k-1) + q^k G(n-1, k).
+Each triangle is one store of rows, ``_TRIANGLES[step, s]``: row m holds
+k = 0 .. min(s*m, its cap), no cap above the one below it.  A query (n, k)
+appends missing rows and widens rows 0..n to k in place, each cell computed
+once from its left neighbour and the row below.  Counts and Gaussian
+binomials are palindromic in k, so queries read min(k, s*n - k): a deep
+single value fills O(n*k) cells.  A q query past the middle of its row
+reads Q(n, k)(q) = q^(s*n(n-1)/2) Q(n, s*n-k)(1/q) when rows below n would
+widen (a single value) and widens when only row n does (a table walk).
 
 The conversion identities that tie these triangles to ordinary and
 Gaussian binomials are checked by ``identities`` as ``conversion:<kind>``.
@@ -17,59 +29,66 @@ Gaussian binomials are checked by ``identities`` as ``conversion:<kind>``.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from operator import add
+from operator import add, sub
 
 from .exactalg import BiPoly, UniPoly
 
 
-_BANDS: dict = {}  # (fn, args) -> {row: (lo, hi)}: fn(row, kk, *args) is cached for lo <= kk <= hi
+_TRIANGLES: dict = {}  # (step, s) -> rows; row m holds k = 0 .. min(s*m, its cap)
 
 
-def _record(bands: dict, m: int, lo: int, hi: int) -> None:
-    old = bands.get(m)
-    if old is not None and old[0] <= hi + 1 and lo <= old[1] + 1:  # overlapping or adjacent: merge
-        lo, hi = (lo if lo < old[0] else old[0]), (hi if hi > old[1] else old[1])
-    bands[m] = (lo, hi)
+def _cell(step, n: int, k: int, s: int, one, reflect: bool = False):
+    """The (n, k) cell of step's triangle, 0 <= k <= s*n, growing rows 0..n to reach it."""
+    rows = _TRIANGLES.get((step, s)) or _TRIANGLES.setdefault((step, s), [[one]])
+    if n < len(rows) and k < len(rows[n]):
+        return rows[n][k]
+    rows.extend([] for _ in range(len(rows), n + 1))
+    # the top row that reaches k; no cap exceeds the one below, so every row under it does too
+    m = next(m for m in range(n, -1, -1) if len(rows[m]) > min(s * m, k))
+    if reflect and m < n - 1 and 2 * k > s * n:  # a single q value past the middle of its row
+        value = _cell(step, n, s * n - k, s, one).coeffs
+        low = next(i for i, c in enumerate(value) if c)  # its zero low terms become the top
+        return UniPoly((0,) * (s * n * (n - 1) // 2 + 1 - len(value)) + value[low:][::-1])
+    for m in range(m + 1, n + 1):
+        step(rows[m - 1], rows[m], m, min(s * m, k) + 1, s)
+    return rows[n][k]
 
 
-def _rows_below(fn, n: int, k: int, s: int, args: tuple) -> None:
-    """Cache bottom-up what the one-row recurrence at (n, k) reads, then record (n, k).
-
-    Row m < n is read at kk = max(0, k - s*(n-m)) .. min(k, s*m). Filling starts
-    above the highest row whose band is recorded, so a table filled row by row
-    fills nothing, and each fn call made here recurses one row deep.
-    """
-    bands = _BANDS.get((fn, args))
-    if bands is None:
-        bands = _BANDS[fn, args] = {}
-    have = bands.get(n - 1)
-    if have is None or have[0] > max(0, k - s) or have[1] < min(k, s * (n - 1)):
-        m = n - 2
-        while m > 0:
-            have = bands.get(m)
-            if have is not None and have[0] <= max(0, k - s * (n - m)) and min(k, s * m) <= have[1]:
-                break
-            m -= 1
-        for m in range(m + 1, n):
-            lo, hi = max(0, k - s * (n - m)), min(k, s * m)
-            for kk in range(lo, hi + 1):
-                fn(m, kk, *args)
-            _record(bands, m, lo, hi)
-    have = bands.get(n)
-    if have is not None and have[1] == k - 1:  # the next cell of a row filled left to right
-        bands[n] = (have[0], k)
-    else:
-        _record(bands, n, k, k)
+def _count_step(below: list, row: list, m: int, stop: int, s: int) -> None:
+    """Extend count row m to length stop: B(m, k) = B(m, k-1) + B(m-1, k) - B(m-1, k-s-1)."""
+    value = row[-1] if row else 0
+    for k in range(len(row), stop):
+        value += (below[k] if k < len(below) else 0) - (below[k - s - 1] if k > s else 0)
+        row.append(value)
 
 
-def _shift_add(parts: list[tuple[int, tuple[int, ...]]]) -> list[int]:
-    """Coefficients of sum q^shift * poly over (shift, coeffs) pairs, in one pass."""
-    out = [0] * max([shift + len(coeffs) for shift, coeffs in parts], default=0)
-    for shift, coeffs in parts:
-        end = shift + len(coeffs)
-        out[shift:end] = map(add, out[shift:end], coeffs)
-    return out
+def _shifted(out: list, shift: int, coeffs: tuple, op) -> None:
+    """out op= q^shift * coeffs, in place, for op add or sub."""
+    end = shift + len(coeffs)
+    out.extend([0] * (end - len(out)))
+    out[shift:end] = map(op, out[shift:end], coeffs)
+
+
+def _q_step(below: list, row: list, m: int, stop: int, s: int) -> None:
+    """Extend q-row m to length stop by the three-term recurrence of the module docstring."""
+    for k in range(len(row), stop):
+        out = list(below[k].coeffs) if k < len(below) else []
+        if k:
+            _shifted(out, m - 1, row[k - 1].coeffs, add)
+        if k > s:
+            _shifted(out, (s + 1) * (m - 1), below[k - s - 1].coeffs, sub)
+        while out and not out[-1]:  # the subtracted top can outreach Q(m, k)
+            out.pop()
+        row.append(UniPoly(out))
+
+
+def _gaussian_step(below: list, row: list, m: int, stop: int, s: int) -> None:
+    """Extend Gaussian row m to length stop: G(m, k) = G(m-1, k-1) + q^k G(m-1, k)."""
+    for k in range(len(row), stop):
+        out = list(below[k - 1].coeffs) if k else []
+        if k < len(below):
+            _shifted(out, k, below[k].coeffs, add)
+        row.append(UniPoly(out))
 
 
 def _validate(n: int, k: int, s: int) -> None:
@@ -79,16 +98,12 @@ def _validate(n: int, k: int, s: int) -> None:
         raise ValueError(f"s must be >= 1, got {s}")
 
 
-@lru_cache(maxsize=None)
 def bisnomial(n: int, k: int, s: int) -> int:
     """Coefficient of t^k in (1 + t + ... + t^s)^n."""
     _validate(n, k, s)
     if k < 0 or k > s * n:
         return 0
-    if n == 0:
-        return 1
-    _rows_below(bisnomial, n, k, s, (s,))
-    return sum([bisnomial(n - 1, k - j, s) for j in range(min(s, k) + 1)])
+    return _cell(_count_step, n, min(k, s * n - k), s, 1)
 
 
 def bisnomial_row(n: int, s: int) -> list[int]:
@@ -97,20 +112,14 @@ def bisnomial_row(n: int, s: int) -> list[int]:
     return [bisnomial(n, k, s) for k in range(s * n + 1)]
 
 
-@lru_cache(maxsize=None)
 def gaussian(n: int, k: int) -> UniPoly:
     """Gaussian binomial coefficient as a polynomial in q."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    _validate(n, k, 1)
     if k < 0 or k > n:
         return UniPoly()
-    if k == 0 or k == n:
-        return UniPoly(1)
-    _rows_below(gaussian, n, k, 1, ())
-    return UniPoly(_shift_add([(0, gaussian(n - 1, k - 1).coeffs), (k, gaussian(n - 1, k).coeffs)]))
+    return _cell(_gaussian_step, n, min(k, n - k), 1, UniPoly(1))
 
 
-@lru_cache(maxsize=None)
 def q_bisnomial(n: int, k: int, s: int) -> UniPoly:
     """The truncated elementary family evaluated at x_i = q^(i-1).
 
@@ -120,12 +129,7 @@ def q_bisnomial(n: int, k: int, s: int) -> UniPoly:
     _validate(n, k, s)
     if k < 0 or k > s * n:
         return UniPoly()
-    if n == 0:
-        return UniPoly(1)
-    _rows_below(q_bisnomial, n, k, s, (s,))
-    return UniPoly(_shift_add(
-        [(j * (n - 1), q_bisnomial(n - 1, k - j, s).coeffs) for j in range(min(s, k) + 1)]
-    ))
+    return _cell(_q_step, n, k, s, UniPoly(1), True)
 
 
 def pq_gaussian(n: int, k: int) -> BiPoly:

@@ -100,27 +100,28 @@ def _power(x, n: int, one):
     return result
 
 
-def _power_text(var: str, e: int) -> str:
-    """var^e as text: '' for e = 0, var for e = 1."""
-    return "" if e == 0 else var if e == 1 else f"{var}^{e}"
+_POWER_TEXTS: dict = {}  # (var, tail) -> [var^e + tail for e = 0, 1, ...], '' for e = 0
 
 
-def _dense_text(coeffs: Sequence, var: str) -> str:
-    return _render_terms([(c, _power_text(var, e)) for e, c in enumerate(coeffs) if c])
+def _powers(var: str, top: int, tail: str = "") -> list[str]:
+    """Texts of var^e followed by tail for e = 0 .. top at least: '' for e = 0, var for e = 1."""
+    texts = _POWER_TEXTS.setdefault((var, tail), ["", var + tail])
+    texts.extend([f"{var}^{e}{tail}" for e in range(len(texts), top + 1)])
+    return texts
 
 
-def _render_terms(terms: Iterable[tuple[object, str]], coeff_text: Callable = str) -> str:
-    """'a + b - c' from (coefficient, monomial text) pairs; every ring renders through it."""
-    parts = [
-        coeff_text(c) if not mono
-        else mono if c == 1
-        else f"-{mono}" if c == -1
-        else f"{coeff_text(c)}*{mono}"
-        for c, mono in terms
+def _render_terms(coeffs: Iterable, monos: Iterable[str], coeff_text: Callable = str) -> str:
+    """'a + b - c' from coefficients and their monomial texts, in one pass; every ring renders through it.
+
+    Zero coefficients are skipped, and a coefficient 1 or -1 before a monomial
+    shows as its sign alone.  No ring's text holds '+ -', so a term whose text
+    leads with '-' joins with ' - ' by one replace over the joined text.
+    """
+    terms = [
+        (mono if c == 1 else "-" + mono if c == -1 else f"{coeff_text(c)}*{mono}") if mono else coeff_text(c)
+        for c, mono in zip(coeffs, monos) if c
     ]
-    if not parts:
-        return "0"
-    return parts[0] + "".join([f" - {p[1:]}" if p[0] == "-" else f" + {p}" for p in parts[1:]])
+    return " + ".join(terms).replace("+ -", "- ") if terms else "0"
 
 
 class CycInt:
@@ -215,7 +216,7 @@ class CycInt:
         return f"CycInt(order={self.order}, coeffs={list(self.coeffs)})"
 
     def __str__(self) -> str:
-        return _dense_text(self.coeffs, "x")
+        return _render_terms(self.coeffs, _powers("x", len(self.coeffs) - 1))
 
     def to_json(self) -> dict:
         return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}
@@ -349,7 +350,7 @@ class UniPoly:
         return f"UniPoly({list(self.coeffs)})"
 
     def __str__(self) -> str:
-        return _dense_text(self.coeffs, "q")
+        return _render_terms(self.coeffs, _powers("q", len(self.coeffs) - 1))
 
     def to_json(self) -> list[str]:
         return [str(c) for c in self.coeffs]
@@ -448,10 +449,12 @@ class BiPoly:
         return f"BiPoly({dict(sorted(self.terms.items()))})"
 
     def __str__(self) -> str:
-        terms = sorted(self.terms.items())  # ascending p-exponent
-        return _render_terms(
-            [(c, _power_text("p", i) + ("*" if i and j else "") + _power_text("q", j)) for (i, j), c in terms]
-        )
+        d, coeffs = self.degree, self._q.coeffs  # ascending p-exponent: descending j
+        stars, qs = _powers("p", d, "*"), _powers("q", len(coeffs) - 1)
+        monos = [stars[d - j] + qs[j] for j in range(len(coeffs) - 1, 0, -1)]
+        monos.append(_powers("p", d)[d])
+        return _render_terms(coeffs[::-1], monos)
 
     def to_json(self) -> list[list]:
-        return [[i, j, str(c)] for (i, j), c in sorted(self.terms.items())]
+        d, coeffs = self.degree, self._q.coeffs
+        return [[d - j, j, str(coeffs[j])] for j in range(len(coeffs) - 1, -1, -1) if coeffs[j]]

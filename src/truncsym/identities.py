@@ -41,12 +41,11 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import product as _cartesian
 from math import comb, factorial, lcm, prod
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .bisnomial import bisnomial, gaussian, pq_bisnomial, pq_gaussian, q_bisnomial
 from .exactalg import BiPoly, CycInt, UniPoly, cyclotomic_coeffs
@@ -74,8 +73,7 @@ def _describe(value: object) -> str:
     return f"<{len(value._packed)} terms, degree {value.degree()}, sha256 {digest}>"
 
 
-@dataclass
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Outcome of checking one identity at one parameter point."""
 
     identity_id: str
@@ -98,8 +96,7 @@ class IdentityReport:
         return json.dumps(payload, separators=(", ", ": "))
 
 
-@dataclass(frozen=True)
-class IdentitySpec:
+class IdentitySpec(NamedTuple):
     """One registry entry: a check, its parameter names and its valid points.
 
     Without an explicit ``requires``, a point (n, k, s) is valid when n >= 1,
@@ -116,10 +113,6 @@ class IdentitySpec:
     k_min: int = 0
     s_min: int = 1
     avoid_k_mult_of_s: bool = False
-
-    def __post_init__(self) -> None:
-        if self.requires is None:
-            object.__setattr__(self, "requires", self._default_requires)
 
     def _default_requires(
         self, n: int = 1, k: int = 0, s: int = 1, lam: Optional[Sequence[int]] = None
@@ -551,7 +544,7 @@ def verify(identity_id: str, **params) -> IdentityReport:
         )
     if "lam" in params:
         params = dict(params, lam=tuple(params["lam"]))
-    reason = spec.requires(**params)
+    reason = (spec.requires or spec._default_requires)(**params)
     if reason is not None:
         raise ValueError(f"invalid parameters for {identity_id}: {reason}")
     start = time.perf_counter()
@@ -591,7 +584,7 @@ def verify_grid(identity_id: str, grid: Mapping[str, Iterable[int]]) -> list[Ide
         points = (dict(zip(spec.arity, combo)) for combo in _cartesian(*axes))
     reports, first_reason = [], None
     for point in points:
-        reason = spec.requires(**point)
+        reason = (spec.requires or spec._default_requires)(**point)
         if reason is None:
             reports.append(verify(identity_id, **point))
         first_reason = first_reason or reason

@@ -278,7 +278,7 @@ class MPoly:
     def __str__(self) -> str:
         # distinct keys have distinct sort keys, so no coefficient is ever compared
         shown = sorted([(_display(self.n, key), c) for key, c in self._packed.items()], reverse=True)
-        return _render_terms([(c, text) for (_, text), c in shown], self._render_coeff)
+        return _render_terms([c for _, c in shown], [text for (_, text), _ in shown], self._render_coeff)
 
     def __repr__(self) -> str:
         return f"MPoly(n={self.n}, terms={dict(self.canonical_terms())})"

@@ -1,11 +1,16 @@
 """Unit tests for the generalized binomial tables and their q/pq refinements."""
 
+from functools import lru_cache
 from math import comb
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import truncsym
 from pq_oracle import pq_bisnomial_rows, pq_gaussian_rows
 from truncsym.bisnomial import (
+    _TRIANGLES,
     bisnomial,
     bisnomial_row,
     gaussian,
@@ -159,3 +164,123 @@ def test_conversion_validation():
         verify("conversion:plain", n=0, k=2, s=2)
     with pytest.raises(ValueError):
         verify("conversion:plain", n=3, k=-1, s=2)
+
+
+# -- the triangle store ----------------------------------------------------------
+
+
+def closed_count(n: int, k: int, s: int) -> int:
+    """Inclusion-exclusion over the slots used more than s times."""
+    if n == 0:
+        return int(k == 0)
+    return sum(
+        (-1) ** j * comb(n, j) * comb(k - j * (s + 1) + n - 1, n - 1)
+        for j in range(n + 1)
+        if k - j * (s + 1) >= 0
+    )
+
+
+@lru_cache(maxsize=None)
+def _pq_rows(flavor: str, s: int) -> list:
+    return pq_gaussian_rows(8) if flavor == "gaussian" else pq_bisnomial_rows(8, s)
+
+
+def _oracle(flavor: str, n: int, k: int, s: int):
+    """The closed form for counts, the (p,q) recurrences of pq_oracle for the rest."""
+    if flavor == "plain":
+        return closed_count(n, k, s)
+    row = _pq_rows(flavor, s)[n]
+    value = row[k] if 0 <= k < len(row) else BiPoly()
+    return value if flavor == "pq" else value.at_p1()
+
+
+_UNDER_TEST = {
+    "plain": bisnomial,
+    "gaussian": lambda n, k, s: gaussian(n, k),
+    "q": q_bisnomial,
+    "pq": pq_bisnomial,
+}
+
+
+@st.composite
+def query_runs(draw):
+    """Queries on cold triangles, in drawn order, deepest first or widest first."""
+    queries = draw(st.lists(
+        st.tuples(
+            st.sampled_from(sorted(_UNDER_TEST)),
+            st.integers(1, 4),
+            st.integers(0, 8),
+            st.integers(-1, 33),
+            st.booleans(),  # ask for the mirror image s*n - k of the drawn k
+        ),
+        min_size=1, max_size=25,
+    ))
+    order = draw(st.sampled_from(["drawn", "deep", "wide"]))
+    if order == "deep":
+        queries.sort(key=lambda q: -q[2])
+    elif order == "wide":
+        queries.sort(key=lambda q: -q[3])
+    return queries
+
+
+@given(query_runs())
+def test_the_store_answers_any_query_order(queries):
+    truncsym.clear_caches()
+    try:
+        for flavor, s, n, k, mirrored in queries:
+            top = n if flavor == "gaussian" else s * n
+            k = min(k, top + 1)  # at most one past the row's last cell
+            if mirrored:
+                k = top - k
+            assert _UNDER_TEST[flavor](n, k, s) == _oracle(flavor, n, k, s), (flavor, n, k, s)
+    finally:
+        truncsym.clear_caches()
+
+
+def _stored_cells(triangle, *queries) -> list[int]:
+    """Row lengths of the one store that triangle's queries fill, from cold."""
+    truncsym.clear_caches()
+    try:
+        for n, k, s in queries:
+            triangle(n, k, s)
+        (rows,) = _TRIANGLES.values()
+        return [len(row) for row in rows]
+    finally:
+        truncsym.clear_caches()
+
+
+def test_a_deep_narrow_value_stores_a_narrow_band():
+    # k = 3 of row 20000: four cells a row, not a triangle of 4e8
+    assert bisnomial(20000, 3, 2) == closed_count(20000, 3, 2)
+    assert _stored_cells(bisnomial, (20000, 3, 2)) == [min(2 * m, 3) + 1 for m in range(20001)]
+
+
+def test_a_value_near_the_end_of_a_row_is_read_at_its_mirror():
+    # k = 3990 of s*n = 4000 reads k = 10: eleven cells a row
+    assert bisnomial(2000, 3990, 2) == closed_count(2000, 3990, 2)
+    assert _stored_cells(bisnomial, (2000, 3990, 2)) == [min(2 * m, 10) + 1 for m in range(2001)]
+
+
+def test_a_wide_query_widens_only_the_rows_it_reads():
+    # after the deep band, k = 10 of row 10 widens rows 0..10, not the 20000 rows above
+    rows = _stored_cells(bisnomial, (20000, 3, 2), (10, 10, 2))
+    assert rows == [min(2 * m, 10 if m <= 10 else 3) + 1 for m in range(20001)]
+
+
+def test_a_q_value_near_the_end_of_a_row_is_read_at_its_reflection():
+    # Q(200, 399) = q^39800 Q(200, 1)(1/q): two cells a row, not s*n^2/2 polynomials
+    top = 2 * 200 * 199 // 2
+    assert q_bisnomial(200, 399, 2) == UniPoly([0] * (top - 199) + [1] * 200)
+    assert _stored_cells(q_bisnomial, (200, 399, 2)) == [1] + [2] * 200
+    # either side of the middle of row 8 (s*n = 16) fills the rows to the lower k
+    middle = [min(2 * m, 7) + 1 for m in range(9)]
+    assert _stored_cells(q_bisnomial, (8, 7, 2)) == _stored_cells(q_bisnomial, (8, 9, 2)) == middle
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_a_q_table_walk_widens_its_rows_instead_of_reflecting(s):
+    # rows walked in order are full below the current one, so each upper-half cell is one new cell
+    walk = [(m, k, s) for m in range(9) for k in range(s * m + 1)]
+    assert _stored_cells(q_bisnomial, *walk) == [s * m + 1 for m in range(9)]
+    for m, k, _ in walk:
+        assert q_bisnomial(m, k, s) == _oracle("q", m, k, s)

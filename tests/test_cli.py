@@ -14,6 +14,7 @@ import pytest
 
 import truncsym
 from truncsym import cli
+from truncsym.bisnomial import _TRIANGLES
 from truncsym.identities import IdentitySpec, REGISTRY
 
 
@@ -419,18 +420,18 @@ def test_bisnomial_in_many_slots_needs_no_deep_recursion(capsys):
 
 
 def test_a_bisnomial_table_computes_each_cell_once(capsys):
-    # each cell is one call that reads at most s + 1 cells of the row below;
-    # refilling the lower rows for every cell of a table would make many more calls
+    # row m of the store holds k = 0 .. min(s*m, cap), and a table's queries,
+    # mirrored to k <= s*m/2, lift the cap to floor(s*n/2): a cell stored
+    # twice, or a row filled past what the queries read, would change the count
     n, s = 150, 3
     truncsym.clear_caches()
     try:
         code, out, _ = run_cli(capsys, "bisnomial", "--table", "--n", str(n), "--s", str(s), "--format", "csv")
-        info = truncsym.bisnomial.cache_info()
+        stored = {key[1]: [len(row) for row in rows] for key, rows in _TRIANGLES.items()}
     finally:
         truncsym.clear_caches()
-    cells = sum(s * m + 1 for m in range(n + 1))
-    assert code == 0 and out.count("\n") == cells + 1
-    assert info.hits + info.misses <= (s + 2) * cells
+    assert code == 0 and out.count("\n") == sum(s * m + 1 for m in range(n + 1)) + 1
+    assert stored == {s: [min(s * m, s * n // 2) + 1 for m in range(n + 1)]}
 
 
 @pytest.mark.parametrize("argv", [

@@ -14,6 +14,8 @@ from truncsym.exactalg import (
 )
 from truncsym.multipoly import MPoly, specialize
 
+from render_oracle import bipoly_json, bipoly_text, dense_text
+
 # ascending coefficients, standard table
 CYCLOTOMIC_KNOWN = {
     1: (-1, 1),
@@ -279,3 +281,35 @@ def test_bipoly_refuses_a_non_homogeneous_value():
         BiPoly.term(1, 1, 0) + BiPoly.term(1, 0, 2)
     assert BiPoly({(1, 0): 2, (0, 1): 0, (0, 2): 0}) == BiPoly.term(2, 1, 0)
     assert not BiPoly.homogenize(UniPoly(), -3)  # the zero value at a negative degree
+
+
+# -- rendering -----------------------------------------------------------------
+
+# zeros and units are the coefficients the rendering rule treats apart
+ring_coeffs = st.lists(st.sampled_from([0, 1, -1]) | st.integers(-12, 12), max_size=14)
+
+
+def _assert_renders_as_the_term_rule(coeffs, order, degree):
+    u = UniPoly(coeffs)
+    assert str(u) == dense_text(u.coeffs, "q")
+    assert u.to_json() == [str(c) for c in u.coeffs]
+    c = CycInt(order, coeffs)
+    assert str(c) == dense_text(c.coeffs, "x")
+    assert c.to_json() == {"order": order, "coeffs": [str(a) for a in c.coeffs]}
+    b = BiPoly.homogenize(u, max(degree, u.degree))
+    assert str(b) == bipoly_text(b.terms)
+    assert b.to_json() == bipoly_json(b.terms)
+
+
+@given(coeffs=ring_coeffs, order=orders, degree=st.integers(0, 16))
+def test_rendering_matches_the_term_by_term_rule(coeffs, order, degree):
+    _assert_renders_as_the_term_rule(coeffs, order, degree)
+
+
+@pytest.mark.parametrize("coeffs", [
+    [], [0, 0], [7], [-7], [1], [-1], [0, 1], [0, -1], [-1, 1], [-3, 0, 0, 1],
+    [0, 0, -2, -1], [1, -1, 1, -1, 1, -1, 1, -1, 1, -1, 12],
+], ids=lambda coeffs: ",".join(map(str, coeffs)) or "zero")
+def test_rendering_edge_cases_match_the_term_by_term_rule(coeffs):
+    for order, degree in ((1, 0), (7, 3), (12, 11)):
+        _assert_renders_as_the_term_rule(coeffs, order, degree)

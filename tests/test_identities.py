@@ -169,11 +169,12 @@ def test_default_grid_shapes():
         default_grid("nope")
 
 
-def test_report_is_a_plain_dataclass():
+def test_report_is_a_plain_record():
     r = IdentityReport(
         identity_id="x", params={"k": 1}, holds=True, lhs="0", rhs="0", elapsed=0.0
     )
     assert json.loads(r.to_json())["holds"] is True
+    assert r == ("x", {"k": 1}, True, "0", "0", 0.0)
 
 
 def test_a_grid_with_no_valid_point_is_an_error():

@@ -29,12 +29,15 @@ def test_clear_caches_empties_every_memo_table():
     assert truncsym.verify("conversion:pq", n=3, k=2, s=2).holds
     assert truncsym.verify("roots_H", n=2, k=3, s=2).holds
     assert truncsym.bisnomial(3, 2, 2) == 6
+    assert str(truncsym.gaussian(4, 2)) == "1 + q + 2*q^2 + q^3 + q^4"
     truncsym.cyclotomic_coeffs(6)
     filled = _filled_caches()
     for table in ("symfun._E_CACHE", "symfun._H_CACHE", "identities._PAIR_CONV",
-                  "bisnomial.bisnomial", "bisnomial.q_bisnomial", "exactalg.cyclotomic_coeffs",
+                  "bisnomial._TRIANGLES", "exactalg._POWER_TEXTS", "exactalg.cyclotomic_coeffs",
                   "symfun._PRODUCT_CACHE", "symfun._ROOTS_CACHE", "multipoly._display"):
         assert f"truncsym.{table}" in filled, table
+    triangles = sys.modules["truncsym.bisnomial"]._TRIANGLES  # the package name is the function
+    assert {step.__name__ for step, _ in triangles} == {"_count_step", "_q_step", "_gaussian_step"}
     truncsym.clear_caches()
     assert _filled_caches() == []
 
