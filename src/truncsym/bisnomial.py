@@ -107,9 +107,11 @@ def bisnomial(n: int, k: int, s: int) -> int:
 
 
 def bisnomial_row(n: int, s: int) -> list[int]:
-    """Row n of the triangle: k = 0 .. s*n."""
-    _validate(n, 0, s)
-    return [bisnomial(n, k, s) for k in range(s * n + 1)]
+    """Row n of the triangle: k = 0 .. s*n, its stored half up to the middle and that half mirrored."""
+    half = s * n // 2
+    bisnomial(n, half, s)  # refuses a bad n or s, and grows row n to its middle
+    row = _TRIANGLES[_count_step, s][n]
+    return row[:half + 1] + row[:s * n - half][::-1]
 
 
 def gaussian(n: int, k: int) -> UniPoly:

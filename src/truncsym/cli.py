@@ -20,8 +20,6 @@ a closed pipe) leaves the chunks already written in place.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -30,8 +28,9 @@ from contextlib import ExitStack
 from itertools import chain
 from typing import Iterable, Iterator, Optional
 
-from .bisnomial import bisnomial, pq_bisnomial, q_bisnomial
+from .bisnomial import bisnomial, bisnomial_row, pq_bisnomial, q_bisnomial
 from .combinatorics import describe_line, enum_objects, paths_svg, tilings_svg
+from .exactalg import UniPoly
 from .identities import default_grid, list_identities, verify_grid
 from .multipoly import MPoly
 from .partitions import is_partition
@@ -83,22 +82,34 @@ def _text_stream(blocks: Iterable[list[str]]) -> Iterator[str]:
     yield "\n"
 
 
+def _csv_field(field) -> str:
+    """A field as csv.writer's default dialect writes it: quoted, inner quotes doubled, if it holds , " CR or LF."""
+    text = str(field)
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _csv_stream(header: list[str], blocks: Iterable[list]) -> Iterator[str]:
-    """The header and each block of rows as csv (CRLF line ends), one writer drained per block."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
+    """The header and each block of rows (two or more fields each) as csv with CRLF line ends, a block at a time."""
     for block in chain([[header]], blocks):
-        writer.writerows(block)
-        yield buf.getvalue()
-        buf.seek(0)
-        buf.truncate()
+        yield "".join(",".join(map(_csv_field, row)) + "\r\n" for row in block)
 
 
-def _json_stream(head: dict, key: str, blocks: Iterable[list], tail: Optional[dict] = None) -> Iterator[str]:
-    """The JSON line of head, then key: every item, then tail: one json.dumps per block of items."""
+def _json_stream(head: dict, key: str, blocks: Iterable[str], tail: Optional[dict] = None) -> Iterator[str]:
+    """The JSON line of head, then key: every item, then tail; each block is its items' JSON text, joined."""
     yield f'{_json_line(head)[:-1]}, "{key}": ['
-    yield from _joined((_json_line(block)[1:-1] for block in blocks), ", ")
+    yield from _joined(blocks, ", ")
     yield "]" + (", " + _json_line(tail)[1:] if tail else "}") + "\n"
+
+
+def _value_json(value) -> str:
+    """The JSON text of a triangle value: an int as a string, q coefficients as strings, pq terms as [i, j, "c"]."""
+    if isinstance(value, int):
+        return f'"{value}"'
+    if isinstance(value, UniPoly):
+        return '["' + '", "'.join(map(str, value.coeffs)) + '"]' if value else "[]"
+    return "[" + ", ".join(f'[{i}, {j}, "{c}"]' for i, j, c in value.to_json()) + "]"
 
 
 # -- verb handlers: each yields its payload in chunks and returns the exit code --
@@ -176,15 +187,14 @@ def _cmd_objects(args: argparse.Namespace) -> Iterator[str]:
         lines = ([describe_line(obj, weight, sign, model) for obj, weight, sign in block] for block in blocks)
         yield from _text_stream(chain(lines, [[f"count={len(rows)}", f"weight_sum={total}"]]))
         return 0
-    keys = ("steps", "weight", "sign") if model == "H" else ("steps", "weight")  # an E sign is always +1
-    items = ([dict(zip(keys, (obj, list(weight), sign))) for obj, weight, sign in block] for block in blocks)
+    signed = ', "sign": {}' if model == "H" else ""  # an E sign is always +1 and is left out
+    items = (", ".join(  # the steps hold only E N g r, so nothing needs escaping
+        f'{{"steps": "{obj}", "weight": [{", ".join(map(str, weight))}]{signed.format(sign)}}}'
+        for obj, weight, sign in block
+    ) for block in blocks)
     head = {"objects": objects, "n": n, "k": k, "s": s, "model": model, "count": len(rows)}
     yield from _json_stream(head, "items", items, {"weight_sum": total.to_json()})
     return 0
-
-
-def _bisnomial_json_value(value) -> object:
-    return str(value) if isinstance(value, int) else value.to_json()
 
 
 def _cmd_bisnomial(args: argparse.Namespace) -> Iterator[str]:
@@ -192,7 +202,9 @@ def _cmd_bisnomial(args: argparse.Namespace) -> Iterator[str]:
     triangle = {"plain": bisnomial, "q": q_bisnomial, "pq": pq_bisnomial}[flavor]
     if args.table:
         triangle(min(n, 0), 0, s)  # refuses a bad n or s before the first chunk goes out
-        rows = ([(m, kk, triangle(m, kk, s)) for kk in range(s * m + 1)] for m in range(n + 1))
+        values = (bisnomial_row(m, s) if flavor == "plain" else [triangle(m, kk, s) for kk in range(s * m + 1)]
+                  for m in range(n + 1))
+        rows = ([(m, kk, value) for kk, value in enumerate(row)] for m, row in enumerate(values))
         if args.format == "text":
             if flavor == "plain":
                 yield from _text_stream([" ".join(str(value) for _, _, value in row)] for row in rows)
@@ -202,7 +214,7 @@ def _cmd_bisnomial(args: argparse.Namespace) -> Iterator[str]:
             yield from _csv_stream(["n", "k", "value"], rows)
         else:  # json, the one format left
             yield from _json_stream({"flavor": flavor, "s": s}, "rows", (
-                [{"n": m, "k": kk, "value": _bisnomial_json_value(value)} for m, kk, value in row]
+                ", ".join(f'{{"n": {m}, "k": {kk}, "value": {_value_json(value)}}}' for m, kk, value in row)
                 for row in rows
             ))
         return 0
@@ -212,8 +224,7 @@ def _cmd_bisnomial(args: argparse.Namespace) -> Iterator[str]:
     if args.format == "text":
         yield f"{value}\n"
     elif args.format == "json":
-        payload = {"flavor": flavor, "n": n, "k": k, "s": s, "value": _bisnomial_json_value(value)}
-        yield _json_line(payload) + "\n"
+        yield f'{_json_line({"flavor": flavor, "n": n, "k": k, "s": s})[:-1]}, "value": {_value_json(value)}}}\n'
     else:
         raise ValueError("bisnomial values support --format text or json")
     return 0

@@ -294,13 +294,6 @@ class MPoly:
             ],
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "MPoly":
-        terms = {
-            tuple(t["exps"]): _coeff_from_json(t["coeff"]) for t in obj["terms"]
-        }
-        return cls(obj["n"], terms)
-
 
 _set_n, _set_packed = MPoly.n.__set__, MPoly._packed.__set__  # the slots, past __setattr__
 
@@ -323,21 +316,6 @@ def _coeff_to_json(c: Coeff) -> object:
     if isinstance(c, BiPoly):
         return {"pq": c.to_json()}
     raise TypeError(f"cannot serialize coefficient of type {type(c).__name__}")
-
-
-def _coeff_from_json(obj: object) -> Coeff:
-    if isinstance(obj, str):
-        if "/" in obj:
-            return Fraction(obj)
-        return int(obj)
-    if isinstance(obj, dict):
-        if "order" in obj:
-            return CycInt(obj["order"], [int(c) for c in obj["coeffs"]])
-        if "q" in obj:
-            return UniPoly([int(c) for c in obj["q"]])
-        if "pq" in obj:
-            return BiPoly({(i, j): int(c) for i, j, c in obj["pq"]})
-    raise ValueError(f"unrecognized coefficient payload: {obj!r}")
 
 
 def accumulate_product(acc: dict, a: MPoly, b: MPoly, scalar: Coeff = 1) -> None:
@@ -401,8 +379,11 @@ def specialize(p: MPoly, kind: str) -> Union[int, UniPoly, BiPoly]:
         return sum(p._packed.values())
     if kind not in ("geometric-q", "pq-grid"):
         raise ValueError(f"unknown specialization kind: {kind!r}")
-    degrees = ((sum((i - 1) * e for i, e in enumerate(exps, 1)), c) for exps, c in p.terms.items())
-    image = sum((UniPoly.term(c, d) for d, c in degrees), UniPoly())
+    degrees = [(sum((i - 1) * e for i, e in enumerate(exps, 1)), c) for exps, c in p.terms.items()]
+    coeffs = [0] * (max((d for d, _ in degrees), default=-1) + 1)  # by q-degree, up to the largest one
+    for d, c in degrees:
+        coeffs[d] += c
+    image = UniPoly(coeffs)
     if kind == "geometric-q":
         return image
     if not p.is_homogeneous():

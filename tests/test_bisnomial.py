@@ -131,6 +131,15 @@ def test_pq_refinement_matches_the_grid_specialization():
                 assert pq_bisnomial(n, k, s) == specialize(E(k, s, n), "pq-grid")
 
 
+@pytest.mark.parametrize("n, s", [(8, 2), (6, 3), (10, 1)])
+def test_the_grid_images_of_larger_families_are_the_triangles(n, s):
+    # up to 1,000-odd terms a value: the q-degrees gathered in one list, not a UniPoly per term
+    for k in range(s * n + 1):
+        family = E(k, s, n)
+        assert specialize(family, "geometric-q") == q_bisnomial(n, k, s)
+        assert specialize(family, "pq-grid") == pq_bisnomial(n, k, s)
+
+
 def test_pq_refinement_projects_to_the_q_refinement():
     for n in range(4):
         for s in range(1, 4):
@@ -233,6 +242,26 @@ def test_the_store_answers_any_query_order(queries):
             if mirrored:
                 k = top - k
             assert _UNDER_TEST[flavor](n, k, s) == _oracle(flavor, n, k, s), (flavor, n, k, s)
+    finally:
+        truncsym.clear_caches()
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 14), st.integers(-1, 60)), max_size=8),
+    st.integers(0, 14),
+    st.integers(1, 4),
+)
+def test_a_row_read_whole_is_its_cells_after_any_earlier_queries(queries, n, s):
+    # the earlier queries leave rows of the store widened to different caps
+    truncsym.clear_caches()
+    try:
+        for m, k in queries:
+            bisnomial(m, k, s)
+        row = bisnomial_row(n, s)
+        assert row == [closed_count(n, k, s) for k in range(s * n + 1)]
+        row[0] = -1  # a copy: the stored cells stay as they are
+        assert bisnomial_row(n, s) == [bisnomial(n, k, s) for k in range(s * n + 1)]
+        assert bisnomial(n, 0, s) == 1
     finally:
         truncsym.clear_caches()
 

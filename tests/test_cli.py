@@ -1,8 +1,10 @@
 """End-to-end tests for the command line interface."""
 
 import contextlib
+import csv
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -11,10 +13,13 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import truncsym
 from truncsym import cli
-from truncsym.bisnomial import _TRIANGLES
+from truncsym.bisnomial import _TRIANGLES, bisnomial, pq_bisnomial, q_bisnomial
+from truncsym.combinatorics import enum_objects, weight_sum
 from truncsym.identities import IdentitySpec, REGISTRY
 
 
@@ -459,15 +464,118 @@ def test_an_error_after_the_first_chunk_keeps_what_was_written(capsys, monkeypat
     assert (code, out, err) == (2, "1\n", "error: out of memory\n")
 
 
-@pytest.mark.parametrize("argv", [
-    ["bisnomial", "--table", "--flavor", "pq", "--n", "3", "--s", "2"],
-    ["paths", "--model", "H", "--n", "4", "--k", "6", "--s", "2"],
-    ["tilings", "--model", "E", "--n", "7", "--k", "14", "--s", "1"],  # no admissible tiling
-], ids=["pq-table", "paths", "no-items"])
+# the JSON payloads of tables, listings and single values, each written by direct encoders
+JSON_CASES = {
+    "pq-table": ["bisnomial", "--table", "--flavor", "pq", "--n", "3", "--s", "2"],
+    "q-table": ["bisnomial", "--table", "--flavor", "q", "--n", "4", "--s", "3"],
+    "plain-table": ["bisnomial", "--table", "--flavor", "plain", "--n", "5", "--s", "2"],
+    "paths": ["paths", "--model", "H", "--n", "4", "--k", "6", "--s", "2"],
+    "E-paths": ["paths", "--model", "E", "--n", "3", "--k", "4", "--s", "2"],
+    "E-tilings": ["tilings", "--model", "E", "--n", "4", "--k", "3", "--s", "1"],
+    "H-tilings": ["tilings", "--model", "H", "--n", "3", "--k", "5", "--s", "2"],
+    "no-items": ["tilings", "--model", "E", "--n", "7", "--k", "14", "--s", "1"],  # no admissible tiling
+    "plain-value": ["bisnomial", "--flavor", "plain", "--n", "6", "--k", "7", "--s", "3"],
+    "q-value": ["bisnomial", "--flavor", "q", "--n", "4", "--k", "3", "--s", "2"],
+    "pq-value": ["bisnomial", "--flavor", "pq", "--n", "4", "--k", "3", "--s", "2"],
+    "zero-plain-value": ["bisnomial", "--flavor", "plain", "--n", "2", "--k", "5", "--s", "2"],
+    "zero-q-value": ["bisnomial", "--flavor", "q", "--n", "2", "--k", "5", "--s", "2"],
+    "zero-pq-value": ["bisnomial", "--flavor", "pq", "--n", "2", "--k", "-1", "--s", "2"],
+}
+
+
+@pytest.mark.parametrize("argv", list(JSON_CASES.values()), ids=list(JSON_CASES))
 def test_a_streamed_json_payload_is_the_one_line_dump(capsys, argv):
     code, out, _ = run_cli(capsys, *argv, "--format", "json", "--deterministic")
     assert code == 0
     assert out == json.dumps(json.loads(out), separators=(", ", ": ")) + "\n"
+
+
+TRIANGLE = {"plain": bisnomial, "q": q_bisnomial, "pq": pq_bisnomial}
+
+
+def _numbers(argv: list[str]) -> tuple:
+    """The --n, --k and --s of a command as ints; k is None when the command has none."""
+    opts = {key: int(value) for key, value in zip(argv, argv[1:]) if key in ("--n", "--k", "--s")}
+    return opts["--n"], opts.get("--k"), opts["--s"]
+
+
+def _table_cells(n: int, s: int) -> list[tuple[int, int]]:
+    return [(m, kk) for m in range(n + 1) for kk in range(s * m + 1)]
+
+
+def _value_payload(value):
+    """A triangle value as the payload holds it: digits, q coefficients or [i, j, c] terms, all as strings."""
+    return str(value) if isinstance(value, int) else value.to_json()
+
+
+def _whole_payload(argv: list[str]) -> dict:
+    """The payload of a table, listing or value command, built whole from the library."""
+    (n, k, s), verb = _numbers(argv), argv[0]
+    if verb != "bisnomial":
+        model = argv[argv.index("--model") + 1]
+        rows = enum_objects(n, k, s, model, verb)
+        keys = ("steps", "weight", "sign") if model == "H" else ("steps", "weight")
+        return {
+            "objects": verb, "n": n, "k": k, "s": s, "model": model, "count": len(rows),
+            "items": [dict(zip(keys, (obj, list(weight), sign))) for obj, weight, sign in rows],
+            "weight_sum": weight_sum(n, k, s, model, verb).to_json(),
+        }
+    flavor = argv[argv.index("--flavor") + 1]
+    triangle = TRIANGLE[flavor]
+    if "--table" not in argv:
+        return {"flavor": flavor, "n": n, "k": k, "s": s, "value": _value_payload(triangle(n, k, s))}
+    rows = [{"n": m, "k": kk, "value": _value_payload(triangle(m, kk, s))} for m, kk in _table_cells(n, s)]
+    return {"flavor": flavor, "s": s, "rows": rows}
+
+
+@pytest.mark.parametrize("argv", list(JSON_CASES.values()), ids=list(JSON_CASES))
+def test_a_json_payload_is_the_dump_of_the_payload_built_whole(capsys, argv):
+    # the payload as a dict of lists and dicts, passed to json.dumps once
+    code, out, _ = run_cli(capsys, *argv, "--format", "json", "--deterministic")
+    assert code == 0
+    assert out == json.dumps(_whole_payload(argv), separators=(", ", ": ")) + "\n"
+
+
+def _csv_writer_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+# text drawn from every character but NUL, which csv.writer refuses before Python 3.11, with the
+# ones csv quotes for drawn often
+CSV_CHARACTERS = st.one_of(st.sampled_from(',"\r\n \''), st.characters().filter(lambda c: c != "\x00"))
+CSV_FIELDS = st.one_of(st.text(CSV_CHARACTERS), st.integers())
+
+
+@given(
+    st.lists(CSV_FIELDS, min_size=2, max_size=4),
+    st.lists(st.lists(st.lists(CSV_FIELDS, min_size=2, max_size=4), max_size=4), max_size=3),
+)
+def test_csv_rows_are_written_as_csv_writer_writes_them(header, blocks):
+    chunks = list(cli._csv_stream(header, blocks))
+    assert len(chunks) == len(blocks) + 1  # the header, then one chunk per block
+    assert "".join(chunks) == _csv_writer_text([header, *(row for block in blocks for row in block)])
+
+
+@pytest.mark.parametrize("argv", [
+    ["bisnomial", "--table", "--flavor", "plain", "--n", "6", "--s", "3"],
+    ["bisnomial", "--table", "--flavor", "q", "--n", "4", "--s", "2"],
+    ["bisnomial", "--table", "--flavor", "pq", "--n", "3", "--s", "3"],
+    ["paths", "--model", "H", "--n", "4", "--k", "6", "--s", "2"],
+    ["tilings", "--model", "E", "--n", "3", "--k", "4", "--s", "2"],
+    ["tilings", "--model", "H", "--n", "1", "--k", "4", "--s", "3"],  # one-field weights, not quoted
+], ids=["plain-table", "q-table", "pq-table", "H-paths", "E-tilings", "one-slot-tilings"])
+def test_table_and_listing_csv_is_what_csv_writer_writes(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv", "--deterministic")
+    n, k, s = _numbers(argv)
+    if argv[0] == "bisnomial":
+        triangle = TRIANGLE[argv[argv.index("--flavor") + 1]]
+        rows = [("n", "k", "value")] + [(m, kk, triangle(m, kk, s)) for m, kk in _table_cells(n, s)]
+    else:
+        listed = enum_objects(n, k, s, argv[argv.index("--model") + 1], argv[0])
+        rows = [("steps", "weight", "sign")] + [(obj, ",".join(map(str, w)), sign) for obj, w, sign in listed]
+    assert (code, out) == (0, _csv_writer_text(rows))
 
 
 class _Chunks:

@@ -1,5 +1,6 @@
 """Unit tests for multivariate polynomials and the truncated-series oracle."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from truncsym.multipoly import (
     substitute_power,
 )
 
+from json_oracle import mpoly_from_json
 from render_oracle import render_terms
 from series_oracle import series_inverse, series_product
 
@@ -186,6 +188,50 @@ def test_rendering_keeps_the_per_term_display_order(p, wide):
         assert str(poly) == old
 
 
+def _term_by_term(p: MPoly, kind: str):
+    """The grid image as a sum of one ring value per term of p: x_i = q^(i-1), or p^(n-i) q^(i-1)."""
+    q_degrees = [(sum((i - 1) * e for i, e in enumerate(exps, 1)), sum(exps), c) for exps, c in p.terms.items()]
+    if kind == "geometric-q":
+        return sum((UniPoly.term(c, d) for d, _, c in q_degrees), UniPoly())
+    return sum((BiPoly.term(c, (p.n - 1) * total - d, d) for d, total, c in q_degrees), BiPoly())
+
+
+@st.composite
+def homogeneous_mpolys(draw):
+    """Integer polynomials in 1..4 variables whose terms share one degree 0..6."""
+    n, degree = draw(st.integers(1, 4)), draw(st.integers(0, 6))
+    cuts = st.lists(st.integers(0, degree), min_size=n - 1, max_size=n - 1).map(sorted)
+    exps = cuts.map(lambda c: tuple(b - a for a, b in zip([0, *c], [*c, degree])))
+    return MPoly(n, draw(st.dictionaries(exps, st.integers(-5, 5), max_size=8)))
+
+
+@given(a=mpolys(coeff=st.integers(-5, 5)), b=homogeneous_mpolys())
+def test_the_grid_specializations_are_the_term_by_term_sums(a, b):
+    assert specialize(a, "geometric-q") == _term_by_term(a, "geometric-q")
+    assert specialize(b, "geometric-q") == _term_by_term(b, "geometric-q")
+    assert specialize(b, "pq-grid") == _term_by_term(b, "pq-grid")
+
+
+def test_the_grid_specializations_of_zero_and_of_no_variables():
+    assert specialize(MPoly.zero(3), "geometric-q") == UniPoly()
+    assert specialize(MPoly.zero(3), "pq-grid") == BiPoly()
+    assert specialize(7 * MPoly.one(0), "geometric-q") == UniPoly(7)
+    assert specialize(MPoly(1, {(5,): 2}), "pq-grid") == BiPoly(2)  # one variable: x1 = p^0 q^0
+    assert specialize(MPoly(2, {(5, 0): 2}), "pq-grid") == BiPoly({(5, 0): 2})
+
+
+def test_a_sparse_grid_image_is_as_long_as_its_top_q_degree():
+    # x1^4000 has q-degree 0: one coefficient, not a list as long as (n - 1) * 4000
+    p = MPoly(3, {(4000, 0, 0): 5})
+    tracemalloc.start()
+    try:
+        assert specialize(p, "geometric-q") == UniPoly(5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**14
+
+
 def test_specialize_goldens():
     p = MPoly(3, {(1, 1, 0): 1, (0, 0, 2): 1})
     assert specialize(p, "all-ones") == 2
@@ -214,7 +260,7 @@ def test_json_roundtrip_for_every_coefficient_payload():
     ]
     for p in polys:
         blob = p.to_json()
-        assert MPoly.from_json(blob) == p
+        assert mpoly_from_json(blob) == p
     assert polys[0].to_json()["terms"] == [
         {"exps": [1, 0], "coeff": "3"},
         {"exps": [0, 2], "coeff": "-1"},
