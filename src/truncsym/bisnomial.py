@@ -47,8 +47,7 @@ def _cell(step, n: int, k: int, s: int, one, reflect: bool = False):
     m = next(m for m in range(n, -1, -1) if len(rows[m]) > min(s * m, k))
     if reflect and m < n - 1 and 2 * k > s * n:  # a single q value past the middle of its row
         value = _cell(step, n, s * n - k, s, one).coeffs
-        low = next(i for i, c in enumerate(value) if c)  # its zero low terms become the top
-        return UniPoly((0,) * (s * n * (n - 1) // 2 + 1 - len(value)) + value[low:][::-1])
+        return UniPoly((0,) * (s * n * (n - 1) // 2 + 1 - len(value)) + value[::-1])
     for m in range(m + 1, n + 1):
         step(rows[m - 1], rows[m], m, min(s * m, k) + 1, s)
     return rows[n][k]
@@ -77,8 +76,6 @@ def _q_step(below: list, row: list, m: int, stop: int, s: int) -> None:
             _shifted(out, m - 1, row[k - 1].coeffs, add)
         if k > s:
             _shifted(out, (s + 1) * (m - 1), below[k - s - 1].coeffs, sub)
-        while out and not out[-1]:  # the subtracted top can outreach Q(m, k)
-            out.pop()
         row.append(UniPoly(out))
 
 

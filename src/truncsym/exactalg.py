@@ -8,6 +8,10 @@ Coefficient domains used throughout the package:
 * ``UniPoly`` for q-analogues and ``BiPoly``, a homogenized ``UniPoly``, for
   (p,q)-analogues.
 
+``CycInt`` and ``UniPoly`` share one dense base, ``_Dense``, which writes
+their ring operations once; each normalizes a coefficient list by its own
+rule: ``CycInt`` reduces it mod Phi_m, ``UniPoly`` trims its trailing zeros.
+
 ``CycInt`` models Z[x]/Phi_m(x) where Phi_m is the m-th cyclotomic
 polynomial, so x is a primitive m-th root of unity.  Working modulo Phi_m
 (rather than modulo 1 + x + ... + x^(m-1)) guarantees that any value fixed
@@ -60,22 +64,6 @@ def cyclotomic_coeffs(m: int) -> tuple[int, ...]:
     return tuple(num)
 
 
-def _reduce_mod_cyclotomic(order: int, coeffs: list[int]) -> tuple[int, ...]:
-    phi = cyclotomic_coeffs(order)
-    deg = len(phi) - 1
-    coeffs = list(coeffs)
-    for i in range(len(coeffs) - 1, deg - 1, -1):
-        c = coeffs[i]
-        if c == 0:
-            continue
-        coeffs[i] = 0
-        for j in range(deg):
-            coeffs[i - deg + j] -= c * phi[j]
-    coeffs = coeffs[:deg]
-    coeffs.extend([0] * (deg - len(coeffs)))
-    return tuple(coeffs)
-
-
 def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Ascending coefficients of a product of dense polynomials: CycInt's and UniPoly's multiply."""
     out = [0] * max(len(a) + len(b) - 1, 0)
@@ -100,13 +88,18 @@ def _power(x, n: int, one):
     return result
 
 
-_POWER_TEXTS: dict = {}  # (var, tail) -> [var^e + tail for e = 0, 1, ...], '' for e = 0
+_POWER_TEXTS: dict = {}  # var -> [var^e for e = 0, 1, ...]
 
 
-def _powers(var: str, top: int, tail: str = "") -> list[str]:
-    """Texts of var^e followed by tail for e = 0 .. top at least: '' for e = 0, var for e = 1."""
-    texts = _POWER_TEXTS.setdefault((var, tail), ["", var + tail])
-    texts.extend([f"{var}^{e}{tail}" for e in range(len(texts), top + 1)])
+def _power_text(var: str, e: int) -> str:
+    """var^e as a monomial's text: '' for e = 0, var for e = 1."""
+    return f"{var}^{e}" if e > 1 else var if e else ""
+
+
+def _powers(var: str, top: int) -> list[str]:
+    """Texts of var^e for e = 0 .. top at least, kept for the next value in var."""
+    texts = _POWER_TEXTS.setdefault(var, [])
+    texts.extend([_power_text(var, e) for e in range(len(texts), top + 1)])
     return texts
 
 
@@ -124,87 +117,121 @@ def _render_terms(coeffs: Iterable, monos: Iterable[str], coeff_text: Callable =
     return " + ".join(terms).replace("+ -", "- ") if terms else "0"
 
 
-class CycInt:
+class _Dense:
+    """Dense ascending integer coefficients in one variable: the ring operations of CycInt and UniPoly.
+
+    A subclass's constructor is its normalize rule, ``_ring`` holds its
+    constructor arguments before the coefficients, which two operands must
+    share, and ``_var`` is the variable's text.  Mixed arithmetic with
+    ``int`` is supported; an operand of another ring is refused.
+    """
+
+    __slots__ = ("coeffs",)
+    _ring: tuple = ()
+    _var = ""
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _like(self, coeffs: Union[int, list[int]]) -> "_Dense":
+        """A value of self's ring from raw coefficients, normalized by its constructor."""
+        return type(self)(*self._ring, coeffs)
+
+    def _coerce(self, other: object) -> Optional["_Dense"]:
+        if isinstance(other, type(self)):
+            if other._ring != self._ring:
+                raise ValueError("order mismatch: {} vs {}".format(*self._ring, *other._ring))
+            return other
+        if isinstance(other, int):
+            return self._like(other)
+        return None
+
+    def __add__(self, other: object) -> "_Dense":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        a, b = self.coeffs, o.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return self._like([*map(add, a, b), *a[len(b):]])
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "_Dense":
+        return self._like([-c for c in self.coeffs])
+
+    def __sub__(self, other: object) -> "_Dense":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other: object) -> "_Dense":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
+
+    def __mul__(self, other: object) -> "_Dense":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self._like(_convolve(self.coeffs, o.coeffs))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int) -> "_Dense":
+        return _power(self, n, self._like(1))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, int):
+            other = self._like(other)
+        if isinstance(other, type(self)):
+            return self._ring == other._ring and self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((*self._ring, self.coeffs))
+
+    def __bool__(self) -> bool:
+        return any(reversed(self.coeffs))  # a UniPoly's top coefficient is nonzero: one look
+
+    def __str__(self) -> str:
+        return _render_terms(self.coeffs, _powers(self._var, len(self.coeffs) - 1))
+
+
+class CycInt(_Dense):
     """Element of Z[x]/Phi_order(x), stored on the basis 1, x, ..., x^(phi(order)-1).
 
     Mixed arithmetic with ``int`` is supported; two ``CycInt`` operands must
     share the same order.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order",)
+    _var = "x"
 
     def __init__(self, order: int, coeffs: Union[int, list[int], tuple[int, ...]] = 0):
-        if order < 1:
-            raise ValueError(f"order must be positive, got {order}")
-        if isinstance(coeffs, int):
-            coeffs = [coeffs]
+        phi = cyclotomic_coeffs(order)  # refuses an order below 1
+        deg = len(phi) - 1
+        coeffs = [coeffs] if isinstance(coeffs, int) else list(coeffs)
+        coeffs.extend([0] * (deg - len(coeffs)))
+        for i in range(len(coeffs) - 1, deg - 1, -1):  # x^i = x^(i-deg) * (x^deg - Phi_order), top down
+            c = coeffs[i]
+            if c:
+                for j in range(deg):
+                    coeffs[i - deg + j] -= c * phi[j]
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", _reduce_mod_cyclotomic(order, list(coeffs)))
+        object.__setattr__(self, "coeffs", tuple(coeffs[:deg]))
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("CycInt is immutable")
+    @property
+    def _ring(self) -> tuple:
+        return (self.order,)
 
     @classmethod
     def root(cls, order: int, exponent: int = 1) -> "CycInt":
         """x^exponent as an element of the order-``order`` ring."""
         e = exponent % order
         return cls(order, [0] * e + [1])
-
-    def _coerce(self, other: object) -> Optional["CycInt"]:
-        if isinstance(other, CycInt):
-            if other.order != self.order:
-                raise ValueError(f"order mismatch: {self.order} vs {other.order}")
-            return other
-        if isinstance(other, int):
-            return CycInt(self.order, other)
-        return None
-
-    def __add__(self, other: object) -> "CycInt":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return CycInt(self.order, [a + b for a, b in zip(self.coeffs, o.coeffs)])
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "CycInt":
-        return CycInt(self.order, [-a for a in self.coeffs])
-
-    def __sub__(self, other: object) -> "CycInt":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return CycInt(self.order, [a - b for a, b in zip(self.coeffs, o.coeffs)])
-
-    def __rsub__(self, other: object) -> "CycInt":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other: object) -> "CycInt":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return CycInt(self.order, _convolve(self.coeffs, o.coeffs))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "CycInt":
-        return _power(self, n, CycInt(self.order, 1))
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, CycInt):
-            return self.order == other.order and self.coeffs == other.coeffs
-        if isinstance(other, int):
-            return self.coeffs == _reduce_mod_cyclotomic(self.order, [other])
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.order, self.coeffs))
-
-    def __bool__(self) -> bool:
-        return any(self.coeffs)
 
     def as_integer(self) -> Optional[int]:
         """The value as a rational integer, or None if it is not one."""
@@ -214,9 +241,6 @@ class CycInt:
 
     def __repr__(self) -> str:
         return f"CycInt(order={self.order}, coeffs={list(self.coeffs)})"
-
-    def __str__(self) -> str:
-        return _render_terms(self.coeffs, _powers("x", len(self.coeffs) - 1))
 
     def to_json(self) -> dict:
         return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}
@@ -248,21 +272,20 @@ def cyc_power_sum(s: int, k: int) -> CycInt:
     return sum((cyc_root_power(s, j, k) for j in range(1, s + 1)), CycInt(s + 1, 0))
 
 
-class UniPoly:
+class UniPoly(_Dense):
     """Integer polynomial in one variable q, dense ascending coefficients."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
+    _var = "q"
 
     def __init__(self, coeffs: Union[int, list[int], tuple[int, ...]] = ()):
         if isinstance(coeffs, int):
             coeffs = (coeffs,)
         coeffs = tuple(coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("UniPoly is immutable")
+        top = len(coeffs)
+        while top and not coeffs[top - 1]:  # trailing zeros, cut in one slice
+            top -= 1
+        object.__setattr__(self, "coeffs", coeffs[:top])
 
     @classmethod
     def term(cls, coeff: int, exponent: int) -> "UniPoly":
@@ -274,63 +297,6 @@ class UniPoly:
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""
         return len(self.coeffs) - 1
-
-    def _coerce(self, other: object) -> Optional["UniPoly"]:
-        if isinstance(other, UniPoly):
-            return other
-        if isinstance(other, int):
-            return UniPoly(other)
-        return None
-
-    def __add__(self, other: object) -> "UniPoly":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return UniPoly([*map(add, a, b), *a[len(b):]])
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other: object) -> "UniPoly":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other: object) -> "UniPoly":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other: object) -> "UniPoly":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return UniPoly(_convolve(self.coeffs, o.coeffs))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "UniPoly":
-        return _power(self, n, UniPoly(1))
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, UniPoly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, int):
-            return self.coeffs == UniPoly(other).coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
 
     def __call__(self, q: int) -> int:
         acc = 0
@@ -348,9 +314,6 @@ class UniPoly:
 
     def __repr__(self) -> str:
         return f"UniPoly({list(self.coeffs)})"
-
-    def __str__(self) -> str:
-        return _render_terms(self.coeffs, _powers("q", len(self.coeffs) - 1))
 
     def to_json(self) -> list[str]:
         return [str(c) for c in self.coeffs]
@@ -449,11 +412,15 @@ class BiPoly:
         return f"BiPoly({dict(sorted(self.terms.items()))})"
 
     def __str__(self) -> str:
-        d, coeffs = self.degree, self._q.coeffs  # ascending p-exponent: descending j
-        stars, qs = _powers("p", d, "*"), _powers("q", len(coeffs) - 1)
-        monos = [stars[d - j] + qs[j] for j in range(len(coeffs) - 1, 0, -1)]
-        monos.append(_powers("p", d)[d])
-        return _render_terms(coeffs[::-1], monos)
+        d, coeffs = self.degree, self._q.coeffs
+        qs = _powers("q", len(coeffs) - 1)
+        js = [j for j in range(len(coeffs) - 1, -1, -1) if coeffs[j]]  # the terms present, ascending p-exponent
+        monos = [
+            f"p^{d - j}*{qs[j]}" if 0 < j < d - 1  # both powers shown, p's exponent above 1
+            else "*".join(filter(None, (_power_text("p", d - j), qs[j])))
+            for j in js
+        ]
+        return _render_terms([coeffs[j] for j in js], monos)
 
     def to_json(self) -> list[list]:
         d, coeffs = self.degree, self._q.coeffs

@@ -1,9 +1,12 @@
 """Unit tests for the exact scalar rings."""
 
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from truncsym import exactalg
 from truncsym.exactalg import (
     BiPoly,
     CycInt,
@@ -38,8 +41,10 @@ def test_cyclotomic_coeffs_match_the_standard_table():
 
 
 def test_cyclotomic_rejects_nonpositive_order():
-    with pytest.raises(ValueError):
-        cyclotomic_coeffs(0)
+    for make in (cyclotomic_coeffs, CycInt):
+        for order in (0, -2):
+            with pytest.raises(ValueError, match=f"order must be positive, got {order}"):
+                make(order)
 
 
 orders = st.integers(min_value=1, max_value=12)
@@ -65,59 +70,74 @@ def cycint_triples(draw):
     return tuple(draw(cycints(order=m)) for _ in range(3))
 
 
+unipolys = st.builds(UniPoly, st.lists(st.integers(-9, 9), max_size=6))
+
+# the two dense rings, CycInt of one drawn order and UniPoly, share their ring laws
+dense_values = cycints() | unipolys
+dense_pairs = cycint_pairs() | st.tuples(unipolys, unipolys)
+dense_triples = cycint_triples() | st.tuples(unipolys, unipolys, unipolys)
+
+
+def constant(a, c: int):
+    """The integer c as a value of a's ring."""
+    return CycInt(a.order, c) if isinstance(a, CycInt) else UniPoly(c)
+
+
 class TestCycIntRing:
-    @given(t=cycint_triples())
+    """The ring laws of both dense rings: every strategy draws CycInt and UniPoly values."""
+
+    @given(t=dense_triples)
     def test_add_associative(self, t):
         """(a + b) + c = a + (b + c)."""
         a, b, c = t
         assert (a + b) + c == a + (b + c)
 
-    @given(p=cycint_pairs())
+    @given(p=dense_pairs)
     def test_add_commutative(self, p):
         """a + b = b + a."""
         a, b = p
         assert a + b == b + a
 
-    @given(t=cycint_triples())
+    @given(t=dense_triples)
     def test_mul_associative(self, t):
         """(a * b) * c = a * (b * c)."""
         a, b, c = t
         assert (a * b) * c == a * (b * c)
 
-    @given(p=cycint_pairs())
+    @given(p=dense_pairs)
     def test_mul_commutative(self, p):
         """a * b = b * a."""
         a, b = p
         assert a * b == b * a
 
-    @given(t=cycint_triples())
+    @given(t=dense_triples)
     def test_distributive(self, t):
         """a * (b + c) = a*b + a*c."""
         a, b, c = t
         assert a * (b + c) == a * b + a * c
 
-    @given(a=cycints())
+    @given(a=dense_values)
     def test_identities_and_negation(self, a):
         """a + 0 = a, a * 1 = a, a - a = 0."""
         assert a + 0 == a
         assert a * 1 == a
-        assert a - a == CycInt(a.order, 0)
+        assert a - a == constant(a, 0)
 
-    @given(a=cycints(), e=st.integers(0, 6))
+    @given(a=dense_values, e=st.integers(0, 6))
     def test_pow_matches_repeated_product(self, a, e):
         """a**e equals the e-fold product."""
-        expected = CycInt(a.order, 1)
+        expected = constant(a, 1)
         for _ in range(e):
             expected = expected * a
         assert a**e == expected
 
-    @given(p=cycint_pairs())
-    def test_int_coercion_matches_constant(self, p):
+    @given(a=dense_values)
+    def test_int_coercion_matches_constant(self, a):
         """Mixed int arithmetic agrees with explicit constants."""
-        a, _ = p
-        assert a + 3 == a + CycInt(a.order, 3)
-        assert 3 * a == CycInt(a.order, 3) * a
-        assert a * -2 == a * CycInt(a.order, -2) and 0 * a == CycInt(a.order, 0)
+        assert a + 3 == a + constant(a, 3) == 3 + a
+        assert 3 * a == constant(a, 3) * a
+        assert a * -2 == a * constant(a, -2) and 0 * a == constant(a, 0)
+        assert 5 - a == constant(a, 5) - a == -(a - 5)
 
 
 def test_cycint_rejects_order_mismatch():
@@ -126,9 +146,21 @@ def test_cycint_rejects_order_mismatch():
 
 
 def test_cycint_is_immutable():
-    v = CycInt(3, [1, 2])
-    with pytest.raises(AttributeError):
-        v.coeffs = (0,)
+    for v in (CycInt(3, [1, 2]), UniPoly([1, 2])):
+        with pytest.raises(AttributeError):
+            v.coeffs = (0,)
+
+
+def test_the_dense_rings_refuse_each_other():
+    """An operand of the other dense ring, or of another order, is no value of this one."""
+    with pytest.raises(TypeError):
+        CycInt(5, [1, 2]) + UniPoly([1, 2])
+    with pytest.raises(TypeError):
+        CycInt(5, [1, 2]) * UniPoly([1, 2])
+    with pytest.raises(TypeError):
+        UniPoly([1, 2]) - CycInt(5, [1, 2])
+    assert (CycInt(5, [1]) == UniPoly([1])) is False
+    assert (CycInt(3, 1) == CycInt(4, 1)) is False
 
 
 def test_root_power_small_orders():
@@ -188,8 +220,6 @@ def test_cycint_str_and_json():
 
 # -- UniPoly -------------------------------------------------------------------
 
-unipolys = st.builds(UniPoly, st.lists(st.integers(-9, 9), max_size=6))
-
 
 class TestUniPoly:
     @given(a=unipolys, b=unipolys, x=st.integers(-5, 5))
@@ -217,6 +247,14 @@ def test_unipoly_normalizes_trailing_zeros():
     assert UniPoly([0, 0]).degree == -1
     assert not UniPoly()
     assert UniPoly([3]) == 3
+
+
+def test_unipoly_trims_a_long_zero_top_in_one_pass():
+    """60,000 zeros above the constant go in one cut: the trim is linear, not quadratic."""
+    start = time.perf_counter()
+    u = UniPoly([1] + [0] * 60_000)
+    assert time.perf_counter() - start < 1.0
+    assert u.coeffs == (1,) and u == 1
 
 
 def test_unipoly_term_and_str():
@@ -264,6 +302,12 @@ class TestBiPoly:
 def test_bipoly_str_orders_by_total_degree():
     v = BiPoly({(2, 0): 1, (0, 2): -3, (1, 1): 1})
     assert str(v) == "-3*q^2 + p*q + p^2"
+
+
+def test_bipoly_text_builds_only_the_powers_of_p_present():
+    """A one-term value of a high degree renders without a text for every lower power of p."""
+    assert str(BiPoly.term(1, 10**6, 0)) == "p^1000000"
+    assert all(key[0] != "p" for key in exactalg._POWER_TEXTS)
 
 
 def test_bipoly_json_rows_sorted():
