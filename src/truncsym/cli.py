@@ -46,7 +46,9 @@ def parse_partition(text: str) -> tuple[int, ...]:
     if "^" in text:
         for token in text.split():
             base, _, mult = token.partition("^")
-            parts.extend([int(base)] * int(mult or "1"))
+            if (count := int(mult or "1")) < 0:
+                raise ValueError(f"negative multiplicity in {token!r}")
+            parts.extend([int(base)] * count)
     else:
         parts = [int(tok) for tok in text.split(",") if tok.strip()]
     lam = tuple(sorted(parts, reverse=True))

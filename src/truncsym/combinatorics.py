@@ -16,30 +16,26 @@ board with k red and n-1 green cells; a red cell preceded by m green
 cells carries x_(m+1).  Reading East as red and North as green is the
 weight- and sign-preserving bijection between the two models.
 
-Enumeration generates the admissible run vectors only, without recursion,
-and drops a branch as soon as the runs left cannot hold the rest of k, so
-its cost follows the size of the output.  Listings are lexicographic on
-the step strings ('E' < 'N', 'g' < 'r'), so every listing and rendering
-is deterministic; as 'g' < 'r' reverses the alphabet order of 'E' < 'N',
-the tilings come in the reverse order of their paths.
+The admissible run vectors are the exponent vectors of E's or H's monomials:
+the distinct arrangements in n slots of the partitions of k with parts <= s
+(E model) or with parts = 0 or 1 mod (s+1) (H model), so enumeration lists
+those partitions and sorts their orbits once.  Listings are lexicographic on
+the step strings ('E' < 'N', 'g' < 'r'), so every listing and rendering is
+deterministic; as 'g' < 'r' reverses the alphabet order of 'E' < 'N', the
+tilings come in the reverse order of their paths.
 """
 
 from __future__ import annotations
 
-from .multipoly import MPoly
+from .multipoly import MPoly, _monomial_text
+from .partitions import distinct_orbit, enum_partitions
 
 Path = str
 Tiling = str
 
 
 def _run_vectors(n: int, k: int, s: int, model: str) -> list[tuple[int, ...]]:
-    """Admissible run vectors summing to k, descending lexicographic (the path order).
-
-    Run i takes, largest first, the admissible lengths that leave a rest the
-    runs after it can hold: at most s each in the E model; in the H model m
-    runs hold a rest R exactly when R mod (s+1) <= m (and R = 0 when m = 0).
-    So every branch taken ends in a vector.
-    """
+    """Admissible run vectors summing to k, descending lexicographic (the path order)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if k < 0:
@@ -48,37 +44,9 @@ def _run_vectors(n: int, k: int, s: int, model: str) -> list[tuple[int, ...]]:
         raise ValueError(f"s must be >= 1, got {s}")
     if model not in ("E", "H"):
         raise ValueError(f"model must be 'E' or 'H', got {model!r}")
-    step = s + 1
-
-    def lengths(rest: int, later: int):
-        if model == "E":
-            return range(min(s, rest), max(rest - s * later, 0) - 1, -1)
-        if later == 0:
-            return (rest,) if rest % step < 2 else ()
-        return sorted(  # the lengths = 0 and = 1 mod (s+1) whose rest the later runs hold
-            (r for c in (0, 1) if (rest - c) % step <= later
-             for r in range(rest - (rest - c) % step, -1, -step)),
-            reverse=True,
-        )
-
-    out: list[tuple[int, ...]] = []
-    runs = [0] * n
-    rests = [k] * n
-    last = n - 1
-    stack = [iter(lengths(k, last))]
-    while stack:
-        i = len(stack) - 1
-        for r in stack[i]:
-            runs[i] = r
-            if i == last:
-                out.append(tuple(runs))
-            else:
-                rests[i + 1] = rest = rests[i] - r
-                stack.append(iter(lengths(rest, last - i - 1)))
-                break
-        else:
-            stack.pop()
-    return out
+    bound = {"max_part": s} if model == "E" else {"mod01": s + 1}
+    lams = enum_partitions(k, max_length=n, **bound)
+    return sorted((runs for lam in lams for runs in distinct_orbit(lam, n)), reverse=True)
 
 
 def _sign(runs: tuple[int, ...], s: int) -> int:
@@ -166,7 +134,7 @@ def tiling_sign(tiling: Tiling, s: int) -> int:
     return path_sign(tiling_to_path(tiling), s)
 
 
-def weight_sum(n: int, k: int, s: int, model: str, objects: str = "paths") -> MPoly:
+def weight_sum(n: int, k: int, s: int, model: str) -> MPoly:
     """Signed weight generating polynomial of the admissible objects.
 
     The E model sums weights; the H model attaches the run sign.  The
@@ -174,16 +142,13 @@ def weight_sum(n: int, k: int, s: int, model: str, objects: str = "paths") -> MP
     and tilings have the same weights, and distinct run vectors are
     distinct monomials, so each object gives one term.
     """
-    if objects not in ("paths", "tilings"):
-        raise ValueError(f"objects must be 'paths' or 'tilings', got {objects!r}")
     vectors = _run_vectors(n, k, s, model)
     return MPoly(n, {runs: _sign(runs, s) if model == "H" else 1 for runs in vectors})
 
 
 def describe_line(obj: str, weight: tuple[int, ...], sign: int, model: str) -> str:
     """One text line: the object, its weight monomial and (H model) its sign."""
-    factors = [f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(weight, start=1) if e]
-    line = f"{obj} weight={'*'.join(factors) if factors else '1'}"
+    line = f"{obj} weight={_monomial_text(weight) or '1'}"
     if model == "H":
         return f"{line} sign={'+1' if sign > 0 else '-1'}"
     return line

@@ -56,12 +56,16 @@ def _layout(n: int) -> tuple[Callable, Callable, int, int]:
     )
 
 
+def _monomial_text(exps: Monomial) -> str:
+    """x1^2*x3 for (2, 0, 1); '' for the monomial 1."""
+    return "*".join([f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(exps, 1) if e])
+
+
 @lru_cache(maxsize=4096)
 def _display(n: int, key: int) -> tuple[tuple, str]:
     """A packed monomial's place in rendering order (descending sort key) and its text."""
     exps = _layout(n)[1](key)
-    text = "*".join([f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(exps, 1) if e])
-    return (-sum(exps), tuple(sorted(exps, reverse=True)), exps), text
+    return (-sum(exps), tuple(sorted(exps, reverse=True)), exps), _monomial_text(exps)
 
 
 class _Terms(Mapping):

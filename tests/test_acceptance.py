@@ -143,8 +143,7 @@ def test_criterion_6_combinatorial_models(capsys):
                 for k in range(8):
                     for model in ("E", "H"):
                         target = E(k, s, n) if model == "E" else H(k, s, n)
-                        assert weight_sum(n, k, s, model=model, objects="paths") == target
-                        assert weight_sum(n, k, s, model=model, objects="tilings") == target
+                        assert weight_sum(n, k, s, model=model) == target
                         points += 1
                         paths = enum_paths(n, k, s, model=model)
                         tilings = enum_tilings(n, k, s, model=model)

@@ -285,6 +285,12 @@ def test_usage_errors_exit_two(capsys):
     assert run_cli(capsys, "verify", "--id", "ortho", "--k", "0..x")[0] == 2
 
 
+def test_a_negative_multiplicity_exits_two(capsys):
+    code, out, err = run_cli(capsys, "expand", "--kind", "m", "--lambda", "2^-1", "--n", "2")
+    assert (code, out, err) == (2, "", "error: negative multiplicity in '2^-1'\n")
+    assert run_cli(capsys, "expand", "--kind", "m", "--lambda", "2^0", "--n", "2")[:2] == (0, "1\n")
+
+
 def test_deterministic_runs_are_byte_identical(capsys):
     args = ("verify", "--id", "rec_E", "--n", "1..2", "--k", "0..3", "--s", "1..2",
             "--deterministic")
@@ -301,6 +307,12 @@ def test_partition_parser():
         cli.parse_partition("0")
     with pytest.raises(ValueError):
         cli.parse_partition("banana")
+
+
+def test_partition_parser_takes_zero_copies_but_not_fewer():
+    assert cli.parse_partition("2^0 1^2") == (1, 1)
+    with pytest.raises(ValueError, match="negative multiplicity in '2\\^-1'"):
+        cli.parse_partition("3^1 2^-1")
 
 
 def test_range_parser():
@@ -518,7 +530,7 @@ def _whole_payload(argv: list[str]) -> dict:
         return {
             "objects": verb, "n": n, "k": k, "s": s, "model": model, "count": len(rows),
             "items": [dict(zip(keys, (obj, list(weight), sign))) for obj, weight, sign in rows],
-            "weight_sum": weight_sum(n, k, s, model, verb).to_json(),
+            "weight_sum": weight_sum(n, k, s, model).to_json(),
         }
     flavor = argv[argv.index("--flavor") + 1]
     triangle = TRIANGLE[flavor]

@@ -1,12 +1,14 @@
 """Unit tests for the lattice-path and tiling enumerators."""
 
 import xml.etree.ElementTree as ET
+from math import comb
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import arrangement_oracle as oracle
+from truncsym.bisnomial import bisnomial
 from truncsym.combinatorics import (
     describe_line,
     enum_objects,
@@ -98,9 +100,8 @@ def test_weight_sums_reproduce_the_symmetric_families():
     for n in range(1, 4):
         for s in range(1, 4):
             for k in range(0, 2 * s + 2):
-                for objects in ("paths", "tilings"):
-                    assert weight_sum(n, k, s, model="E", objects=objects) == E(k, s, n)
-                    assert weight_sum(n, k, s, model="H", objects=objects) == H(k, s, n)
+                assert weight_sum(n, k, s, model="E") == E(k, s, n)
+                assert weight_sum(n, k, s, model="H") == H(k, s, n)
 
 
 def test_enumeration_matches_the_brute_force_oracle():
@@ -112,12 +113,27 @@ def test_enumeration_matches_the_brute_force_oracle():
                     tilings = oracle.tilings(n, k, s, model)
                     assert enum_paths(n, k, s, model) == paths
                     assert enum_tilings(n, k, s, model) == tilings
-                    total = oracle.weight_sum(n, k, s, model)
-                    assert weight_sum(n, k, s, model, "paths") == total
-                    assert weight_sum(n, k, s, model, "tilings") == total
+                    assert weight_sum(n, k, s, model) == oracle.weight_sum(n, k, s, model)
                     for objects, items in (("paths", paths), ("tilings", tilings)):
                         rows = [(obj, oracle.weight(obj, n), oracle.sign(obj, s, model)) for obj in items]
                         assert enum_objects(n, k, s, model, objects) == rows
+
+
+def test_listings_past_the_oracle_are_descending_admissible_and_complete():
+    """n <= 7, k <= 12, s <= 3: distinct admissible run vectors, as many as the closed counts."""
+    for n in range(1, 8):
+        for s in range(1, 4):
+            step = s + 1
+            for k in range(13):
+                h_count = sum(comb(n, c) * comb((k - c) // step + n - 1, n - 1)
+                              for c in range(min(n, k) + 1) if (k - c) % step == 0)
+                for model, count in (("E", bisnomial(n, k, s)), ("H", h_count)):
+                    weights = [weight for _, weight, _ in enum_objects(n, k, s, model)]
+                    assert all(a > b for a, b in zip(weights, weights[1:]))
+                    assert len(weights) == count
+                    for runs in weights:
+                        assert sum(runs) == k
+                        assert max(runs) <= s if model == "E" else all(r % step < 2 for r in runs)
 
 
 def test_weight_sum_of_an_empty_family_is_zero():
@@ -133,8 +149,6 @@ def test_model_and_input_validation():
     with pytest.raises(ValueError):
         tiling_weight("rxg", 2)
     with pytest.raises(ValueError):
-        weight_sum(2, 2, 2, model="E", objects="widgets")
-    with pytest.raises(ValueError):
         enum_objects(2, 2, 2, model="E", objects="widgets")
 
 
@@ -144,6 +158,7 @@ def test_describe_lines():
 
     assert line("EEENN", model="H") == "EEENN weight=x1^3 sign=-1"
     assert line("NEEEN", model="E") == "NEEEN weight=x2^3"
+    assert describe_line("NN", (0, 0, 0), 1, "E") == "NN weight=1"
     tiling = describe_line("ggrrr", tiling_weight("ggrrr", 3), tiling_sign("ggrrr", 2), "H")
     assert tiling == "ggrrr weight=x3^3 sign=-1"
 
