@@ -4,8 +4,6 @@ from .exactalg import (
     BiPoly,
     CycInt,
     UniPoly,
-    cyc_power_sum,
-    cyc_root_power,
     cyclotomic_coeffs,
 )
 from .multipoly import (
@@ -90,8 +88,6 @@ __all__ = [
     "classical",
     "clear_caches",
     "conjugate",
-    "cyc_power_sum",
-    "cyc_root_power",
     "cyclotomic_coeffs",
     "default_grid",
     "distinct_orbit",

@@ -1,29 +1,23 @@
-"""Exact scalar arithmetic: cyclotomic integers and small polynomial rings.
+"""Exact scalar values: cyclotomic integers and polynomials in q and in p, q.
 
-Coefficient domains used throughout the package:
+* ``CycInt``, an element of Z[x]/Phi_m(x) with x a primitive m-th root of
+  unity, is a value type: it holds m_lambda at the s nontrivial (s+1)-th
+  roots of unity, which the root-of-unity relations read, compare and
+  render.  Its constructor reduces mod Phi_m (rather than mod
+  1 + x + ... + x^(m-1)), so a value fixed by the Galois action reduces to
+  a literal integer for every order, composite orders included.
+* ``UniPoly``, a dense integer polynomial in q, carries the q-analogues,
+  and ``BiPoly``, a homogenized ``UniPoly``, the (p,q)-analogues.
 
-* plain Python ``int`` (arbitrary precision),
-* ``fractions.Fraction`` for the few identities that divide,
-* ``CycInt`` for values living in the ring of integers of a cyclotomic field,
-* ``UniPoly`` for q-analogues and ``BiPoly``, a homogenized ``UniPoly``, for
-  (p,q)-analogues.
-
-``CycInt`` and ``UniPoly`` share one dense base, ``_Dense``, which writes
-their ring operations once; each normalizes a coefficient list by its own
-rule: ``CycInt`` reduces it mod Phi_m, ``UniPoly`` trims its trailing zeros.
-
-``CycInt`` models Z[x]/Phi_m(x) where Phi_m is the m-th cyclotomic
-polynomial, so x is a primitive m-th root of unity.  Working modulo Phi_m
-(rather than modulo 1 + x + ... + x^(m-1)) guarantees that any value fixed
-by the Galois action, e.g. a power sum over all m-th roots other than 1,
-reduces to a literal integer for every order, composite orders included.
+Multivariate coefficients are plain ``int`` or ``fractions.Fraction``
+(see :mod:`truncsym.multipoly`); nothing here is one.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from operator import add
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 
 def _exact_div(num: list[int], den: tuple[int, ...]) -> list[int]:
@@ -65,7 +59,7 @@ def cyclotomic_coeffs(m: int) -> tuple[int, ...]:
 
 
 def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Ascending coefficients of a product of dense polynomials: CycInt's and UniPoly's multiply."""
+    """Ascending coefficients of a product of dense polynomials: UniPoly's multiply."""
     out = [0] * max(len(a) + len(b) - 1, 0)
     for i, x in enumerate(a):
         if x:
@@ -103,7 +97,7 @@ def _powers(var: str, top: int) -> list[str]:
     return texts
 
 
-def _render_terms(coeffs: Iterable, monos: Iterable[str], coeff_text: Callable = str) -> str:
+def _render_terms(coeffs: Iterable, monos: Iterable[str]) -> str:
     """'a + b - c' from coefficients and their monomial texts, in one pass; every ring renders through it.
 
     Zero coefficients are skipped, and a coefficient 1 or -1 before a monomial
@@ -111,104 +105,20 @@ def _render_terms(coeffs: Iterable, monos: Iterable[str], coeff_text: Callable =
     leads with '-' joins with ' - ' by one replace over the joined text.
     """
     terms = [
-        (mono if c == 1 else "-" + mono if c == -1 else f"{coeff_text(c)}*{mono}") if mono else coeff_text(c)
+        (mono if c == 1 else "-" + mono if c == -1 else f"{c}*{mono}") if mono else str(c)
         for c, mono in zip(coeffs, monos) if c
     ]
     return " + ".join(terms).replace("+ -", "- ") if terms else "0"
 
 
-class _Dense:
-    """Dense ascending integer coefficients in one variable: the ring operations of CycInt and UniPoly.
-
-    A subclass's constructor is its normalize rule, ``_ring`` holds its
-    constructor arguments before the coefficients, which two operands must
-    share, and ``_var`` is the variable's text.  Mixed arithmetic with
-    ``int`` is supported; an operand of another ring is refused.
-    """
-
-    __slots__ = ("coeffs",)
-    _ring: tuple = ()
-    _var = ""
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def _like(self, coeffs: Union[int, list[int]]) -> "_Dense":
-        """A value of self's ring from raw coefficients, normalized by its constructor."""
-        return type(self)(*self._ring, coeffs)
-
-    def _coerce(self, other: object) -> Optional["_Dense"]:
-        if isinstance(other, type(self)):
-            if other._ring != self._ring:
-                raise ValueError("order mismatch: {} vs {}".format(*self._ring, *other._ring))
-            return other
-        if isinstance(other, int):
-            return self._like(other)
-        return None
-
-    def __add__(self, other: object) -> "_Dense":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return self._like([*map(add, a, b), *a[len(b):]])
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "_Dense":
-        return self._like([-c for c in self.coeffs])
-
-    def __sub__(self, other: object) -> "_Dense":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other: object) -> "_Dense":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other: object) -> "_Dense":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._like(_convolve(self.coeffs, o.coeffs))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "_Dense":
-        return _power(self, n, self._like(1))
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = self._like(other)
-        if isinstance(other, type(self)):
-            return self._ring == other._ring and self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((*self._ring, self.coeffs))
-
-    def __bool__(self) -> bool:
-        return any(reversed(self.coeffs))  # a UniPoly's top coefficient is nonzero: one look
-
-    def __str__(self) -> str:
-        return _render_terms(self.coeffs, _powers(self._var, len(self.coeffs) - 1))
-
-
-class CycInt(_Dense):
+class CycInt:
     """Element of Z[x]/Phi_order(x), stored on the basis 1, x, ..., x^(phi(order)-1).
 
-    Mixed arithmetic with ``int`` is supported; two ``CycInt`` operands must
-    share the same order.
+    A value type: the constructor reduces its coefficients mod Phi_order, and
+    a value compares (with ``int`` too), hashes and renders; it has no arithmetic.
     """
 
-    __slots__ = ("order",)
-    _var = "x"
+    __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs: Union[int, list[int], tuple[int, ...]] = 0):
         phi = cyclotomic_coeffs(order)  # refuses an order below 1
@@ -223,15 +133,8 @@ class CycInt(_Dense):
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", tuple(coeffs[:deg]))
 
-    @property
-    def _ring(self) -> tuple:
-        return (self.order,)
-
-    @classmethod
-    def root(cls, order: int, exponent: int = 1) -> "CycInt":
-        """x^exponent as an element of the order-``order`` ring."""
-        e = exponent % order
-        return cls(order, [0] * e + [1])
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("CycInt is immutable")
 
     def as_integer(self) -> Optional[int]:
         """The value as a rational integer, or None if it is not one."""
@@ -239,44 +142,33 @@ class CycInt(_Dense):
             return None
         return self.coeffs[0]
 
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, int):
+            other = CycInt(self.order, other)
+        if isinstance(other, CycInt):
+            return self.order == other.order and self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.order, self.coeffs))
+
+    def __bool__(self) -> bool:
+        return any(self.coeffs)
+
     def __repr__(self) -> str:
         return f"CycInt(order={self.order}, coeffs={list(self.coeffs)})"
 
-    def to_json(self) -> dict:
-        return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}
+    def __str__(self) -> str:
+        return _render_terms(self.coeffs, _powers("x", len(self.coeffs) - 1))
 
 
-def cyc_root_power(s: int, j: int, e: int) -> CycInt:
-    """(j-th primitive-basis root of order s+1) raised to the e-th power.
+class UniPoly:
+    """Integer polynomial in one variable q, dense ascending coefficients.
 
-    The root is x^j for the class of x in Z[x]/Phi_{s+1}, 1 <= j <= s.
+    Mixed arithmetic with ``int`` is supported; an operand of another type is refused.
     """
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
-    if not 1 <= j <= s:
-        raise ValueError(f"j must lie in 1..{s}, got {j}")
-    if e < 0:
-        raise ValueError(f"exponent must be >= 0, got {e}")
-    return CycInt.root(s + 1, j * e)
 
-
-def cyc_power_sum(s: int, k: int) -> CycInt:
-    """Sum of k-th powers of all order-(s+1) roots of unity except 1.
-
-    Always collapses to an integer: s when (s+1) | k, otherwise -1.
-    """
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return sum((cyc_root_power(s, j, k) for j in range(1, s + 1)), CycInt(s + 1, 0))
-
-
-class UniPoly(_Dense):
-    """Integer polynomial in one variable q, dense ascending coefficients."""
-
-    __slots__ = ()
-    _var = "q"
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Union[int, list[int], tuple[int, ...]] = ()):
         if isinstance(coeffs, int):
@@ -286,6 +178,9 @@ class UniPoly(_Dense):
         while top and not coeffs[top - 1]:  # trailing zeros, cut in one slice
             top -= 1
         object.__setattr__(self, "coeffs", coeffs[:top])
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("UniPoly is immutable")
 
     @classmethod
     def term(cls, coeff: int, exponent: int) -> "UniPoly":
@@ -297,6 +192,63 @@ class UniPoly(_Dense):
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""
         return len(self.coeffs) - 1
+
+    @staticmethod
+    def _coerce(other: object) -> Optional["UniPoly"]:
+        if isinstance(other, UniPoly):
+            return other
+        if isinstance(other, int):
+            return UniPoly(other)
+        return None
+
+    def __add__(self, other: object) -> "UniPoly":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        a, b = self.coeffs, o.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return UniPoly([*map(add, a, b), *a[len(b):]])
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "UniPoly":
+        return UniPoly([-c for c in self.coeffs])
+
+    def __sub__(self, other: object) -> "UniPoly":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other: object) -> "UniPoly":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
+
+    def __mul__(self, other: object) -> "UniPoly":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return UniPoly(_convolve(self.coeffs, o.coeffs))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int) -> "UniPoly":
+        return _power(self, n, UniPoly(1))
+
+    def __eq__(self, other: object) -> bool:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.coeffs == o.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)  # the top coefficient is nonzero
 
     def __call__(self, q: int) -> int:
         acc = 0
@@ -315,8 +267,8 @@ class UniPoly(_Dense):
     def __repr__(self) -> str:
         return f"UniPoly({list(self.coeffs)})"
 
-    def to_json(self) -> list[str]:
-        return [str(c) for c in self.coeffs]
+    def __str__(self) -> str:
+        return _render_terms(self.coeffs, _powers("q", len(self.coeffs) - 1))
 
 
 class BiPoly:
@@ -381,9 +333,6 @@ class BiPoly:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "BiPoly":
-        return self * -1
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
             other = BiPoly(other)
@@ -399,10 +348,6 @@ class BiPoly:
 
     def __call__(self, p: int, q: int) -> int:
         return UniPoly([c * p ** (self.degree - j) for j, c in enumerate(self._q.coeffs)])(q)
-
-    def at_p1(self) -> UniPoly:
-        """Substitute p = 1, leaving a polynomial in q."""
-        return self._q
 
     def scale_exponents(self, s: int) -> "BiPoly":
         """Substitute p -> p^s and q -> q^s."""

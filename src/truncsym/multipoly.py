@@ -1,9 +1,9 @@
 """Sparse multivariate polynomials, their specializations and a symmetry test.
 
-``MPoly`` is a sparse polynomial in variables x1..xn over any of the exact
-coefficient domains from :mod:`truncsym.exactalg` (or plain ``int`` /
-``fractions.Fraction``).  A term is stored under a packed exponent: one int
-holding the exponent of x_i in bits 32(i-1) .. 32i-1.  Every stored exponent
+``MPoly`` is a sparse polynomial in x1..xn with ``int`` or ``Fraction``
+coefficients; the constructor and ``constant`` refuse any other type
+(``TypeError``).  A term is stored under a packed exponent: one int holding
+the exponent of x_i in bits 32(i-1) .. 32i-1.  Every stored exponent
 is below 2**31, so two keys add without a carry between fields: a product is
 one int add per pair of terms (one per term with a one-term operand or the
 x_i^j of ``accumulate_shift``), checked once for an exponent that reached
@@ -11,8 +11,8 @@ x_i^j of ``accumulate_shift``), checked once for an exponent that reached
 variables keeps every key.  As 2**32 = 1 mod 2**32 - 1, a key mod 2**32 - 1
 is its degree while no field reaches 2**(32 - bit_length(n-1)) (else it is
 unpacked and summed); ``is_symmetric`` checks (1 2) and the n-cycle, which
-generate S_n.  Every coefficient ring is an integral domain, so a product is
-filtered for zeros only when it has many-term operands, whose pairs may cancel.
+generate S_n.  The rationals have no zero divisors, so a product is filtered
+for zeros only when it has many-term operands, whose pairs may cancel.
 Exponent tuples appear only at the API edge: ``terms`` is a tuple-keyed view
 unpacked on demand, and the constructor refuses an exponent of 2**31 or more.
 
@@ -32,12 +32,12 @@ from functools import lru_cache, reduce
 from operator import or_
 from typing import Callable, Iterable, Optional, Union
 
-from .exactalg import BiPoly, CycInt, UniPoly, _power, _render_terms
+from .exactalg import BiPoly, UniPoly, _power, _render_terms
 
-Coeff = Union[int, Fraction, CycInt, UniPoly, BiPoly]
+Coeff = Union[int, Fraction]
 Monomial = tuple[int, ...]
 
-_SCALAR_TYPES = (int, Fraction, CycInt, UniPoly, BiPoly)
+_SCALAR_TYPES = (int, Fraction)
 _LIMIT = 2**31  # every stored exponent is below this
 _FIELD = 2**32 - 1  # one field's bits; 2**32 = 1 modulo it, so a key folds to its field sum
 
@@ -98,6 +98,13 @@ class _Terms(Mapping):
         return repr(dict(self.items()))
 
 
+def _check_coeff_types(coeffs: Iterable) -> None:
+    """Refuse a coefficient that is not an int or a Fraction; one issubclass per distinct type."""
+    for t in set(map(type, coeffs)):
+        if not issubclass(t, _SCALAR_TYPES):
+            raise TypeError(f"coefficients must be int or Fraction, got {t.__name__}")
+
+
 def _checked(terms: dict, top: int) -> dict:
     """terms; no field carries, as each was below 2**31, so a top bit set is past the limit."""
     if reduce(or_, terms, 0) & top:
@@ -140,6 +147,8 @@ class MPoly:
 
     def __init__(self, n: int, terms: Optional[dict] = None):
         pack, _, top, _ = _layout(n)
+        if terms:
+            _check_coeff_types(terms.values())
         try:
             packed = _checked({pack(exps): c for exps, c in terms.items()} if terms else {}, top)
         except (struct.error, OverflowError):
@@ -166,6 +175,8 @@ class MPoly:
     @classmethod
     def constant(cls, n: int, c: Coeff) -> "MPoly":
         _layout(n)  # refuses n < 0
+        if not isinstance(c, _SCALAR_TYPES):  # the common case costs one isinstance
+            _check_coeff_types((c,))
         return _trusted(n, {0: c} if c else {})
 
     @classmethod
@@ -216,7 +227,7 @@ class MPoly:
     def __mul__(self, other: object) -> "MPoly":
         if isinstance(other, MPoly):
             self._check_same_vars(other)
-            if len(other._packed) == 1:  # every coefficient ring commutes
+            if len(other._packed) == 1:  # int and Fraction commute
                 self, other = other, self
             a, b, top = self._packed, other._packed, _layout(self.n)[2]
             if len(a) != 1:  # pairs may cancel, so only this sum is filtered
@@ -227,9 +238,9 @@ class MPoly:
             self, other = other, ca  # a constant operand is a scalar
         elif not isinstance(other, _SCALAR_TYPES):
             return NotImplemented
-        if not other:  # every coefficient ring is a domain, so only a zero scalar gives zeros
+        if not other:  # no zero divisors, so only a zero scalar gives zeros
             return _trusted(self.n, {})
-        if type(other) is int and other == 1:  # a CycInt one would change the coefficient types
+        if type(other) is int and other == 1:  # a Fraction one would change the coefficient types
             return self
         return _trusted(self.n, {key: c * other for key, c in self._packed.items()})
 
@@ -273,16 +284,10 @@ class MPoly:
 
     # -- rendering -----------------------------------------------------------
 
-    @staticmethod
-    def _render_coeff(c: Coeff) -> str:
-        if isinstance(c, (int, Fraction)):
-            return str(c)
-        return f"({c})"
-
     def __str__(self) -> str:
         # distinct keys have distinct sort keys, so no coefficient is ever compared
         shown = sorted([(_display(self.n, key), c) for key, c in self._packed.items()], reverse=True)
-        return _render_terms([c for _, c in shown], [text for (_, text), _ in shown], self._render_coeff)
+        return _render_terms([c for _, c in shown], [text for (_, text), _ in shown])
 
     def __repr__(self) -> str:
         return f"MPoly(n={self.n}, terms={dict(self.canonical_terms())})"
@@ -293,8 +298,7 @@ class MPoly:
         return {
             "n": self.n,
             "terms": [
-                {"exps": list(exps), "coeff": _coeff_to_json(c)}
-                for exps, c in self.canonical_terms()
+                {"exps": list(exps), "coeff": str(c)} for exps, c in self.canonical_terms()
             ],
         }
 
@@ -308,18 +312,6 @@ def _trusted(n: int, packed: dict) -> MPoly:
     _set_n(self, n)
     _set_packed(self, packed)
     return self
-
-
-def _coeff_to_json(c: Coeff) -> object:
-    if isinstance(c, (int, Fraction)):
-        return str(c)
-    if isinstance(c, CycInt):
-        return c.to_json()
-    if isinstance(c, UniPoly):
-        return {"q": c.to_json()}
-    if isinstance(c, BiPoly):
-        return {"pq": c.to_json()}
-    raise TypeError(f"cannot serialize coefficient of type {type(c).__name__}")
 
 
 def accumulate_product(acc: dict, a: MPoly, b: MPoly, scalar: Coeff = 1) -> None:

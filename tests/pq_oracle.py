@@ -4,7 +4,12 @@ Test oracle only: ``pq_gaussian`` and ``pq_bisnomial`` homogenize their
 q-versions, while these build the (p,q) terms directly, row by row.
 """
 
-from truncsym.exactalg import BiPoly
+from truncsym.exactalg import BiPoly, UniPoly
+
+
+def agrees_at_p1(value: BiPoly, u: UniPoly) -> bool:
+    """value(1, q) == u(q) at one more q than either degree: value at p = 1 is u."""
+    return all(value(1, q) == u(q) for q in range(max(value.degree, u.degree) + 1))
 
 
 def _shifted_sum(parts: list[tuple[int, int, dict]]) -> dict:

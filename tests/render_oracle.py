@@ -5,7 +5,7 @@ a second pass joins the parts.  The package renders in one pass over the
 coefficients, which must give the same text.
 """
 
-from typing import Callable, Iterable
+from typing import Iterable
 
 
 def power_text(var: str, e: int) -> str:
@@ -13,13 +13,13 @@ def power_text(var: str, e: int) -> str:
     return "" if e == 0 else var if e == 1 else f"{var}^{e}"
 
 
-def render_terms(terms: Iterable[tuple[object, str]], coeff_text: Callable = str) -> str:
+def render_terms(terms: Iterable[tuple[object, str]]) -> str:
     """'a + b - c' from (coefficient, monomial text) pairs."""
     parts = [
-        coeff_text(c) if not mono
+        str(c) if not mono
         else mono if c == 1
         else f"-{mono}" if c == -1
-        else f"{coeff_text(c)}*{mono}"
+        else f"{c}*{mono}"
         for c, mono in terms
     ]
     if not parts:

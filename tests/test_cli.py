@@ -20,6 +20,7 @@ import truncsym
 from truncsym import cli
 from truncsym.bisnomial import _TRIANGLES, bisnomial, pq_bisnomial, q_bisnomial
 from truncsym.combinatorics import enum_objects, weight_sum
+from truncsym.exactalg import UniPoly
 from truncsym.identities import IdentitySpec, REGISTRY
 
 
@@ -517,6 +518,8 @@ def _table_cells(n: int, s: int) -> list[tuple[int, int]]:
 
 def _value_payload(value):
     """A triangle value as the payload holds it: digits, q coefficients or [i, j, c] terms, all as strings."""
+    if isinstance(value, UniPoly):
+        return [str(c) for c in value.coeffs]
     return str(value) if isinstance(value, int) else value.to_json()
 
 

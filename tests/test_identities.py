@@ -204,7 +204,9 @@ ONE_SIDED = {
 
 
 def _wrong(value):
-    """A value other than a nonzero value: doubled for a BiPoly, else one more."""
+    """A value other than a nonzero value: doubled for a BiPoly, else one more (on a CycInt's constant coordinate)."""
+    if isinstance(value, CycInt):
+        return CycInt(value.order, [value.coeffs[0] + 1, *value.coeffs[1:]])
     return value * 2 if isinstance(value, BiPoly) else value + 1
 
 
@@ -278,7 +280,9 @@ def test_roots_sums_match_the_per_monomial_cyclotomic_sum(basis):
 
 
 @pytest.mark.parametrize(
-    "root", [lambda lam, s: CycInt.root(s + 1), lambda lam, s: CycInt.root(s + 1, len(lam))], ids=["x", "x^len"]
+    "root",
+    [lambda lam, s: CycInt(s + 1, [0, 1]), lambda lam, s: CycInt(s + 1, [0] * len(lam) + [1])],
+    ids=["x", "x^len"],
 )
 def test_a_roots_sum_off_the_integers_raises_the_per_monomial_message(root, monkeypatch):
     # m_lam(roots) is always a rational integer; a stand-in that is not one must be refused,
