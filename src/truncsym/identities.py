@@ -21,10 +21,11 @@ E(t) and H(t), so the checks are built from a few shared shapes:
 * ``_linear_passes``: a graded series times prod_i (1 + x_i t)^(-1) or
   prod_i (1 - x_i t), one linear pass per variable: the power substitutions
   and the sums that vanish.  The rows that convolve E with H or E with E at
-  one s (ortho, newton_*, cubic_*, mono_H) stay on ``_conv``: a pass with
-  the family's own truncated factor is the constructors' peeling guard,
-  so they would restate it.  So does ``_conv_sum`` (conv_*): as passes it
-  would test H against its own generating product, the tests' oracle.
+  one s (ortho, newton_*, cubic_*, mono_H) stay on ``_conv``: passes with
+  the family's own truncated factor would test one value against its
+  generating product, as the constructors' split guard does, not two
+  constructed values against each other.  So does ``_conv_sum`` (conv_*): as
+  passes it would test H against its own generating product, the tests' oracle.
 
 An E/H twin is one check body: its registry row binds the family by name,
 and the body looks the constructor up when it runs.

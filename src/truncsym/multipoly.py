@@ -1,8 +1,8 @@
 """Sparse multivariate polynomials, their specializations and a symmetry test.
 
 ``MPoly`` is a sparse polynomial in x1..xn with ``int`` or ``Fraction``
-coefficients; the constructor and ``constant`` refuse any other type
-(``TypeError``).  A term is stored under a packed exponent: one int holding
+coefficients; the constructor and ``constant`` refuse any other type, and
+``bool`` (``TypeError``).  A term is stored under a packed exponent: one int holding
 the exponent of x_i in bits 32(i-1) .. 32i-1.  Every stored exponent
 is below 2**31, so two keys add without a carry between fields: a product is
 one int add per pair of terms (one per term with a one-term operand or the
@@ -99,9 +99,9 @@ class _Terms(Mapping):
 
 
 def _check_coeff_types(coeffs: Iterable) -> None:
-    """Refuse a coefficient that is not an int or a Fraction; one issubclass per distinct type."""
+    """Refuse a coefficient that is a bool or not an int or a Fraction; one check per distinct type."""
     for t in set(map(type, coeffs)):
-        if not issubclass(t, _SCALAR_TYPES):
+        if t is bool or not issubclass(t, _SCALAR_TYPES):
             raise TypeError(f"coefficients must be int or Fraction, got {t.__name__}")
 
 
@@ -175,7 +175,7 @@ class MPoly:
     @classmethod
     def constant(cls, n: int, c: Coeff) -> "MPoly":
         _layout(n)  # refuses n < 0
-        if not isinstance(c, _SCALAR_TYPES):  # the common case costs one isinstance
+        if type(c) not in _SCALAR_TYPES:  # exact types pass at once; a subclass, bool too, is checked
             _check_coeff_types((c,))
         return _trusted(n, {0: c} if c else {})
 
@@ -342,6 +342,11 @@ def accumulate_shift(acc: dict, p: MPoly, i: int, j: int, scalar: Coeff = 1) -> 
         acc[key] = scalar * c if old is None else old + scalar * c
     if written & _layout(p.n)[2]:
         raise OverflowError("a shifted term has an exponent of 2**31 or more")
+
+
+def _shift_variables(p: MPoly, a: int, n: int) -> MPoly:
+    """p in n >= p.n + a variables with each x_i renamed x_(i+a): one shift of 32a bits per key."""
+    return _trusted(n, {key << 32 * a: c for key, c in p._packed.items()})
 
 
 def collect(n: int, acc: dict) -> MPoly:

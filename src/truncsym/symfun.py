@@ -15,17 +15,24 @@ output, not with the degree s*n of the generating product: E(k, s, n) sums
 m_lam over lam |- k with parts <= s, and H(k, s, n) sums (-1)^(k + r) m_lam
 over lam |- k with parts congruent to 0 or 1 mod s+1, r of them to 1.
 
-Before it is cached, each value is checked by peeling the last variable
-off the generating product, against cached values (j = 0..s), by shift-adds
-of x_n^j (``accumulate_shift``):
+Before it is cached, each value is checked against its generating product
+split into two alphabets, x_1..x_a | x_(a+1)..x_n with a = n // 2
+(Macdonald, Symmetric Functions and Hall Polynomials, I.5):
 
-* E(k, s, n) = sum_j x_n^j E(k-j, s, n-1),
-* sum_j (-x_n)^j H(k-j, s, n) = H(k, s, n-1).
+* E(k, s, n) = sum_j E(j, s, a) E(k-j, s, n-a)^a, and the same for H,
 
-These recurrences fix both families from n = 0, so by induction every
-cached value is the product's coefficient.  A disagreement raises
-``ArithmeticError`` naming the first monomial where the two sides differ.
-Lower values are filled bottom-up, not recursively.
+where ^a moves a value onto the variables after x_a.  The halves are cached
+values, and one variable is the closed coefficient of its factor:
+E(k, s, 1) = x1^k for k <= s, and H(k, s, 1) = (-1)^(q(s+1)) x1^k with
+q = k // (s+1) when k mod s+1 is 0 or 1; both are zero otherwise.  So by
+induction every cached value is the product's coefficient, and only the
+variable counts of the halving tree are cached, at recursion depth
+O(log n).  A disagreement raises ``ArithmeticError`` naming the first
+monomial where the two sides differ.
+
+The classical e_k and h_k are built by the same split from their own
+halves, down to e_k(x1) = x1^k for k <= 1 and h_k(x1) = x1^k.  No orbit sum
+is involved, so they stay independent of E and H.
 
 Also memoized: m_lam at the roots by (lam, s) and the classical e/h/p_lam,
 in a trie of lam's prefixes per (kind, n), which the roots sums reread for
@@ -35,10 +42,10 @@ every s; not the E/H/P products, many and large, whose factors are cached.
 from __future__ import annotations
 
 from math import prod
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .exactalg import CycInt
-from .multipoly import MPoly, accumulate_product, accumulate_shift, collect
+from .multipoly import MPoly, _shift_variables, accumulate_product, collect
 from .partitions import (
     Partition,
     conjugate,
@@ -96,31 +103,35 @@ def classical(kind: str, k: int, n: int) -> MPoly:
         raise ValueError(f"n must be >= 0, got {n}")
     if kind == "p" and k < 1:
         raise ValueError("power sums are defined for k >= 1 only")
-    if k < 0:
+    if k < 0 or kind == "e" and k > n:
         return MPoly.zero(n)
     key = (kind, k, n)
     cached = _CLASSICAL_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if kind == "p":
-        _CLASSICAL_CACHE[key] = MPoly(n, {(0,) * i + (k,) + (0,) * (n - 1 - i): 1 for i in range(n)})
-    else:
-        # bottom-up: e_k(m) = e_k(m-1) + x_m e_(k-1)(m-1), h_k(m) = h_k(m-1) + x_m h_(k-1)(m)
-        for m in range(n + 1):
-            for kk in range(max(0, k - (n - m)) if kind == "e" else 0, k + 1):
-                if (kind, kk, m) not in _CLASSICAL_CACHE:
-                    _CLASSICAL_CACHE[(kind, kk, m)] = _classical_step(kind, kk, m)
-    return _CLASSICAL_CACHE[key]
+    if cached is None:
+        if kind == "p":
+            cached = MPoly(n, {(0,) * i + (k,) + (0,) * (n - 1 - i): 1 for i in range(n)})
+        else:
+            cached = _split(lambda j, _, m: classical(kind, j, m), lambda j: int(kind == "h" or j <= 1), k, 1, n)
+        _CLASSICAL_CACHE[key] = cached
+    return cached
 
 
-def _classical_step(kind: str, k: int, n: int) -> MPoly:
-    """e_k or h_k in n variables from the cached values it peels onto."""
-    if k == 0:
-        return MPoly.one(n)
-    if n == 0 or (kind == "e" and k > n):
-        return MPoly.zero(n)
-    lower = _CLASSICAL_CACHE[(kind, k - 1, n - 1 if kind == "e" else n)]
-    return _CLASSICAL_CACHE[(kind, k, n - 1)].pad(n) + MPoly.variable(n, n) * lower.pad(n)
+def _split(F: Callable[[int, int, int], MPoly], one: Callable[[int], int], k: int, s: int, n: int) -> MPoly:
+    """[t^k] of prod_i sum_j one(j) (x_i t)^j over n variables; F(j, s, m) is [t^j] over m.
+
+    One variable gives one(k) x1^k, and none gives 1 at k = 0.  Otherwise
+    the alphabet is split at a = n // 2: sum_j F(j, s, a) F(k-j, s, n-a)
+    with the right half moved onto x_(a+1)..x_n, over the j where neither
+    half exceeds d per variable, d the top j <= k with one(j) nonzero.
+    """
+    if n < 2:
+        return MPoly.monomial(n, (k,) * n, one(k) if n else int(k == 0))
+    a, acc = n // 2, {}
+    d = next((j for j in range(k, 0, -1) if one(j)), 0)
+    for j in range(max(0, k - d * (n - a)), min(k, d * a) + 1):
+        if (left := F(j, s, a)) and (right := F(k - j, s, n - a)):
+            accumulate_product(acc, left.pad(n), _shift_variables(right, a, n))
+    return collect(n, acc)
 
 
 def _orbit_sum(n: int, signed: Iterable[tuple[Partition, int]]) -> MPoly:
@@ -131,40 +142,17 @@ def _orbit_sum(n: int, signed: Iterable[tuple[Partition, int]]) -> MPoly:
     return MPoly(n, terms)
 
 
-def _peel_check(family: str, k: int, s: int, n: int, left: MPoly, right: MPoly) -> None:
-    """Raise ArithmeticError at the first monomial where the two sides differ."""
-    if left != right:
-        exps = (left - right).canonical_terms()[0][0]
-        left_label, right_label = (
-            ("the orbit sum", "sum_j x_n^j E(k-j, s, n-1)") if family == "E"
-            else ("sum_j (-x_n)^j H(k-j, s, n)", "H(k, s, n-1)")
-        )
+def _guard(family: str, k: int, s: int, n: int, val: MPoly, split: MPoly) -> MPoly:
+    """val, the orbit sum; ArithmeticError at the first monomial where it and the split differ."""
+    if val != split:
+        exps = (val - split).canonical_terms()[0][0]
+        a = n // 2
+        label = "the one-variable factor" if n < 2 else f"sum_j {family}(j, s, {a}) {family}(k-j, s, {n - a})"
         raise ArithmeticError(
-            f"{family}(k={k}, s={s}, n={n}) fails the variable-peeling check at "
-            f"{MPoly.monomial(n, exps)}: {left.coeff(exps)} in {left_label}, "
-            f"{right.coeff(exps)} in {right_label}"
+            f"{family}(k={k}, s={s}, n={n}) fails the alphabet-split check at "
+            f"{MPoly.monomial(n, exps)}: {val.coeff(exps)} in the orbit sum, "
+            f"{split.coeff(exps)} in {label}"
         )
-
-
-def _checked_E(k: int, s: int, n: int) -> MPoly:
-    if n == 0:
-        return MPoly.one(0)
-    val = _orbit_sum(n, ((lam, 1) for lam in enum_partitions(k, max_part=s, max_length=n)))
-    acc: dict = {}
-    for j in range(min(s, k) + 1):
-        accumulate_shift(acc, E(k - j, s, n - 1).pad(n), n, j)
-    _peel_check("E", k, s, n, val, collect(n, acc))
-    return val
-
-
-def _checked_H(k: int, s: int, n: int) -> MPoly:
-    m = s + 1
-    lams = enum_partitions(k, max_length=n, mod01=m)
-    val = _orbit_sum(n, ((lam, (-1) ** (k + sum(p % m for p in lam))) for lam in lams))
-    acc: dict = {}
-    for j in range(min(s, k) + 1):
-        accumulate_shift(acc, H(k - j, s, n) if j else val, n, j, -1 if j % 2 else 1)
-    _peel_check("H", k, s, n, collect(n, acc), H(k, s, n - 1).pad(n))
     return val
 
 
@@ -175,12 +163,9 @@ def E(k: int, s: int, n: int) -> MPoly:
     _validate_sn(s, n)
     if k < 0 or k > s * n:
         return MPoly.zero(n)
-    # each value peels onto the n-1 values with index k-s..k
-    for m in range(n + 1):
-        for kk in range(max(0, k - s * (n - m)), min(k, s * m) + 1):
-            if (kk, s, m) not in _E_CACHE:
-                _E_CACHE[(kk, s, m)] = _checked_E(kk, s, m)
-    return _E_CACHE[(k, s, n)]
+    val = _orbit_sum(n, ((lam, 1) for lam in enum_partitions(k, max_part=s, max_length=n)))
+    _E_CACHE[(k, s, n)] = _guard("E", k, s, n, val, _split(E, lambda j: int(j <= s), k, s, n))
+    return val
 
 
 def H(k: int, s: int, n: int) -> MPoly:
@@ -190,14 +175,12 @@ def H(k: int, s: int, n: int) -> MPoly:
     _validate_sn(s, n)
     if k < 0:
         return MPoly.zero(n)
-    if n == 0:
-        return MPoly.one(0) if k == 0 else MPoly.zero(0)
-    # each value peels onto the lower k at n and onto the same k at n-1
-    for m in range(1, n + 1):
-        for kk in range(k + 1):
-            if (kk, s, m) not in _H_CACHE:
-                _H_CACHE[(kk, s, m)] = _checked_H(kk, s, m)
-    return _H_CACHE[(k, s, n)]
+    m = s + 1
+    lams = enum_partitions(k, max_length=n, mod01=m)
+    val = _orbit_sum(n, ((lam, (-1) ** (k + sum(p % m for p in lam))) for lam in lams))
+    split = _split(H, lambda j: (-1) ** (j // m * m) if j % m < 2 else 0, k, s, n)
+    _H_CACHE[(k, s, n)] = _guard("H", k, s, n, val, split)
+    return val
 
 
 def P(k: int, s: int, n: int) -> MPoly:

@@ -149,6 +149,15 @@ def test_a_coefficient_other_than_int_or_fraction_is_refused(c):
         MPoly.variable(1, 1) * c
 
 
+@pytest.mark.parametrize("c", [True, False])
+def test_a_bool_coefficient_is_refused(c):
+    # a bool is an int, but True rendered as True and went to JSON as "True"
+    with pytest.raises(TypeError, match="int or Fraction, got bool"):
+        MPoly(1, {(1,): c})
+    with pytest.raises(TypeError, match="int or Fraction, got bool"):
+        MPoly.constant(2, c)
+
+
 def test_degree_and_homogeneity():
     p = MPoly(2, {(2, 1): 1, (0, 3): -1})
     assert p.degree() == 3

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import eval_oracle
 import laplace_oracle
 import sum_oracle
 from series_oracle import e_series, h_series
@@ -77,6 +78,65 @@ def test_complete_family_at_high_degree_needs_no_deep_recursion():
     clear_caches()
     try:
         assert H(1500, 1, 1) == MPoly.monomial(1, (1500,))
+    finally:
+        clear_caches()
+
+
+def test_families_equal_their_generating_products_at_a_random_point():
+    # past the sizes the series oracle can expand, each value is compared with its
+    # generating product at one random point mod 2^61 - 1, from a cold cache
+    truncated = [("E", 12, 3, 8), ("H", 12, 3, 8), ("E", 16, 4, 8), ("H", 16, 4, 8), ("E", 3, 1, 60),
+                 ("E", 59, 1, 60), ("E", 119, 2, 60)]
+    plain = [(kind, k, n) for n in (*range(9), 15, 16, 17, 31, 60) for k in range(9 if n <= 8 else 4)
+             for kind in "eh"] + [("e", 58, 60), ("e", 59, 60)]
+    oracle = {"E": eval_oracle.E_at, "H": eval_oracle.H_at, "e": eval_oracle.E_at, "h": eval_oracle.H_at}
+    clear_caches()
+    try:
+        for family, k, s, n in truncated:
+            point = eval_oracle.random_point(n, seed=n)
+            got = eval_oracle.evaluate({"E": E, "H": H}[family](k, s, n), point)
+            assert got == oracle[family](k, s, point), (family, k, s, n)
+        for kind, k, n in plain:  # e and h are the products at s = 1
+            point = eval_oracle.random_point(n, seed=n)
+            assert eval_oracle.evaluate(classical(kind, k, n), point) == oracle[kind](k, 1, point), (kind, k, n)
+    finally:
+        clear_caches()
+
+
+@pytest.mark.parametrize("build", [lambda: E(3, 1, 16), lambda: H(6, 2, 16), lambda: classical("e", 3, 16)],
+                         ids=["E", "H", "e"])
+def test_values_are_cached_only_at_the_variable_counts_of_the_halving_tree(build):
+    # a ladder that peels one variable at a time kept every n <= 16
+    clear_caches()
+    try:
+        build()
+        for table in (symfun._E_CACHE, symfun._H_CACHE, symfun._CLASSICAL_CACHE):
+            assert {key[-1] for key in table} <= {16, 8, 4, 2, 1}
+    finally:
+        clear_caches()
+
+
+def test_a_top_degree_value_builds_only_one_term_halves():
+    # the split takes only the j where both halves can be nonzero; j over 0..k built
+    # every half up to the middle degree, E(5, 1, 10) on the way to E(20, 1, 20) and
+    # E(15, 1, 30) (155,117,520 terms) on the way to E(60, 1, 60)
+    for n in (20, 60):  # n = 20 fails fast, before an n = 60 build could run out of memory
+        clear_caches()
+        try:
+            top = MPoly.monomial(n, (1,) * n)
+            assert E(n, 1, n) == top and classical("e", n, n) == top
+            for table in (symfun._E_CACHE, symfun._CLASSICAL_CACHE):
+                assert all(len(value.terms) <= 1 for value in table.values()), n
+        finally:
+            clear_caches()
+
+
+def test_a_one_variable_value_is_cached_alone():
+    # a ladder kept H(k, 1, 1) for every k <= 100000
+    clear_caches()
+    try:
+        H(100000, 1, 1)
+        assert len(symfun._H_CACHE) == 1
     finally:
         clear_caches()
 
@@ -305,11 +365,11 @@ def test_complete_guard_detects_a_corrupted_lower_value():
 
 @pytest.mark.parametrize("family, ctor, cache, message", [
     ("E", E, symfun._E_CACHE,
-     "E(k=1, s=1, n=2) fails the variable-peeling check at x1: "
-     "1 in the orbit sum, 2 in sum_j x_n^j E(k-j, s, n-1)"),
+     "E(k=1, s=1, n=2) fails the alphabet-split check at x2: "
+     "1 in the orbit sum, 2 in sum_j E(j, s, 1) E(k-j, s, 1)"),
     ("H", H, symfun._H_CACHE,
-     "H(k=1, s=1, n=2) fails the variable-peeling check at x1: "
-     "1 in sum_j (-x_n)^j H(k-j, s, n), 2 in H(k, s, n-1)"),
+     "H(k=1, s=1, n=2) fails the alphabet-split check at x2: "
+     "1 in the orbit sum, 2 in sum_j H(j, s, 1) H(k-j, s, 1)"),
 ])
 def test_a_guard_error_names_the_family_the_point_and_the_first_differing_monomial(
     family, ctor, cache, message
