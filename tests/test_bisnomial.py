@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import eval_oracle
 import truncsym
 from pq_oracle import agrees_at_p1, pq_bisnomial_rows, pq_gaussian_rows
 from truncsym.bisnomial import (
@@ -93,6 +94,34 @@ def test_gaussian_symmetry_and_count():
             g = gaussian(n, k)
             assert g == gaussian(n, n - k)
             assert g(1) == comb(n, k)
+
+
+def _at(poly: UniPoly, x: int) -> int:
+    """poly(x) mod 2^61 - 1, by Horner's rule."""
+    value = 0
+    for c in reversed(poly.coeffs):
+        value = (value * x + c) % eval_oracle.P
+    return value
+
+
+def test_triangles_equal_their_generating_products_at_a_random_point():
+    # counts, q-values and Gaussians are E(k, s, n) at x_i = 1 and x_i = q^(i-1), so each
+    # value is compared with its generating product at one random q mod 2^61 - 1, from a
+    # cold cache: deep values, values past the middle of a row, and every cell of small rows
+    (q0,) = eval_oracle.random_point(1, seed=18)
+    grid = [pow(q0, i, eval_oracle.P) for i in range(400)]  # x_i = q0^(i-1)
+    small = [(n, k, s) for s in (1, 2, 3) for n in range(9) for k in range(s * n + 1)]
+    truncsym.clear_caches()
+    try:
+        for n, k, s in small + [(100, 75, 2), (60, 100, 2), (200, 399, 2), (40, 90, 3), (150, 3, 4)]:
+            assert _at(q_bisnomial(n, k, s), q0) == eval_oracle.E_at(k, s, grid[:n]), (n, k, s)
+        for n, k, s in small + [(2000, 5, 2), (2000, 40, 1), (250, 490, 2), (300, 450, 3)]:
+            assert bisnomial(n, k, s) % eval_oracle.P == eval_oracle.E_at(k, s, [1] * n), (n, k, s)
+        for n, k in [(n, k) for n in range(14) for k in range(n + 1)] + [(60, 25), (60, 45), (100, 70)]:
+            lhs = pow(q0, k * (k - 1) // 2, eval_oracle.P) * _at(gaussian(n, k), q0) % eval_oracle.P
+            assert lhs == eval_oracle.E_at(k, 1, grid[:n]), (n, k)
+    finally:
+        truncsym.clear_caches()
 
 
 def test_pq_gaussian_goldens():
