@@ -52,14 +52,13 @@ from .combinatorics import (
 )
 from .bisnomial import (
     bisnomial,
-    bisnomial_row,
     gaussian,
     pq_bisnomial,
     pq_gaussian,
     q_bisnomial,
 )
 from . import exactalg, identities, multipoly, symfun
-from .bisnomial import _TRIANGLES as _bisnomial_triangles
+from .bisnomial import _cell as _bisnomial_cell
 
 __version__ = "0.1.0"
 
@@ -67,9 +66,9 @@ __version__ = "0.1.0"
 def clear_caches() -> None:
     """Empty every memo table in the package, so the next call starts cold."""
     symfun.clear_caches()
-    for table in (identities._PAIR_CONV, _bisnomial_triangles, exactalg._POWER_TEXTS):
+    for table in (identities._PAIR_CONV, exactalg._POWER_TEXTS):
         table.clear()
-    for cached in (cyclotomic_coeffs, multipoly._layout, multipoly._display):
+    for cached in (cyclotomic_coeffs, multipoly._layout, multipoly._display, _bisnomial_cell):
         cached.cache_clear()
 
 
@@ -84,7 +83,6 @@ __all__ = [
     "REGISTRY",
     "UniPoly",
     "bisnomial",
-    "bisnomial_row",
     "classical",
     "clear_caches",
     "conjugate",

@@ -14,14 +14,13 @@ over n slots; multiplying it by (1 - x_n t) gives three-term row recurrences:
     Q(n, k) = Q(n-1, k) + q^(n-1) Q(n, k-1) - q^((s+1)(n-1)) Q(n-1, k-s-1)
 
 and the Gaussian binomials follow G(n, k) = G(n-1, k-1) + q^k G(n-1, k).
-Each triangle is one store of rows, ``_TRIANGLES[step, s]``: row m holds
-k = 0 .. min(s*m, its cap), no cap above the one below it.  A query (n, k)
-appends missing rows and widens rows 0..n to k in place, each cell computed
-once from its left neighbour and the row below.  Counts and Gaussian
-binomials are palindromic in k, so queries read min(k, s*n - k): a deep
-single value fills O(n*k) cells.  A q query past the middle of its row
-reads Q(n, k)(q) = q^(s*n(n-1)/2) Q(n, s*n-k)(1/q) when rows below n would
-widen (a single value) and widens when only row n does (a table walk).
+``_rows`` rolls a triangle up from row 0, two rows alive at a time.  Each row
+is filled by its step up to its middle; the cells past it come from the
+symmetry of the row.  Counts and Gaussian binomials are palindromic in k, and
+a q cell is the reflection Q(n, k)(q) = q^(s*n(n-1)/2) Q(n, s*n-k)(1/q).  A
+single value reads min(k, s*n - k), or the reflection when 2k > s*n, in rows
+cut at that k: a deep value fills O(n*k) cells and holds two rows.  Only the
+answers are memoized.  A table streams whole rows from the same generator.
 
 The conversion identities that tie these triangles to ordinary and
 Gaussian binomials are checked by ``identities`` as ``conversion:<kind>``.
@@ -29,36 +28,40 @@ Gaussian binomials are checked by ``identities`` as ``conversion:<kind>``.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import accumulate, count, islice
 from operator import add, sub
+from typing import Iterator
 
 from .exactalg import BiPoly, UniPoly
 
 
-_TRIANGLES: dict = {}  # (step, s) -> rows; row m holds k = 0 .. min(s*m, its cap)
+def _reflect(value: UniPoly, n: int, s: int) -> UniPoly:
+    """Q(n, s*n - k) from value = Q(n, k): q^(s*n(n-1)/2) Q(n, k)(1/q)."""
+    return UniPoly((0,) * (s * n * (n - 1) // 2 + 1 - len(value.coeffs)) + value.coeffs[::-1])
 
 
-def _cell(step, n: int, k: int, s: int, one, reflect: bool = False):
-    """The (n, k) cell of step's triangle, 0 <= k <= s*n, growing rows 0..n to reach it."""
-    rows = _TRIANGLES.get((step, s)) or _TRIANGLES.setdefault((step, s), [[one]])
-    if n < len(rows) and k < len(rows[n]):
-        return rows[n][k]
-    rows.extend([] for _ in range(len(rows), n + 1))
-    # the top row that reaches k; no cap exceeds the one below, so every row under it does too
-    m = next(m for m in range(n, -1, -1) if len(rows[m]) > min(s * m, k))
-    if reflect and m < n - 1 and 2 * k > s * n:  # a single q value past the middle of its row
-        value = _cell(step, n, s * n - k, s, one).coeffs
-        return UniPoly((0,) * (s * n * (n - 1) // 2 + 1 - len(value)) + value[::-1])
-    for m in range(m + 1, n + 1):
-        step(rows[m - 1], rows[m], m, min(s * m, k) + 1, s)
-    return rows[n][k]
+def _rows(step, s: int, one, width: int) -> Iterator[list]:
+    """Rows 0, 1, ... of step's triangle cut at k < width, each filled to its middle and mirrored."""
+    row = [one]
+    for m in count(1):
+        yield row
+        top, below, row = s * m, row, []
+        step(below, row, m, min(top // 2, width - 1) + 1, s)
+        row += [_reflect(row[top - k], m, s) if step is _q_step else row[top - k]
+                for k in range(len(row), min(top, width - 1) + 1)]
+
+
+@lru_cache(maxsize=None)
+def _cell(step, n: int, k: int, s: int, one):
+    """The (n, k) cell of step's triangle, 0 <= k <= s*n/2, rolled up in rows cut at k."""
+    return next(islice(_rows(step, s, one, k + 1), n, None))[k]
 
 
 def _count_step(below: list, row: list, m: int, stop: int, s: int) -> None:
-    """Extend count row m to length stop: B(m, k) = B(m, k-1) + B(m-1, k) - B(m-1, k-s-1)."""
-    value = row[-1] if row else 0
-    for k in range(len(row), stop):
-        value += (below[k] if k < len(below) else 0) - (below[k - s - 1] if k > s else 0)
-        row.append(value)
+    """Fill the empty count row m to length stop: B(m, k) sums B(m-1, j) - B(m-1, j-s-1) over j <= k."""
+    steps = ((below[k] if k < len(below) else 0) - (below[k - s - 1] if k > s else 0) for k in range(stop))
+    row.extend(accumulate(steps))
 
 
 def _shifted(out: list, shift: int, coeffs: tuple, op) -> None:
@@ -69,8 +72,8 @@ def _shifted(out: list, shift: int, coeffs: tuple, op) -> None:
 
 
 def _q_step(below: list, row: list, m: int, stop: int, s: int) -> None:
-    """Extend q-row m to length stop by the three-term recurrence of the module docstring."""
-    for k in range(len(row), stop):
+    """Fill the empty q-row m to length stop by the three-term recurrence of the module docstring."""
+    for k in range(stop):
         out = list(below[k].coeffs) if k < len(below) else []
         if k:
             _shifted(out, m - 1, row[k - 1].coeffs, add)
@@ -80,8 +83,8 @@ def _q_step(below: list, row: list, m: int, stop: int, s: int) -> None:
 
 
 def _gaussian_step(below: list, row: list, m: int, stop: int, s: int) -> None:
-    """Extend Gaussian row m to length stop: G(m, k) = G(m-1, k-1) + q^k G(m-1, k)."""
-    for k in range(len(row), stop):
+    """Fill the empty Gaussian row m to length stop: G(m, k) = G(m-1, k-1) + q^k G(m-1, k)."""
+    for k in range(stop):
         out = list(below[k - 1].coeffs) if k else []
         if k < len(below):
             _shifted(out, k, below[k].coeffs, add)
@@ -103,14 +106,6 @@ def bisnomial(n: int, k: int, s: int) -> int:
     return _cell(_count_step, n, min(k, s * n - k), s, 1)
 
 
-def bisnomial_row(n: int, s: int) -> list[int]:
-    """Row n of the triangle: k = 0 .. s*n, its stored half up to the middle and that half mirrored."""
-    half = s * n // 2
-    bisnomial(n, half, s)  # refuses a bad n or s, and grows row n to its middle
-    row = _TRIANGLES[_count_step, s][n]
-    return row[:half + 1] + row[:s * n - half][::-1]
-
-
 def gaussian(n: int, k: int) -> UniPoly:
     """Gaussian binomial coefficient as a polynomial in q."""
     _validate(n, k, 1)
@@ -128,7 +123,9 @@ def q_bisnomial(n: int, k: int, s: int) -> UniPoly:
     _validate(n, k, s)
     if k < 0 or k > s * n:
         return UniPoly()
-    return _cell(_q_step, n, k, s, UniPoly(1), True)
+    if 2 * k > s * n:
+        return _reflect(_cell(_q_step, n, s * n - k, s, UniPoly(1)), n, s)
+    return _cell(_q_step, n, k, s, UniPoly(1))
 
 
 def pq_gaussian(n: int, k: int) -> BiPoly:
@@ -143,3 +140,12 @@ def pq_bisnomial(n: int, k: int, s: int) -> BiPoly:
     PQ(n, k) is the q-refinement homogenized to degree k(n-1).
     """
     return BiPoly.homogenize(q_bisnomial(n, k, s), k * (n - 1))
+
+
+def _table_rows(flavor: str, n: int, s: int) -> Iterator[list]:
+    """Rows 0..n of the plain, q or pq table, k = 0 .. s*m each; a bad n or s is refused at once."""
+    _validate(n, 0, s)
+    step, one = (_count_step, 1) if flavor == "plain" else (_q_step, UniPoly(1))
+    rows = islice(_rows(step, s, one, s * n + 1), n + 1)
+    pq = ([BiPoly.homogenize(value, k * (m - 1)) for k, value in enumerate(row)] for m, row in enumerate(rows))
+    return pq if flavor == "pq" else rows

@@ -28,7 +28,7 @@ from contextlib import ExitStack
 from itertools import chain
 from typing import Iterable, Iterator, Optional
 
-from .bisnomial import bisnomial, bisnomial_row, pq_bisnomial, q_bisnomial
+from .bisnomial import _table_rows, bisnomial, pq_bisnomial, q_bisnomial
 from .combinatorics import describe_line, enum_objects, paths_svg, tilings_svg
 from .exactalg import UniPoly
 from .identities import default_grid, list_identities, verify_grid
@@ -201,12 +201,8 @@ def _cmd_objects(args: argparse.Namespace) -> Iterator[str]:
 
 def _cmd_bisnomial(args: argparse.Namespace) -> Iterator[str]:
     n, k, s, flavor = args.n, args.k, args.s, args.flavor
-    triangle = {"plain": bisnomial, "q": q_bisnomial, "pq": pq_bisnomial}[flavor]
-    if args.table:
-        triangle(min(n, 0), 0, s)  # refuses a bad n or s before the first chunk goes out
-        values = (bisnomial_row(m, s) if flavor == "plain" else [triangle(m, kk, s) for kk in range(s * m + 1)]
-                  for m in range(n + 1))
-        rows = ([(m, kk, value) for kk, value in enumerate(row)] for m, row in enumerate(values))
+    if args.table:  # a bad n or s is refused before the first chunk goes out
+        rows = ([(m, kk, value) for kk, value in enumerate(row)] for m, row in enumerate(_table_rows(flavor, n, s)))
         if args.format == "text":
             if flavor == "plain":
                 yield from _text_stream([" ".join(str(value) for _, _, value in row)] for row in rows)
@@ -222,7 +218,7 @@ def _cmd_bisnomial(args: argparse.Namespace) -> Iterator[str]:
         return 0
     if k is None:
         raise ValueError("bisnomial needs --k (or --table)")
-    value = triangle(n, k, s)
+    value = {"plain": bisnomial, "q": q_bisnomial, "pq": pq_bisnomial}[flavor](n, k, s)
     if args.format == "text":
         yield f"{value}\n"
     elif args.format == "json":

@@ -100,16 +100,15 @@ class IdentityReport(NamedTuple):
 class IdentitySpec(NamedTuple):
     """One registry entry: a check, its parameter names and its valid points.
 
-    Without an explicit ``requires``, a point (n, k, s) is valid when n >= 1,
-    s >= s_min, k >= k_min and, with ``avoid_k_mult_of_s``, s does not divide
-    k; a partition is valid when its weight is at least k_min and its length
-    at most the weight less k_min - 1.
+    A point (n, k, s) is valid when n >= 1, s >= s_min, k >= k_min and,
+    with ``avoid_k_mult_of_s``, s does not divide k; a partition is valid
+    when its weight is at least k_min and its length at most the weight
+    less k_min - 1.
     """
 
     name: str
     check: Callable[..., tuple[bool, object, object]]
     arity: tuple[str, ...] = ("n", "k", "s")
-    requires: Optional[Callable[..., Optional[str]]] = None
     k_default_max: int = 8
     k_min: int = 0
     s_min: int = 1
@@ -545,7 +544,7 @@ def verify(identity_id: str, **params) -> IdentityReport:
         )
     if "lam" in params:
         params = dict(params, lam=tuple(params["lam"]))
-    reason = (spec.requires or spec._default_requires)(**params)
+    reason = spec._default_requires(**params)
     if reason is not None:
         raise ValueError(f"invalid parameters for {identity_id}: {reason}")
     start = time.perf_counter()
@@ -585,7 +584,7 @@ def verify_grid(identity_id: str, grid: Mapping[str, Iterable[int]]) -> list[Ide
         points = (dict(zip(spec.arity, combo)) for combo in _cartesian(*axes))
     reports, first_reason = [], None
     for point in points:
-        reason = (spec.requires or spec._default_requires)(**point)
+        reason = spec._default_requires(**point)
         if reason is None:
             reports.append(verify(identity_id, **point))
         first_reason = first_reason or reason

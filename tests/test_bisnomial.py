@@ -1,5 +1,7 @@
 """Unit tests for the generalized binomial tables and their q/pq refinements."""
 
+import sys
+import tracemalloc
 from functools import lru_cache
 from math import comb
 
@@ -11,9 +13,8 @@ import eval_oracle
 import truncsym
 from pq_oracle import agrees_at_p1, pq_bisnomial_rows, pq_gaussian_rows
 from truncsym.bisnomial import (
-    _TRIANGLES,
+    _table_rows,
     bisnomial,
-    bisnomial_row,
     gaussian,
     pq_bisnomial,
     pq_gaussian,
@@ -24,19 +25,20 @@ from truncsym.identities import verify
 from truncsym.multipoly import specialize
 from truncsym.symfun import E
 
+TRIANGLES = sys.modules["truncsym.bisnomial"]  # the package name is the function
+
 
 def test_counting_goldens():
     assert bisnomial(3, 3, 2) == 7
-    assert bisnomial_row(2, 2) == [1, 2, 3, 2, 1]
+    assert list(_table_rows("plain", 2, 2))[-1] == [1, 2, 3, 2, 1]
     assert bisnomial(2, -1, 3) == 0
     assert bisnomial(2, 7, 3) == 0
     assert bisnomial(0, 0, 2) == 1
 
 
 def test_rows_sum_to_a_power_and_are_palindromic():
-    for n in range(6):
-        for s in range(1, 5):
-            row = bisnomial_row(n, s)
+    for s in range(1, 5):
+        for n, row in enumerate(_table_rows("plain", 5, s)):
             assert len(row) == s * n + 1
             assert sum(row) == (s + 1) ** n
             assert row == row[::-1]
@@ -204,7 +206,7 @@ def test_conversion_validation():
         verify("conversion:plain", n=3, k=-1, s=2)
 
 
-# -- the triangle store ----------------------------------------------------------
+# -- rows rolled from the row below --------------------------------------------
 
 
 def closed_count(n: int, k: int, s: int) -> int:
@@ -283,64 +285,86 @@ def test_the_store_answers_any_query_order(queries):
     st.integers(1, 4),
 )
 def test_a_row_read_whole_is_its_cells_after_any_earlier_queries(queries, n, s):
-    # the earlier queries leave rows of the store widened to different caps
+    # the earlier queries leave answers in the cache, and a table reads none of them
     truncsym.clear_caches()
     try:
         for m, k in queries:
             bisnomial(m, k, s)
-        row = bisnomial_row(n, s)
+        *_, row = _table_rows("plain", n, s)
         assert row == [closed_count(n, k, s) for k in range(s * n + 1)]
-        row[0] = -1  # a copy: the stored cells stay as they are
-        assert bisnomial_row(n, s) == [bisnomial(n, k, s) for k in range(s * n + 1)]
-        assert bisnomial(n, 0, s) == 1
+        assert row == [bisnomial(n, k, s) for k in range(s * n + 1)]
     finally:
         truncsym.clear_caches()
 
 
-def _stored_cells(triangle, *queries) -> list[int]:
-    """Row lengths of the one store that triangle's queries fill, from cold."""
+def _filled(monkeypatch, step: str, run):
+    """run()'s result from a cold cache, and the cells step fills for it, one entry a row."""
+    filled, inner = [], getattr(TRIANGLES, step)
+
+    def counted(below, row, m, stop, s):
+        filled.append(stop - len(row))
+        inner(below, row, m, stop, s)
+
+    monkeypatch.setattr(TRIANGLES, step, counted)
     truncsym.clear_caches()
     try:
-        for n, k, s in queries:
-            triangle(n, k, s)
-        (rows,) = _TRIANGLES.values()
-        return [len(row) for row in rows]
+        return run(), filled
     finally:
         truncsym.clear_caches()
 
 
-def test_a_deep_narrow_value_stores_a_narrow_band():
+def test_a_deep_narrow_value_stores_a_narrow_band(monkeypatch):
     # k = 3 of row 20000: four cells a row, not a triangle of 4e8
-    assert bisnomial(20000, 3, 2) == closed_count(20000, 3, 2)
-    assert _stored_cells(bisnomial, (20000, 3, 2)) == [min(2 * m, 3) + 1 for m in range(20001)]
+    value, filled = _filled(monkeypatch, "_count_step", lambda: bisnomial(20000, 3, 2))
+    assert value == closed_count(20000, 3, 2)
+    assert filled == [min(m, 3) + 1 for m in range(1, 20001)]
 
 
-def test_a_value_near_the_end_of_a_row_is_read_at_its_mirror():
+def test_a_value_near_the_end_of_a_row_is_read_at_its_mirror(monkeypatch):
     # k = 3990 of s*n = 4000 reads k = 10: eleven cells a row
-    assert bisnomial(2000, 3990, 2) == closed_count(2000, 3990, 2)
-    assert _stored_cells(bisnomial, (2000, 3990, 2)) == [min(2 * m, 10) + 1 for m in range(2001)]
+    value, filled = _filled(monkeypatch, "_count_step", lambda: bisnomial(2000, 3990, 2))
+    assert value == closed_count(2000, 3990, 2)
+    assert filled == [min(m, 10) + 1 for m in range(1, 2001)]
 
 
-def test_a_wide_query_widens_only_the_rows_it_reads():
-    # after the deep band, k = 10 of row 10 widens rows 0..10, not the 20000 rows above
-    rows = _stored_cells(bisnomial, (20000, 3, 2), (10, 10, 2))
-    assert rows == [min(2 * m, 10 if m <= 10 else 3) + 1 for m in range(20001)]
+def test_a_value_and_its_mirror_share_one_memoized_answer(monkeypatch):
+    # only answers are kept: the mirror image and a repeat roll no rows
+    values, filled = _filled(monkeypatch, "_count_step", lambda: [bisnomial(30, k, 2) for k in (50, 10, 50)])
+    assert values == [closed_count(30, 10, 2)] * 3
+    assert filled == [min(m, 10) + 1 for m in range(1, 31)]
 
 
-def test_a_q_value_near_the_end_of_a_row_is_read_at_its_reflection():
+def test_a_deep_value_holds_two_rows_not_its_triangle():
+    # 301 cells a row over 600 rows: a store of every row below peaked at 12.4 MiB under tracemalloc
+    truncsym.clear_caches()
+    tracemalloc.start()
+    try:
+        assert bisnomial(600, 300, 2) == closed_count(600, 300, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        truncsym.clear_caches()
+    assert peak < 2**20
+
+
+def test_a_q_value_near_the_end_of_a_row_is_read_at_its_reflection(monkeypatch):
     # Q(200, 399) = q^39800 Q(200, 1)(1/q): two cells a row, not s*n^2/2 polynomials
     top = 2 * 200 * 199 // 2
-    assert q_bisnomial(200, 399, 2) == UniPoly([0] * (top - 199) + [1] * 200)
-    assert _stored_cells(q_bisnomial, (200, 399, 2)) == [1] + [2] * 200
+    value, filled = _filled(monkeypatch, "_q_step", lambda: q_bisnomial(200, 399, 2))
+    assert value == UniPoly([0] * (top - 199) + [1] * 200)
+    assert filled == [2] * 200
     # either side of the middle of row 8 (s*n = 16) fills the rows to the lower k
-    middle = [min(2 * m, 7) + 1 for m in range(9)]
-    assert _stored_cells(q_bisnomial, (8, 7, 2)) == _stored_cells(q_bisnomial, (8, 9, 2)) == middle
+    middle = [min(m, 7) + 1 for m in range(1, 9)]
+    assert _filled(monkeypatch, "_q_step", lambda: q_bisnomial(8, 7, 2))[1] == middle
+    assert _filled(monkeypatch, "_q_step", lambda: q_bisnomial(8, 9, 2))[1] == middle
 
 
 @pytest.mark.parametrize("s", [1, 2, 3])
-def test_a_q_table_walk_widens_its_rows_instead_of_reflecting(s):
-    # rows walked in order are full below the current one, so each upper-half cell is one new cell
-    walk = [(m, k, s) for m in range(9) for k in range(s * m + 1)]
-    assert _stored_cells(q_bisnomial, *walk) == [s * m + 1 for m in range(9)]
-    for m, k, _ in walk:
-        assert q_bisnomial(m, k, s) == _oracle("q", m, k, s)
+def test_a_q_table_fills_each_row_to_its_middle(monkeypatch, s):
+    # the cells past the middle of a q-row are the reflections of the cells before it
+    rows, filled = _filled(monkeypatch, "_q_step", lambda: list(_table_rows("q", 8, s)))
+    assert filled == [s * m // 2 + 1 for m in range(1, 9)]
+    assert [len(row) for row in rows] == [s * m + 1 for m in range(9)]
+    for m, row in enumerate(rows):
+        for k, value in enumerate(row):
+            assert value == _oracle("q", m, k, s), (m, k, s)

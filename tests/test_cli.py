@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import truncsym
 from truncsym import cli
-from truncsym.bisnomial import _TRIANGLES, bisnomial, pq_bisnomial, q_bisnomial
+from truncsym.bisnomial import bisnomial, pq_bisnomial, q_bisnomial
 from truncsym.combinatorics import enum_objects, weight_sum
 from truncsym.exactalg import UniPoly
 from truncsym.identities import IdentitySpec, REGISTRY
@@ -121,7 +121,6 @@ def test_verify_exit_code_flags_failures(capsys, monkeypatch):
         name="always_false",
         arity=("k", "s"),
         check=lambda k, s: (False, 0, 1),
-        requires=lambda k, s: None,
     )
     monkeypatch.setitem(REGISTRY, "always_false", spec)
     code, out, err = run_cli(
@@ -437,19 +436,18 @@ def test_bisnomial_in_many_slots_needs_no_deep_recursion(capsys):
     assert (code, out, err) == (0, "4501500\n", "")
 
 
-def test_a_bisnomial_table_computes_each_cell_once(capsys):
-    # row m of the store holds k = 0 .. min(s*m, cap), and a table's queries,
-    # mirrored to k <= s*m/2, lift the cap to floor(s*n/2): a cell stored
-    # twice, or a row filled past what the queries read, would change the count
+def test_a_bisnomial_table_computes_each_cell_once(capsys, monkeypatch):
+    # row m is filled from the row below up to its middle, k = s*m // 2, and the
+    # rest is its mirror image: a cell computed twice, or a row filled past its
+    # middle, would change the count
     n, s = 150, 3
-    truncsym.clear_caches()
-    try:
-        code, out, _ = run_cli(capsys, "bisnomial", "--table", "--n", str(n), "--s", str(s), "--format", "csv")
-        stored = {key[1]: [len(row) for row in rows] for key, rows in _TRIANGLES.items()}
-    finally:
-        truncsym.clear_caches()
+    triangles, filled = sys.modules["truncsym.bisnomial"], []  # the package name is the function
+    step = triangles._count_step
+    monkeypatch.setattr(triangles, "_count_step",
+                        lambda below, row, m, stop, s: filled.append(stop - len(row)) or step(below, row, m, stop, s))
+    code, out, _ = run_cli(capsys, "bisnomial", "--table", "--n", str(n), "--s", str(s), "--format", "csv")
     assert code == 0 and out.count("\n") == sum(s * m + 1 for m in range(n + 1)) + 1
-    assert stored == {s: [min(s * m, s * n // 2) + 1 for m in range(n + 1)]}
+    assert filled == [s * m // 2 + 1 for m in range(1, n + 1)]
 
 
 @pytest.mark.parametrize("argv", [

@@ -126,9 +126,7 @@ def test_large_polynomials_are_reported_as_digests():
 
 
 def test_check_exceptions_fold_into_a_failing_report():
-    spec = IdentitySpec(
-        name="boom", arity=("k",), check=lambda k: 1 / 0, requires=lambda k: None
-    )
+    spec = IdentitySpec(name="boom", arity=("k",), check=lambda k: 1 / 0)
     REGISTRY["boom"] = spec
     try:
         r = verify("boom", k=1)
