@@ -98,11 +98,11 @@ def _csv_stream(header: list[str], blocks: Iterable[list]) -> Iterator[str]:
         yield "".join(",".join(map(_csv_field, row)) + "\r\n" for row in block)
 
 
-def _json_stream(head: dict, key: str, blocks: Iterable[str], tail: Optional[dict] = None) -> Iterator[str]:
-    """The JSON line of head, then key: every item, then tail; each block is its items' JSON text, joined."""
+def _json_stream(head: dict, key: str, blocks: Iterable[str], tail: str = "") -> Iterator[str]:
+    """The JSON line of head, then key: every item, then the text tail; each block is its items' JSON text, joined."""
     yield f'{_json_line(head)[:-1]}, "{key}": ['
     yield from _joined(blocks, ", ")
-    yield "]" + (", " + _json_line(tail)[1:] if tail else "}") + "\n"
+    yield f"]{tail}}}\n"
 
 
 def _value_json(value) -> str:
@@ -137,7 +137,7 @@ def _cmd_expand(args: argparse.Namespace) -> Iterator[str]:
         poly = {"E": E, "H": H, "P": P}[kind](args.k, args.s, args.n)
         meta.update(k=args.k, s=args.s, n=args.n)
     # the parser allows text or json only
-    yield f"{poly}\n" if args.format == "text" else _json_line({**meta, "poly": poly.to_json()}) + "\n"
+    yield f"{poly}\n" if args.format == "text" else f'{_json_line(meta)[:-1]}, "poly": {poly.to_json_text()}}}\n'
     return 0
 
 
@@ -195,7 +195,7 @@ def _cmd_objects(args: argparse.Namespace) -> Iterator[str]:
         for obj, weight, sign in block
     ) for block in blocks)
     head = {"objects": objects, "n": n, "k": k, "s": s, "model": model, "count": len(rows)}
-    yield from _json_stream(head, "items", items, {"weight_sum": total.to_json()})
+    yield from _json_stream(head, "items", items, f', "weight_sum": {total.to_json_text()}')
     return 0
 
 
@@ -241,9 +241,9 @@ def _cmd_schur(args: argparse.Namespace) -> Iterator[str]:
             f"equal: {'undefined' if equal is None else str(equal).lower()}\n"
         )
     else:  # the parser allows text or json only
-        h_json, e_json = (None if poly is None else poly.to_json() for poly in (h_poly, e_poly))
-        payload = {"lam": list(lam), "s": s, "n": n, "h_basis": h_json, "e_basis": e_json, "equal": equal}
-        yield _json_line(payload) + "\n"
+        h_json, e_json = ("null" if poly is None else poly.to_json_text() for poly in (h_poly, e_poly))
+        head = _json_line({"lam": list(lam), "s": s, "n": n})[:-1]
+        yield f'{head}, "h_basis": {h_json}, "e_basis": {e_json}, "equal": {_json_line(equal)}}}\n'
     return 0
 
 

@@ -216,16 +216,12 @@ class UniPoly:
         return UniPoly([-c for c in self.coeffs])
 
     def __sub__(self, other: object) -> "UniPoly":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        if isinstance(other, (UniPoly, int)):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other: object) -> "UniPoly":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+        return (-self).__add__(other)
 
     def __mul__(self, other: object) -> "UniPoly":
         o = self._coerce(other)

@@ -162,12 +162,10 @@ def _conv(n: int, terms: Iterable[tuple[object, MPoly, MPoly]]) -> MPoly:
 
 def _pair_conv(kind: str, m: int, s: int, n: int) -> MPoly:
     """sum over a+b=m of F_a F_b with F = E or H, cached."""
-    key = (kind, m, s, n)
-    cached = _PAIR_CONV.get(key)
-    if cached is None:
+    if (cached := _PAIR_CONV.get((kind, m, s, n))) is None:
         F = _family(kind)
-        cached = _conv(n, ((1, Fa, F(m - a, s, n)) for a in range(m + 1) if (Fa := F(a, s, n))))
-        _PAIR_CONV[key] = cached
+        pairs = ((1, Fa, F(m - a, s, n)) for a in range(m + 1) if (Fa := F(a, s, n)))
+        cached = _PAIR_CONV[kind, m, s, n] = _conv(n, pairs)
     return cached
 
 
@@ -550,7 +548,8 @@ def verify(identity_id: str, **params) -> IdentityReport:
     start = time.perf_counter()
     try:
         holds, lhs, rhs = spec.check(**params)
-        lhs_text, rhs_text = _describe(lhs), _describe(rhs)
+        lhs_text = _describe(lhs)  # equal values of one type render (and hash) alike in every ring here
+        rhs_text = lhs_text if type(lhs) is type(rhs) and lhs == rhs else _describe(rhs)
     except Exception as exc:  # fold per-point failures into the report
         holds, lhs_text, rhs_text = False, f"error: {type(exc).__name__}: {exc}", ""
     elapsed = time.perf_counter() - start

@@ -14,13 +14,13 @@ unpacked and summed); ``is_symmetric`` checks (1 2) and the n-cycle, which
 generate S_n.  The rationals have no zero divisors, so a product is filtered
 for zeros only when it has many-term operands, whose pairs may cancel.
 Exponent tuples appear only at the API edge: ``terms`` is a tuple-keyed view
-unpacked on demand, and the constructor refuses an exponent of 2**31 or more.
+unpacked on demand, and one packing step, shared by the constructor and the
+orbit sums, packs many tuples at once and refuses an exponent of 2**31 or more.
 
-Canonical term order for serialization and iteration is graded
-lexicographic: total degree first, then exponent tuple.  Rendering via
-``str`` groups terms the way expansions are conventionally written (blocks
-of monomials sharing an exponent multiset, largest block first), which is
-cosmetic only.
+Canonical order is graded lexicographic (total degree, then exponent tuple),
+from one sort that ``canonical_terms``, ``to_json`` and ``to_json_text`` (the
+JSON text, with no dict per term) read.  ``str`` groups terms in blocks of
+monomials sharing an exponent multiset, largest block first: cosmetic only.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import struct
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import repeat, starmap
 from operator import or_
 from typing import Callable, Iterable, Optional, Union
 
@@ -44,12 +45,12 @@ _FIELD = 2**32 - 1  # one field's bits; 2**32 = 1 modulo it, so a key folds to i
 
 @lru_cache(maxsize=None)
 def _layout(n: int) -> tuple[Callable, Callable, int, int]:
-    """pack (an exponent tuple to a key, unchecked), unpack, the top and the too-wide bits."""
+    """pack (exponent tuples to their keys, unchecked), unpack (a key), the top and the too-wide bits."""
     if n < 0:
         raise ValueError(f"variable count must be >= 0, got {n}")
     fields, size, low = struct.Struct(f"<{n}I"), 4 * n, 32 - (n - 1).bit_length()
     return (
-        lambda exps: int.from_bytes(fields.pack(*exps), "little"),
+        lambda many: map(int.from_bytes, starmap(fields.pack, many), repeat("little")),
         lambda key: fields.unpack(key.to_bytes(size, "little")),
         int.from_bytes(fields.pack(*[_LIMIT] * n), "little"),
         int.from_bytes(fields.pack(*[_FIELD >> low << low] * n), "little"),
@@ -84,7 +85,7 @@ class _Terms(Mapping):
 
     def __getitem__(self, exps: Monomial) -> Coeff:
         try:  # a tuple the constructor would refuse packs to no stored key
-            return self._packed[_layout(self._n)[0](exps)]
+            return self._packed[next(_layout(self._n)[0]([exps]))]
         except (struct.error, TypeError):
             raise KeyError(exps) from None
 
@@ -132,6 +133,23 @@ def _degrees(p: "MPoly") -> Iterable[int]:
     return map(_FIELD.__rmod__, p._packed)
 
 
+def _pack_terms(n: int, groups: Iterable[tuple[Iterable[Monomial], Iterable[Coeff]]]) -> dict:
+    """The packed terms of (exponent tuples, coefficients) groups; ValueError for a tuple not in [0, 2**31)^n."""
+    pack, _, top, _ = _layout(n)
+    packed: dict = {}
+    try:
+        for exps, coeffs in groups:
+            packed.update(zip(pack(exps), coeffs))
+        return _checked(packed, top)
+    except (struct.error, OverflowError):
+        raise ValueError(f"exponent tuples need {n} entries in 0..2**31-1") from None
+
+
+def _graded_rows(p: "MPoly") -> list[tuple[int, Monomial, Coeff]]:
+    """(degree, exps, c) per term, graded-lex ascending: one unpack per key, one sort that compares no c."""
+    return sorted(zip(_degrees(p), map(_layout(p.n)[1], p._packed), p._packed.values()))
+
+
 def _nonzero(terms: dict) -> dict:
     """terms, with its zero coefficients deleted in place."""
     if not all(terms.values()):
@@ -146,15 +164,10 @@ class MPoly:
     __slots__ = ("n", "_packed")
 
     def __init__(self, n: int, terms: Optional[dict] = None):
-        pack, _, top, _ = _layout(n)
-        if terms:
-            _check_coeff_types(terms.values())
-        try:
-            packed = _checked({pack(exps): c for exps, c in terms.items()} if terms else {}, top)
-        except (struct.error, OverflowError):
-            raise ValueError(f"exponent tuples need {n} entries in 0..2**31-1") from None
+        terms = terms or {}
+        _check_coeff_types(terms.values())
         _set_n(self, n)
-        _set_packed(self, _nonzero(packed))
+        _set_packed(self, _nonzero(_pack_terms(n, [(terms, terms.values())])))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("MPoly is immutable")
@@ -280,7 +293,7 @@ class MPoly:
 
     def canonical_terms(self) -> list[tuple[Monomial, Coeff]]:
         """Terms sorted graded-lexicographically (ascending)."""
-        return sorted(self.terms.items(), key=lambda item: (sum(item[0]), item[0]))
+        return [(exps, c) for _, exps, c in _graded_rows(self)]
 
     # -- rendering -----------------------------------------------------------
 
@@ -295,12 +308,13 @@ class MPoly:
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "terms": [
-                {"exps": list(exps), "coeff": str(c)} for exps, c in self.canonical_terms()
-            ],
-        }
+        return {"n": self.n, "terms": [{"exps": list(exps), "coeff": str(c)} for _, exps, c in _graded_rows(self)]}
+
+    def to_json_text(self) -> str:
+        """json.dumps(self.to_json(), separators=(", ", ": ")), written with no dict per term."""
+        term = '{"exps": [' + ", ".join(["%d"] * self.n) + '], "coeff": "%s"}'
+        terms = ", ".join([term % (*exps, c) for _, exps, c in _graded_rows(self)])
+        return f'{{"n": {self.n}, "terms": [{terms}]}}'
 
 
 _set_n, _set_packed = MPoly.n.__set__, MPoly._packed.__set__  # the slots, past __setattr__

@@ -41,11 +41,12 @@ every s; not the E/H/P products, many and large, whose factors are cached.
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import prod
 from typing import Callable, Iterable, Optional, Sequence
 
 from .exactalg import CycInt
-from .multipoly import MPoly, _shift_variables, accumulate_product, collect
+from .multipoly import MPoly, _pack_terms, _shift_variables, _trusted, accumulate_product, collect
 from .partitions import (
     Partition,
     conjugate,
@@ -84,11 +85,8 @@ def m_lambda(lam: Sequence[int], n: int) -> MPoly:
     lam = _validate_partition(lam)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    key = (lam, n)
-    cached = _M_CACHE.get(key)
-    if cached is None:
-        cached = _orbit_sum(n, [(lam, 1)])
-        _M_CACHE[key] = cached
+    if (cached := _M_CACHE.get((lam, n))) is None:
+        cached = _M_CACHE[lam, n] = _orbit_sum(n, [(lam, 1)])
     return cached
 
 
@@ -105,14 +103,11 @@ def classical(kind: str, k: int, n: int) -> MPoly:
         raise ValueError("power sums are defined for k >= 1 only")
     if k < 0 or kind == "e" and k > n:
         return MPoly.zero(n)
-    key = (kind, k, n)
-    cached = _CLASSICAL_CACHE.get(key)
-    if cached is None:
-        if kind == "p":
-            cached = MPoly(n, {(0,) * i + (k,) + (0,) * (n - 1 - i): 1 for i in range(n)})
-        else:
-            cached = _split(lambda j, _, m: classical(kind, j, m), lambda j: int(kind == "h" or j <= 1), k, 1, n)
-        _CLASSICAL_CACHE[key] = cached
+    if kind == "p":  # p_k is the orbit sum m_(k), cached there
+        return m_lambda((k,), n)
+    if (cached := _CLASSICAL_CACHE.get((kind, k, n))) is None:
+        split = _split(lambda j, _, m: classical(kind, j, m), lambda j: int(kind == "h" or j <= 1), k, 1, n)
+        cached = _CLASSICAL_CACHE[kind, k, n] = split
     return cached
 
 
@@ -135,11 +130,8 @@ def _split(F: Callable[[int, int, int], MPoly], one: Callable[[int], int], k: in
 
 
 def _orbit_sum(n: int, signed: Iterable[tuple[Partition, int]]) -> MPoly:
-    """sum of c * m_lam over (lam, c); distinct lam have disjoint orbits."""
-    terms: dict = {}
-    for lam, c in signed:
-        terms.update(dict.fromkeys(distinct_orbit(lam, n), c))
-    return MPoly(n, terms)
+    """sum of c * m_lam over (lam, c), c = +-1: each orbit element packed once, into the dict the value adopts."""
+    return _trusted(n, _pack_terms(n, ((distinct_orbit(lam, n), repeat(c)) for lam, c in signed)))
 
 
 def _guard(family: str, k: int, s: int, n: int, val: MPoly, split: MPoly) -> MPoly:
@@ -231,8 +223,7 @@ def m_lambda_at_roots(lam: Sequence[int], s: int) -> CycInt:
     lam = _validate_partition(lam)
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
-    cached = _ROOTS_CACHE.get((lam, s))
-    if cached is None:
+    if (cached := _ROOTS_CACHE.get((lam, s))) is None:
         counts = [0] * (s + 1)  # orbit elements per power of the root, reduced once
         for exps in distinct_orbit(lam, s):
             counts[sum(j * e for j, e in enumerate(exps, 1)) % (s + 1)] += 1

@@ -22,6 +22,7 @@ from truncsym.bisnomial import bisnomial, pq_bisnomial, q_bisnomial
 from truncsym.combinatorics import enum_objects, weight_sum
 from truncsym.exactalg import UniPoly
 from truncsym.identities import IdentitySpec, REGISTRY
+from truncsym.symfun import E, H, P, classical, m_lambda, schur_det
 
 
 def run_cli(capsys, *argv):
@@ -491,6 +492,13 @@ JSON_CASES = {
     "zero-plain-value": ["bisnomial", "--flavor", "plain", "--n", "2", "--k", "5", "--s", "2"],
     "zero-q-value": ["bisnomial", "--flavor", "q", "--n", "2", "--k", "5", "--s", "2"],
     "zero-pq-value": ["bisnomial", "--flavor", "pq", "--n", "2", "--k", "-1", "--s", "2"],
+    "E-expand": ["expand", "--kind", "E", "--k", "6", "--s", "2", "--n", "5"],  # 45 terms
+    "H-expand": ["expand", "--kind", "H", "--k", "6", "--s", "2", "--n", "5"],  # 65 terms, both signs
+    "P-expand": ["expand", "--kind", "P", "--k", "6", "--s", "2", "--n", "3"],  # 2 * p_6, as 3 divides 6
+    "no-variables": ["expand", "--kind", "m", "--lambda", "", "--n", "0"],  # the term 1, "exps": []
+    "zero-expand": ["expand", "--kind", "e", "--k", "5", "--n", "2"],  # "terms": []
+    "schur-both": ["schur", "--lambda", "2,1", "--s", "2", "--n", "4"],  # 20 terms in each basis
+    "schur-null": ["schur", "--lambda", "1,1,1", "--s", "2", "--n", "2"],  # three parts: no H basis in n = 2
 }
 
 
@@ -521,8 +529,38 @@ def _value_payload(value):
     return str(value) if isinstance(value, int) else value.to_json()
 
 
+def _defined(basis: str, lam: tuple, s: int, n: int):
+    """schur_det in this basis, or None where it refuses lam."""
+    try:
+        return schur_det(lam, s, n, basis)
+    except ValueError:
+        return None
+
+
+def _poly_payload(verb: str, opts: dict) -> dict:
+    """The payload of an expand or schur command, each polynomial as MPoly.to_json() gives it."""
+    n, lam = int(opts["--n"]), tuple(int(part) for part in opts.get("--lambda", "").split(",") if part)
+    if verb == "schur":
+        s = int(opts["--s"])
+        h, e = (_defined(basis, lam, s, n) for basis in ("h", "e"))
+        bases = {f"{basis}_basis": None if p is None else p.to_json() for basis, p in (("h", h), ("e", e))}
+        return {"lam": list(lam), "s": s, "n": n, **bases, "equal": None if None in (h, e) else h == e}
+    kind = opts["--kind"]
+    if kind == "m":
+        head, poly = {"lam": list(lam), "n": n}, m_lambda(lam, n)
+    elif kind in ("e", "h", "p"):
+        k = int(opts["--k"])
+        head, poly = {"k": k, "n": n}, classical(kind, k, n)
+    else:
+        k, s = int(opts["--k"]), int(opts["--s"])
+        head, poly = {"k": k, "s": s, "n": n}, {"E": E, "H": H, "P": P}[kind](k, s, n)
+    return {"kind": kind, **head, "poly": poly.to_json()}
+
+
 def _whole_payload(argv: list[str]) -> dict:
-    """The payload of a table, listing or value command, built whole from the library."""
+    """The payload of a table, listing, value, expand or schur command, built whole from the library."""
+    if argv[0] in ("expand", "schur"):
+        return _poly_payload(argv[0], dict(zip(argv[1::2], argv[2::2])))
     (n, k, s), verb = _numbers(argv), argv[0]
     if verb != "bisnomial":
         model = argv[argv.index("--model") + 1]

@@ -136,6 +136,23 @@ def test_check_exceptions_fold_into_a_failing_report():
         del REGISTRY["boom"]
 
 
+@pytest.mark.parametrize("sides", [
+    lambda: (E(6, 2, 5), E(6, 2, 5) + MPoly.one(5)),  # past 40 terms: two digests
+    lambda: (E(2, 1, 3), H(2, 1, 3)),
+    lambda: (MPoly.constant(2, Fraction(1, 2)), Fraction(1, 2)),  # equal across types, rendered each on its own
+    lambda: (Fraction(3), 3),
+])
+def test_each_side_of_a_point_is_reported_in_its_own_text(sides):
+    # verify renders the right side once more only when it is not an equal value of the same type
+    lhs, rhs = sides()
+    REGISTRY["sides"] = IdentitySpec(name="sides", arity=("k",), check=lambda k: (lhs == rhs, lhs, rhs))
+    try:
+        r = verify("sides", k=1)
+    finally:
+        del REGISTRY["sides"]
+    assert (r.holds, r.lhs, r.rhs) == (lhs == rhs, identities._describe(lhs), identities._describe(rhs))
+
+
 def test_verification_is_deterministic():
     a = verify("newton_E", n=3, k=4, s=2).to_json(include_elapsed=False)
     b = verify("newton_E", n=3, k=4, s=2).to_json(include_elapsed=False)

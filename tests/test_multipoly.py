@@ -1,12 +1,14 @@
 """Unit tests for multivariate polynomials and the truncated-series oracle."""
 
+import json
 import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from truncsym import cli
 from truncsym.exactalg import BiPoly, CycInt, UniPoly
 from truncsym.multipoly import (
     MPoly,
@@ -16,6 +18,7 @@ from truncsym.multipoly import (
     specialize,
     substitute_power,
 )
+from truncsym.symfun import E, m_lambda
 
 from json_oracle import mpoly_from_json
 from render_oracle import render_terms
@@ -282,6 +285,37 @@ def test_json_roundtrip_for_every_coefficient_payload():
         {"exps": [1, 0], "coeff": "3"},
         {"exps": [0, 2], "coeff": "-1"},
     ]
+
+
+# n = 0..4 variables, exponents small or near the 2**31 limit, int and Fraction coefficients of
+# either sign; terms of different degrees mix, and an empty draw or zero coefficients give zero
+JSON_POLYS = st.integers(0, 4).flatmap(lambda n: st.dictionaries(
+    st.tuples(*[st.one_of(st.integers(0, 3), st.integers(0, 2**31 - 1))] * n),
+    st.one_of(st.integers(), st.fractions(), st.just(0)),
+    max_size=6,
+).map(lambda terms: MPoly(n, terms)))
+
+
+@given(JSON_POLYS)
+@example(MPoly.zero(0))
+@example(MPoly.zero(4))
+@example(MPoly(0, {(): Fraction(-3, 7)}))
+def test_the_json_writer_gives_the_dump_of_to_json(p):
+    assert p.to_json_text() == json.dumps(p.to_json(), separators=(", ", ": "))
+
+
+def test_an_orbit_sum_past_the_exponent_limit_is_refused_with_one_message(capsys):
+    # the orbit elements are packed without the constructor, which holds the same check
+    for build, n in [
+        (lambda: m_lambda((2**31,), 1), 1),  # packs, but sets the top bit of its field
+        (lambda: E(2**31, 2**31, 1), 1),
+        (lambda: m_lambda((2**32 + 5,), 2), 2),  # does not fit a 32-bit field at all
+    ]:
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == f"exponent tuples need {n} entries in 0..2**31-1"
+    assert cli.run(["expand", "--kind", "m", "--lambda", "2147483648", "--n", "1", "--deterministic"]) == 2
+    assert capsys.readouterr() == ("", "error: exponent tuples need 1 entries in 0..2**31-1\n")
 
 
 def test_accumulate_product_fuses_multiply_add():
