@@ -29,7 +29,7 @@ from itertools import chain
 from typing import Iterable, Iterator, Optional
 
 from .bisnomial import _table_rows, bisnomial, pq_bisnomial, q_bisnomial
-from .combinatorics import describe_line, enum_objects, paths_svg, tilings_svg
+from .combinatorics import _BLOCK, _svg_chunks, describe_line, enum_objects
 from .exactalg import UniPoly
 from .identities import default_grid, list_identities, verify_grid
 from .multipoly import MPoly
@@ -174,11 +174,11 @@ def _cmd_verify(args: argparse.Namespace) -> Iterator[str]:
 
 def _cmd_objects(args: argparse.Namespace) -> Iterator[str]:
     n, k, s, model, objects = args.n, args.k, args.s, args.model, args.command
-    if args.format == "svg":
-        yield (paths_svg if objects == "paths" else tilings_svg)(n, k, s, model) + "\n"
-        return 0
     rows = enum_objects(n, k, s, model, objects)
-    blocks = [rows[i:i + 256] for i in range(0, len(rows), 256)]  # 256 paths or tilings a chunk
+    if args.format == "svg":
+        yield from _svg_chunks([obj for obj, _, _ in rows], n, k, objects)
+        return 0
+    blocks = [rows[i:i + _BLOCK] for i in range(0, len(rows), _BLOCK)]
     if args.format == "csv":
         yield from _csv_stream(["steps", "weight", "sign"], (
             [[obj, ",".join(map(str, weight)), sign] for obj, weight, sign in block] for block in blocks

@@ -18,14 +18,17 @@ weight- and sign-preserving bijection between the two models.
 
 The admissible run vectors are the exponent vectors of E's or H's monomials:
 the distinct arrangements in n slots of the partitions of k with parts <= s
-(E model) or with parts = 0 or 1 mod (s+1) (H model), so enumeration lists
-those partitions and sorts their orbits once.  Listings are lexicographic on
-the step strings ('E' < 'N', 'g' < 'r'), so every listing and rendering is
-deterministic; as 'g' < 'r' reverses the alphabet order of 'E' < 'N', the
-tilings come in the reverse order of their paths.
+(E model) or with parts = 0 or 1 mod (s+1) (H model).  ``enum_objects``, the
+one enumeration that ``weight_sum`` and every listing (SVG included) read,
+lists those partitions and sorts their orbits once.  Listings are
+lexicographic on the step strings ('E' < 'N', 'g' < 'r'), so every listing
+and rendering is deterministic; as 'g' < 'r' reverses the alphabet order of
+'E' < 'N', the tilings come in the reverse order of their paths.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 from .multipoly import MPoly, _monomial_text
 from .partitions import distinct_orbit, enum_partitions
@@ -54,10 +57,6 @@ def _sign(runs: tuple[int, ...], s: int) -> int:
     return -1 if sum(r + r % step for r in runs) % 2 else 1
 
 
-def _path(runs: tuple[int, ...]) -> Path:
-    return "N".join(["E" * r for r in runs])
-
-
 def _validate_path(path: Path) -> None:
     if set(path) - {"E", "N"}:
         raise ValueError(f"path may only contain 'E' and 'N': {path!r}")
@@ -68,31 +67,30 @@ def _path_runs(path: Path) -> tuple[int, ...]:
     return tuple(map(len, path.split("N")))
 
 
-def enum_paths(n: int, k: int, s: int, model: str) -> list[Path]:
-    """Admissible paths to (k, n-1), lexicographic ('E' < 'N')."""
-    return [_path(runs) for runs in _run_vectors(n, k, s, model)]
-
-
-def enum_tilings(n: int, k: int, s: int, model: str) -> list[Tiling]:
-    """Admissible tilings of the 1 x (k+n-1) board, lexicographic ('g' < 'r')."""
-    return [path_to_tiling(p) for p in reversed(enum_paths(n, k, s, model))]
-
-
 def enum_objects(
     n: int, k: int, s: int, model: str, objects: str = "paths"
 ) -> list[tuple[str, tuple[int, ...], int]]:
     """(object, weight, sign) of every admissible path or tiling, in listing order.
 
-    One enumeration serves a whole report; the sign is +1 in the E model.
+    The one enumeration behind every listing; the sign is +1 in the E model.
     """
     if objects not in ("paths", "tilings"):
         raise ValueError(f"objects must be 'paths' or 'tilings', got {objects!r}")
     vectors = _run_vectors(n, k, s, model)
-    items = [_path(runs) for runs in vectors]
+    east, north = "EN" if objects == "paths" else "rg"
     if objects == "tilings":
         vectors.reverse()
-        items = [path_to_tiling(p) for p in reversed(items)]
-    return [(obj, runs, _sign(runs, s) if model == "H" else 1) for obj, runs in zip(items, vectors)]
+    return [(north.join([east * r for r in runs]), runs, _sign(runs, s) if model == "H" else 1) for runs in vectors]
+
+
+def enum_paths(n: int, k: int, s: int, model: str) -> list[Path]:
+    """Admissible paths to (k, n-1), lexicographic ('E' < 'N')."""
+    return [obj for obj, _, _ in enum_objects(n, k, s, model)]
+
+
+def enum_tilings(n: int, k: int, s: int, model: str) -> list[Tiling]:
+    """Admissible tilings of the 1 x (k+n-1) board, lexicographic ('g' < 'r')."""
+    return [obj for obj, _, _ in enum_objects(n, k, s, model, "tilings")]
 
 
 def path_weight(path: Path, n: int) -> tuple[int, ...]:
@@ -142,8 +140,7 @@ def weight_sum(n: int, k: int, s: int, model: str) -> MPoly:
     and tilings have the same weights, and distinct run vectors are
     distinct monomials, so each object gives one term.
     """
-    vectors = _run_vectors(n, k, s, model)
-    return MPoly(n, {runs: _sign(runs, s) if model == "H" else 1 for runs in vectors})
+    return MPoly(n, {weight: sign for _, weight, sign in enum_objects(n, k, s, model)})
 
 
 def describe_line(obj: str, weight: tuple[int, ...], sign: int, model: str) -> str:
@@ -159,84 +156,81 @@ def describe_line(obj: str, weight: tuple[int, ...], sign: int, model: str) -> s
 _CELL = 24
 _PAD = 14
 _PER_ROW = 4
+_BLOCK = 256  # objects a chunk, in every listing format
 
 
-def paths_svg(n: int, k: int, s: int, model: str) -> str:
-    """All admissible paths drawn on small grids, row-major layout."""
-    paths = enum_paths(n, k, s, model)
-    cols = max(k, 1)
-    rows = max(n - 1, 1)
-    panel_w = cols * _CELL + 2 * _PAD
-    panel_h = rows * _CELL + 2 * _PAD + 16
-    count = max(len(paths), 1)
-    per_row = min(_PER_ROW, count)
-    total_w = per_row * panel_w
-    total_h = ((count + per_row - 1) // per_row) * panel_h
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{total_w}" height="{total_h}" viewBox="0 0 {total_w} {total_h}">'
-    ]
-    for idx, path in enumerate(paths):
-        ox = (idx % per_row) * panel_w + _PAD
-        oy = (idx // per_row) * panel_h + _PAD
-        for gx in range(cols + 1):
-            x = ox + gx * _CELL
-            parts.append(
-                f'<line x1="{x}" y1="{oy}" x2="{x}" y2="{oy + rows * _CELL}" '
-                f'stroke="#cccccc" stroke-width="1"/>'
-            )
-        for gy in range(rows + 1):
-            y = oy + gy * _CELL
-            parts.append(
-                f'<line x1="{ox}" y1="{y}" x2="{ox + cols * _CELL}" y2="{y}" '
-                f'stroke="#cccccc" stroke-width="1"/>'
-            )
-        px, py = ox, oy + rows * _CELL
-        points = [f"{px},{py}"]
-        for step in path:
-            if step == "E":
-                px += _CELL
-            else:
-                py -= _CELL
-            points.append(f"{px},{py}")
+def _path_panel(path: Path, ox: int, oy: int, cols: int, rows: int) -> str:
+    """The path on a cols x rows grid from (ox, oy), its steps below the grid."""
+    parts = []
+    for gx in range(cols + 1):
+        x = ox + gx * _CELL
         parts.append(
-            f'<polyline points="{" ".join(points)}" fill="none" '
-            f'stroke="#c0392b" stroke-width="3"/>'
+            f'<line x1="{x}" y1="{oy}" x2="{x}" y2="{oy + rows * _CELL}" '
+            f'stroke="#cccccc" stroke-width="1"/>'
         )
-        label_y = oy + rows * _CELL + 14
+    for gy in range(rows + 1):
+        y = oy + gy * _CELL
         parts.append(
-            f'<text x="{ox}" y="{label_y}" font-family="monospace" font-size="12">'
-            f"{path}</text>"
+            f'<line x1="{ox}" y1="{y}" x2="{ox + cols * _CELL}" y2="{y}" '
+            f'stroke="#cccccc" stroke-width="1"/>'
         )
-    parts.append("</svg>")
+    px, py = ox, oy + rows * _CELL
+    points = [f"{px},{py}"]
+    for step in path:
+        if step == "E":
+            px += _CELL
+        else:
+            py -= _CELL
+        points.append(f"{px},{py}")
+    parts.append(
+        f'<polyline points="{" ".join(points)}" fill="none" '
+        f'stroke="#c0392b" stroke-width="3"/>'
+    )
+    label_y = oy + rows * _CELL + 14
+    parts.append(
+        f'<text x="{ox}" y="{label_y}" font-family="monospace" font-size="12">'
+        f"{path}</text>"
+    )
     return "".join(parts)
 
 
-def tilings_svg(n: int, k: int, s: int, model: str) -> str:
-    """All admissible tilings as colored cell rows."""
-    tilings = enum_tilings(n, k, s, model)
-    board = max(k + n - 1, 1)
-    panel_w = board * _CELL + 2 * _PAD + 110
-    panel_h = _CELL + 2 * _PAD
-    count = max(len(tilings), 1)
-    total_w = panel_w
-    total_h = count * panel_h
-    parts = [
+def _tiling_panel(tiling: Tiling, ox: int, oy: int, cols: int, rows: int) -> str:
+    """The tiling as red and green cells of a cols-cell board from (ox, oy), its letters right of the board."""
+    parts = []
+    for pos, cell in enumerate(tiling):
+        fill = "#c0392b" if cell == "r" else "#27ae60"
+        parts.append(
+            f'<rect x="{ox + pos * _CELL}" y="{oy}" width="{_CELL}" height="{_CELL}" '
+            f'fill="{fill}" stroke="#333333" stroke-width="1"/>'
+        )
+    parts.append(
+        f'<text x="{ox + cols * _CELL + 4}" y="{oy + _CELL - 7}" '
+        f'font-family="monospace" font-size="12">{tiling}</text>'
+    )
+    return "".join(parts)
+
+
+def _svg_chunks(objects: list[str], n: int, k: int, kind: str) -> Iterator[str]:
+    """An SVG document of the listed paths or tilings: its head, the panels a block at a time, then the close.
+
+    A panel is a padded grid of cols x rows cells with room for its label: paths
+    on a k x (n-1) grid four a row, labelled below; tilings one a row, labelled right.
+    """
+    if kind == "paths":
+        panel, per_row, cols, rows, label_w, label_h = _path_panel, _PER_ROW, max(k, 1), max(n - 1, 1), 0, 16
+    else:
+        panel, per_row, cols, rows, label_w, label_h = _tiling_panel, 1, max(k + n - 1, 1), 1, 110, 0
+    panel_w, panel_h = cols * _CELL + 2 * _PAD + label_w, rows * _CELL + 2 * _PAD + label_h
+    count = max(len(objects), 1)
+    per_row = min(per_row, count)
+    total_w, total_h = per_row * panel_w, (count + per_row - 1) // per_row * panel_h
+    yield (
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{total_w}" height="{total_h}" viewBox="0 0 {total_w} {total_h}">'
-    ]
-    for idx, tiling in enumerate(tilings):
-        ox = _PAD
-        oy = idx * panel_h + _PAD
-        for pos, cell in enumerate(tiling):
-            fill = "#c0392b" if cell == "r" else "#27ae60"
-            parts.append(
-                f'<rect x="{ox + pos * _CELL}" y="{oy}" width="{_CELL}" height="{_CELL}" '
-                f'fill="{fill}" stroke="#333333" stroke-width="1"/>'
-            )
-        parts.append(
-            f'<text x="{ox + board * _CELL + 4}" y="{oy + _CELL - 7}" '
-            f'font-family="monospace" font-size="12">{tiling}</text>'
+    )
+    for start in range(0, len(objects), _BLOCK):
+        yield "".join(
+            panel(obj, idx % per_row * panel_w + _PAD, idx // per_row * panel_h + _PAD, cols, rows)
+            for idx, obj in enumerate(objects[start:start + _BLOCK], start)
         )
-    parts.append("</svg>")
-    return "".join(parts)
+    yield "</svg>\n"

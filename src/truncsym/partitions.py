@@ -57,8 +57,8 @@ def enum_partitions(
     levels = [(k, k if max_part is None else min(max_part, k))]  # (rest, next part to try)
     while levels:
         rest, part = levels[-1]
-        while mod01 and part % mod01 > 1:
-            part -= 1
+        if mod01 and part % mod01 > 1:
+            part -= part % mod01 - 1  # down to the next part = 1 mod mod01
         if not part or part * (slots - len(prefix)) < rest:
             levels.pop()  # parts only shrink from here: the rest cannot fit
             if prefix:

@@ -106,23 +106,25 @@ def classical(kind: str, k: int, n: int) -> MPoly:
     if kind == "p":  # p_k is the orbit sum m_(k), cached there
         return m_lambda((k,), n)
     if (cached := _CLASSICAL_CACHE.get((kind, k, n))) is None:
-        split = _split(lambda j, _, m: classical(kind, j, m), lambda j: int(kind == "h" or j <= 1), k, 1, n)
+        d = k if kind == "h" else min(k, 1)  # the largest power of one variable in h_k or e_k
+        split = _split(lambda j, _, m: classical(kind, j, m), lambda j: int(kind == "h" or j <= 1), d, k, 1, n)
         cached = _CLASSICAL_CACHE[kind, k, n] = split
     return cached
 
 
-def _split(F: Callable[[int, int, int], MPoly], one: Callable[[int], int], k: int, s: int, n: int) -> MPoly:
+def _split(F: Callable[[int, int, int], MPoly], one: Callable[[int], int], d: int, k: int, s: int, n: int) -> MPoly:
     """[t^k] of prod_i sum_j one(j) (x_i t)^j over n variables; F(j, s, m) is [t^j] over m.
 
     One variable gives one(k) x1^k, and none gives 1 at k = 0.  Otherwise
     the alphabet is split at a = n // 2: sum_j F(j, s, a) F(k-j, s, n-a)
     with the right half moved onto x_(a+1)..x_n, over the j where neither
-    half exceeds d per variable, d the top j <= k with one(j) nonzero.
+    half exceeds d per variable, d the top j <= k with one(j) nonzero
+    (the caller's closed form, 0 when there is none).
     """
-    if n < 2:
-        return MPoly.monomial(n, (k,) * n, one(k) if n else int(k == 0))
+    if n < 2:  # a zero is built without its monomial, whose exponent may not fit
+        c = one(k) if n else int(k == 0)
+        return MPoly.monomial(n, (k,) * n, c) if c else MPoly.zero(n)
     a, acc = n // 2, {}
-    d = next((j for j in range(k, 0, -1) if one(j)), 0)
     for j in range(max(0, k - d * (n - a)), min(k, d * a) + 1):
         if (left := F(j, s, a)) and (right := F(k - j, s, n - a)):
             accumulate_product(acc, left.pad(n), _shift_variables(right, a, n))
@@ -156,7 +158,7 @@ def E(k: int, s: int, n: int) -> MPoly:
     if k < 0 or k > s * n:
         return MPoly.zero(n)
     val = _orbit_sum(n, ((lam, 1) for lam in enum_partitions(k, max_part=s, max_length=n)))
-    _E_CACHE[(k, s, n)] = _guard("E", k, s, n, val, _split(E, lambda j: int(j <= s), k, s, n))
+    _E_CACHE[(k, s, n)] = _guard("E", k, s, n, val, _split(E, lambda j: int(j <= s), min(k, s), k, s, n))
     return val
 
 
@@ -170,7 +172,7 @@ def H(k: int, s: int, n: int) -> MPoly:
     m = s + 1
     lams = enum_partitions(k, max_length=n, mod01=m)
     val = _orbit_sum(n, ((lam, (-1) ** (k + sum(p % m for p in lam))) for lam in lams))
-    split = _split(H, lambda j: (-1) ** (j // m * m) if j % m < 2 else 0, k, s, n)
+    split = _split(H, lambda j: (-1) ** (j // m * m) if j % m < 2 else 0, k - max(k % m - 1, 0), k, s, n)
     _H_CACHE[(k, s, n)] = _guard("H", k, s, n, val, split)
     return val
 

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -186,6 +187,25 @@ def test_paths_svg_output(capsys):
     )
     assert code == 0
     assert out.startswith("<svg")
+
+
+@pytest.mark.parametrize("verb, model, n, k, s", [
+    ("paths", "E", 3, 3, 2),
+    ("paths", "H", 7, 10, 3),  # 9 blocks of panels
+    ("tilings", "E", 3, 4, 2),
+    ("tilings", "H", 5, 8, 3),
+    ("paths", "E", 2, 5, 2),  # nothing admissible
+    ("tilings", "H", 1, 4, 3),  # n = 1: one tiling, no green cell
+    ("paths", "E", 1, 0, 1),  # n = 1, k = 0: the empty path
+])
+def test_an_svg_listing_labels_the_objects_of_the_json_listing_in_order(capsys, verb, model, n, k, s):
+    argv = [verb, "--model", model, "--n", str(n), "--k", str(k), "--s", str(s), "--deterministic"]
+    code, svg, _ = run_cli(capsys, *argv, "--format", "svg")
+    assert code == 0
+    labels = [text.text or "" for text in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
+    code, listing, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert labels == [item["steps"] for item in json.loads(listing)["items"]]
 
 
 def test_bisnomial_value_and_table(capsys):
@@ -645,10 +665,12 @@ class _Chunks:
     # 2128 paths: 9 blocks of at most 256 lines, the count and weight_sum lines, the last newline
     (["paths", "--model", "E", "--n", "7", "--k", "10", "--s", "3"], 11),
     (["tilings", "--model", "E", "--n", "7", "--k", "10", "--s", "3", "--format", "json"], 11),
+    # the svg head, the same 9 blocks as panels, the close
+    (["paths", "--model", "E", "--n", "7", "--k", "10", "--s", "3", "--format", "svg"], 11),
     # the header or the head, then one chunk per row m = 0..20 (a json table adds its tail)
     (["bisnomial", "--table", "--flavor", "q", "--n", "20", "--s", "4", "--format", "csv"], 22),
     (["bisnomial", "--table", "--flavor", "plain", "--n", "20", "--s", "4", "--format", "json"], 23),
-], ids=["paths-text", "tilings-json", "q-table-csv", "plain-table-json"])
+], ids=["paths-text", "tilings-json", "paths-svg", "q-table-csv", "plain-table-json"])
 def test_listings_and_tables_go_out_a_block_or_a_row_at_a_time(argv, chunks):
     sink = _Chunks()
     with contextlib.redirect_stdout(sink):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import arrangement_oracle as oracle
 from truncsym.bisnomial import bisnomial
 from truncsym.combinatorics import (
+    _svg_chunks,
     describe_line,
     enum_objects,
     enum_paths,
@@ -17,11 +18,9 @@ from truncsym.combinatorics import (
     path_sign,
     path_to_tiling,
     path_weight,
-    paths_svg,
     tiling_sign,
     tiling_to_path,
     tiling_weight,
-    tilings_svg,
     weight_sum,
 )
 from truncsym.multipoly import MPoly
@@ -163,18 +162,22 @@ def test_describe_lines():
     assert tiling == "ggrrr weight=x3^3 sign=-1"
 
 
+def _svg(n, k, s, model, kind="paths"):
+    return "".join(_svg_chunks((enum_paths if kind == "paths" else enum_tilings)(n, k, s, model), n, k, kind))
+
+
 def test_svg_output_is_well_formed():
-    svg = paths_svg(3, 3, 2, model="H")
+    svg = _svg(3, 3, 2, model="H")
     assert svg.startswith("<svg")
     root = ET.fromstring(svg)
     assert root.tag.endswith("svg")
     text = ET.tostring(root, encoding="unicode")
     for path in enum_paths(3, 3, 2, model="H"):
         assert path in text
-    tsvg = tilings_svg(3, 3, 2, model="H")
+    tsvg = _svg(3, 3, 2, model="H", kind="tilings")
     ET.fromstring(tsvg)
     assert "ggrrr" in tsvg
 
 
 def test_svg_is_deterministic():
-    assert paths_svg(2, 2, 2, model="E") == paths_svg(2, 2, 2, model="E")
+    assert _svg(2, 2, 2, model="E") == _svg(2, 2, 2, model="E")

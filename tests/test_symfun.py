@@ -1,6 +1,10 @@
 """Unit tests for the truncated symmetric function constructors."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -396,3 +400,18 @@ def test_validation_of_s_and_n():
         E(2, 0, 3)
     with pytest.raises(ValueError):
         H(1, 0, 2)
+
+
+def test_an_h_degree_far_below_its_modulus_is_zero_at_once():
+    # every part must be 1 mod 10**13, so only ones could sum to 10**12, and two slots hold two;
+    # stepping the part down one at a time, or scanning for the top factor degree, takes hours here
+    code = (
+        "from truncsym.partitions import enum_partitions\n"
+        "from truncsym.symfun import H\n"
+        "assert enum_partitions(10**12, max_length=2, mod01=10**13) == []\n"
+        "assert H(10**12, 10**13, 1) == 0\n"
+        "assert H(10**12, 10**13, 2) == 0\n"
+    )
+    src = str(Path(symfun.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, "-c", code], env=env, timeout=10, check=True)
