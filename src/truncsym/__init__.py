@@ -63,13 +63,17 @@ from .bisnomial import _cell as _bisnomial_cell
 __version__ = "0.1.0"
 
 
+# every argument-keyed memo, bound at import so that a rebound public name (E, say) cannot hide one
+_CACHES = (E, H, classical, symfun._m_lambda, symfun._at_roots, identities._pair_conv,
+           cyclotomic_coeffs, multipoly._layout, _bisnomial_cell)
+
+
 def clear_caches() -> None:
     """Empty every memo table in the package, so the next call starts cold."""
-    symfun.clear_caches()
-    for table in (identities._PAIR_CONV, exactalg._POWER_TEXTS):
-        table.clear()
-    for cached in (cyclotomic_coeffs, multipoly._layout, multipoly._display, _bisnomial_cell):
+    for cached in _CACHES:
         cached.cache_clear()
+    for table in (symfun._PRODUCT_CACHE, exactalg._POWER_TEXTS):  # the two prefix-shaped memos
+        table.clear()
 
 
 __all__ = [

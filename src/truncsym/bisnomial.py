@@ -28,7 +28,7 @@ Gaussian binomials are checked by ``identities`` as ``conversion:<kind>``.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 from itertools import accumulate, count, islice
 from operator import add, sub
 from typing import Iterator
@@ -52,7 +52,7 @@ def _rows(step, s: int, one, width: int) -> Iterator[list]:
                 for k in range(len(row), min(top, width - 1) + 1)]
 
 
-@lru_cache(maxsize=None)
+@cache
 def _cell(step, n: int, k: int, s: int, one):
     """The (n, k) cell of step's triangle, 0 <= k <= s*n/2, rolled up in rows cut at k."""
     return next(islice(_rows(step, s, one, k + 1), n, None))[k]

@@ -229,8 +229,8 @@ def _cmd_bisnomial(args: argparse.Namespace) -> Iterator[str]:
 
 
 def _cmd_schur(args: argparse.Namespace) -> Iterator[str]:
-    lam = parse_partition(args.lam)
-    s, n = args.s, args.n
+    lam, s, n = parse_partition(args.lam), args.s, args.n
+    schur_det((), s, n)  # the library's checks of s and n, before a basis is called undefined
     h_poly = schur_det(lam, s, n, "h") if len(lam) <= n else None
     e_poly = schur_det(lam, s, n, "e") if (lam[0] if lam else 0) <= n else None
     equal = (h_poly == e_poly) if h_poly is not None and e_poly is not None else None

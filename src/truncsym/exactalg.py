@@ -15,7 +15,7 @@ Multivariate coefficients are plain ``int`` or ``fractions.Fraction``
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 from operator import add
 from typing import Iterable, Optional, Sequence, Union
 
@@ -39,7 +39,7 @@ def _exact_div(num: list[int], den: tuple[int, ...]) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
+@cache
 def cyclotomic_coeffs(m: int) -> tuple[int, ...]:
     """Coefficients of Phi_m(x), ascending degree.
 
@@ -82,7 +82,7 @@ def _power(x, n: int, one):
     return result
 
 
-_POWER_TEXTS: dict = {}  # var -> [var^e for e = 0, 1, ...]
+_POWER_TEXTS: dict = {}  # var -> [var^e for e = 0, 1, ...]; kept, it halves the render time of q and pq table cells
 
 
 def _power_text(var: str, e: int) -> str:

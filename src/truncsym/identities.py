@@ -43,7 +43,7 @@ from __future__ import annotations
 import json
 import time
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import product as _cartesian
 from math import comb, factorial, lcm, prod
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
@@ -139,8 +139,6 @@ class IdentitySpec(NamedTuple):
 
 # -- shared shapes -----------------------------------------------------------
 
-_PAIR_CONV: dict = {}
-
 
 def _family(kind: str) -> Callable[[int, int, int], MPoly]:
     """E or H by name, looked up when a check runs."""
@@ -160,13 +158,11 @@ def _conv(n: int, terms: Iterable[tuple[object, MPoly, MPoly]]) -> MPoly:
     return collect(n, acc)
 
 
+@cache
 def _pair_conv(kind: str, m: int, s: int, n: int) -> MPoly:
     """sum over a+b=m of F_a F_b with F = E or H, cached."""
-    if (cached := _PAIR_CONV.get((kind, m, s, n))) is None:
-        F = _family(kind)
-        pairs = ((1, Fa, F(m - a, s, n)) for a in range(m + 1) if (Fa := F(a, s, n)))
-        cached = _PAIR_CONV[kind, m, s, n] = _conv(n, pairs)
-    return cached
+    F = _family(kind)
+    return _conv(n, ((1, Fa, F(m - a, s, n)) for a in range(m + 1) if (Fa := F(a, s, n))))
 
 
 def _conv_sum(f: str, n: int, k: int, s: int) -> MPoly:

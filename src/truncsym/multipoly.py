@@ -18,9 +18,9 @@ unpacked on demand, and one packing step, shared by the constructor and the
 orbit sums, packs many tuples at once and refuses an exponent of 2**31 or more.
 
 Canonical order is graded lexicographic (total degree, then exponent tuple),
-from one sort that ``canonical_terms``, ``to_json`` and ``to_json_text`` (the
-JSON text, with no dict per term) read.  ``str`` groups terms in blocks of
-monomials sharing an exponent multiset, largest block first: cosmetic only.
+from one sort that ``canonical_terms``, ``to_json`` and ``to_json_text`` read.
+``str`` groups terms in blocks sharing an exponent multiset (cosmetic only), by
+a sort key built per term from one unpack; the one memo is the per-n key layout.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 import struct
 from collections.abc import Mapping
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cache, reduce
 from itertools import repeat, starmap
 from operator import or_
 from typing import Callable, Iterable, Optional, Union
@@ -43,7 +43,7 @@ _LIMIT = 2**31  # every stored exponent is below this
 _FIELD = 2**32 - 1  # one field's bits; 2**32 = 1 modulo it, so a key folds to its field sum
 
 
-@lru_cache(maxsize=None)
+@cache
 def _layout(n: int) -> tuple[Callable, Callable, int, int]:
     """pack (exponent tuples to their keys, unchecked), unpack (a key), the top and the too-wide bits."""
     if n < 0:
@@ -60,13 +60,6 @@ def _layout(n: int) -> tuple[Callable, Callable, int, int]:
 def _monomial_text(exps: Monomial) -> str:
     """x1^2*x3 for (2, 0, 1); '' for the monomial 1."""
     return "*".join([f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(exps, 1) if e])
-
-
-@lru_cache(maxsize=4096)
-def _display(n: int, key: int) -> tuple[tuple, str]:
-    """A packed monomial's place in rendering order (descending sort key) and its text."""
-    exps = _layout(n)[1](key)
-    return (-sum(exps), tuple(sorted(exps, reverse=True)), exps), _monomial_text(exps)
 
 
 class _Terms(Mapping):
@@ -298,9 +291,10 @@ class MPoly:
     # -- rendering -----------------------------------------------------------
 
     def __str__(self) -> str:
-        # distinct keys have distinct sort keys, so no coefficient is ever compared
-        shown = sorted([(_display(self.n, key), c) for key, c in self._packed.items()], reverse=True)
-        return _render_terms([c for _, c in shown], [text for (_, text), _ in shown])
+        # at one degree, two multisets first differ in their nonzero parts; no two keys tie, so no c is compared
+        rows = zip(map(_layout(self.n)[1], self._packed), self._packed.values())  # one unpack per key
+        shown = sorted([((-sum(e), tuple(sorted(filter(None, e), reverse=True)), e), c) for e, c in rows], reverse=True)
+        return _render_terms([c for _, c in shown], [_monomial_text(e) for (_, _, e), _ in shown])
 
     def __repr__(self) -> str:
         return f"MPoly(n={self.n}, terms={dict(self.canonical_terms())})"

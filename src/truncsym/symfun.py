@@ -34,13 +34,15 @@ The classical e_k and h_k are built by the same split from their own
 halves, down to e_k(x1) = x1^k for k <= 1 and h_k(x1) = x1^k.  No orbit sum
 is involved, so they stay independent of E and H.
 
-Also memoized: m_lam at the roots by (lam, s) and the classical e/h/p_lam,
-in a trie of lam's prefixes per (kind, n), which the roots sums reread for
-every s; not the E/H/P products, many and large, whose factors are cached.
+Every argument-keyed memo is a ``functools.cache`` (E, H, classical, and the
+bodies of m_lambda and m_lambda_at_roots past validation): it stores no error
+and reports ``cache_info()``.  The classical e/h/p_lam, reread by the roots sums
+for every s, sit in a trie per (kind, n); the E/H/P products are not kept.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import repeat
 from math import prod
 from typing import Callable, Iterable, Optional, Sequence
@@ -55,12 +57,8 @@ from .partitions import (
     is_partition,
 )
 
-_M_CACHE: dict = {}
-_CLASSICAL_CACHE: dict = {}
-_E_CACHE: dict = {}
-_H_CACHE: dict = {}
+# (kind, n) -> {part: (prefix product, children)}: a trie, as a cache keyed by prefix holds O(L^2) keys for L parts
 _PRODUCT_CACHE: dict = {}
-_ROOTS_CACHE: dict = {}
 
 
 def _validate_sn(s: int, n: int) -> None:
@@ -85,11 +83,15 @@ def m_lambda(lam: Sequence[int], n: int) -> MPoly:
     lam = _validate_partition(lam)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if (cached := _M_CACHE.get((lam, n))) is None:
-        cached = _M_CACHE[lam, n] = _orbit_sum(n, [(lam, 1)])
-    return cached
+    return _m_lambda(lam, n)
 
 
+@cache
+def _m_lambda(lam: Partition, n: int) -> MPoly:
+    return _orbit_sum(n, [(lam, 1)])
+
+
+@cache
 def classical(kind: str, k: int, n: int) -> MPoly:
     """e_k, h_k or p_k in n variables (kind 'e', 'h' or 'p').
 
@@ -103,13 +105,10 @@ def classical(kind: str, k: int, n: int) -> MPoly:
         raise ValueError("power sums are defined for k >= 1 only")
     if k < 0 or kind == "e" and k > n:
         return MPoly.zero(n)
-    if kind == "p":  # p_k is the orbit sum m_(k), cached there
+    if kind == "p":  # p_k is the orbit sum m_(k)
         return m_lambda((k,), n)
-    if (cached := _CLASSICAL_CACHE.get((kind, k, n))) is None:
-        d = k if kind == "h" else min(k, 1)  # the largest power of one variable in h_k or e_k
-        split = _split(lambda j, _, m: classical(kind, j, m), lambda j: int(kind == "h" or j <= 1), d, k, 1, n)
-        cached = _CLASSICAL_CACHE[kind, k, n] = split
-    return cached
+    d = k if kind == "h" else min(k, 1)  # the largest power of one variable in h_k or e_k
+    return _split(lambda j, _, m: classical(kind, j, m), lambda j: int(kind == "h" or j <= 1), d, k, 1, n)
 
 
 def _split(F: Callable[[int, int, int], MPoly], one: Callable[[int], int], d: int, k: int, s: int, n: int) -> MPoly:
@@ -150,22 +149,19 @@ def _guard(family: str, k: int, s: int, n: int, val: MPoly, split: MPoly) -> MPo
     return val
 
 
+@cache
 def E(k: int, s: int, n: int) -> MPoly:
     """Degree-s truncated elementary family; zero outside 0 <= k <= s*n."""
-    if (cached := _E_CACHE.get((k, s, n))) is not None:  # only validated keys are stored
-        return cached
     _validate_sn(s, n)
     if k < 0 or k > s * n:
         return MPoly.zero(n)
     val = _orbit_sum(n, ((lam, 1) for lam in enum_partitions(k, max_part=s, max_length=n)))
-    _E_CACHE[(k, s, n)] = _guard("E", k, s, n, val, _split(E, lambda j: int(j <= s), min(k, s), k, s, n))
-    return val
+    return _guard("E", k, s, n, val, _split(E, lambda j: int(j <= s), min(k, s), k, s, n))
 
 
+@cache
 def H(k: int, s: int, n: int) -> MPoly:
     """Degree-s truncated complete family; zero for k < 0."""
-    if (cached := _H_CACHE.get((k, s, n))) is not None:  # only validated keys are stored
-        return cached
     _validate_sn(s, n)
     if k < 0:
         return MPoly.zero(n)
@@ -173,8 +169,7 @@ def H(k: int, s: int, n: int) -> MPoly:
     lams = enum_partitions(k, max_length=n, mod01=m)
     val = _orbit_sum(n, ((lam, (-1) ** (k + sum(p % m for p in lam))) for lam in lams))
     split = _split(H, lambda j: (-1) ** (j // m * m) if j % m < 2 else 0, k - max(k % m - 1, 0), k, s, n)
-    _H_CACHE[(k, s, n)] = _guard("H", k, s, n, val, split)
-    return val
+    return _guard("H", k, s, n, val, split)
 
 
 def P(k: int, s: int, n: int) -> MPoly:
@@ -186,10 +181,7 @@ def P(k: int, s: int, n: int) -> MPoly:
     _validate_sn(s, n)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if k % (s + 1) == 0:
-        c = s if k % 2 == 0 else -s
-    else:
-        c = -1 if k % 2 == 0 else 1
+    c = s * (-1) ** k if k % (s + 1) == 0 else (-1) ** (k - 1)
     return c * classical("p", k, n)
 
 
@@ -207,7 +199,7 @@ def product_over_partition(
         return prod([{"E": E, "H": H, "P": P}[kind](part, s, n) for part in lam], start=MPoly.one(n))
     if kind not in ("e", "h", "p"):
         raise ValueError(f"unknown kind: {kind!r}")
-    out, node = MPoly.one(n), _PRODUCT_CACHE.setdefault((kind, n), {})  # part -> (prefix product, children)
+    out, node = MPoly.one(n), _PRODUCT_CACHE.setdefault((kind, n), {})
     for part in lam:
         if part not in node:
             node[part] = (out * classical(kind, part, n), {})
@@ -225,12 +217,15 @@ def m_lambda_at_roots(lam: Sequence[int], s: int) -> CycInt:
     lam = _validate_partition(lam)
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
-    if (cached := _ROOTS_CACHE.get((lam, s))) is None:
-        counts = [0] * (s + 1)  # orbit elements per power of the root, reduced once
-        for exps in distinct_orbit(lam, s):
-            counts[sum(j * e for j, e in enumerate(exps, 1)) % (s + 1)] += 1
-        cached = _ROOTS_CACHE[(lam, s)] = CycInt(s + 1, counts)
-    return cached
+    return _at_roots(lam, s)
+
+
+@cache
+def _at_roots(lam: Partition, s: int) -> CycInt:
+    counts = [0] * (s + 1)  # orbit elements per power of the root, reduced once
+    for exps in distinct_orbit(lam, s):
+        counts[sum(j * e for j, e in enumerate(exps, 1)) % (s + 1)] += 1
+    return CycInt(s + 1, counts)
 
 
 def _det(mat: list[list[MPoly]], n: int) -> MPoly:
@@ -280,9 +275,3 @@ def schur_det(lam: Sequence[int], s: int, n: int, basis: str = "h") -> MPoly:
         raise ValueError(f"basis must be 'h' or 'e', got {basis!r}")
     size = len(mu)
     return _det([[ctor(mu[i] - i + j, s, n) for j in range(size)] for i in range(size)], n)
-
-
-def clear_caches() -> None:
-    """Drop all memoized values (mainly for isolating benchmarks)."""
-    for table in (_M_CACHE, _CLASSICAL_CACHE, _E_CACHE, _H_CACHE, _PRODUCT_CACHE, _ROOTS_CACHE):
-        table.clear()

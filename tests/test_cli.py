@@ -477,7 +477,8 @@ def test_a_bisnomial_table_computes_each_cell_once(capsys, monkeypatch):
     ["verify", "--id", "conversions", "--s", "1..1"],
     ["expand", "--kind", "m", "--n", "2"],
     ["schur", "--lambda", "0", "--s", "2", "--n", "2"],
-], ids=["table-s0", "table-negative-n", "empty-sweep", "m-without-lambda", "bad-partition"])
+    ["schur", "--lambda", "3,3", "--s", "-5", "--n", "-2", "--format", "json"],
+], ids=["table-s0", "table-negative-n", "empty-sweep", "m-without-lambda", "bad-partition", "schur-bad-s-n"])
 def test_an_error_before_the_first_chunk_writes_nothing(capsys, tmp_path, argv):
     code, out, err = run_cli(capsys, *argv, "--deterministic")
     assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1

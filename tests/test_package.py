@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import truncsym
+from truncsym import identities, multipoly, symfun
 
 
 def _filled_caches():
@@ -32,11 +33,35 @@ def test_clear_caches_empties_every_memo_table():
     assert str(truncsym.gaussian(4, 2)) == "1 + q + 2*q^2 + q^3 + q^4"
     truncsym.cyclotomic_coeffs(6)
     filled = _filled_caches()
-    for table in ("symfun._E_CACHE", "symfun._H_CACHE", "identities._PAIR_CONV",
+    for table in ("symfun.E", "symfun.H", "identities._pair_conv",
                   "bisnomial._cell", "exactalg._POWER_TEXTS", "exactalg.cyclotomic_coeffs",
-                  "symfun._PRODUCT_CACHE", "symfun._ROOTS_CACHE", "multipoly._display"):
+                  "symfun._PRODUCT_CACHE", "symfun._at_roots", "multipoly._layout"):
         assert f"truncsym.{table}" in filled, table
     truncsym.clear_caches()
+    assert _filled_caches() == []
+
+
+def test_every_cache_counts_its_hits_and_is_cleared_behind_a_rebound_name(monkeypatch):
+    bisnomial = sys.modules["truncsym.bisnomial"]  # the package name is the function
+    calls = {
+        truncsym.E: (3, 1, 4), truncsym.H: (3, 2, 3), truncsym.classical: ("h", 2, 3),
+        symfun._m_lambda: ((2, 1), 3), symfun._at_roots: ((2, 1), 2), identities._pair_conv: ("E", 2, 1, 2),
+        truncsym.cyclotomic_coeffs: (6,), multipoly._layout: (3,),
+        bisnomial._cell: (bisnomial._count_step, 4, 3, 2, 1),
+    }
+    assert set(calls) == set(truncsym._CACHES)
+    for cached, args in calls.items():
+        cached(*args)
+        hits = cached.cache_info().hits
+        cached(*args)
+        assert cached.cache_info().hits == hits + 1, cached.__name__
+    # the benchmark's tracer rebinds the public names to plain wrappers; the caches stay reachable
+    real = truncsym.E
+    for mod in (truncsym, symfun):
+        monkeypatch.setattr(mod, "E", lambda k, s, n: real(k, s, n))
+    assert truncsym.E(4, 1, 5) == real(4, 1, 5) and real.cache_info().currsize
+    truncsym.clear_caches()
+    assert all(cached.cache_info().currsize == 0 for cached in calls)
     assert _filled_caches() == []
 
 

@@ -107,30 +107,44 @@ def test_families_equal_their_generating_products_at_a_random_point():
         clear_caches()
 
 
+def _spy_on_split(monkeypatch) -> list:
+    """The (n, value) of every E, H, e or h value built from now on: each one is built by symfun._split."""
+    built, split = [], symfun._split
+    monkeypatch.setattr(symfun, "_split", lambda *args: built.append((args[-1], split(*args))) or built[-1][1])
+    return built
+
+
+def _cached_values() -> int:
+    return sum(f.cache_info().currsize for f in (E, H, classical))
+
+
 @pytest.mark.parametrize("build", [lambda: E(3, 1, 16), lambda: H(6, 2, 16), lambda: classical("e", 3, 16)],
                          ids=["E", "H", "e"])
-def test_values_are_cached_only_at_the_variable_counts_of_the_halving_tree(build):
+def test_values_are_cached_only_at_the_variable_counts_of_the_halving_tree(build, monkeypatch):
     # a ladder that peels one variable at a time kept every n <= 16
     clear_caches()
     try:
+        built = _spy_on_split(monkeypatch)
         build()
-        for table in (symfun._E_CACHE, symfun._H_CACHE, symfun._CLASSICAL_CACHE):
-            assert {key[-1] for key in table} <= {16, 8, 4, 2, 1}
+        assert len(built) == _cached_values()  # so the spy saw every cached value
+        assert {n for n, _ in built} <= {16, 8, 4, 2, 1}
     finally:
         clear_caches()
 
 
-def test_a_top_degree_value_builds_only_one_term_halves():
+def test_a_top_degree_value_builds_only_one_term_halves(monkeypatch):
     # the split takes only the j where both halves can be nonzero; j over 0..k built
     # every half up to the middle degree, E(5, 1, 10) on the way to E(20, 1, 20) and
     # E(15, 1, 30) (155,117,520 terms) on the way to E(60, 1, 60)
+    built = _spy_on_split(monkeypatch)
     for n in (20, 60):  # n = 20 fails fast, before an n = 60 build could run out of memory
         clear_caches()
+        built.clear()
         try:
             top = MPoly.monomial(n, (1,) * n)
             assert E(n, 1, n) == top and classical("e", n, n) == top
-            for table in (symfun._E_CACHE, symfun._CLASSICAL_CACHE):
-                assert all(len(value.terms) <= 1 for value in table.values()), n
+            assert len(built) == _cached_values(), n
+            assert all(len(value.terms) <= 1 for _, value in built), n
         finally:
             clear_caches()
 
@@ -140,7 +154,7 @@ def test_a_one_variable_value_is_cached_alone():
     clear_caches()
     try:
         H(100000, 1, 1)
-        assert len(symfun._H_CACHE) == 1
+        assert H.cache_info().currsize == 1
     finally:
         clear_caches()
 
@@ -345,43 +359,44 @@ def test_determinant_forms_validate_shape():
         schur_det((2, 1), 2, 2, basis="x")
 
 
-def test_elementary_guard_detects_a_corrupted_lower_value():
+def _corrupt_x1(monkeypatch, family: str):
+    """Rebind symfun's E or H, which the split reads when it runs, so that its value at (1, 1, 1) is 2*x1."""
+    ctor = getattr(symfun, family)
+    corrupted = 2 * MPoly.variable(1, 1)
+    monkeypatch.setattr(symfun, family, lambda k, s, n: corrupted if (k, s, n) == (1, 1, 1) else ctor(k, s, n))
+    return ctor
+
+
+def test_elementary_guard_detects_a_corrupted_lower_value(monkeypatch):
     clear_caches()
     try:
-        E(1, 1, 1)
-        symfun._E_CACHE[(1, 1, 1)] = 2 * MPoly.variable(1, 1)
+        ctor = _corrupt_x1(monkeypatch, "E")
         with pytest.raises(ArithmeticError):
-            E(1, 1, 2)
+            ctor(1, 1, 2)
     finally:
         clear_caches()
 
 
-def test_complete_guard_detects_a_corrupted_lower_value():
+def test_complete_guard_detects_a_corrupted_lower_value(monkeypatch):
     clear_caches()
     try:
-        H(1, 1, 1)
-        symfun._H_CACHE[(1, 1, 1)] = 2 * MPoly.variable(1, 1)
+        ctor = _corrupt_x1(monkeypatch, "H")
         with pytest.raises(ArithmeticError):
-            H(1, 1, 2)
+            ctor(1, 1, 2)
     finally:
         clear_caches()
 
 
-@pytest.mark.parametrize("family, ctor, cache, message", [
-    ("E", E, symfun._E_CACHE,
-     "E(k=1, s=1, n=2) fails the alphabet-split check at x2: "
-     "1 in the orbit sum, 2 in sum_j E(j, s, 1) E(k-j, s, 1)"),
-    ("H", H, symfun._H_CACHE,
-     "H(k=1, s=1, n=2) fails the alphabet-split check at x2: "
-     "1 in the orbit sum, 2 in sum_j H(j, s, 1) H(k-j, s, 1)"),
+@pytest.mark.parametrize("family, message", [
+    ("E", "E(k=1, s=1, n=2) fails the alphabet-split check at x2: "
+          "1 in the orbit sum, 2 in sum_j E(j, s, 1) E(k-j, s, 1)"),
+    ("H", "H(k=1, s=1, n=2) fails the alphabet-split check at x2: "
+          "1 in the orbit sum, 2 in sum_j H(j, s, 1) H(k-j, s, 1)"),
 ])
-def test_a_guard_error_names_the_family_the_point_and_the_first_differing_monomial(
-    family, ctor, cache, message
-):
+def test_a_guard_error_names_the_family_the_point_and_the_first_differing_monomial(family, message, monkeypatch):
     clear_caches()
     try:
-        ctor(1, 1, 1)
-        cache[(1, 1, 1)] = 2 * MPoly.variable(1, 1)
+        ctor = _corrupt_x1(monkeypatch, family)
         with pytest.raises(ArithmeticError) as info:
             ctor(1, 1, 2)
         assert str(info.value) == message, family
