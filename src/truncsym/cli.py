@@ -11,10 +11,11 @@ handler yields its payload in chunks (a table row, a block of listed
 objects, a report line) and returns the exit code; ``run`` writes each
 chunk to stdout or to ``--out``, opened at the first chunk.  Exit code
 0 on success, 1 when a verification found a failing identity, 2 on bad
-arguments, a sweep with no valid point, an ``--out`` that cannot be
-written or a stdout closed by its reader.  An error before the first
-chunk writes nothing and creates no file; one after it (out of memory,
-a closed pipe) leaves the chunks already written in place.
+arguments, a sweep with no valid point, a point whose values the package
+cannot build, an ``--out`` that cannot be written or a stdout closed by
+its reader.  An error before the first chunk writes nothing and creates
+no file; one after it (out of memory, a closed pipe) leaves the chunks
+already written in place.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Iterable, Iterator, Optional
 from .bisnomial import _table_rows, bisnomial, pq_bisnomial, q_bisnomial
 from .combinatorics import _BLOCK, _svg_chunks, describe_line, enum_objects
 from .exactalg import UniPoly
-from .identities import default_grid, list_identities, verify_grid
+from .identities import NoValidPoint, default_grid, list_identities, verify_grid
 from .multipoly import MPoly
 from .partitions import is_partition
 from .symfun import E, H, P, classical, m_lambda, schur_det
@@ -154,8 +155,8 @@ def _cmd_verify(args: argparse.Namespace) -> Iterator[str]:
                 grid[axis] = parse_range(value)
         try:
             reports = verify_grid(name, grid)
-        except ValueError as exc:  # the grid has every axis, so this id has no valid point
-            empty = empty or exc  # an error only if no id has one
+        except NoValidPoint as exc:
+            empty = empty or exc  # an error only if no id has a valid point
             continue
         for r in reports:
             checks, failed = checks + 1, failed + (not r.holds)

@@ -15,28 +15,23 @@ Multivariate coefficients are plain ``int`` or ``fractions.Fraction``
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cache
 from operator import add
 from typing import Iterable, Optional, Sequence, Union
 
 
-def _exact_div(num: list[int], den: tuple[int, ...]) -> list[int]:
-    """Quotient of integer polynomials (ascending coeffs), remainder must vanish."""
-    num = list(num)
-    dd = len(den) - 1
-    if den[-1] != 1:
-        raise ValueError("divisor must be monic")
-    out = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c == 0:
-            continue
-        out[i - dd] = c
-        for j, d in enumerate(den):
-            num[i - dd + j] -= c * d
-    if any(num):
-        raise ArithmeticError("division left a remainder")
-    return out
+def _divmod_monic(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of integer polynomials (ascending coeffs) by a monic den, top down."""
+    rem, dd = list(num), len(den) - 1
+    quo = [0] * max(len(rem) - dd, 0)
+    for i in range(len(rem) - 1, dd - 1, -1):  # subtract c * x^(i-dd) * den, which clears x^i
+        c = rem[i]
+        if c:
+            quo[i - dd] = c
+            for j, d in enumerate(den):
+                rem[i - dd + j] -= c * d
+    return quo, rem[:dd]
 
 
 @cache
@@ -54,7 +49,9 @@ def cyclotomic_coeffs(m: int) -> tuple[int, ...]:
     num[0], num[m] = -1, 1
     for d in range(1, m):
         if m % d == 0:
-            num = _exact_div(num, cyclotomic_coeffs(d))
+            num, rem = _divmod_monic(num, cyclotomic_coeffs(d))
+            if any(rem):
+                raise ArithmeticError("division left a remainder")
     return tuple(num)
 
 
@@ -115,23 +112,18 @@ class CycInt:
     """Element of Z[x]/Phi_order(x), stored on the basis 1, x, ..., x^(phi(order)-1).
 
     A value type: the constructor reduces its coefficients mod Phi_order, and
-    a value compares (with ``int`` too), hashes and renders; it has no arithmetic.
+    a value compares (with an ``int`` or an integral ``Fraction`` too), hashes
+    and renders; it has no arithmetic.
     """
 
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs: Union[int, list[int], tuple[int, ...]] = 0):
         phi = cyclotomic_coeffs(order)  # refuses an order below 1
-        deg = len(phi) - 1
-        coeffs = [coeffs] if isinstance(coeffs, int) else list(coeffs)
-        coeffs.extend([0] * (deg - len(coeffs)))
-        for i in range(len(coeffs) - 1, deg - 1, -1):  # x^i = x^(i-deg) * (x^deg - Phi_order), top down
-            c = coeffs[i]
-            if c:
-                for j in range(deg):
-                    coeffs[i - deg + j] -= c * phi[j]
+        _, rem = _divmod_monic([coeffs] if isinstance(coeffs, int) else coeffs, phi)
+        rem.extend([0] * (len(phi) - 1 - len(rem)))
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(coeffs[:deg]))
+        object.__setattr__(self, "coeffs", tuple(rem))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("CycInt is immutable")
@@ -143,8 +135,10 @@ class CycInt:
         return self.coeffs[0]
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = CycInt(self.order, other)
+        if isinstance(other, (int, Fraction)):
+            if other.denominator != 1:
+                return False
+            other = CycInt(self.order, other.numerator)
         if isinstance(other, CycInt):
             return self.order == other.order and self.coeffs == other.coeffs
         return NotImplemented

@@ -1,12 +1,12 @@
 """Mechanical verifier for the algebraic identity catalog.
 
 Every entry in ``REGISTRY`` evaluates both sides of one identity from
-scratch on concrete parameters and reports whether they match.  Checks
-never assume each other's conclusions: convolution sums are recomputed
-rather than routed through an already-verified equivalent form, so each
-identity remains an independent probe of the constructors.  The
-``conversion:<kind>`` entries check the closed forms that tie the
-bisnomial triangles to ordinary and Gaussian binomials.
+scratch on concrete parameters.  Checks never assume each other's
+conclusions: convolution sums are recomputed rather than routed through
+an already-verified equivalent form, so each identity remains an
+independent probe of the constructors.  The ``conversion:<kind>``
+entries check the closed forms that tie the bisnomial triangles to
+ordinary and Gaussian binomials.
 
 The identities restate a few relations between the generating products
 E(t) and H(t), so the checks are built from a few shared shapes:
@@ -30,12 +30,16 @@ E(t) and H(t), so the checks are built from a few shared shapes:
 An E/H twin is one check body: its registry row binds the family by name,
 and the body looks the constructor up when it runs.
 
-``verify`` runs a single point and returns an ``IdentityReport``;
-``verify_grid`` sweeps parameter ranges in a deterministic order.  Checks
-that divide by an aggregate first confirm the divisor is nonzero, and
-checks whose coefficients live in a cyclotomic ring insist that every
-aggregated coefficient reduces to a rational integer, raising
-``ArithmeticError`` otherwise (surfaced as a failed report).
+A check returns the two sides of its identity, ``(lhs, rhs)``, and
+decides nothing: ``verify`` runs a single point and ``verify_grid`` sweeps
+parameter ranges in a deterministic order, and the one runner they share
+compares the sides once, renders them and times the point, into an
+``IdentityReport``.  A ``ValueError`` or ``OverflowError`` raised in a
+check, a value the package cannot build, propagates.  Any other exception
+folds into a failed report: so does the ``ArithmeticError`` of a check
+whose coefficients live in a cyclotomic ring, raised when an aggregated
+coefficient does not reduce to a rational integer, and a
+``ZeroDivisionError``.
 """
 
 from __future__ import annotations
@@ -107,14 +111,14 @@ class IdentitySpec(NamedTuple):
     """
 
     name: str
-    check: Callable[..., tuple[bool, object, object]]
+    check: Callable[..., tuple[object, object]]  # the two sides, (lhs, rhs)
     arity: tuple[str, ...] = ("n", "k", "s")
     k_default_max: int = 8
     k_min: int = 0
     s_min: int = 1
     avoid_k_mult_of_s: bool = False
 
-    def _default_requires(
+    def why_invalid(
         self, n: int = 1, k: int = 0, s: int = 1, lam: Optional[Sequence[int]] = None
     ) -> Optional[str]:
         if lam is not None:
@@ -254,73 +258,58 @@ def _mono_sum(n: int, k: int, s: int, shift: int) -> MPoly:
 
 
 # -- checks ------------------------------------------------------------------
+# Each returns the two sides of its identity, (lhs, rhs); the runner compares them.
 # A body with a leading ``kind`` serves an E/H twin; the registry binds it.
 
 
 def _chk_ortho(n: int, k: int, s: int):
     lhs = _conv(n, ((_sign(j), Ej, H(k - j, s, n)) for j in range(k + 1) if (Ej := E(j, s, n))))
-    rhs = MPoly.one(n) if k == 0 else MPoly.zero(n)
-    return lhs == rhs, lhs, rhs
+    return lhs, MPoly.one(n) if k == 0 else MPoly.zero(n)
 
 
 def _chk_inv(kind: str, n: int, k: int, s: int):
     rhs = _partition_sum("E" if kind == "H" else "H", k, s, n, lambda lam: _sign(k + len(lam)) * _mult(lam))
-    lhs = _family(kind)(k, s, n)
-    return lhs == rhs, lhs, rhs
+    return _family(kind)(k, s, n), rhs
 
 
 def _chk_newton(kind: str, n: int, k: int, s: int):
     F, sign = _family(kind), (-1 if kind == "E" else 1)
-    lhs = k * F(k, s, n)
     rhs = _conv(n, ((sign ** (j - 1), P(j, s, n), Fj) for j in range(1, k + 1) if (Fj := F(k - j, s, n))))
-    return lhs == rhs, lhs, rhs
+    return k * F(k, s, n), rhs
 
 
 def _chk_newton_P(n: int, k: int, s: int):
-    lhs = P(k, s, n)
     rhs = _conv(n, ((_sign(j - 1) * j, Ej, H(k - j, s, n)) for j in range(1, k + 1) if (Ej := E(j, s, n))))
-    return lhs == rhs, lhs, rhs
+    return P(k, s, n), rhs
 
 
 def _chk_cubic_E(n: int, k: int, s: int):
-    lhs = (2 * k) * E(k, s, n)
-    rhs = _conv(n, (
+    return (2 * k) * E(k, s, n), _conv(n, (
         (_sign(k - m) * m, conv, H(k - m, s, n))
         for m in range(1, k + 1) if (conv := _pair_conv("E", m, s, n))
     ))
-    return lhs == rhs, lhs, rhs
 
 
 def _chk_cubic_H(n: int, k: int, s: int):
-    lhs = k * H(k, s, n)
-    rhs = _conv(n, (
+    return k * H(k, s, n), _conv(n, (
         (_sign(k - m - 1) * (k - m), _pair_conv("H", m, s, n), Ek3)
         for m in range(k) if (Ek3 := E(k - m, s, n))
     ))
-    return lhs == rhs, lhs, rhs
 
 
 def _chk_pk_from(kind: str, n: int, k: int, s: int):
     num_shift, den_shift = (0, 0) if kind == "E" else (1, k)
     num = _partition_sum(kind, k, s, n, lambda lam: _weight(lam, num_shift))
-    den = _scalar_sum(k, s, lambda lam: _weight(lam, den_shift))
-    if den == 0:
-        return False, "zero denominator", _describe(num)
-    lhs = classical("p", k, n)
-    rhs = (1 / den) * num
-    return rhs == lhs, lhs, rhs
+    den = _scalar_sum(k, s, lambda lam: _weight(lam, den_shift))  # +-s/k or +-1/k: scalar_c
+    return classical("p", k, n), (1 / den) * num
 
 
 def _chk_P_from(kind: str, n: int, k: int, s: int):
-    lhs = P(k, s, n)
-    rhs = _partition_sum(kind, k, s, n, lambda lam: _weight(lam, k if kind == "E" else 1, k))
-    return rhs == lhs, lhs, rhs
+    return P(k, s, n), _partition_sum(kind, k, s, n, lambda lam: _weight(lam, k if kind == "E" else 1, k))
 
 
 def _chk_scalar_c(k: int, s: int):
-    total = _scalar_sum(k, s, lambda lam: _weight(lam, 0, k))
-    expected = Fraction(s) if k % (s + 1) == 0 else Fraction(-1)
-    return total == expected, total, expected
+    return _scalar_sum(k, s, lambda lam: _weight(lam, 0, k)), Fraction(s) if k % (s + 1) == 0 else Fraction(-1)
 
 
 def _chk_from_P(kind: str, n: int, k: int, s: int):
@@ -328,81 +317,63 @@ def _chk_from_P(kind: str, n: int, k: int, s: int):
         z = prod(i**t * factorial(t) for i, t in multiplicities(lam).items())
         return Fraction(_sign(k + len(lam)) if kind == "E" else 1, z)
 
-    lhs = _family(kind)(k, s, n)
-    rhs = _partition_sum("P", k, s, n, coef)
-    return rhs == lhs, lhs, rhs
+    return _family(kind)(k, s, n), _partition_sum("P", k, s, n, coef)
 
 
 def _chk_rec_H(n: int, k: int, s: int):
-    lhs = H(k, s, n)
     xn = MPoly.variable(n, n)
-    rhs = (
+    return H(k, s, n), (
         _sign(s + 1) * (xn ** (s + 1) * H(k - s - 1, s, n))
         + H(k, s, n - 1).pad(n)
         + xn * H(k - 1, s, n - 1).pad(n)
     )
-    return lhs == rhs, lhs, rhs
 
 
 def _chk_rec_E(n: int, k: int, s: int):
-    lhs = E(k, s, n)
     xn = MPoly.variable(n, n)
-    rhs = (
+    return E(k, s, n), (
         xn * E(k - 1, s, n)
         + E(k, s, n - 1).pad(n)
         - xn ** (s + 1) * E(k - s - 1, s, n - 1).pad(n)
     )
-    return lhs == rhs, lhs, rhs
 
 
 def _chk_roots(kind: str, n: int, k: int, s: int):
-    lhs = _family(kind)(k, s, n)
-    rhs = _sign(k) * _roots_sum(k, s, kind.lower(), n)
-    return lhs == rhs, lhs, rhs
+    return _family(kind)(k, s, n), _sign(k) * _roots_sum(k, s, kind.lower(), n)
 
 
 def _chk_conj_bridge(n: int, k: int, s: int):
     lhs = sum((m_lambda(lam, n) for lam in enum_partitions(k, max_part=s)), MPoly.zero(n))
-    rhs = _sign(k) * _roots_sum(k, s, "e", n)
-    return lhs == rhs, lhs, rhs
+    return lhs, _sign(k) * _roots_sum(k, s, "e", n)
 
 
 def _chk_conv(kind: str, n: int, k: int, s: int):
-    lhs = _family(kind)(k, s - 1, n)
-    rhs = _conv_sum(kind.lower(), n, k, s)
-    return lhs == rhs, lhs, rhs
+    return _family(kind)(k, s - 1, n), _conv_sum(kind.lower(), n, k, s)
 
 
 def _chk_conv_roots(f: str, n: int, k: int, s: int):
-    lhs = _conv_sum(f, n, k, s)
-    rhs = _sign(k) * _roots_sum(k, s - 1, f, n)
-    return lhs == rhs, lhs, rhs
+    return _conv_sum(f, n, k, s), _sign(k) * _roots_sum(k, s - 1, f, n)
 
 
 def _chk_mroots_closed(drop: int, lam: Partition):
     """m_lam at the s = k - drop roots against its closed form, k = |lam|, drop = 0, 1 or 2."""
     k, length, t1 = sum(lam), len(lam), multiplicities(lam).get(1, 0)
-    lhs = m_lambda_at_roots(lam, k - drop)
     if drop == 0:
         cut = 0
     elif drop == 1:
         cut = Fraction(k, length)
     else:
         cut = Fraction(t1 * (k - 1), length * length - length) if t1 else 0
-    rhs = _sign(length) * (1 - cut) * _mult(lam)
-    return lhs.as_integer() == rhs, lhs, rhs
+    return m_lambda_at_roots(lam, k - drop), _sign(length) * (1 - cut) * _mult(lam)
 
 
 def _chk_powsub(kind: str, n: int, k: int, s: int):
     lhs = substitute_power(classical(kind.lower(), k, n), s)
-    rhs = _sign(k * s if kind == "H" else k) * _alt_sum(kind, n, k * s, s)
-    return lhs == rhs, lhs, rhs
+    return lhs, _sign(k * s if kind == "H" else k) * _alt_sum(kind, n, k * s, s)
 
 
 def _chk_vanish(kind: str, n: int, k: int, s: int):
-    lhs = _alt_sum(kind, n, k, s)
-    rhs = MPoly.zero(n)
-    return lhs == rhs, lhs, rhs
+    return _alt_sum(kind, n, k, s), MPoly.zero(n)
 
 
 def _chk_mono_H(n: int, k: int, s: int):
@@ -411,15 +382,11 @@ def _chk_mono_H(n: int, k: int, s: int):
     for top in range(1, k + 1):
         js = range(1, min(top, s * n) + 1)
         rebuilt.append(_conv(n, ((_sign(j + 1), E(j, s, n), rebuilt[top - j]) for j in js)))
-    lhs = rebuilt[k]
-    rhs = _mono_sum(n, k, s, k)
-    return lhs == rhs, lhs, rhs
+    return rebuilt[k], _mono_sum(n, k, s, k)
 
 
 def _chk_mono_bridge(n: int, k: int, s: int):
-    lhs = _mono_sum(n, k, s, 0)
-    rhs = _roots_sum(k, s, "h", n)
-    return lhs == rhs, lhs, rhs
+    return _mono_sum(n, k, s, 0), _roots_sum(k, s, "h", n)
 
 
 # Conversions between the triangles of ``bisnomial``: s is the step of the
@@ -427,12 +394,10 @@ def _chk_mono_bridge(n: int, k: int, s: int):
 
 
 def _chk_conversion_plain(n: int, k: int, s: int):
-    lhs = bisnomial(n, k, s - 1)
-    rhs = sum(
+    return bisnomial(n, k, s - 1), sum(
         (-1) ** j * comb(n, j) * comb(n + k - s * j - 1, k - s * j)
         for j in range(k // s + 1)
     )
-    return lhs == rhs, lhs, rhs
 
 
 def _chk_conversion_q(flavor: str, n: int, k: int, s: int):
@@ -445,29 +410,26 @@ def _chk_conversion_q(flavor: str, n: int, k: int, s: int):
         e = s * comb(j, 2)
         unit = BiPoly.term((-1) ** j, e, e) if pq else UniPoly.term((-1) ** j, e)
         rhs = rhs + unit * gauss(n, j).scale_exponents(s) * gauss(n + k - s * j - 1, k - s * j)
-    return lhs == rhs, lhs, rhs
+    return lhs, rhs
 
 
 def _chk_conversion_binom_recovery(n: int, k: int, s: int):
-    lhs = comb(n, k)
-    rhs = sum(
+    return comb(n, k), sum(
         (-1) ** (k + j) * comb(n, j) * bisnomial(n, k * s - j, s - 1)
         for j in range(k * s + 1)
     )
-    return lhs == rhs, lhs, rhs
 
 
 def _chk_conversion_qs_recovery(n: int, k: int, s: int):
     # multiplied through to stay in Z[q]
     lhs = UniPoly.term(1, s * comb(k, 2)) * gaussian(n, k).scale_exponents(s)
-    rhs = sum(
+    return lhs, sum(
         (
             UniPoly.term((-1) ** (k + j), comb(j, 2)) * gaussian(n, j) * q_bisnomial(n, k * s - j, s - 1)
             for j in range(k * s + 1)
         ),
         UniPoly(),
     )
-    return lhs == rhs, lhs, rhs
 
 
 # -- registry ------------------------------------------------------------------
@@ -523,54 +485,72 @@ def list_identities() -> list[str]:
     return list(REGISTRY)
 
 
-def verify(identity_id: str, **params) -> IdentityReport:
-    """Check one identity at one parameter point.
+class NoValidPoint(ValueError):
+    """Raised by ``verify_grid`` for a grid with no valid point, before any check runs."""
 
-    Unknown names and invalid parameters raise ValueError; an exception
-    inside the check itself is folded into a failed report.
-    """
+
+def _spec(identity_id: str) -> IdentitySpec:
     spec = REGISTRY.get(identity_id)
     if spec is None:
         raise ValueError(f"unknown identity: {identity_id!r}")
-    if set(params) != set(spec.arity):
-        raise ValueError(
-            f"{identity_id} takes parameters {list(spec.arity)}, got {sorted(params)}"
-        )
-    if "lam" in params:
-        params = dict(params, lam=tuple(params["lam"]))
-    reason = spec._default_requires(**params)
-    if reason is not None:
-        raise ValueError(f"invalid parameters for {identity_id}: {reason}")
+    return spec
+
+
+def _run(spec: IdentitySpec, params: dict) -> IdentityReport:
+    """Check one valid point: compare its two sides once, render them and time it all."""
     start = time.perf_counter()
     try:
-        holds, lhs, rhs = spec.check(**params)
+        lhs, rhs = spec.check(**params)
+        holds = lhs == rhs
         lhs_text = _describe(lhs)  # equal values of one type render (and hash) alike in every ring here
-        rhs_text = lhs_text if type(lhs) is type(rhs) and lhs == rhs else _describe(rhs)
+        rhs_text = lhs_text if holds and type(lhs) is type(rhs) else _describe(rhs)
+    except (ValueError, OverflowError):
+        raise  # a value the package cannot build, not a verdict on the identity
     except Exception as exc:  # fold per-point failures into the report
         holds, lhs_text, rhs_text = False, f"error: {type(exc).__name__}: {exc}", ""
     elapsed = time.perf_counter() - start
     out_params = {
         name: (list(params[name]) if name == "lam" else params[name]) for name in spec.arity
     }
-    return IdentityReport(identity_id, out_params, bool(holds), lhs_text, rhs_text, elapsed)
+    return IdentityReport(spec.name, out_params, bool(holds), lhs_text, rhs_text, elapsed)
+
+
+def verify(identity_id: str, **params) -> IdentityReport:
+    """Check one identity at one parameter point: it holds when its check's two sides compare equal.
+
+    Unknown names and invalid parameters raise ValueError, and so do a
+    ValueError or OverflowError raised in the check (a value the package
+    cannot build).  Any other exception in the check, an ArithmeticError
+    or ZeroDivisionError included, is folded into a failed report.
+    """
+    spec = _spec(identity_id)
+    if set(params) != set(spec.arity):
+        raise ValueError(
+            f"{identity_id} takes parameters {list(spec.arity)}, got {sorted(params)}"
+        )
+    if "lam" in params:
+        params = dict(params, lam=tuple(params["lam"]))
+    reason = spec.why_invalid(**params)
+    if reason is not None:
+        raise ValueError(f"invalid parameters for {identity_id}: {reason}")
+    return _run(spec, params)
 
 
 def verify_grid(identity_id: str, grid: Mapping[str, Iterable[int]]) -> list[IdentityReport]:
     """Sweep an identity over parameter ranges, skipping invalid points.
 
     For partition-indexed identities the grid supplies ``k`` and every
-    partition of each k is visited.  Iteration order is the sorted grid
-    order (partitions reverse lexicographic), so output is reproducible.
-    A grid with no valid point raises ValueError with the first point's
-    reason, so that an empty sweep never reads as a passing one.
+    partition of each k is visited; a negative k has none.  Iteration order
+    is the sorted grid order (partitions reverse lexicographic), so output
+    is reproducible.  Each point is checked as ``verify`` checks it.  A grid
+    with no valid point raises NoValidPoint (a ValueError) with the first
+    point's reason, so that an empty sweep never reads as a passing one.
     """
-    spec = REGISTRY.get(identity_id)
-    if spec is None:
-        raise ValueError(f"unknown identity: {identity_id!r}")
+    spec = _spec(identity_id)
     if spec.arity == ("lam",):
         if "k" not in grid:
             raise ValueError(f"{identity_id} needs a 'k' range of partition weights")
-        points = ({"lam": lam} for k in grid["k"] for lam in enum_partitions(k))
+        points = ({"lam": lam} for k in grid["k"] if k >= 0 for lam in enum_partitions(k))
     else:
         missing = [axis for axis in spec.arity if axis not in grid]
         if missing:
@@ -579,12 +559,12 @@ def verify_grid(identity_id: str, grid: Mapping[str, Iterable[int]]) -> list[Ide
         points = (dict(zip(spec.arity, combo)) for combo in _cartesian(*axes))
     reports, first_reason = [], None
     for point in points:
-        reason = spec._default_requires(**point)
+        reason = spec.why_invalid(**point)
         if reason is None:
-            reports.append(verify(identity_id, **point))
+            reports.append(_run(spec, point))
         first_reason = first_reason or reason
     if not reports:
-        raise ValueError(f"no valid point for {identity_id}: {first_reason or 'the grid is empty'}")
+        raise NoValidPoint(f"no valid point for {identity_id}: {first_reason or 'the grid has no point'}")
     return reports
 
 
@@ -592,9 +572,7 @@ def default_grid(
     identity_id: str, *, n_max: int = 4, k_max: Optional[int] = None, s_max: int = 4
 ) -> dict[str, range]:
     """The standard verification ranges for one identity."""
-    spec = REGISTRY.get(identity_id)
-    if spec is None:
-        raise ValueError(f"unknown identity: {identity_id!r}")
+    spec = _spec(identity_id)
     k_hi = spec.k_default_max if k_max is None else k_max
     grid: dict[str, range] = {}
     for axis in spec.arity:

@@ -122,7 +122,7 @@ def test_verify_exit_code_flags_failures(capsys, monkeypatch):
     spec = IdentitySpec(
         name="always_false",
         arity=("k", "s"),
-        check=lambda k, s: (False, 0, 1),
+        check=lambda k, s: (0, 1),
     )
     monkeypatch.setitem(REGISTRY, "always_false", spec)
     code, out, err = run_cli(
@@ -132,6 +132,22 @@ def test_verify_exit_code_flags_failures(capsys, monkeypatch):
     assert code == 1
     assert json.loads(out)["holds"] is False
     assert err == "1 checks, 1 failed\n"
+
+
+def test_a_negative_weight_drops_no_valid_point(capsys):
+    # k = -1 is invalid for every id, and has no partition: the sweep is the k = 0..3 one
+    for ids in (["--id", "all", "--n", "1", "--s", "2"], ["--id", "mroots_closed_k"]):
+        expected = run_cli(capsys, "verify", *ids, "--k=0..3", "--format", "text", "--deterministic")
+        assert run_cli(capsys, "verify", *ids, "--k=-1..3", "--format", "text", "--deterministic") == expected
+        assert expected[0] == 0
+    assert "PASS mroots_closed_k1 lam=[1]\n" in run_cli(capsys, "verify", "--id", "all", "--k=-1..1", "--n", "1",
+                                                       "--s", "2", "--format", "text", "--deterministic")[1]
+
+
+def test_a_point_the_package_cannot_build_is_a_one_line_error(capsys):
+    code, out, err = run_cli(capsys, "verify", "--id", "ortho", "--k", "2147483648", "--n", "1", "--s", "1",
+                             "--deterministic")
+    assert (code, out, err) == (2, "", "error: exponent tuples need 1 entries in 0..2**31-1\n")
 
 
 def test_verify_unknown_identity_is_a_usage_error(capsys):

@@ -2,6 +2,7 @@
 
 import json
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -170,6 +171,20 @@ def test_as_integer_detects_nonconstants():
     assert CycInt(3, [7, 0]).as_integer() == 7
     assert CycInt(3, [0, 1]).as_integer() is None
     assert CycInt(4, [2, 3]).as_integer() is None
+
+
+def test_a_cycint_equals_an_integral_fraction_as_it_equals_an_int():
+    assert CycInt(3, [7, 0]) == Fraction(7) == CycInt(3, [7, 0]) == 7
+    assert CycInt(3, [7, 1]) != Fraction(7) and CycInt(3, [7]) != Fraction(7, 2)
+
+
+@given(num=st.lists(st.integers(-9, 9), max_size=10), order=orders)
+def test_division_by_a_cyclotomic_polynomial_leaves_quotient_and_remainder(num, order):
+    den = cyclotomic_coeffs(order)
+    quo, rem = exactalg._divmod_monic(num, den)
+    assert len(rem) <= len(den) - 1
+    assert UniPoly(quo) * UniPoly(den) + UniPoly(rem) == UniPoly(num)
+    assert CycInt(order, num).coeffs == (*rem, *[0] * (len(den) - 1 - len(rem)))
 
 
 def test_cycint_str_and_json():

@@ -125,15 +125,29 @@ def test_large_polynomials_are_reported_as_digests():
     assert r.lhs.startswith("<") and "terms, degree" in r.lhs and "sha256" in r.lhs
 
 
-def test_check_exceptions_fold_into_a_failing_report():
-    spec = IdentitySpec(name="boom", arity=("k",), check=lambda k: 1 / 0)
-    REGISTRY["boom"] = spec
-    try:
+FOLDED, RAISED = [ZeroDivisionError, RuntimeError, ArithmeticError], [ValueError, OverflowError]
+
+
+@pytest.mark.parametrize("error", FOLDED + RAISED, ids=lambda error: error.__name__)
+def test_check_exceptions_fold_into_a_failing_report(error, monkeypatch):
+    # a value the package cannot build (ValueError, OverflowError) is an error, not a failed identity
+    def check(k):
+        raise error("boom")
+
+    monkeypatch.setitem(REGISTRY, "boom", IdentitySpec(name="boom", arity=("k",), check=check))
+    if error in RAISED:
+        for run in (lambda: verify("boom", k=1), lambda: verify_grid("boom", {"k": [1]})):
+            with pytest.raises(error, match="^boom$") as raised:
+                run()
+            assert raised.type is error  # not the NoValidPoint of a grid
+    else:
         r = verify("boom", k=1)
-        assert not r.holds
-        assert r.lhs.startswith("error: ZeroDivisionError")
-    finally:
-        del REGISTRY["boom"]
+        assert (r.holds, r.lhs, r.rhs) == (False, f"error: {error.__name__}: boom", "")
+
+
+def test_a_point_the_package_cannot_build_raises():
+    with pytest.raises(ValueError, match="exponent tuples need 1 entries"):
+        verify("ortho", n=1, k=2**31, s=1)
 
 
 @pytest.mark.parametrize("sides", [
@@ -145,12 +159,37 @@ def test_check_exceptions_fold_into_a_failing_report():
 def test_each_side_of_a_point_is_reported_in_its_own_text(sides):
     # verify renders the right side once more only when it is not an equal value of the same type
     lhs, rhs = sides()
-    REGISTRY["sides"] = IdentitySpec(name="sides", arity=("k",), check=lambda k: (lhs == rhs, lhs, rhs))
+    REGISTRY["sides"] = IdentitySpec(name="sides", arity=("k",), check=lambda k: (lhs, rhs))
     try:
         r = verify("sides", k=1)
     finally:
         del REGISTRY["sides"]
     assert (r.holds, r.lhs, r.rhs) == (lhs == rhs, identities._describe(lhs), identities._describe(rhs))
+
+
+def test_each_point_is_validated_once_and_its_sides_compared_once(monkeypatch):
+    validated, compared = [], []
+
+    class Side:
+        def __eq__(self, other):
+            compared.append(other)
+            return True
+
+    def rule(spec, **point):
+        validated.append(point)
+        return real_rule(spec, **point)
+
+    real_rule = IdentitySpec.why_invalid
+    monkeypatch.setattr(IdentitySpec, "why_invalid", rule)
+    spec = IdentitySpec(name="spy", check=lambda n, k, s: (Side(), Side()), s_min=2)
+    monkeypatch.setitem(REGISTRY, "spy", spec)
+    reports = verify_grid("spy", {"n": [0, 1, 2], "k": [0, 1], "s": [1, 2]})  # 12 points, 4 of them valid
+    assert (len(validated), len(compared), len(reports)) == (12, 4, 4)
+    assert all(r.holds for r in reports)
+    validated.clear()
+    compared.clear()
+    assert verify("spy", n=1, k=0, s=2).holds
+    assert (len(validated), len(compared)) == (1, 1)
 
 
 def test_verification_is_deterministic():
@@ -197,6 +236,16 @@ def test_a_grid_with_no_valid_point_is_an_error():
         verify_grid("conv_H", {"n": [1], "k": [0, 1], "s": [1]})
     with pytest.raises(ValueError, match="no valid point for mroots_closed_km1: weight must be >= 3"):
         verify_grid("mroots_closed_km1", {"k": range(3)})
+    with pytest.raises(identities.NoValidPoint, match="no valid point for mroots_closed_k: the grid has no point"):
+        verify_grid("mroots_closed_k", {"k": [-2, -1]})
+
+
+def test_a_negative_weight_has_no_partition_to_check():
+    def lines(weights):
+        return [r.to_json(include_elapsed=False) for r in verify_grid("mroots_closed_k", {"k": weights})]
+
+    assert lines(range(-1, 4)) == lines(range(2, 4))
+    assert [json.loads(line)["params"]["lam"] for line in lines(range(-1, 4))] == [[2], [3], [2, 1]]
 
 
 # One constructor per identity that its check reads on one side only (for
