@@ -144,7 +144,8 @@ class CycInt:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.order, self.coeffs))
+        value = self.as_integer()  # a rational integer equals that int, so it hashes as one
+        return hash((self.order, self.coeffs) if value is None else value)
 
     def __bool__(self) -> bool:
         return any(self.coeffs)

@@ -9,7 +9,10 @@ entries check the closed forms that tie the bisnomial triangles to
 ordinary and Gaussian binomials.
 
 The identities restate a few relations between the generating products
-E(t) and H(t), so the checks are built from a few shared shapes:
+E(t) and H(t), so the checks are built from a few shared shapes.  Each adds
+its products into accumulators through ``accumulate_product`` alone (c * F
+and x_i * F are products by the one-term 1 and x_i) and reads them only
+through ``collect``:
 
 * ``_conv``: sum of c * A * B over the terms of a convolution, in one
   accumulator: E(t) H(-t) = 1, the Newton-type sums and the sums over
@@ -54,7 +57,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .bisnomial import bisnomial, gaussian, pq_bisnomial, pq_gaussian, q_bisnomial
 from .exactalg import BiPoly, CycInt, UniPoly, cyclotomic_coeffs
-from .multipoly import MPoly, accumulate_product, accumulate_shift, collect, substitute_power
+from .multipoly import MPoly, accumulate_product, collect, substitute_power
 from .partitions import (
     Partition,
     enum_partitions,
@@ -70,12 +73,12 @@ def _sign(m: int) -> int:
 
 
 def _describe(value: object) -> str:
-    if not isinstance(value, MPoly) or len(value._packed) <= 40:
+    if not isinstance(value, MPoly) or len(value.terms) <= 40:
         return str(value)
     import hashlib  # only a value past 40 terms needs it, so a CLI start does not load it
     blob = json.dumps(value.to_json(), sort_keys=True).encode()
     digest = hashlib.sha256(blob).hexdigest()[:12]
-    return f"<{len(value._packed)} terms, degree {value.degree()}, sha256 {digest}>"
+    return f"<{len(value.terms)} terms, degree {value.degree()}, sha256 {digest}>"
 
 
 class IdentityReport(NamedTuple):
@@ -186,12 +189,13 @@ def _linear_passes(n: int, series: list[MPoly], divide: bool) -> MPoly:
     One pass per variable: dividing by 1 + x_i t is G_d = F_d - x_i G_(d-1),
     multiplying by 1 - x_i t is G_d = F_d - x_i F_(d-1).
     """
+    one = MPoly.one(n)
     for i in range(1, n + 1):
-        passed = series[:1]  # G_0 = F_0
+        passed, xi = series[:1], MPoly.variable(n, i)  # G_0 = F_0
         for d in range(1, len(series)):
             acc: dict = {}
-            accumulate_shift(acc, series[d], i, 0)
-            accumulate_shift(acc, (passed if divide else series)[d - 1], i, 1, -1)
+            accumulate_product(acc, one, series[d])
+            accumulate_product(acc, xi, (passed if divide else series)[d - 1], -1)
             passed.append(collect(n, acc))
         series = passed
     return series[-1]
@@ -216,9 +220,9 @@ def _partition_sum(kind: str, k: int, s: int, n: int, coef: Callable[[Partition]
     """sum over lam |- k of coef(lam) * F_lam, F = E, H or P: as ints times the lcm L of
     the coefficient denominators, in one accumulator, then scaled by 1/L once."""
     coefs = {lam: coef(lam) for lam in enum_partitions(k)}
-    scale, acc = lcm(*[c.denominator for c in coefs.values()]), {}
+    scale, acc, one = lcm(*[c.denominator for c in coefs.values()]), {}, MPoly.one(n)
     for lam, c in coefs.items():
-        accumulate_shift(acc, product_over_partition(kind, lam, s, n), 1, 0, c.numerator * scale // c.denominator)
+        accumulate_product(acc, one, product_over_partition(kind, lam, s, n), c.numerator * scale // c.denominator)
     return collect(n, acc) if scale == 1 else Fraction(1, scale) * collect(n, acc)
 
 
@@ -234,18 +238,18 @@ def _roots_sum(k: int, s: int, basis: str, n: int) -> MPoly:
     accumulator; coordinates 1.. must collect to zero, and coordinate 0 is the sum.
     """
     coords: list = [{} for _ in cyclotomic_coeffs(s + 1)[1:]]
-    bases = []
+    bases, one = [], MPoly.one(n)
     for lam in enum_partitions(k, max_length=s):
         c = m_lambda_at_roots(lam, s)
         if c:
             bases.append(base := product_over_partition(basis, lam, None, n))
             for acc, a in zip(coords, c.coeffs):
                 if a:
-                    accumulate_shift(acc, base, 1, 0, a)  # a * base, in one pass
-    value, *rest = [collect(n, acc) for acc in coords]
+                    accumulate_product(acc, one, base, a)  # a * base, in one pass
+    value, *rest = sums = [collect(n, acc) for acc in coords]
     if any(rest):  # the first such monomial, in the order the sum meets them
-        key = next(key for base in bases for key in base._packed if any(acc.get(key) for acc in coords[1:]))
-        v = CycInt(s + 1, [acc.get(key, 0) for acc in coords])
+        exps = next(exps for base in bases for exps in base.terms if any(r.coeff(exps) for r in rest))
+        v = CycInt(s + 1, [p.coeff(exps) for p in sums])
         raise ArithmeticError(f"aggregated coefficient {v} is not a rational integer")
     return value
 

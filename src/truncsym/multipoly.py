@@ -2,20 +2,20 @@
 
 ``MPoly`` is a sparse polynomial in x1..xn with ``int`` or ``Fraction``
 coefficients; the constructor and ``constant`` refuse any other type, and
-``bool`` (``TypeError``).  A term is stored under a packed exponent: one int holding
-the exponent of x_i in bits 32(i-1) .. 32i-1.  Every stored exponent
+``bool`` (``TypeError``).  A term is stored under a packed exponent: one int
+holding the exponent of x_i in bits 32(i-1) .. 32i-1.  Every stored exponent
 is below 2**31, so two keys add without a carry between fields: a product is
-one int add per pair of terms (one per term with a one-term operand or the
-x_i^j of ``accumulate_shift``), checked once for an exponent that reached
-2**31 (``OverflowError``, never a wrapped monomial), and a pad to more
-variables keeps every key.  As 2**32 = 1 mod 2**32 - 1, a key mod 2**32 - 1
-is its degree while no field reaches 2**(32 - bit_length(n-1)) (else it is
-unpacked and summed); ``is_symmetric`` checks (1 2) and the n-cycle, which
-generate S_n.  The rationals have no zero divisors, so a product is filtered
-for zeros only when it has many-term operands, whose pairs may cancel.
-Exponent tuples appear only at the API edge: ``terms`` is a tuple-keyed view
-unpacked on demand, and one packing step, shared by the constructor and the
-orbit sums, packs many tuples at once and refuses an exponent of 2**31 or more.
+one int add per pair of terms (one per term with a one-term operand), checked
+once for an exponent that reached 2**31 (``OverflowError``, never a wrapped
+monomial), and a pad to more variables keeps every key.  As 2**32 = 1 mod
+2**32 - 1, a key mod 2**32 - 1 is its degree while no field reaches
+2**(32 - bit_length(n-1)) (else it is unpacked and summed); ``is_symmetric``
+checks (1 2) and the n-cycle, which generate S_n.  The rationals have no zero
+divisors, so a product is filtered for zeros only when it has many-term
+operands, whose pairs may cancel.  Exponent tuples appear only at the API
+edge: ``terms`` is a tuple-keyed view unpacked on demand, and one packing
+step, shared by the constructor and the orbit sums, packs many tuples at once
+and refuses an exponent of 2**31 or more.
 
 Canonical order is graded lexicographic (total degree, then exponent tuple),
 from one sort that ``canonical_terms``, ``to_json`` and ``to_json_text`` read.
@@ -48,7 +48,10 @@ def _layout(n: int) -> tuple[Callable, Callable, int, int]:
     """pack (exponent tuples to their keys, unchecked), unpack (a key), the top and the too-wide bits."""
     if n < 0:
         raise ValueError(f"variable count must be >= 0, got {n}")
-    fields, size, low = struct.Struct(f"<{n}I"), 4 * n, 32 - (n - 1).bit_length()
+    try:  # struct refuses a count past its size limit before it allocates
+        fields, size, low = struct.Struct(f"<{n}I"), 4 * n, 32 - (n - 1).bit_length()
+    except struct.error:
+        raise ValueError(f"variable count {n} is too large") from None
     return (
         lambda many: map(int.from_bytes, starmap(fields.pack, many), repeat("little")),
         lambda key: fields.unpack(key.to_bytes(size, "little")),
@@ -326,30 +329,14 @@ def accumulate_product(acc: dict, a: MPoly, b: MPoly, scalar: Coeff = 1) -> None
     """acc += scalar * a * b, in place; a and b have the same variable count.
 
     Shared by the identity checks that sum many pairwise products; avoids
-    building every intermediate polynomial.  acc is opaque (packed keys):
-    start it empty, read it only through ``collect``, and drop it after an
-    OverflowError.
+    building every intermediate polynomial.  A one-term a (1, or x_i for a
+    linear factor) makes it one linear pass over b.  acc is opaque (packed
+    keys): start it empty, read it only through ``collect``, and drop it
+    after an OverflowError.
     """
     a._check_same_vars(b)
     if scalar:
         _product(acc, a._packed, b._packed, scalar, _layout(a.n)[2])
-
-
-def accumulate_shift(acc: dict, p: MPoly, i: int, j: int, scalar: Coeff = 1) -> None:
-    """acc += scalar * x_i^j * p, in place, in one linear pass; acc as for accumulate_product.
-
-    Only the keys written are checked for an exponent of 2**31 or more.
-    """
-    if not 1 <= i <= p.n or not 0 <= j < _LIMIT:
-        raise ValueError(f"x{i}^{j} is not a monomial in {p.n} variables")
-    offset, get, written = j << 32 * (i - 1), acc.get, 0
-    for key, c in p._packed.items():
-        key += offset
-        written |= key
-        old = get(key)
-        acc[key] = scalar * c if old is None else old + scalar * c
-    if written & _layout(p.n)[2]:
-        raise OverflowError("a shifted term has an exponent of 2**31 or more")
 
 
 def _shift_variables(p: MPoly, a: int, n: int) -> MPoly:

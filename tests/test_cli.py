@@ -150,6 +150,18 @@ def test_a_point_the_package_cannot_build_is_a_one_line_error(capsys):
     assert (code, out, err) == (2, "", "error: exponent tuples need 1 entries in 0..2**31-1\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["expand", "--kind", "m", "--lambda", "1"],
+    ["expand", "--kind", "p", "--k", "2"],
+    ["schur", "--lambda", "1", "--s", "1"],
+    ["verify", "--id", "ortho", "--k", "0", "--s", "1", "--format", "text"],
+])
+def test_a_variable_count_past_the_key_layout_is_a_one_line_error(capsys, argv):
+    # struct refuses a layout of 10**20 fields before it allocates anything
+    n = str(10**20)
+    assert run_cli(capsys, *argv, "--n", n, "--deterministic") == (2, "", f"error: variable count {n} is too large\n")
+
+
 def test_verify_unknown_identity_is_a_usage_error(capsys):
     code, _, err = run_cli(capsys, "verify", "--id", "nope", "--deterministic")
     assert code == 2

@@ -178,6 +178,12 @@ def test_a_cycint_equals_an_integral_fraction_as_it_equals_an_int():
     assert CycInt(3, [7, 1]) != Fraction(7) and CycInt(3, [7]) != Fraction(7, 2)
 
 
+@given(order=orders, c=st.integers(-9, 9))
+def test_a_cycint_that_is_a_rational_integer_hashes_as_that_integer(order, c):
+    assert hash(CycInt(order, c)) == hash(c) and len({CycInt(order, [c]), c, Fraction(c)}) == 1
+    assert {CycInt(3, [0, 1]): c}[CycInt(3, [0, 1])] == c  # a value equal to no int hashes by its coordinates
+
+
 @given(num=st.lists(st.integers(-9, 9), max_size=10), order=orders)
 def test_division_by_a_cyclotomic_polynomial_leaves_quotient_and_remainder(num, order):
     den = cyclotomic_coeffs(order)

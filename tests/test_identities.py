@@ -1,6 +1,7 @@
 """Unit tests for the identity registry and the verification runners."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -305,6 +306,22 @@ def test_exactly_the_alternating_sums_run_on_linear_passes(monkeypatch):
                 assert report.lhs == "error: RuntimeError: linear pass", (name, report.params)
                 failing.add(name)
     assert failing == PASS_ROUTED
+
+
+def test_every_sum_of_products_goes_through_the_one_kernel_entry(monkeypatch):
+    # rebind the kernel as a tracer does, and record which shape calls it
+    kernel, callers = identities.accumulate_product, []
+
+    def counting(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return kernel(*args)
+
+    monkeypatch.setattr(identities, "accumulate_product", counting)
+    for name, shape in [("powsub_h", "_linear_passes"), ("vanish_e", "_linear_passes"),
+                        ("inv_H", "_partition_sum"), ("roots_H", "_roots_sum")]:
+        callers.clear()
+        assert verify(name, n=2, k=3, s=2).holds
+        assert set(callers) == {shape}, (name, callers)
 
 
 @settings(max_examples=80, deadline=None)

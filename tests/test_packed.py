@@ -19,7 +19,6 @@ from truncsym.multipoly import (
     _layout,
     _product,
     accumulate_product,
-    accumulate_shift,
     collect,
     is_symmetric,
     substitute_power,
@@ -166,21 +165,18 @@ def test_a_shift_is_the_product_by_a_monomial(case, data):
     i, j = data.draw(st.integers(1, n)), data.draw(st.integers(0, 3))
     scalar = data.draw(st.sampled_from([1, -1, 3]))
     monomial = tuple(j if col == i - 1 else 0 for col in range(n))
-    shifted: dict = {}
-    accumulate_shift(shifted, MPoly(n, a), i, j, scalar)
+    shifted: dict = {}  # a one-term operand makes the product one linear pass
+    accumulate_product(shifted, MPoly.monomial(n, monomial), MPoly(n, a), scalar)
     assert collect(n, shifted).terms == ref_mul(a, {monomial: scalar})
 
 
 def test_a_shift_reaching_the_limit_raises_instead_of_wrapping():
     top = MPoly.monomial(2, (LIMIT - 1, 0))
     with pytest.raises(OverflowError):
-        accumulate_shift({}, top, 1, 1)
+        accumulate_product({}, MPoly.variable(2, 1), top)
     acc: dict = {}
-    accumulate_shift(acc, top, 2, LIMIT - 1)  # the neighbouring field reaches its own limit only
+    accumulate_product(acc, MPoly.monomial(2, (0, LIMIT - 1)), top)  # the neighbouring field reaches its own limit only
     assert collect(2, acc).terms == {(LIMIT - 1, LIMIT - 1): 1}
-    for i, j in [(0, 1), (3, 1), (1, -1), (1, LIMIT)]:
-        with pytest.raises(ValueError):
-            accumulate_shift({}, top, i, j)
     # every pass of a linear factor shifts by x_i, so the series' top exponent may reach the limit
     for divide in (True, False):
         with pytest.raises(OverflowError):
