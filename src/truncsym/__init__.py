@@ -64,8 +64,8 @@ __version__ = "0.1.0"
 
 
 # every argument-keyed memo, bound at import so that a rebound public name (E, say) cannot hide one
-_CACHES = (E, H, classical, symfun._m_lambda, symfun._at_roots, identities._pair_conv,
-           cyclotomic_coeffs, multipoly._layout, _bisnomial_cell)
+_CACHES = (E, H, classical, symfun._m_lambda, symfun._at_roots, identities._pair_conv, identities._conv_sum,
+           identities._roots_sum, identities._series, cyclotomic_coeffs, multipoly._layout, _bisnomial_cell)
 
 
 def clear_caches() -> None:

@@ -1,48 +1,43 @@
 """Mechanical verifier for the algebraic identity catalog.
 
-Every entry in ``REGISTRY`` evaluates both sides of one identity from
-scratch on concrete parameters.  Checks never assume each other's
-conclusions: convolution sums are recomputed rather than routed through
-an already-verified equivalent form, so each identity remains an
-independent probe of the constructors.  The ``conversion:<kind>``
-entries check the closed forms that tie the bisnomial triangles to
-ordinary and Gaussian binomials.
+Every entry in ``REGISTRY`` checks one identity on concrete parameters.  Each
+side is built by its own route, and a side that several identities share is
+built once and memoized, as E and H are.  Checks never assume each other's
+conclusions: no sum is routed through an already-verified equivalent form, so
+each identity remains an independent probe of the constructors.  The
+``conversion:<kind>`` entries check the closed forms that tie the bisnomial
+triangles to ordinary and Gaussian binomials.
 
-The identities restate a few relations between the generating products
-E(t) and H(t), so the checks are built from a few shared shapes.  Each adds
-its products into accumulators through ``accumulate_product`` alone (c * F
-and x_i * F are products by the one-term 1 and x_i) and reads them only
-through ``collect``:
+The identities restate a few relations between the generating products E(t)
+and H(t), so the checks are built from a few shared shapes.  Each adds its
+products into accumulators through ``accumulate_product`` alone (c * F and
+x_i * F are products by the one-term 1 and x_i) and reads them only through
+``collect``:
 
 * ``_conv``: sum of c * A * B over the terms of a convolution, in one
   accumulator: E(t) H(-t) = 1, the Newton-type sums and the sums over
-  x^s-substituted classical factors;
+  x^s-substituted classical factors (``_conv_sum``, memoized);
 * ``_partition_sum``: sum over lam |- k of coef(lam) * F_lam, over a common
   denominator in one int accumulator, and its scalar twin ``_scalar_sum``;
-* ``_roots_sum``: sum over lam of m_lam at roots of unity times a basis,
-  one int accumulator per coordinate of m_lam in the cyclotomic ring;
+* ``_roots_sum`` (memoized): sum over lam of m_lam at roots of unity times a
+  basis, one int accumulator per coordinate of m_lam in the cyclotomic ring;
 * ``_linear_passes``: a graded series times prod_i (1 + x_i t)^(-1) or
-  prod_i (1 - x_i t), one linear pass per variable: the power substitutions
-  and the sums that vanish.  The rows that convolve E with H or E with E at
-  one s (ortho, newton_*, cubic_*, mono_H) stay on ``_conv``: passes with
-  the family's own truncated factor would test one value against its
-  generating product, as the constructors' split guard does, not two
-  constructed values against each other.  So does ``_conv_sum`` (conv_*): as
-  passes it would test H against its own generating product, the tests' oracle.
+  prod_i (1 - x_i t), one pass per variable, the passes side by side a degree
+  at a time: the power substitutions and the sums that vanish, every k of one
+  (kind, n, s) read from one run that ``_series`` keeps.  The rows that
+  convolve E with H or E with E at one s (ortho, newton_*, cubic_*, mono_H)
+  stay on ``_conv``: passes with the family's own truncated factor would test
+  one value against its generating product, as the constructors' split guard
+  does, not two constructed values against each other.  So does ``_conv_sum``
+  (conv_*): as passes it would test H against its own generating product, the
+  tests' oracle.
 
-An E/H twin is one check body: its registry row binds the family by name,
-and the body looks the constructor up when it runs.
-
-A check returns the two sides of its identity, ``(lhs, rhs)``, and
-decides nothing: ``verify`` runs a single point and ``verify_grid`` sweeps
-parameter ranges in a deterministic order, and the one runner they share
-compares the sides once, renders them and times the point, into an
-``IdentityReport``.  A ``ValueError`` or ``OverflowError`` raised in a
-check, a value the package cannot build, propagates.  Any other exception
-folds into a failed report: so does the ``ArithmeticError`` of a check
-whose coefficients live in a cyclotomic ring, raised when an aggregated
-coefficient does not reduce to a rational integer, and a
-``ZeroDivisionError``.
+An E/H twin is one check body: its registry row binds the family by name, and
+the body looks the constructor up when it runs.  A check returns the two sides
+of its identity, ``(lhs, rhs)``, and decides nothing: ``verify`` and
+``verify_grid`` share one runner that compares the sides once, renders them and
+times the point, into an ``IdentityReport``; ``verify`` says which exceptions
+propagate and which fold into a failed report.
 """
 
 from __future__ import annotations
@@ -51,9 +46,9 @@ import json
 import time
 from fractions import Fraction
 from functools import cache, partial
-from itertools import product as _cartesian
+from itertools import count, islice, product as _cartesian
 from math import comb, factorial, lcm, prod
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .bisnomial import bisnomial, gaussian, pq_bisnomial, pq_gaussian, q_bisnomial
 from .exactalg import BiPoly, CycInt, UniPoly, cyclotomic_coeffs
@@ -92,15 +87,9 @@ class IdentityReport(NamedTuple):
     elapsed: float
 
     def to_json(self, *, include_elapsed: bool = True) -> str:
-        payload = {
-            "identity_id": self.identity_id,
-            "params": {key: self.params[key] for key in sorted(self.params)},
-            "holds": self.holds,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-        }
-        if include_elapsed:
-            payload["elapsed"] = round(self.elapsed, 6)
+        payload = dict(self._asdict(), params=dict(sorted(self.params.items())), elapsed=round(self.elapsed, 6))
+        if not include_elapsed:
+            del payload["elapsed"]
         return json.dumps(payload, separators=(", ", ": "))
 
 
@@ -172,6 +161,7 @@ def _pair_conv(kind: str, m: int, s: int, n: int) -> MPoly:
     return _conv(n, ((1, Fa, F(m - a, s, n)) for a in range(m + 1) if (Fa := F(a, s, n))))
 
 
+@cache
 def _conv_sum(f: str, n: int, k: int, s: int) -> MPoly:
     """sum_j (-1)^(s*j) h_j(x^s) e_(k-s*j)(x) for f = 'h', sum_j (-1)^j e_j(x^s) h_(k-s*j)(x) for f = 'e'.
 
@@ -183,27 +173,56 @@ def _conv_sum(f: str, n: int, k: int, s: int) -> MPoly:
     return _conv(n, ((_sign(step * j), substitute_power(a, s), b) for j, a, b in pairs if a and b))
 
 
-def _linear_passes(n: int, series: list[MPoly], divide: bool) -> MPoly:
-    """[t^m] of F_0 + ... + F_m t^m times prod_i (1 + x_i t)^(-1), or times prod_i (1 - x_i t).
+def _linear_passes(n: int, series: Iterable[MPoly], divide: bool) -> Iterator[MPoly]:
+    """[t^m] of F_0 + F_1 t + ... times prod_i (1 + x_i t)^(-1), or times prod_i (1 - x_i t), for m = 0, 1, ...
 
-    One pass per variable: dividing by 1 + x_i t is G_d = F_d - x_i G_(d-1),
-    multiplying by 1 - x_i t is G_d = F_d - x_i F_(d-1).
+    One pass per variable, the n of them side by side a degree at a time, each keeping
+    only its last term: dividing by 1 + x_i t is G_d = F_d - x_i G_(d-1), multiplying by
+    1 - x_i t is G_d = F_d - x_i F_(d-1), and G_0 = F_0.
     """
-    one = MPoly.one(n)
-    for i in range(1, n + 1):
-        passed, xi = series[:1], MPoly.variable(n, i)  # G_0 = F_0
-        for d in range(1, len(series)):
-            acc: dict = {}
-            accumulate_product(acc, one, series[d])
-            accumulate_product(acc, xi, (passed if divide else series)[d - 1], -1)
-            passed.append(collect(n, acc))
-        series = passed
-    return series[-1]
+    one, xs, last = MPoly.one(n), [MPoly.variable(n, i) for i in range(1, n + 1)], None
+    for term in series:
+        if last is None:
+            last = [term] * n
+        else:
+            for i, xi in enumerate(xs):
+                acc: dict = {}
+                accumulate_product(acc, one, term)
+                accumulate_product(acc, xi, last[i], -1)
+                out = collect(n, acc)
+                last[i], term = out if divide else term, out
+        yield term
 
 
-def _alt_sum(kind: str, n: int, m: int, s: int) -> MPoly:
-    """sum_j (-1)^j f_j F(m-j, s-1), (f, F) = (h, H) or (e, E): [t^m] of F(t) sum_j f_j (-t)^j."""
-    return _linear_passes(n, [_family(kind)(d, s - 1, n) for d in range(m + 1)], kind == "H")
+def _rebuilt_H(n: int, s: int) -> Iterator[MPoly]:
+    """H_0, H_1, ... rebuilt from E by H_m = sum_j (-1)^(j+1) E_j H_(m-j): H itself is built as mono_H's orbit sum."""
+    rebuilt = [MPoly.one(n)]
+    for top in count(1):
+        yield rebuilt[-1]
+        rebuilt.append(_conv(n, ((_sign(j + 1), E(j, s, n), rebuilt[top - j]) for j in range(1, min(top, s * n) + 1))))
+
+
+def _alt_sums(kind: str, n: int, s: int) -> Iterator[MPoly]:
+    """sum_j (-1)^j f_j F(m-j, s-1) for m = 0, 1, ..., (f, F) = (e, E) or (h, H): [t^m] of F(t) sum_j f_j (-t)^j."""
+    return _linear_passes(n, (_family(kind)(d, s - 1, n) for d in count()), kind == "H")
+
+
+@cache
+def _series(make: Callable[..., Iterator[MPoly]], *args) -> tuple[list[MPoly], Iterator[MPoly]]:
+    """The memo of one lazily extended series make(*args): the terms made so far and the generator of the rest."""
+    return [], make(*args)
+
+
+def _term(m: int, make: Callable[..., Iterator[MPoly]], *args) -> MPoly:
+    """[t^m] of the series make(*args), extended as far as m.  An exception while it grows empties
+    the memo, so no finished generator or half-made frontier is read again: the next call starts afresh."""
+    made, rest = _series(make, *args)
+    try:
+        made.extend(islice(rest, max(0, m + 1 - len(made))))
+    except BaseException:
+        _series.cache_clear()
+        raise
+    return made[m]
 
 
 def _mult(lam: Partition) -> int:
@@ -231,6 +250,7 @@ def _scalar_sum(k: int, s: int, coef: Callable[[Partition], Fraction]) -> Fracti
     return sum([coef(lam) for lam in enum_partitions(k, max_part=s)], Fraction(0))
 
 
+@cache
 def _roots_sum(k: int, s: int, basis: str, n: int) -> MPoly:
     """sum over lam |- k, len(lam) <= s of m_lam(roots) * basis_lam(x).
 
@@ -288,17 +308,15 @@ def _chk_newton_P(n: int, k: int, s: int):
 
 
 def _chk_cubic_E(n: int, k: int, s: int):
-    return (2 * k) * E(k, s, n), _conv(n, (
-        (_sign(k - m) * m, conv, H(k - m, s, n))
-        for m in range(1, k + 1) if (conv := _pair_conv("E", m, s, n))
-    ))
+    rhs = _conv(n, ((_sign(k - m) * m, conv, H(k - m, s, n))
+                    for m in range(1, k + 1) if (conv := _pair_conv("E", m, s, n))))
+    return (2 * k) * E(k, s, n), rhs
 
 
 def _chk_cubic_H(n: int, k: int, s: int):
-    return k * H(k, s, n), _conv(n, (
-        (_sign(k - m - 1) * (k - m), _pair_conv("H", m, s, n), Ek3)
-        for m in range(k) if (Ek3 := E(k - m, s, n))
-    ))
+    rhs = _conv(n, ((_sign(k - m - 1) * (k - m), _pair_conv("H", m, s, n), Ek3)
+                    for m in range(k) if (Ek3 := E(k - m, s, n))))
+    return k * H(k, s, n), rhs
 
 
 def _chk_pk_from(kind: str, n: int, k: int, s: int):
@@ -326,20 +344,13 @@ def _chk_from_P(kind: str, n: int, k: int, s: int):
 
 def _chk_rec_H(n: int, k: int, s: int):
     xn = MPoly.variable(n, n)
-    return H(k, s, n), (
-        _sign(s + 1) * (xn ** (s + 1) * H(k - s - 1, s, n))
-        + H(k, s, n - 1).pad(n)
-        + xn * H(k - 1, s, n - 1).pad(n)
-    )
+    top = _sign(s + 1) * (xn ** (s + 1) * H(k - s - 1, s, n))
+    return H(k, s, n), top + H(k, s, n - 1).pad(n) + xn * H(k - 1, s, n - 1).pad(n)
 
 
 def _chk_rec_E(n: int, k: int, s: int):
     xn = MPoly.variable(n, n)
-    return E(k, s, n), (
-        xn * E(k - 1, s, n)
-        + E(k, s, n - 1).pad(n)
-        - xn ** (s + 1) * E(k - s - 1, s, n - 1).pad(n)
-    )
+    return E(k, s, n), xn * E(k - 1, s, n) + E(k, s, n - 1).pad(n) - xn ** (s + 1) * E(k - s - 1, s, n - 1).pad(n)
 
 
 def _chk_roots(kind: str, n: int, k: int, s: int):
@@ -373,20 +384,15 @@ def _chk_mroots_closed(drop: int, lam: Partition):
 
 def _chk_powsub(kind: str, n: int, k: int, s: int):
     lhs = substitute_power(classical(kind.lower(), k, n), s)
-    return lhs, _sign(k * s if kind == "H" else k) * _alt_sum(kind, n, k * s, s)
+    return lhs, _sign(k * s if kind == "H" else k) * _term(k * s, _alt_sums, kind, n, s)
 
 
 def _chk_vanish(kind: str, n: int, k: int, s: int):
-    return _alt_sum(kind, n, k, s), MPoly.zero(n)
+    return _term(k, _alt_sums, kind, n, s), MPoly.zero(n)
 
 
 def _chk_mono_H(n: int, k: int, s: int):
-    # H is built as this orbit sum, so rebuild it from E: H_m = sum_j (-1)^(j+1) E_j H_(m-j)
-    rebuilt = [MPoly.one(n)]
-    for top in range(1, k + 1):
-        js = range(1, min(top, s * n) + 1)
-        rebuilt.append(_conv(n, ((_sign(j + 1), E(j, s, n), rebuilt[top - j]) for j in js)))
-    return rebuilt[k], _mono_sum(n, k, s, k)
+    return _term(k, _rebuilt_H, n, s), _mono_sum(n, k, s, k)
 
 
 def _chk_mono_bridge(n: int, k: int, s: int):
@@ -398,10 +404,8 @@ def _chk_mono_bridge(n: int, k: int, s: int):
 
 
 def _chk_conversion_plain(n: int, k: int, s: int):
-    return bisnomial(n, k, s - 1), sum(
-        (-1) ** j * comb(n, j) * comb(n + k - s * j - 1, k - s * j)
-        for j in range(k // s + 1)
-    )
+    rhs = sum((-1) ** j * comb(n, j) * comb(n + k - s * j - 1, k - s * j) for j in range(k // s + 1))
+    return bisnomial(n, k, s - 1), rhs
 
 
 def _chk_conversion_q(flavor: str, n: int, k: int, s: int):
@@ -418,22 +422,15 @@ def _chk_conversion_q(flavor: str, n: int, k: int, s: int):
 
 
 def _chk_conversion_binom_recovery(n: int, k: int, s: int):
-    return comb(n, k), sum(
-        (-1) ** (k + j) * comb(n, j) * bisnomial(n, k * s - j, s - 1)
-        for j in range(k * s + 1)
-    )
+    return comb(n, k), sum((-1) ** (k + j) * comb(n, j) * bisnomial(n, k * s - j, s - 1) for j in range(k * s + 1))
 
 
 def _chk_conversion_qs_recovery(n: int, k: int, s: int):
     # multiplied through to stay in Z[q]
     lhs = UniPoly.term(1, s * comb(k, 2)) * gaussian(n, k).scale_exponents(s)
-    return lhs, sum(
-        (
-            UniPoly.term((-1) ** (k + j), comb(j, 2)) * gaussian(n, j) * q_bisnomial(n, k * s - j, s - 1)
-            for j in range(k * s + 1)
-        ),
-        UniPoly(),
-    )
+    terms = (UniPoly.term((-1) ** (k + j), comb(j, 2)) * gaussian(n, j) * q_bisnomial(n, k * s - j, s - 1)
+             for j in range(k * s + 1))
+    return lhs, sum(terms, UniPoly())
 
 
 # -- registry ------------------------------------------------------------------
@@ -529,9 +526,7 @@ def verify(identity_id: str, **params) -> IdentityReport:
     """
     spec = _spec(identity_id)
     if set(params) != set(spec.arity):
-        raise ValueError(
-            f"{identity_id} takes parameters {list(spec.arity)}, got {sorted(params)}"
-        )
+        raise ValueError(f"{identity_id} takes parameters {list(spec.arity)}, got {sorted(params)}")
     if "lam" in params:
         params = dict(params, lam=tuple(params["lam"]))
     reason = spec.why_invalid(**params)
@@ -578,12 +573,6 @@ def default_grid(
     """The standard verification ranges for one identity."""
     spec = _spec(identity_id)
     k_hi = spec.k_default_max if k_max is None else k_max
-    grid: dict[str, range] = {}
-    for axis in spec.arity:
-        if axis == "n":
-            grid["n"] = range(1, n_max + 1)
-        elif axis == "s":
-            grid["s"] = range(spec.s_min, s_max + 1)
-        else:  # k, or the partition weights of lam
-            grid["k"] = range(spec.k_min, k_hi + 1)
-    return grid
+    weights = range(spec.k_min, k_hi + 1)  # k, or the partition weights of lam
+    ranges = {"n": range(1, n_max + 1), "s": range(spec.s_min, s_max + 1), "k": weights, "lam": weights}
+    return {axis.replace("lam", "k"): ranges[axis] for axis in spec.arity}

@@ -5,9 +5,9 @@ coefficients; the constructor and ``constant`` refuse any other type, and
 ``bool`` (``TypeError``).  A term is stored under a packed exponent: one int
 holding the exponent of x_i in bits 32(i-1) .. 32i-1.  Every stored exponent
 is below 2**31, so two keys add without a carry between fields: a product is
-one int add per pair of terms (one per term with a one-term operand), checked
-once for an exponent that reached 2**31 (``OverflowError``, never a wrapped
-monomial), and a pad to more variables keeps every key.  As 2**32 = 1 mod
+one int add per pair of terms (one per term with a one-term operand), refused
+with ``OverflowError`` (never a wrapped monomial) when an exponent reaches
+2**31, and a pad to more variables keeps every key.  As 2**32 = 1 mod
 2**32 - 1, a key mod 2**32 - 1 is its degree while no field reaches
 2**(32 - bit_length(n-1)) (else it is unpacked and summed); ``is_symmetric``
 checks (1 2) and the n-cycle, which generate S_n.  The rationals have no zero
@@ -29,7 +29,7 @@ import struct
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache, reduce
-from itertools import repeat, starmap
+from itertools import product as _pairs, repeat, starmap
 from operator import or_
 from typing import Callable, Iterable, Optional, Union
 
@@ -110,16 +110,24 @@ def _checked(terms: dict, top: int) -> dict:
 
 
 def _product(acc: dict, a: dict, b: dict, scalar: Coeff, top: int) -> dict:
-    """acc += scalar * a * b on packed term dicts, returning acc: the one product loop."""
-    b_items = list(b.items())
-    get = acc.get
+    """acc += scalar * a * b on packed term dicts, returning acc: the one product loop.
+
+    A field of the OR of a's keys bounds that field of each key, so no pair reaches 2**31
+    while the two ORs add below it; past that bound the pairs are scanned, before acc changes.
+    """
+    if (reduce(or_, a, 0) + reduce(or_, b, 0)) & top and reduce(or_, map(sum, _pairs(a, b)), 0) & top:
+        raise OverflowError("a product has an exponent of 2**31 or more")
+    if len(a) == 1 and not acc and type(c := a.get(0, 0) * scalar) is int and c == 1:
+        acc.update(b)  # 1 * b into an empty accumulator: b's terms in b's order
+        return acc
+    get, b_items = acc.get, b.items() if len(a) == 1 else list(b.items())
     for e1, c1 in a.items():
         c1s = c1 * scalar
         for e2, c2 in b_items:
             key = e1 + e2
             old = get(key)
             acc[key] = c1s * c2 if old is None else old + c1s * c2
-    return _checked(acc, top)
+    return acc
 
 
 def _degrees(p: "MPoly") -> Iterable[int]:
@@ -331,8 +339,8 @@ def accumulate_product(acc: dict, a: MPoly, b: MPoly, scalar: Coeff = 1) -> None
     Shared by the identity checks that sum many pairwise products; avoids
     building every intermediate polynomial.  A one-term a (1, or x_i for a
     linear factor) makes it one linear pass over b.  acc is opaque (packed
-    keys): start it empty, read it only through ``collect``, and drop it
-    after an OverflowError.
+    keys): start it empty and read it only through ``collect``; an
+    OverflowError leaves it as it was.
     """
     a._check_same_vars(b)
     if scalar:

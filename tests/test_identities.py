@@ -299,6 +299,7 @@ def test_exactly_the_alternating_sums_run_on_linear_passes(monkeypatch):
         raise RuntimeError("linear pass")
 
     monkeypatch.setattr(identities, "_linear_passes", refuse)
+    truncsym.clear_caches()  # a warm series memo would not reach the passes
     failing = set()
     for name in EXPECTED_IDS:
         for report in verify_grid(name, default_grid(name, n_max=2, k_max=3, s_max=3)):
@@ -317,6 +318,7 @@ def test_every_sum_of_products_goes_through_the_one_kernel_entry(monkeypatch):
         return kernel(*args)
 
     monkeypatch.setattr(identities, "accumulate_product", counting)
+    truncsym.clear_caches()  # a memoized side would not reach the kernel
     for name, shape in [("powsub_h", "_linear_passes"), ("vanish_e", "_linear_passes"),
                         ("inv_H", "_partition_sum"), ("roots_H", "_roots_sum")]:
         callers.clear()
@@ -334,8 +336,80 @@ def test_linear_passes_match_the_series_oracle(n, m, divide, data):
     for i in range(1, n + 1):
         step = [MPoly.one(n), (1 if divide else -1) * MPoly.variable(n, i)] + [MPoly.zero(n)] * (m - 1)
         factor = series_product(factor, step[: m + 1])
-    expected = series_product(series, series_inverse(factor) if divide else factor)[m]
-    assert _linear_passes(n, series, divide) == expected
+    expected = series_product(series, series_inverse(factor) if divide else factor)
+    assert list(_linear_passes(n, series, divide)) == expected  # every degree, one term per series term
+
+
+def _pass_steps(monkeypatch):
+    """The kernel calls made from the pass generator, counted from here on."""
+    kernel, steps = identities.accumulate_product, []
+
+    def counting(*args):
+        if sys._getframe(1).f_code.co_name == "_linear_passes":
+            steps.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(identities, "accumulate_product", counting)
+    return steps
+
+
+def test_every_k_of_a_sweep_reads_one_run_of_the_passes(monkeypatch):
+    steps = _pass_steps(monkeypatch)
+    truncsym.clear_caches()
+    try:
+        assert all(r.holds for r in verify_grid("powsub_h", {"n": [2], "k": range(1, 7), "s": [3]}))
+        swept = len(steps)
+        truncsym.clear_caches()
+        assert verify("powsub_h", n=2, k=6, s=3).holds
+    finally:
+        truncsym.clear_caches()
+    assert swept == len(steps) - swept == 2 * 2 * 6 * 3  # two calls per pass and degree, degrees 1..k*s
+
+
+def test_a_registry_sweep_builds_each_roots_and_convolution_sum_once(monkeypatch):
+    requested = {}  # the cache -> the argument tuple of every call the checks make
+    for name in ("_roots_sum", "_conv_sum"):
+        cached = getattr(identities, name)
+        requested[cached] = []
+        monkeypatch.setattr(identities, name, lambda *args, c=cached: requested[c].append(args) or c(*args))
+    truncsym.clear_caches()
+    try:
+        for name in list_identities():  # as verify --id all
+            assert all(r.holds for r in verify_grid(name, default_grid(name))), name
+        for cached, calls in requested.items():  # shared by two or three identities each
+            assert cached.cache_info().misses == len(set(calls)) < len(calls), cached.__name__
+    finally:
+        truncsym.clear_caches()
+
+
+@pytest.mark.parametrize("error", [ValueError, OverflowError, RuntimeError])
+@pytest.mark.parametrize("make, kind, family", [("_alt_sums", ("H",), "H"), ("_alt_sums", ("E",), "E"),
+                                                ("_rebuilt_H", (), "E")])
+def test_a_series_that_raised_while_growing_is_made_afresh(make, kind, family, error, monkeypatch):
+    n, s, top = 2, 3, 7
+
+    def term(m):
+        return identities._term(m, getattr(identities, make), *kind, n, s)
+
+    truncsym.clear_caches()
+    expected = [term(m) for m in range(top + 1)]
+    truncsym.clear_caches()
+    real, raised = getattr(identities, family), []
+
+    def once(k, s, n):  # the constructor fails the first time degree 4 is asked for
+        if k == 4 and not raised:
+            raised.append(k)
+            raise error("once")
+        return real(k, s, n)
+
+    monkeypatch.setattr(identities, family, once)
+    try:
+        assert term(2) == expected[2]
+        with pytest.raises(error):
+            term(top)
+        assert raised and [term(m) for m in range(top, -1, -1)] == expected[::-1]
+    finally:
+        truncsym.clear_caches()
 
 
 @pytest.mark.parametrize("kind", ["H", "E"])
@@ -347,7 +421,7 @@ def test_alternating_sums_match_the_kernel_convolution(kind):
                 expected = MPoly.zero(n)
                 for j in range(m + 1):
                     expected = expected + (-1) ** j * classical(f, j, n) * F(m - j, s - 1, n)
-                assert identities._alt_sum(kind, n, m, s) == expected, (n, m, s)
+                assert identities._term(m, identities._alt_sums, kind, n, s) == expected, (n, m, s)
 
 
 @pytest.mark.parametrize("basis", ["e", "h", "p"])
@@ -369,19 +443,23 @@ def test_a_roots_sum_off_the_integers_raises_the_per_monomial_message(root, monk
     # m_lam(roots) is always a rational integer; a stand-in that is not one must be refused,
     # at the first monomial the sum meets whose aggregate is not an integer
     monkeypatch.setattr(identities, "m_lambda_at_roots", root)
+    truncsym.clear_caches()  # neither read a warm roots sum nor leave one made with the stand-in
     raised = 0
-    for n in range(1, 4):
-        for s in range(1, 5):
-            for k in range(1, 6):
-                try:
-                    expected = sum_oracle.roots_sum(k, s, "h", n)
-                except ArithmeticError as exc:
-                    with pytest.raises(ArithmeticError) as got:
-                        identities._roots_sum(k, s, "h", n)
-                    assert str(got.value) == str(exc), (n, k, s)
-                    raised += 1
-                else:
-                    assert identities._roots_sum(k, s, "h", n) == expected, (n, k, s)
+    try:
+        for n in range(1, 4):
+            for s in range(1, 5):
+                for k in range(1, 6):
+                    try:
+                        expected = sum_oracle.roots_sum(k, s, "h", n)
+                    except ArithmeticError as exc:
+                        with pytest.raises(ArithmeticError) as got:
+                            identities._roots_sum(k, s, "h", n)
+                        assert str(got.value) == str(exc), (n, k, s)
+                        raised += 1
+                    else:
+                        assert identities._roots_sum(k, s, "h", n) == expected, (n, k, s)
+    finally:
+        truncsym.clear_caches()
     assert raised > 30
 
 

@@ -180,7 +180,47 @@ def test_a_shift_reaching_the_limit_raises_instead_of_wrapping():
     # every pass of a linear factor shifts by x_i, so the series' top exponent may reach the limit
     for divide in (True, False):
         with pytest.raises(OverflowError):
-            _linear_passes(1, [MPoly.monomial(1, (LIMIT - 1,)), MPoly.zero(1)], divide)
+            list(_linear_passes(1, [MPoly.monomial(1, (LIMIT - 1,)), MPoly.zero(1)], divide))
+
+
+# exponents near the limit and near the halves whose ORs add past it while no pair does
+NEAR_LIMIT = st.one_of(st.sampled_from([0, 1, 2**29, 2**30 - 1, 2**30, LIMIT - 1]), st.integers(0, LIMIT - 1))
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 3), st.data())
+def test_a_product_raises_exactly_when_some_pair_reaches_the_limit(n, data):
+    a, b = (data.draw(st.dictionaries(st.tuples(*[NEAR_LIMIT] * n), st.integers(-3, 3).filter(bool),
+                                      min_size=1, max_size=3)) for _ in range(2))
+    acc = {(0,) * n: 5}
+    packed = dict(MPoly(n, acc)._packed)
+    over = any(x + y >= LIMIT for e1 in a for e2 in b for x, y in zip(e1, e2))
+    if over:
+        with pytest.raises(OverflowError):
+            accumulate_product(packed, MPoly(n, a), MPoly(n, b), 2)
+        assert collect(n, packed).terms == acc  # refused before any term was added
+    else:
+        accumulate_product(packed, MPoly(n, a), MPoly(n, b), 2)
+        assert collect(n, packed).terms == ref_add(acc, ref_mul(ref_mul(a, b), {(0,) * n: 2}))
+
+
+@pytest.mark.parametrize("a, b, over", [
+    ([2**30, 2**29], [2**30 - 1], False),  # the ORs add to 2**31 + 2**29 - 1, the largest pair to 2**31 - 1
+    ([2**30 - 1], [2**30, 2**29], False),
+    ([LIMIT - 1], [0, 1], True),  # a one-term operand on either side
+    ([0, 1], [LIMIT - 1], True),
+    ([LIMIT - 1], [0], False),
+])
+def test_the_or_bound_is_only_a_filter(a, b, over):
+    pa, pb = (MPoly(1, {(e,): 1 for e in exps}) for exps in (a, b))
+    acc: dict = {}
+    if over:
+        with pytest.raises(OverflowError):
+            accumulate_product(acc, pa, pb)
+        assert acc == {}
+    else:
+        accumulate_product(acc, pa, pb)
+        assert collect(1, acc) == pa * pb
 
 
 def test_accumulate_product_refuses_operands_in_different_variable_counts():
