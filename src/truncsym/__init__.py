@@ -1,11 +1,6 @@
 """Exact arithmetic for truncated elementary and complete symmetric functions."""
 
-from .exactalg import (
-    BiPoly,
-    CycInt,
-    UniPoly,
-    cyclotomic_coeffs,
-)
+from .exactalg import BiPoly, UniPoly
 from .multipoly import (
     MPoly,
     is_symmetric,
@@ -65,7 +60,7 @@ __version__ = "0.1.0"
 
 # every argument-keyed memo, bound at import so that a rebound public name (E, say) cannot hide one
 _CACHES = (E, H, classical, symfun._m_lambda, symfun._at_roots, identities._pair_conv, identities._conv_sum,
-           identities._roots_sum, identities._series, cyclotomic_coeffs, multipoly._layout, _bisnomial_cell)
+           identities._roots_sum, identities._series, multipoly._layout, _bisnomial_cell)
 
 
 def clear_caches() -> None:
@@ -78,7 +73,6 @@ def clear_caches() -> None:
 
 __all__ = [
     "BiPoly",
-    "CycInt",
     "E",
     "H",
     "IdentityReport",
@@ -90,7 +84,6 @@ __all__ = [
     "classical",
     "clear_caches",
     "conjugate",
-    "cyclotomic_coeffs",
     "default_grid",
     "distinct_orbit",
     "enum_objects",

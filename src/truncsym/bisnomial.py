@@ -91,7 +91,7 @@ def _gaussian_step(below: list, row: list, m: int, stop: int, s: int) -> None:
         row.append(UniPoly(out))
 
 
-def _validate(n: int, k: int, s: int) -> None:
+def _validate(n: int, s: int) -> None:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if s < 1:
@@ -100,7 +100,7 @@ def _validate(n: int, k: int, s: int) -> None:
 
 def bisnomial(n: int, k: int, s: int) -> int:
     """Coefficient of t^k in (1 + t + ... + t^s)^n."""
-    _validate(n, k, s)
+    _validate(n, s)
     if k < 0 or k > s * n:
         return 0
     return _cell(_count_step, n, min(k, s * n - k), s, 1)
@@ -108,7 +108,7 @@ def bisnomial(n: int, k: int, s: int) -> int:
 
 def gaussian(n: int, k: int) -> UniPoly:
     """Gaussian binomial coefficient as a polynomial in q."""
-    _validate(n, k, 1)
+    _validate(n, 1)
     if k < 0 or k > n:
         return UniPoly()
     return _cell(_gaussian_step, n, min(k, n - k), 1, UniPoly(1))
@@ -120,7 +120,7 @@ def q_bisnomial(n: int, k: int, s: int) -> UniPoly:
     Satisfies Q(n, k) = sum_j q^(j*(n-1)) Q(n-1, k-j) over j = 0..s.  At
     s = 1 it equals q^binom(k,2) times the Gaussian binomial.
     """
-    _validate(n, k, s)
+    _validate(n, s)
     if k < 0 or k > s * n:
         return UniPoly()
     if 2 * k > s * n:
@@ -144,7 +144,7 @@ def pq_bisnomial(n: int, k: int, s: int) -> BiPoly:
 
 def _table_rows(flavor: str, n: int, s: int) -> Iterator[list]:
     """Rows 0..n of the plain, q or pq table, k = 0 .. s*m each; a bad n or s is refused at once."""
-    _validate(n, 0, s)
+    _validate(n, s)
     step, one = (_count_step, 1) if flavor == "plain" else (_q_step, UniPoly(1))
     rows = islice(_rows(step, s, one, s * n + 1), n + 1)
     pq = ([BiPoly.homogenize(value, k * (m - 1)) for k, value in enumerate(row)] for m, row in enumerate(rows))

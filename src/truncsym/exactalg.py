@@ -1,58 +1,17 @@
-"""Exact scalar values: cyclotomic integers and polynomials in q and in p, q.
+"""Exact scalar values: polynomials in q and in p, q.
 
-* ``CycInt``, an element of Z[x]/Phi_m(x) with x a primitive m-th root of
-  unity, is a value type: it holds m_lambda at the s nontrivial (s+1)-th
-  roots of unity, which the root-of-unity relations read, compare and
-  render.  Its constructor reduces mod Phi_m (rather than mod
-  1 + x + ... + x^(m-1)), so a value fixed by the Galois action reduces to
-  a literal integer for every order, composite orders included.
 * ``UniPoly``, a dense integer polynomial in q, carries the q-analogues,
   and ``BiPoly``, a homogenized ``UniPoly``, the (p,q)-analogues.
 
 Multivariate coefficients are plain ``int`` or ``fractions.Fraction``
-(see :mod:`truncsym.multipoly`); nothing here is one.
+(see :mod:`truncsym.multipoly`), and m_lambda at the roots of unity is an
+``int`` (see :mod:`truncsym.symfun`); nothing here is one.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import cache
 from operator import add
 from typing import Iterable, Optional, Sequence, Union
-
-
-def _divmod_monic(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of integer polynomials (ascending coeffs) by a monic den, top down."""
-    rem, dd = list(num), len(den) - 1
-    quo = [0] * max(len(rem) - dd, 0)
-    for i in range(len(rem) - 1, dd - 1, -1):  # subtract c * x^(i-dd) * den, which clears x^i
-        c = rem[i]
-        if c:
-            quo[i - dd] = c
-            for j, d in enumerate(den):
-                rem[i - dd + j] -= c * d
-    return quo, rem[:dd]
-
-
-@cache
-def cyclotomic_coeffs(m: int) -> tuple[int, ...]:
-    """Coefficients of Phi_m(x), ascending degree.
-
-    Phi_1 = x - 1 and Phi_m = (x^m - 1) / prod of Phi_d over proper divisors
-    d of m; the division is exact over the integers.
-    """
-    if m < 1:
-        raise ValueError(f"order must be positive, got {m}")
-    if m == 1:
-        return (-1, 1)
-    num = [0] * (m + 1)
-    num[0], num[m] = -1, 1
-    for d in range(1, m):
-        if m % d == 0:
-            num, rem = _divmod_monic(num, cyclotomic_coeffs(d))
-            if any(rem):
-                raise ArithmeticError("division left a remainder")
-    return tuple(num)
 
 
 def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -106,55 +65,6 @@ def _render_terms(coeffs: Iterable, monos: Iterable[str]) -> str:
         for c, mono in zip(coeffs, monos) if c
     ]
     return " + ".join(terms).replace("+ -", "- ") if terms else "0"
-
-
-class CycInt:
-    """Element of Z[x]/Phi_order(x), stored on the basis 1, x, ..., x^(phi(order)-1).
-
-    A value type: the constructor reduces its coefficients mod Phi_order, and
-    a value compares (with an ``int`` or an integral ``Fraction`` too), hashes
-    and renders; it has no arithmetic.
-    """
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, order: int, coeffs: Union[int, list[int], tuple[int, ...]] = 0):
-        phi = cyclotomic_coeffs(order)  # refuses an order below 1
-        _, rem = _divmod_monic([coeffs] if isinstance(coeffs, int) else coeffs, phi)
-        rem.extend([0] * (len(phi) - 1 - len(rem)))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(rem))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("CycInt is immutable")
-
-    def as_integer(self) -> Optional[int]:
-        """The value as a rational integer, or None if it is not one."""
-        if any(self.coeffs[1:]):
-            return None
-        return self.coeffs[0]
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            if other.denominator != 1:
-                return False
-            other = CycInt(self.order, other.numerator)
-        if isinstance(other, CycInt):
-            return self.order == other.order and self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        value = self.as_integer()  # a rational integer equals that int, so it hashes as one
-        return hash((self.order, self.coeffs) if value is None else value)
-
-    def __bool__(self) -> bool:
-        return any(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"CycInt(order={self.order}, coeffs={list(self.coeffs)})"
-
-    def __str__(self) -> str:
-        return _render_terms(self.coeffs, _powers("x", len(self.coeffs) - 1))
 
 
 class UniPoly:

@@ -9,18 +9,18 @@ each identity remains an independent probe of the constructors.  The
 triangles to ordinary and Gaussian binomials.
 
 The identities restate a few relations between the generating products E(t)
-and H(t), so the checks are built from a few shared shapes.  Each adds its
+and H(t), so the checks are built from two shared shapes.  Each adds its
 products into accumulators through ``accumulate_product`` alone (c * F and
 x_i * F are products by the one-term 1 and x_i) and reads them only through
 ``collect``:
 
-* ``_conv``: sum of c * A * B over the terms of a convolution, in one
-  accumulator: E(t) H(-t) = 1, the Newton-type sums and the sums over
-  x^s-substituted classical factors (``_conv_sum``, memoized);
-* ``_partition_sum``: sum over lam |- k of coef(lam) * F_lam, over a common
-  denominator in one int accumulator, and its scalar twin ``_scalar_sum``;
-* ``_roots_sum`` (memoized): sum over lam of m_lam at roots of unity times a
-  basis, one int accumulator per coordinate of m_lam in the cyclotomic ring;
+* ``_conv``: sum of c * A * B over the (c, A, B) terms, in one accumulator:
+  E(t) H(-t) = 1, the Newton-type sums, the sums over x^s-substituted
+  classical factors (``_conv_sum``, memoized), the sums over lam |- k of
+  coef(lam) * F_lam over a common denominator (``_partition_sum``, with its
+  scalar twin ``_scalar_sum``) and the sums over lam of the integer m_lam at
+  the roots of unity times a basis (``_roots_sum``, memoized), these two as
+  c * 1 * F;
 * ``_linear_passes``: a graded series times prod_i (1 + x_i t)^(-1) or
   prod_i (1 - x_i t), one pass per variable, the passes side by side a degree
   at a time: the power substitutions and the sums that vanish, every k of one
@@ -51,7 +51,7 @@ from math import comb, factorial, lcm, prod
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .bisnomial import bisnomial, gaussian, pq_bisnomial, pq_gaussian, q_bisnomial
-from .exactalg import BiPoly, CycInt, UniPoly, cyclotomic_coeffs
+from .exactalg import BiPoly, UniPoly
 from .multipoly import MPoly, accumulate_product, collect, substitute_power
 from .partitions import (
     Partition,
@@ -237,12 +237,12 @@ def _weight(lam: Partition, shift: int, scale: int = 1) -> Fraction:
 
 def _partition_sum(kind: str, k: int, s: int, n: int, coef: Callable[[Partition], object]) -> MPoly:
     """sum over lam |- k of coef(lam) * F_lam, F = E, H or P: as ints times the lcm L of
-    the coefficient denominators, in one accumulator, then scaled by 1/L once."""
+    the coefficient denominators, in one ``_conv``, then scaled by 1/L once."""
     coefs = {lam: coef(lam) for lam in enum_partitions(k)}
-    scale, acc, one = lcm(*[c.denominator for c in coefs.values()]), {}, MPoly.one(n)
-    for lam, c in coefs.items():
-        accumulate_product(acc, one, product_over_partition(kind, lam, s, n), c.numerator * scale // c.denominator)
-    return collect(n, acc) if scale == 1 else Fraction(1, scale) * collect(n, acc)
+    scale, one = lcm(*[c.denominator for c in coefs.values()]), MPoly.one(n)
+    total = _conv(n, ((c.numerator * scale // c.denominator, one, product_over_partition(kind, lam, s, n))
+                      for lam, c in coefs.items()))
+    return total if scale == 1 else Fraction(1, scale) * total
 
 
 def _scalar_sum(k: int, s: int, coef: Callable[[Partition], Fraction]) -> Fraction:
@@ -252,26 +252,10 @@ def _scalar_sum(k: int, s: int, coef: Callable[[Partition], Fraction]) -> Fracti
 
 @cache
 def _roots_sum(k: int, s: int, basis: str, n: int) -> MPoly:
-    """sum over lam |- k, len(lam) <= s of m_lam(roots) * basis_lam(x).
-
-    Each int coordinate of m_lam(roots) on the basis 1, x, ..., x^(phi-1) has its own
-    accumulator; coordinates 1.. must collect to zero, and coordinate 0 is the sum.
-    """
-    coords: list = [{} for _ in cyclotomic_coeffs(s + 1)[1:]]
-    bases, one = [], MPoly.one(n)
-    for lam in enum_partitions(k, max_length=s):
-        c = m_lambda_at_roots(lam, s)
-        if c:
-            bases.append(base := product_over_partition(basis, lam, None, n))
-            for acc, a in zip(coords, c.coeffs):
-                if a:
-                    accumulate_product(acc, one, base, a)  # a * base, in one pass
-    value, *rest = sums = [collect(n, acc) for acc in coords]
-    if any(rest):  # the first such monomial, in the order the sum meets them
-        exps = next(exps for base in bases for exps in base.terms if any(r.coeff(exps) for r in rest))
-        v = CycInt(s + 1, [p.coeff(exps) for p in sums])
-        raise ArithmeticError(f"aggregated coefficient {v} is not a rational integer")
-    return value
+    """sum over lam |- k, len(lam) <= s of m_lam(roots) * basis_lam(x), in one ``_conv``."""
+    one = MPoly.one(n)
+    return _conv(n, ((c, one, product_over_partition(basis, lam, None, n))
+                     for lam in enum_partitions(k, max_length=s) if (c := m_lambda_at_roots(lam, s))))
 
 
 def _mono_sum(n: int, k: int, s: int, shift: int) -> MPoly:

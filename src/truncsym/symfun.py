@@ -34,6 +34,12 @@ The classical e_k and h_k are built by the same split from their own
 halves, down to e_k(x1) = x1^k for k <= 1 and h_k(x1) = x1^k.  No orbit sum
 is involved, so they stay independent of E and H.
 
+m_lambda at the s nontrivial (s+1)-th roots of unity is an ``int``: the
+arrangements of lam are counted per root power r mod s+1, a count that
+depends on gcd(r, s+1) alone, and the powers of one gcd d sum to the
+Moebius value mu((s+1)/d).  A count off that invariant raises
+``ArithmeticError``.
+
 Every argument-keyed memo is a ``functools.cache`` (E, H, classical, and the
 bodies of m_lambda and m_lambda_at_roots past validation): it stores no error
 and reports ``cache_info()``.  The classical e/h/p_lam, reread by the roots sums
@@ -44,10 +50,9 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import repeat
-from math import prod
+from math import gcd, prod
 from typing import Callable, Iterable, Optional, Sequence
 
-from .exactalg import CycInt
 from .multipoly import MPoly, _pack_terms, _shift_variables, _trusted, accumulate_product, collect
 from .partitions import (
     Partition,
@@ -207,12 +212,11 @@ def product_over_partition(
     return out
 
 
-def m_lambda_at_roots(lam: Sequence[int], s: int) -> CycInt:
-    """m_lambda evaluated at the s nontrivial (s+1)-th roots of unity.
+def m_lambda_at_roots(lam: Sequence[int], s: int) -> int:
+    """m_lambda evaluated at the s nontrivial (s+1)-th roots of unity, a rational integer.
 
     The orbit runs over distinct arrangements of lam in s slots; empty
-    (value 0) when lam has more than s parts.  The result is always fixed
-    by the Galois action, hence a rational integer in disguise.
+    (value 0) when lam has more than s parts.
     """
     lam = _validate_partition(lam)
     if s < 1:
@@ -220,12 +224,36 @@ def m_lambda_at_roots(lam: Sequence[int], s: int) -> CycInt:
     return _at_roots(lam, s)
 
 
+def _mobius(m: int) -> int:
+    """The Moebius function mu(m), by trial division."""
+    sign, p = 1, 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if m > 1 else sign
+
+
 @cache
-def _at_roots(lam: Partition, s: int) -> CycInt:
-    counts = [0] * (s + 1)  # orbit elements per power of the root, reduced once
+def _at_roots(lam: Partition, s: int) -> int:
+    """sum over the orbit of w^r, r = sum_j j * e_j mod m = s+1, with w = exp(2 pi i / m).
+
+    Multiplying the slots by a unit mod m permutes the arrangements, so the
+    count at r depends only on d = gcd(r, m), and the r with gcd(r, m) = d sum
+    w^r to mu(m/d), the sum of the primitive (m/d)-th roots of unity
+    (Ramanujan's sum c_(m/d)(1); Ramanujan, Trans. Cambridge Philos. Soc. 22, 1918).
+    """
+    m = s + 1
+    counts = [0] * m  # orbit elements per power of the root
     for exps in distinct_orbit(lam, s):
-        counts[sum(j * e for j, e in enumerate(exps, 1)) % (s + 1)] += 1
-    return CycInt(s + 1, counts)
+        counts[sum(j * e for j, e in enumerate(exps, 1)) % m] += 1
+    if any(counts[r] != counts[gcd(r, m)] for r in range(1, m)):
+        raise ArithmeticError(f"m_lambda_at_roots({lam}, s={s}): the arrangements per root power mod {m}, "
+                              f"{counts}, do not depend on gcd(power, {m}) alone")
+    return sum(_mobius(m // d) * counts[d % m] for d in range(1, m + 1) if m % d == 0)
 
 
 def _det(mat: list[list[MPoly]], n: int) -> MPoly:

@@ -28,7 +28,7 @@ def render_terms(terms: Iterable[tuple[object, str]]) -> str:
 
 
 def dense_text(coeffs, var: str) -> str:
-    """A UniPoly or CycInt: ascending powers of var."""
+    """A UniPoly: ascending powers of var."""
     return render_terms([(c, power_text(var, e)) for e, c in enumerate(coeffs) if c])
 
 

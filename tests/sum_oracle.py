@@ -1,15 +1,14 @@
 """The roots sums, partition sums and partition products, term by term.
 
 Test oracle only: each sum is built the direct way the package's shared
-shapes replace.  ``roots_sum`` adds the integer coordinates of a ``CycInt``
-per monomial and reduces each aggregate through the ``CycInt`` constructor
-to an integer at the end; ``partition_sum`` adds one polynomial per
+shapes replace.  ``roots_sum`` adds the unreduced root-power histograms of
+``roots_oracle`` per monomial and reduces each aggregate mod Phi_(s+1) to an
+integer at the end; ``partition_sum`` adds one polynomial per
 partition, with the coefficients in their own ring; ``plain_product``
 multiplies the factors out for every call, with no memo.
 """
 
-from truncsym import identities
-from truncsym.exactalg import CycInt
+import roots_oracle
 from truncsym.multipoly import MPoly
 from truncsym.partitions import enum_partitions
 from truncsym.symfun import E, H, P, classical
@@ -23,23 +22,15 @@ def plain_product(kind: str, lam: tuple, s, n: int) -> MPoly:
 
 
 def roots_sum(k: int, s: int, basis: str, n: int) -> MPoly:
-    """sum over lam |- k, len(lam) <= s of m_lam(roots) * basis_lam, m_lam(roots) read from identities."""
-    acc: dict = {}  # exponent tuple -> coordinate list, in the order the sum meets the monomials
+    """sum over lam |- k, len(lam) <= s of m_lam(roots) * basis_lam, per monomial in the cyclotomic ring."""
+    acc: dict = {}  # exponent tuple -> root-power histogram, in the order the sum meets the monomials
     for lam in enum_partitions(k, max_length=s):
-        c = identities.m_lambda_at_roots(lam, s)
-        if c:
-            for exps, coeff in plain_product(basis, lam, None, n).terms.items():
-                coords = acc.setdefault(exps, [0] * len(c.coeffs))
-                for i, a in enumerate(c.coeffs):
-                    coords[i] += a * coeff
-    reduced = {}
-    for exps, coords in acc.items():
-        v = CycInt(s + 1, coords)
-        value = v.as_integer()
-        if value is None:
-            raise ArithmeticError(f"aggregated coefficient {v} is not a rational integer")
-        reduced[exps] = value
-    return MPoly(n, reduced)
+        raw = roots_oracle.histogram(lam, s)
+        for exps, coeff in plain_product(basis, lam, None, n).terms.items():
+            coords = acc.setdefault(exps, [0] * len(raw))
+            for i, a in enumerate(raw):
+                coords[i] += a * coeff
+    return MPoly(n, {exps: roots_oracle.constant(s + 1, coords) for exps, coords in acc.items()})
 
 
 def partition_sum(kind: str, k: int, s: int, n: int, coef) -> MPoly:

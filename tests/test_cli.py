@@ -441,6 +441,16 @@ def test_counting_commands_match_the_recorded_digests(capsys):
         assert digest == golden["cli " + " ".join(argv)], argv
 
 
+def test_partition_and_roots_ops_match_the_recorded_digests():
+    # the 3 enum_partitions and 66 m_lambda_at_roots ops of the count_enumerate workload, run in-process
+    golden = json.loads((Path(__file__).parents[1] / "bench" / "golden.json").read_text())
+    workloads = _load_bench_workloads()
+    ops = [op for op in workloads.make_ops("count_enumerate", 1) if op[0] != "cli"]
+    assert sorted(op[0] for op in ops) == ["mroots"] * 66 + ["partitions"] * 3
+    for op in ops:
+        assert workloads.digest(workloads.execute(op)) == golden[workloads.op_key(op)], op
+
+
 @pytest.mark.parametrize(
     "argv, count",
     [

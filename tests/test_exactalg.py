@@ -1,19 +1,20 @@
-"""Unit tests for the exact scalar rings."""
+"""Unit tests for the exact scalar rings, and for m_lambda at the roots of unity against the cyclotomic oracle."""
 
 import json
 import time
-from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from truncsym import exactalg
-from truncsym.exactalg import BiPoly, CycInt, UniPoly, cyclotomic_coeffs
+from truncsym.exactalg import BiPoly, UniPoly
 from truncsym.identities import verify
 from truncsym.multipoly import MPoly, specialize
+from truncsym.partitions import enum_partitions
 from truncsym.symfun import m_lambda_at_roots
 
+import roots_oracle
 from render_oracle import bipoly_json, bipoly_text, dense_text
 
 # ascending coefficients, standard table
@@ -34,14 +35,13 @@ CYCLOTOMIC_KNOWN = {
 
 def test_cyclotomic_coeffs_match_the_standard_table():
     for m, coeffs in CYCLOTOMIC_KNOWN.items():
-        assert cyclotomic_coeffs(m) == coeffs
+        assert roots_oracle.cyclotomic(m) == coeffs
 
 
 def test_cyclotomic_rejects_nonpositive_order():
-    for make in (cyclotomic_coeffs, CycInt):
-        for order in (0, -2):
-            with pytest.raises(ValueError, match=f"order must be positive, got {order}"):
-                make(order)
+    for order in (0, -2):
+        with pytest.raises(ValueError, match=f"order must be positive, got {order}"):
+            roots_oracle.cyclotomic(order)
 
 
 orders = st.integers(min_value=1, max_value=12)
@@ -51,7 +51,7 @@ dense_triples = st.tuples(unipolys, unipolys, unipolys)
 
 
 class TestCycIntRing:
-    """The ring laws of UniPoly, the one dense ring; a CycInt is a value with no arithmetic."""
+    """The ring laws of UniPoly, the one dense ring."""
 
     @given(t=dense_triples)
     def test_add_associative(self, t):
@@ -107,98 +107,77 @@ class TestCycIntRing:
         assert 5 - a == UniPoly(5) - a == -(a - 5)
 
 
-def test_cycint_is_immutable():
-    for v in (CycInt(3, [1, 2]), UniPoly([1, 2])):
+def test_unipoly_and_bipoly_are_immutable():
+    for v, attr in ((UniPoly([1, 2]), "coeffs"), (BiPoly(2), "degree")):
         with pytest.raises(AttributeError):
-            v.coeffs = (0,)
+            setattr(v, attr, 0)
 
 
 def test_the_dense_rings_refuse_each_other():
-    """A CycInt has no arithmetic, and values of two types or two orders are never equal."""
+    """A UniPoly and a BiPoly have no mixed arithmetic, and values of the two types are never equal."""
     with pytest.raises(TypeError):
-        CycInt(5, [1, 2]) + UniPoly([1, 2])
+        BiPoly(2) + UniPoly([1, 2])
     with pytest.raises(TypeError):
-        CycInt(5, [1, 2]) * 2
+        UniPoly([1, 2]) * BiPoly.term(1, 1, 0)
     with pytest.raises(TypeError):
-        UniPoly([1, 2]) - CycInt(5, [1, 2])
-    assert (CycInt(5, [1]) == UniPoly([1])) is False
-    assert (CycInt(3, 1) == CycInt(4, 1)) is False
+        UniPoly([1, 2]) - BiPoly(2)
+    assert (BiPoly(1) == UniPoly([1])) is False
 
 
-def _root_powers(order: int, exponents) -> CycInt:
-    """The sum of x^e over the exponents, each reduced by the constructor alone."""
+# -- m_lambda at the roots of unity ----------------------------------------------
+
+
+def _root_powers(order: int, exponents) -> list[int]:
+    """The sum of w^e over the exponents, w a primitive root of the order, reduced by the oracle."""
     coords = [0] * (max(exponents, default=0) + 1)
     for e in exponents:
         coords[e] += 1
-    return CycInt(order, coords)
+    return roots_oracle.remainder(order, coords)
 
 
 def test_root_power_small_orders():
-    assert _root_powers(2, [1]) == -1
-    assert _root_powers(3, [3]) == 1
-    assert _root_powers(3, [2]) == CycInt(3, [-1, -1])
-    assert _root_powers(4, [2]) == CycInt(4, [-1, 0])
+    assert _root_powers(2, [1]) == [-1]
+    assert _root_powers(3, [3]) == [1, 0]
+    assert _root_powers(3, [2]) == [-1, -1]
+    assert _root_powers(4, [2]) == [-1, 0]
 
 
 def test_full_period_of_any_root_sums_to_zero():
     # geometric sum over e = 0..s vanishes for every j, composite orders included
     for s in range(1, 7):
         for j in range(1, s + 1):
-            assert not _root_powers(s + 1, [j * e for e in range(s + 1)]), (s, j)
-
-
-def _power_sum(s: int, k: int) -> CycInt:
-    """The k-th powers of the s roots of order s + 1 other than 1, summed."""
-    return _root_powers(s + 1, [j * k for j in range(1, s + 1)])
+            assert not any(_root_powers(s + 1, [j * e for e in range(s + 1)])), (s, j)
 
 
 def test_power_sum_closed_form():
-    for s in range(1, 7):
+    # m_(k) is p_k: the k-th powers of the s roots of order s + 1 other than 1, summed
+    for s in range(1, 13):
         for k in range(1, 13):
             expected = s if k % (s + 1) == 0 else -1
-            assert _power_sum(s, k).as_integer() == expected, (s, k)
+            assert m_lambda_at_roots((k,), s) == roots_oracle.at_roots((k,), s) == expected, (s, k)
 
 
 def test_power_sum_examples():
-    assert _power_sum(3, 4) == 3
-    assert _power_sum(3, 5) == -1
-    assert _power_sum(1, 7) == -1
-    # composite order: 5 divides 10, so the sum collapses to s = 4
-    assert _power_sum(4, 10).as_integer() == 4
-
-
-def test_as_integer_detects_nonconstants():
-    assert CycInt(3, [7, 0]).as_integer() == 7
-    assert CycInt(3, [0, 1]).as_integer() is None
-    assert CycInt(4, [2, 3]).as_integer() is None
-
-
-def test_a_cycint_equals_an_integral_fraction_as_it_equals_an_int():
-    assert CycInt(3, [7, 0]) == Fraction(7) == CycInt(3, [7, 0]) == 7
-    assert CycInt(3, [7, 1]) != Fraction(7) and CycInt(3, [7]) != Fraction(7, 2)
-
-
-@given(order=orders, c=st.integers(-9, 9))
-def test_a_cycint_that_is_a_rational_integer_hashes_as_that_integer(order, c):
-    assert hash(CycInt(order, c)) == hash(c) and len({CycInt(order, [c]), c, Fraction(c)}) == 1
-    assert {CycInt(3, [0, 1]): c}[CycInt(3, [0, 1])] == c  # a value equal to no int hashes by its coordinates
+    assert m_lambda_at_roots((4,), 3) == 3
+    assert m_lambda_at_roots((5,), 3) == -1
+    assert m_lambda_at_roots((7,), 1) == -1
+    # 5 divides 10, so every fifth root's tenth power is 1 and the sum is s = 4; order 6 is composite
+    assert m_lambda_at_roots((10,), 4) == 4
+    assert m_lambda_at_roots((6,), 5) == 5 and m_lambda_at_roots((4,), 5) == -1
 
 
 @given(num=st.lists(st.integers(-9, 9), max_size=10), order=orders)
 def test_division_by_a_cyclotomic_polynomial_leaves_quotient_and_remainder(num, order):
-    den = cyclotomic_coeffs(order)
-    quo, rem = exactalg._divmod_monic(num, den)
+    den = roots_oracle.cyclotomic(order)
+    quo, rem = roots_oracle.divmod_monic(num, den)
     assert len(rem) <= len(den) - 1
     assert UniPoly(quo) * UniPoly(den) + UniPoly(rem) == UniPoly(num)
-    assert CycInt(order, num).coeffs == (*rem, *[0] * (len(den) - 1 - len(rem)))
 
 
-def test_cycint_str_and_json():
-    v = CycInt(4, [1, -2])
-    assert str(v) == "1 - 2*x" and repr(v) == "CycInt(order=4, coeffs=[1, -2])"
-    # a report carries a CycInt in its JSON as the value's text
+def test_a_roots_value_renders_in_a_report_as_its_integer():
     payload = json.loads(verify("mroots_closed_k", lam=[2, 1]).to_json())
-    assert payload["lhs"] == str(m_lambda_at_roots((2, 1), 2)) == "-1"
+    assert m_lambda_at_roots((2, 1), 2) == -1
+    assert payload["lhs"] == payload["rhs"] == "-1"
 
 
 # -- UniPoly -------------------------------------------------------------------
@@ -311,19 +290,17 @@ def test_bipoly_refuses_a_non_homogeneous_value():
 ring_coeffs = st.lists(st.sampled_from([0, 1, -1]) | st.integers(-12, 12), max_size=14)
 
 
-def _assert_renders_as_the_term_rule(coeffs, order, degree):
+def _assert_renders_as_the_term_rule(coeffs, degree):
     u = UniPoly(coeffs)
     assert str(u) == dense_text(u.coeffs, "q")
-    c = CycInt(order, coeffs)
-    assert str(c) == dense_text(c.coeffs, "x")
     b = BiPoly.homogenize(u, max(degree, u.degree))
     assert str(b) == bipoly_text(b.terms)
     assert b.to_json() == bipoly_json(b.terms)
 
 
-@given(coeffs=ring_coeffs, order=orders, degree=st.integers(0, 16))
-def test_rendering_matches_the_term_by_term_rule(coeffs, order, degree):
-    _assert_renders_as_the_term_rule(coeffs, order, degree)
+@given(coeffs=ring_coeffs, degree=st.integers(0, 16))
+def test_rendering_matches_the_term_by_term_rule(coeffs, degree):
+    _assert_renders_as_the_term_rule(coeffs, degree)
 
 
 @pytest.mark.parametrize("coeffs", [
@@ -331,5 +308,5 @@ def test_rendering_matches_the_term_by_term_rule(coeffs, order, degree):
     [0, 0, -2, -1], [1, -1, 1, -1, 1, -1, 1, -1, 1, -1, 12],
 ], ids=lambda coeffs: ",".join(map(str, coeffs)) or "zero")
 def test_rendering_edge_cases_match_the_term_by_term_rule(coeffs):
-    for order, degree in ((1, 0), (7, 3), (12, 11)):
-        _assert_renders_as_the_term_rule(coeffs, order, degree)
+    for degree in (0, 3, 11):
+        _assert_renders_as_the_term_rule(coeffs, degree)

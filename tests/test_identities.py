@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 import truncsym
 import sum_oracle
 from series_oracle import series_inverse, series_product
-from truncsym import identities
-from truncsym.exactalg import BiPoly, CycInt
+from truncsym import identities, symfun
+from truncsym.exactalg import BiPoly
 from truncsym.multipoly import MPoly
 from truncsym.symfun import E, H, classical
 from truncsym.identities import (
@@ -269,9 +269,7 @@ ONE_SIDED = {
 
 
 def _wrong(value):
-    """A value other than a nonzero value: doubled for a BiPoly, else one more (on a CycInt's constant coordinate)."""
-    if isinstance(value, CycInt):
-        return CycInt(value.order, [value.coeffs[0] + 1, *value.coeffs[1:]])
+    """A value other than a nonzero value: doubled for a BiPoly, else one more."""
     return value * 2 if isinstance(value, BiPoly) else value + 1
 
 
@@ -320,7 +318,7 @@ def test_every_sum_of_products_goes_through_the_one_kernel_entry(monkeypatch):
     monkeypatch.setattr(identities, "accumulate_product", counting)
     truncsym.clear_caches()  # a memoized side would not reach the kernel
     for name, shape in [("powsub_h", "_linear_passes"), ("vanish_e", "_linear_passes"),
-                        ("inv_H", "_partition_sum"), ("roots_H", "_roots_sum")]:
+                        ("inv_H", "_conv"), ("roots_H", "_conv")]:
         callers.clear()
         assert verify(name, n=2, k=3, s=2).holds
         assert set(callers) == {shape}, (name, callers)
@@ -434,33 +432,20 @@ def test_roots_sums_match_the_per_monomial_cyclotomic_sum(basis):
                 assert (str(got), got.to_json()) == (str(expected), expected.to_json())
 
 
-@pytest.mark.parametrize(
-    "root",
-    [lambda lam, s: CycInt(s + 1, [0, 1]), lambda lam, s: CycInt(s + 1, [0] * len(lam) + [1])],
-    ids=["x", "x^len"],
-)
-def test_a_roots_sum_off_the_integers_raises_the_per_monomial_message(root, monkeypatch):
-    # m_lam(roots) is always a rational integer; a stand-in that is not one must be refused,
-    # at the first monomial the sum meets whose aggregate is not an integer
-    monkeypatch.setattr(identities, "m_lambda_at_roots", root)
-    truncsym.clear_caches()  # neither read a warm roots sum nor leave one made with the stand-in
-    raised = 0
+def test_a_count_off_the_gcd_classes_raises_and_fails_the_point(monkeypatch):
+    # multiplying the slots by a unit mod s+1 permutes the arrangements; an orbit that lost one breaks that
+    real = symfun.distinct_orbit
+    truncsym.clear_caches()
+    H(3, 2, 2)  # the roots_H point's other side, built from the whole orbits
+    monkeypatch.setattr(symfun, "distinct_orbit", lambda lam, n: real(lam, n)[1:])
     try:
-        for n in range(1, 4):
-            for s in range(1, 5):
-                for k in range(1, 6):
-                    try:
-                        expected = sum_oracle.roots_sum(k, s, "h", n)
-                    except ArithmeticError as exc:
-                        with pytest.raises(ArithmeticError) as got:
-                            identities._roots_sum(k, s, "h", n)
-                        assert str(got.value) == str(exc), (n, k, s)
-                        raised += 1
-                    else:
-                        assert identities._roots_sum(k, s, "h", n) == expected, (n, k, s)
+        with pytest.raises(ArithmeticError, match=r"m_lambda_at_roots\(\(2, 1\), s=2\)"):
+            symfun.m_lambda_at_roots((2, 1), 2)
+        report = verify("roots_H", n=2, k=3, s=2)
     finally:
         truncsym.clear_caches()
-    assert raised > 30
+    assert not report.holds and report.rhs == ""
+    assert report.lhs.startswith("error: ArithmeticError: m_lambda_at_roots((2, 1), s=2)"), report.lhs
 
 
 # The coefficients the partition-sum checks use: ints (inv_*), Fractions over len(lam)

@@ -31,13 +31,12 @@ def test_clear_caches_empties_every_memo_table():
     assert truncsym.verify("roots_H", n=2, k=3, s=2).holds
     assert truncsym.bisnomial(3, 2, 2) == 6
     assert str(truncsym.gaussian(4, 2)) == "1 + q + 2*q^2 + q^3 + q^4"
-    truncsym.cyclotomic_coeffs(6)
     assert truncsym.verify("conv_roots_h", n=2, k=3, s=2).holds
     assert truncsym.verify("vanish_h", n=2, k=3, s=2).holds
     filled = _filled_caches()
     for table in ("symfun.E", "symfun.H", "identities._pair_conv", "identities._conv_sum",
                   "identities._roots_sum", "identities._series",
-                  "bisnomial._cell", "exactalg._POWER_TEXTS", "exactalg.cyclotomic_coeffs",
+                  "bisnomial._cell", "exactalg._POWER_TEXTS",
                   "symfun._PRODUCT_CACHE", "symfun._at_roots", "multipoly._layout"):
         assert f"truncsym.{table}" in filled, table
     truncsym.clear_caches()
@@ -50,7 +49,7 @@ def test_every_cache_counts_its_hits_and_is_cleared_behind_a_rebound_name(monkey
         truncsym.E: (3, 1, 4), truncsym.H: (3, 2, 3), truncsym.classical: ("h", 2, 3),
         symfun._m_lambda: ((2, 1), 3), symfun._at_roots: ((2, 1), 2), identities._pair_conv: ("E", 2, 1, 2),
         identities._conv_sum: ("h", 2, 3, 2), identities._roots_sum: (3, 2, "h", 2), identities._series: (identities._alt_sums, "H", 2, 2),
-        truncsym.cyclotomic_coeffs: (6,), multipoly._layout: (3,),
+        multipoly._layout: (3,),
         bisnomial._cell: (bisnomial._count_step, 4, 3, 2, 1),
     }
     assert set(calls) == set(truncsym._CACHES)

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 import eval_oracle
 import laplace_oracle
+import roots_oracle
 import sum_oracle
 from series_oracle import e_series, h_series
 from truncsym import clear_caches, symfun
-from truncsym.exactalg import CycInt
 from truncsym.multipoly import MPoly, is_symmetric
 from truncsym.partitions import distinct_orbit, enum_partitions
 from truncsym.symfun import (
@@ -294,28 +294,24 @@ def test_monomials_at_roots_of_unity_goldens():
     assert m_lambda_at_roots((1, 1, 1), 3) == -1
     assert m_lambda_at_roots((2, 1), 3) == 2
     assert m_lambda_at_roots((3,), 3) == -1
-    assert m_lambda_at_roots((1, 1), 1) == CycInt(2, 0)  # more parts than slots
+    assert m_lambda_at_roots((1, 1), 1) == 0  # more parts than slots
     assert m_lambda_at_roots((3,), 2) == 2  # cube of each primitive cube root is 1
 
 
 def test_monomials_at_roots_of_unity_sum_one_root_per_orbit_element():
-    # the direct sum of a root power per arrangement, unreduced, against the histogram
-    for s in range(1, 6):
-        for k in range(9):
+    # the oracle's root powers per arrangement, unreduced, divided by Phi_(s+1): composite orders 4 to 12 included
+    for s in range(1, 13):
+        for k in range(11):
             for lam in enum_partitions(k):
-                direct = [0] * (s * k + 1)  # arrangements per raw power of the root
-                for exps in distinct_orbit(lam, s):
-                    direct[sum(j * e for j, e in enumerate(exps, 1))] += 1
-                assert m_lambda_at_roots(lam, s) == CycInt(s + 1, direct), (lam, s)
+                assert m_lambda_at_roots(lam, s) == roots_oracle.at_roots(lam, s), (lam, s)
 
 
 def test_monomials_at_roots_of_unity_are_rational_integers():
-    # Galois-fixed values collapse to honest integers even for composite s+1
+    # the value is an int for every order, composite orders included
     for s in range(1, 6):
         for k in range(7):
             for lam in enum_partitions(k):
-                v = m_lambda_at_roots(lam, s)
-                assert v.as_integer() is not None, (lam, s)
+                assert type(m_lambda_at_roots(lam, s)) is int, (lam, s)
 
 
 def test_determinant_forms_agree_with_the_classical_schur_cases():
