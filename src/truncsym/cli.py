@@ -41,8 +41,6 @@ from .symfun import E, H, P, classical, m_lambda, schur_det
 def parse_partition(text: str) -> tuple[int, ...]:
     """Accepts '3,1,1' or multiplicity form '1^2 3^1'; '' is the empty one."""
     text = text.strip()
-    if not text:
-        return ()
     parts: list[int] = []
     if "^" in text:
         for token in text.split():
@@ -60,13 +58,11 @@ def parse_partition(text: str) -> tuple[int, ...]:
 
 def parse_range(text: str) -> list[int]:
     """'3' -> [3]; '0..8' -> [0, 1, ..., 8] (inclusive)."""
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        lo_i, hi_i = int(lo), int(hi)
-        if hi_i < lo_i:
-            raise ValueError(f"empty range: {text!r}")
-        return list(range(lo_i, hi_i + 1))
-    return [int(text)]
+    lo, dots, hi = text.partition("..")
+    lo_i, hi_i = int(lo), int(hi if dots else lo)
+    if hi_i < lo_i:
+        raise ValueError(f"empty range: {text!r}")
+    return list(range(lo_i, hi_i + 1))
 
 
 def _json_line(payload) -> str:

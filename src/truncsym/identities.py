@@ -71,8 +71,9 @@ def _describe(value: object) -> str:
     if not isinstance(value, MPoly) or len(value.terms) <= 40:
         return str(value)
     import hashlib  # only a value past 40 terms needs it, so a CLI start does not load it
-    blob = json.dumps(value.to_json(), sort_keys=True).encode()
-    digest = hashlib.sha256(blob).hexdigest()[:12]
+    term = '{"coeff": "%s", "exps": [' + ", ".join(["%d"] * value.n) + "]}"  # the sort_keys dump of to_json()
+    blob = f'{{"n": {value.n}, "terms": [{", ".join([term % (c, *e) for e, c in value.canonical_terms()])}]}}'
+    digest = hashlib.sha256(blob.encode()).hexdigest()[:12]
     return f"<{len(value.terms)} terms, degree {value.degree()}, sha256 {digest}>"
 
 

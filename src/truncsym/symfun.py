@@ -35,22 +35,23 @@ halves, down to e_k(x1) = x1^k for k <= 1 and h_k(x1) = x1^k.  No orbit sum
 is involved, so they stay independent of E and H.
 
 m_lambda at the s nontrivial (s+1)-th roots of unity is an ``int``: the
-arrangements of lam are counted per root power r mod s+1, a count that
+arrangements of lam in s slots are counted per root power r mod s+1, slot by
+slot over the part multiplicities left (no orbit is listed), a count that
 depends on gcd(r, s+1) alone, and the powers of one gcd d sum to the
 Moebius value mu((s+1)/d).  A count off that invariant raises
 ``ArithmeticError``.
 
 Every argument-keyed memo is a ``functools.cache`` (E, H, classical, and the
 bodies of m_lambda and m_lambda_at_roots past validation): it stores no error
-and reports ``cache_info()``.  The classical e/h/p_lam, reread by the roots sums
-for every s, sit in a trie per (kind, n); the E/H/P products are not kept.
+and reports ``cache_info()``.  The products e/h/p_lam and E/H/P_lam sit in a trie
+per (kind, s, n), s None for the classical kinds, one product per new node.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from itertools import repeat
-from math import gcd, prod
+from math import factorial, gcd
 from typing import Callable, Iterable, Optional, Sequence
 
 from .multipoly import MPoly, _pack_terms, _shift_variables, _trusted, accumulate_product, collect
@@ -62,7 +63,7 @@ from .partitions import (
     is_partition,
 )
 
-# (kind, n) -> {part: (prefix product, children)}: a trie, as a cache keyed by prefix holds O(L^2) keys for L parts
+# (kind, s, n) -> {part: (prefix product, children)}: a trie, as a cache keyed by prefix holds O(L^2) keys for L parts
 _PRODUCT_CACHE: dict = {}
 
 
@@ -201,13 +202,15 @@ def product_over_partition(
     if kind in ("E", "H", "P"):
         if s is None:
             raise ValueError(f"kind {kind!r} needs s")
-        return prod([{"E": E, "H": H, "P": P}[kind](part, s, n) for part in lam], start=MPoly.one(n))
-    if kind not in ("e", "h", "p"):
+        factor = {"E": E, "H": H, "P": P}[kind]
+    elif kind in ("e", "h", "p"):
+        s, factor = None, lambda part, _, n: classical(kind, part, n)
+    else:
         raise ValueError(f"unknown kind: {kind!r}")
-    out, node = MPoly.one(n), _PRODUCT_CACHE.setdefault((kind, n), {})
-    for part in lam:
+    out, node = MPoly.one(n), _PRODUCT_CACHE.setdefault((kind, s, n), {})
+    for part in lam:  # a new node costs one product: its cached prefix times one factor
         if part not in node:
-            node[part] = (out * classical(kind, part, n), {})
+            node[part] = (out * factor(part, s, n), {})
         out, node = node[part]
     return out
 
@@ -215,41 +218,48 @@ def product_over_partition(
 def m_lambda_at_roots(lam: Sequence[int], s: int) -> int:
     """m_lambda evaluated at the s nontrivial (s+1)-th roots of unity, a rational integer.
 
-    The orbit runs over distinct arrangements of lam in s slots; empty
-    (value 0) when lam has more than s parts.
+    The sum runs over the distinct arrangements of lam in s slots, counted
+    per root power, not listed; it is empty (value 0) when lam has more than s parts.
     """
     lam = _validate_partition(lam)
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
-    return _at_roots(lam, s)
+    _validate_sn(s, 0)
+    return _at_roots(lam, s) if len(lam) <= s else 0  # no arrangement fits
 
 
 def _mobius(m: int) -> int:
-    """The Moebius function mu(m), by trial division."""
-    sign, p = 1, 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            sign = -sign
-        p += 1
-    return -sign if m > 1 else sign
+    """The Moebius function: mu(1) = 1, and mu(p * r) = 0 if p divides r, else -mu(r), for p the least prime of m."""
+    p = next(p for p in range(2, m + 1) if m % p == 0) if m > 1 else 1  # one level per distinct prime, log2(m) at most
+    return 1 if m == 1 else 0 if m // p % p == 0 else -_mobius(m // p)
+
+
+def _per_power(lam: Partition, s: int) -> list[int]:
+    """The arrangements of lam in s slots per root power sum_j j * e_j mod s+1, counted slot by slot: a state is
+    the multiplicities left, of each part and of the zeros, with its counts per raw power in b-bit fields of one int."""
+    m, values, b = s + 1, sorted(set(lam)) + [0], factorial(s).bit_length()  # no count exceeds s! arrangements
+    layer = {tuple(map(lam.count, values[:-1])) + (max(s - len(lam), 0),): 1}
+    for j in range(1, m):  # slot j takes one of the values left, which adds j * value to the power
+        grown: dict = {}
+        for left, fields in layer.items():
+            for i in filter(left.__getitem__, range(len(left))):
+                key = left[:i] + (left[i] - 1,) + left[i + 1:]
+                grown[key] = grown.get(key, 0) + (fields << j * values[i] * b)
+        layer = grown
+    fields, low = layer.get((0,) * len(values), 0), (1 << m * b) - 1  # no such state when lam has more than s parts
+    while fields > low:  # powers m apart are one root power; a field sums counts, so it stays below s! < 2^b
+        fields = (fields & low) + (fields >> m * b)
+    return [fields >> r * b & (1 << b) - 1 for r in range(m)]
 
 
 @cache
 def _at_roots(lam: Partition, s: int) -> int:
-    """sum over the orbit of w^r, r = sum_j j * e_j mod m = s+1, with w = exp(2 pi i / m).
+    """sum over the arrangements of lam in s slots of w^r, r = sum_j j * e_j mod m = s+1, w = exp(2 pi i / m).
 
     Multiplying the slots by a unit mod m permutes the arrangements, so the
     count at r depends only on d = gcd(r, m), and the r with gcd(r, m) = d sum
     w^r to mu(m/d), the sum of the primitive (m/d)-th roots of unity
     (Ramanujan's sum c_(m/d)(1); Ramanujan, Trans. Cambridge Philos. Soc. 22, 1918).
     """
-    m = s + 1
-    counts = [0] * m  # orbit elements per power of the root
-    for exps in distinct_orbit(lam, s):
-        counts[sum(j * e for j, e in enumerate(exps, 1)) % m] += 1
+    m, counts = s + 1, _per_power(lam, s)
     if any(counts[r] != counts[gcd(r, m)] for r in range(1, m)):
         raise ArithmeticError(f"m_lambda_at_roots({lam}, s={s}): the arrangements per root power mod {m}, "
                               f"{counts}, do not depend on gcd(power, {m}) alone")
@@ -289,17 +299,10 @@ def schur_det(lam: Sequence[int], s: int, n: int, basis: str = "h") -> MPoly:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     lam = _validate_partition(lam)
-    if basis == "h":
-        mu = lam
-        if len(mu) > n:
-            raise ValueError(f"partition has {len(mu)} parts, more than n={n}")
-        ctor = H
-    elif basis == "e":
-        mu = conjugate(lam)
-        if len(mu) > n:
-            raise ValueError(f"conjugate has {len(mu)} parts, more than n={n}")
-        ctor = E
-    else:
+    if basis not in ("h", "e"):
         raise ValueError(f"basis must be 'h' or 'e', got {basis!r}")
+    mu, ctor = (lam, H) if basis == "h" else (conjugate(lam), E)
+    if len(mu) > n:
+        raise ValueError(f"{'partition' if basis == 'h' else 'conjugate'} has {len(mu)} parts, more than n={n}")
     size = len(mu)
     return _det([[ctor(mu[i] - i + j, s, n) for j in range(size)] for i in range(size)], n)

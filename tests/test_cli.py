@@ -441,6 +441,21 @@ def test_counting_commands_match_the_recorded_digests(capsys):
         assert digest == golden["cli " + " ".join(argv)], argv
 
 
+# sha256 of stdout shapes that bench/golden.json does not cover: the whole registry as text, and the q and pq tables as text
+PINNED_TEXT = {
+    "verify --id all --deterministic --format text": "e2ffca4b7fede4bfe7f2d66c065df591fb308972b01bc1ee3ff0ff39999e0a7b",
+    "bisnomial --table --flavor q --n 6 --s 2 --format text": "d0bea8443d606e4fa1b46b540735bc694fb58851f2531b5f5f59bd6e81ab9b54",
+    "bisnomial --table --flavor pq --n 6 --s 2 --format text": "b8748ac4a2d9f68e7477ff611676f22e004a024989b3f282e6f9bccef4cc51e7",
+}
+
+
+@pytest.mark.parametrize("line", PINNED_TEXT)
+def test_text_outputs_match_their_pinned_digests(capsys, line):
+    code, out, _ = run_cli(capsys, *line.split())
+    assert code == 0, line
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_TEXT[line], line
+
+
 def test_partition_and_roots_ops_match_the_recorded_digests():
     # the 3 enum_partitions and 66 m_lambda_at_roots ops of the count_enumerate workload, run in-process
     golden = json.loads((Path(__file__).parents[1] / "bench" / "golden.json").read_text())

@@ -1,5 +1,6 @@
 """Unit tests for the identity registry and the verification runners."""
 
+import hashlib
 import json
 import sys
 from fractions import Fraction
@@ -124,6 +125,18 @@ def test_large_polynomials_are_reported_as_digests():
     assert r.holds
     assert r.lhs == r.rhs
     assert r.lhs.startswith("<") and "terms, degree" in r.lhs and "sha256" in r.lhs
+
+
+@pytest.mark.parametrize("n", [1, 8])
+def test_a_digest_hashes_the_sorted_json_of_the_value(n):
+    # the digest's text is written from a template; json.dumps of the value's dict is the oracle
+    coeffs = [Fraction(-3, 7), -2, Fraction(5, 2), 1, -1, 12345678901234567890]
+    for size in (41, 97):
+        exps = [tuple((j * 7 + i * 3) % 11 for i in range(n - 1)) + (j,) for j in range(size)]
+        value = MPoly(n, {e: coeffs[j % len(coeffs)] for j, e in enumerate(exps)})
+        blob = json.dumps(value.to_json(), sort_keys=True).encode()
+        expected = f"<{size} terms, degree {value.degree()}, sha256 {hashlib.sha256(blob).hexdigest()[:12]}>"
+        assert identities._describe(value) == expected, (n, size)
 
 
 FOLDED, RAISED = [ZeroDivisionError, RuntimeError, ArithmeticError], [ValueError, OverflowError]
@@ -433,11 +446,17 @@ def test_roots_sums_match_the_per_monomial_cyclotomic_sum(basis):
 
 
 def test_a_count_off_the_gcd_classes_raises_and_fails_the_point(monkeypatch):
-    # multiplying the slots by a unit mod s+1 permutes the arrangements; an orbit that lost one breaks that
-    real = symfun.distinct_orbit
+    # multiplying the slots by a unit mod s+1 permutes the arrangements; a slot count that lost one breaks that
+    real = symfun._per_power
+
+    def lose_one(lam, s):  # the walk drops one arrangement at its first power that has any
+        counts = real(lam, s)
+        counts[next(r for r, c in enumerate(counts) if c)] -= 1
+        return counts
+
     truncsym.clear_caches()
-    H(3, 2, 2)  # the roots_H point's other side, built from the whole orbits
-    monkeypatch.setattr(symfun, "distinct_orbit", lambda lam, n: real(lam, n)[1:])
+    H(3, 2, 2)  # the roots_H point's other side, built without the slot count
+    monkeypatch.setattr(symfun, "_per_power", lose_one)
     try:
         with pytest.raises(ArithmeticError, match=r"m_lambda_at_roots\(\(2, 1\), s=2\)"):
             symfun.m_lambda_at_roots((2, 1), 2)

@@ -1,5 +1,6 @@
 """Unit tests for the truncated symmetric function constructors."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -277,15 +278,28 @@ def test_a_classical_product_memo_grows_with_the_parts_not_their_square():
     assert held < 4 * 2**20
 
 
-def test_truncated_products_are_not_memoized():
+def test_every_kind_of_product_sits_in_one_trie_per_kind_s_and_n():
     clear_caches()
     try:
-        product_over_partition("E", (2, 1), 2, 2)
-        product_over_partition("h", (2, 1), None, 2)
-        assert list(symfun._PRODUCT_CACHE) == [("h", 2)]  # one trie, holding (2,) and (2, 1)
-        assert list(symfun._PRODUCT_CACHE[("h", 2)][2][1]) == [1]
-    finally:
+        for kind in ("E", "H", "P", "e", "h", "p"):
+            for s in (2, 3):
+                product_over_partition(kind, (2, 1), s, 2)  # s does not split a classical trie
+                product_over_partition(kind, (2,), s, 2)
+        product_over_partition("E", (2, 1), 2, 3)
+        tries = {(kind, s, 2) for kind in "EHP" for s in (2, 3)} | {("E", 2, 3)} | {(kind, None, 2) for kind in "ehp"}
+        assert set(symfun._PRODUCT_CACHE) == tries
+        for (kind, s, n), trie in symfun._PRODUCT_CACHE.items():
+            assert list(trie) == [2] and list(trie[2][1]) == [1] and trie[2][1][1][1] == {}  # (2,), then (2, 1)
+            assert trie[2][1][1][0] == sum_oracle.plain_product(kind, (2, 1), s, n), (kind, s, n)
         clear_caches()
+        assert symfun._PRODUCT_CACHE == {}
+        tracemalloc.start()
+        product_over_partition("E", (1,) * 3000, 1, 1)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        clear_caches()
+    assert held < 4 * 2**20  # one node per part, as for the classical trie
 
 
 def test_monomials_at_roots_of_unity_goldens():
@@ -304,6 +318,19 @@ def test_monomials_at_roots_of_unity_sum_one_root_per_orbit_element():
         for k in range(11):
             for lam in enum_partitions(k):
                 assert m_lambda_at_roots(lam, s) == roots_oracle.at_roots(lam, s), (lam, s)
+
+
+def test_the_slot_count_matches_a_brute_force_over_the_arrangements():
+    # every distinct permutation of lam padded with zeros to s slots, one at a time, per raw root power
+    for s in range(1, 9):
+        for k in range(11):
+            for lam in enum_partitions(k, max_length=s):
+                raw = [0] * (s * k + 1)
+                for exps in set(itertools.permutations(lam + (0,) * (s - len(lam)))):
+                    raw[sum(j * e for j, e in enumerate(exps, 1))] += 1
+                assert tuple(raw) == roots_oracle.histogram(lam, s), (lam, s)
+                assert symfun._per_power(lam, s) == [sum(raw[r::s + 1]) for r in range(s + 1)], (lam, s)
+                assert m_lambda_at_roots(lam, s) == roots_oracle.constant(s + 1, raw), (lam, s)
 
 
 def test_monomials_at_roots_of_unity_are_rational_integers():
