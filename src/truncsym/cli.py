@@ -8,7 +8,8 @@ combinatorial models), ``bisnomial`` (triangle values and tables) and
 stdout carries only the payload and is byte-stable for fixed inputs;
 timing goes to stderr and is silenced by ``--deterministic``.  Each
 handler yields its payload in chunks (a table row, a block of listed
-objects, a report line) and returns the exit code; ``run`` writes each
+objects or of a value's terms, a report line) and returns the exit code;
+a value is sorted before its first chunk.  ``run`` writes each
 chunk to stdout or to ``--out``, opened at the first chunk.  Exit code
 0 on success, 1 when a verification found a failing identity, 2 on bad
 arguments, a sweep with no valid point, a point whose values the package
@@ -30,10 +31,10 @@ from itertools import chain
 from typing import Iterable, Iterator, Optional
 
 from .bisnomial import _table_rows, bisnomial, pq_bisnomial, q_bisnomial
-from .combinatorics import _BLOCK, _svg_chunks, describe_line, enum_objects
+from .combinatorics import _svg_chunks, describe_line, enum_objects
 from .exactalg import UniPoly
 from .identities import NoValidPoint, default_grid, list_identities, verify_grid
-from .multipoly import MPoly
+from .multipoly import _BLOCK, MPoly, _json_chunks
 from .partitions import is_partition
 from .symfun import E, H, P, classical, m_lambda, schur_det
 
@@ -95,11 +96,11 @@ def _csv_stream(header: list[str], blocks: Iterable[list]) -> Iterator[str]:
         yield "".join(",".join(map(_csv_field, row)) + "\r\n" for row in block)
 
 
-def _json_stream(head: dict, key: str, blocks: Iterable[str], tail: str = "") -> Iterator[str]:
-    """The JSON line of head, then key: every item, then the text tail; each block is its items' JSON text, joined."""
+def _json_stream(head: dict, key: str, blocks: Iterable[str], tail: Iterable[str] = ("]}\n",)) -> Iterator[str]:
+    """The JSON line of head, then key: every item (a block is its items' JSON, joined), then the closing chunks."""
     yield f'{_json_line(head)[:-1]}, "{key}": ['
     yield from _joined(blocks, ", ")
-    yield f"]{tail}}}\n"
+    yield from tail
 
 
 def _value_json(value) -> str:
@@ -133,8 +134,10 @@ def _cmd_expand(args: argparse.Namespace) -> Iterator[str]:
             raise ValueError(f"kind {kind} needs --k, --s and --n")
         poly = {"E": E, "H": H, "P": P}[kind](args.k, args.s, args.n)
         meta.update(k=args.k, s=args.s, n=args.n)
-    # the parser allows text or json only
-    yield f"{poly}\n" if args.format == "text" else f'{_json_line(meta)[:-1]}, "poly": {poly.to_json_text()}}}\n'
+    if args.format == "text":  # the parser allows text or json only
+        yield f"{poly}\n"
+    else:  # a block of terms at a time, all sorted before the first
+        yield from _json_chunks(poly, _json_line(meta)[:-1] + ', "poly": ', "}\n")
     return 0
 
 
@@ -192,7 +195,7 @@ def _cmd_objects(args: argparse.Namespace) -> Iterator[str]:
         for obj, weight, sign in block
     ) for block in blocks)
     head = {"objects": objects, "n": n, "k": k, "s": s, "model": model, "count": len(rows)}
-    yield from _json_stream(head, "items", items, f', "weight_sum": {total.to_json_text()}')
+    yield from _json_stream(head, "items", items, _json_chunks(total, '], "weight_sum": ', "}\n"))
     return 0
 
 
@@ -238,9 +241,9 @@ def _cmd_schur(args: argparse.Namespace) -> Iterator[str]:
             f"equal: {'undefined' if equal is None else str(equal).lower()}\n"
         )
     else:  # the parser allows text or json only
-        h_json, e_json = ("null" if poly is None else poly.to_json_text() for poly in (h_poly, e_poly))
-        head = _json_line({"lam": list(lam), "s": s, "n": n})[:-1]
-        yield f'{head}, "h_basis": {h_json}, "e_basis": {e_json}, "equal": {_json_line(equal)}}}\n'
+        h_json, e_json = (["null"] if poly is None else _json_chunks(poly) for poly in (h_poly, e_poly))  # both sorted now
+        head = _json_line({"lam": list(lam), "s": s, "n": n})[:-1] + ', "h_basis": '
+        yield from chain([head], h_json, [', "e_basis": '], e_json, [f', "equal": {_json_line(equal)}}}\n'])
     return 0
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .multipoly import MPoly, _monomial_text
+from .multipoly import _BLOCK, MPoly, _monomial_text
 from .partitions import distinct_orbit, enum_partitions
 
 Path = str
@@ -156,7 +156,6 @@ def describe_line(obj: str, weight: tuple[int, ...], sign: int, model: str) -> s
 _CELL = 24
 _PAD = 14
 _PER_ROW = 4
-_BLOCK = 256  # objects a chunk, in every listing format
 
 
 def _path_panel(path: Path, ox: int, oy: int, cols: int, rows: int) -> str:

@@ -42,11 +42,11 @@ propagate and which fold into a failed report.
 
 from __future__ import annotations
 
-import json
 import time
 from fractions import Fraction
 from functools import cache, partial
 from itertools import count, islice, product as _cartesian
+from json.encoder import encode_basestring_ascii as _quote
 from math import comb, factorial, lcm, prod
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
@@ -88,10 +88,11 @@ class IdentityReport(NamedTuple):
     elapsed: float
 
     def to_json(self, *, include_elapsed: bool = True) -> str:
-        payload = dict(self._asdict(), params=dict(sorted(self.params.items())), elapsed=round(self.elapsed, 6))
-        if not include_elapsed:
-            del payload["elapsed"]
-        return json.dumps(payload, separators=(", ", ": "))
+        """The fields as json.dumps(..., separators=(", ", ": ")) writes them, params (ints, int lists) sorted."""
+        params = ", ".join([f"{_quote(key)}: {value}" for key, value in sorted(self.params.items())])
+        tail = f', "elapsed": {round(self.elapsed, 6)!r}' if include_elapsed else ""
+        name, holds, lhs, rhs = _quote(self.identity_id), str(self.holds).lower(), _quote(self.lhs), _quote(self.rhs)
+        return f'{{"identity_id": {name}, "params": {{{params}}}, "holds": {holds}, "lhs": {lhs}, "rhs": {rhs}{tail}}}'
 
 
 class IdentitySpec(NamedTuple):

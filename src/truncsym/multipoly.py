@@ -14,11 +14,13 @@ checks (1 2) and the n-cycle, which generate S_n.  The rationals have no zero
 divisors, so a product is filtered for zeros only when it has many-term
 operands, whose pairs may cancel.  Exponent tuples appear only at the API
 edge: ``terms`` is a tuple-keyed view unpacked on demand, and one packing
-step, shared by the constructor and the orbit sums, packs many tuples at once
-and refuses an exponent of 2**31 or more.
+step, shared by the constructor and the orbit sums, packs many tuples (an
+orbit walked lazily) and refuses an exponent of 2**31 or more.
 
 Canonical order is graded lexicographic (total degree, then exponent tuple),
-from one sort that ``canonical_terms``, ``to_json`` and ``to_json_text`` read.
+from one sort that ``canonical_terms``, ``to_json`` and ``_json_chunks`` read.
+The last sorts at its call, then yields the JSON payload a block of _BLOCK
+terms at a time, so no text as large as the value is held; ``to_json_text`` joins it.
 ``str`` groups terms in blocks sharing an exponent multiset (cosmetic only), by
 a sort key built per term from one unpack; the one memo is the per-n key layout.
 """
@@ -29,9 +31,9 @@ import struct
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache, reduce
-from itertools import product as _pairs, repeat, starmap
+from itertools import chain, product as _pairs, repeat, starmap
 from operator import or_
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .exactalg import BiPoly, UniPoly, _power, _render_terms
 
@@ -41,6 +43,7 @@ Monomial = tuple[int, ...]
 _SCALAR_TYPES = (int, Fraction)
 _LIMIT = 2**31  # every stored exponent is below this
 _FIELD = 2**32 - 1  # one field's bits; 2**32 = 1 modulo it, so a key folds to its field sum
+_BLOCK = 256  # terms or listed objects a chunk, in every streamed payload
 
 
 @cache
@@ -317,9 +320,15 @@ class MPoly:
 
     def to_json_text(self) -> str:
         """json.dumps(self.to_json(), separators=(", ", ": ")), written with no dict per term."""
-        term = '{"exps": [' + ", ".join(["%d"] * self.n) + '], "coeff": "%s"}'
-        terms = ", ".join([term % (*exps, c) for _, exps, c in _graded_rows(self)])
-        return f'{{"n": {self.n}, "terms": [{terms}]}}'
+        return "".join(_json_chunks(self))
+
+
+def _json_chunks(p: MPoly, head: str = "", tail: str = "") -> Iterator[str]:
+    """head + p.to_json_text() + tail: the head, then _BLOCK terms a chunk; all sorted at the call, before any chunk."""
+    rows, term = _graded_rows(p), '{"exps": [' + ", ".join(["%d"] * p.n) + '], "coeff": "%s"}'
+    blocks = ((", " if i else "") + ", ".join([term % (*exps, c) for _, exps, c in rows[i:i + _BLOCK]])
+              for i in range(0, len(rows), _BLOCK))
+    return chain([f'{head}{{"n": {p.n}, "terms": ['], blocks, [f"]}}{tail}"])
 
 
 _set_n, _set_packed = MPoly.n.__set__, MPoly._packed.__set__  # the slots, past __setattr__

@@ -4,14 +4,16 @@ Partitions are plain tuples of weakly decreasing positive integers; the
 empty partition is ``()``.  Enumeration is reverse lexicographic (largest
 first part first), which keeps every downstream report byte-stable.  It
 keeps one level per part on an explicit stack instead of recursing, so a
-partition may have any number of parts.
+partition may have any number of parts.  An orbit is walked lazily, one
+arrangement at a time: ``distinct_orbit`` lists the walk, and the orbit sums
+of ``symfun`` pack each arrangement as it comes, holding no list of them.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from math import factorial
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 Partition = tuple[int, ...]
 
@@ -105,20 +107,25 @@ def distinct_orbit(lam: Partition, n: int) -> list[tuple[int, ...]]:
     Empty when lam has more than n parts.  Ordered descending
     lexicographically, starting from the padded partition itself.
     """
-    lam = tuple(lam)
     if n < 0:
         raise ValueError(f"length must be >= 0, got {n}")
+    return list(_orbit(tuple(lam), n))
+
+
+def _orbit(lam: Partition, n: int) -> Iterator[tuple[int, ...]]:
+    """distinct_orbit(lam, n), walked lazily in one list rearranged in place (Knuth's Algorithm L,
+    TAOCP 4A, 7.2.1.2); nothing when lam has more than n parts."""
     if len(lam) > n:
-        return []
+        return
     a = sorted(lam + (0,) * (n - len(lam)), reverse=True)
-    out = [tuple(a)]
     last = n - 1
     while True:
+        yield tuple(a)
         i = last - 1
         while i >= 0 and a[i] <= a[i + 1]:
             i -= 1
         if i < 0:
-            return out
+            return
         j = last
         while a[j] >= a[i]:
             j -= 1
@@ -128,4 +135,3 @@ def distinct_orbit(lam: Partition, n: int) -> list[tuple[int, ...]]:
             a[lo], a[hi] = a[hi], a[lo]
             lo += 1
             hi -= 1
-        out.append(tuple(a))

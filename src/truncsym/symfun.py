@@ -10,8 +10,9 @@ their generating products at degree s:
 At s = 1 they reduce to e_k and h_k; at s >= k, E reduces to the full
 monomial sum h_k restricted to exponents <= s (equal to h_k when s = k).
 
-Both are built as sums over partition orbits, so the work grows with the
-output, not with the degree s*n of the generating product: E(k, s, n) sums
+Both are built as sums over partition orbits, each walked lazily into the
+value's dict, so the work and the peak memory grow with the output, not
+with the degree s*n of the generating product: E(k, s, n) sums
 m_lam over lam |- k with parts <= s, and H(k, s, n) sums (-1)^(k + r) m_lam
 over lam |- k with parts congruent to 0 or 1 mod s+1, r of them to 1.
 
@@ -57,8 +58,8 @@ from typing import Callable, Iterable, Optional, Sequence
 from .multipoly import MPoly, _pack_terms, _shift_variables, _trusted, accumulate_product, collect
 from .partitions import (
     Partition,
+    _orbit,
     conjugate,
-    distinct_orbit,
     enum_partitions,
     is_partition,
 )
@@ -137,8 +138,8 @@ def _split(F: Callable[[int, int, int], MPoly], one: Callable[[int], int], d: in
 
 
 def _orbit_sum(n: int, signed: Iterable[tuple[Partition, int]]) -> MPoly:
-    """sum of c * m_lam over (lam, c), c = +-1: each orbit element packed once, into the dict the value adopts."""
-    return _trusted(n, _pack_terms(n, ((distinct_orbit(lam, n), repeat(c)) for lam, c in signed)))
+    """sum of c * m_lam over (lam, c), c = +-1: each orbit walked lazily, its elements packed into the value's dict."""
+    return _trusted(n, _pack_terms(n, ((_orbit(lam, n), repeat(c)) for lam, c in signed)))
 
 
 def _guard(family: str, k: int, s: int, n: int, val: MPoly, split: MPoly) -> MPoly:

@@ -18,7 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import truncsym
-from truncsym import cli
+from truncsym import cli, multipoly
 from truncsym.bisnomial import bisnomial, pq_bisnomial, q_bisnomial
 from truncsym.combinatorics import enum_objects, weight_sum
 from truncsym.exactalg import UniPoly
@@ -466,6 +466,17 @@ def test_partition_and_roots_ops_match_the_recorded_digests():
         assert workloads.digest(workloads.execute(op)) == golden[workloads.op_key(op)], op
 
 
+def test_fuzz_ops_and_point_digests_match_the_recorded_digests():
+    # the 522 structural fuzz ops of the fuzz_warm workload, then the full E and H digests at its 99 points
+    golden = json.loads((Path(__file__).parents[1] / "bench" / "golden.json").read_text())
+    workloads = _load_bench_workloads()
+    ops = workloads.all_fuzz_ops()
+    assert len(ops) == 522
+    for op in ops:
+        assert workloads.digest(workloads.execute(op)) == golden[workloads.op_key(op)], op
+    assert workloads.check_points(ops, golden) == (99, [])
+
+
 @pytest.mark.parametrize(
     "argv, count",
     [
@@ -718,7 +729,8 @@ class _Chunks:
 @pytest.mark.parametrize("argv, chunks", [
     # 2128 paths: 9 blocks of at most 256 lines, the count and weight_sum lines, the last newline
     (["paths", "--model", "E", "--n", "7", "--k", "10", "--s", "3"], 11),
-    (["tilings", "--model", "E", "--n", "7", "--k", "10", "--s", "3", "--format", "json"], 11),
+    # the head, the 9 blocks of items, the weight_sum head, its 2128 terms in 9 blocks of at most 256, the close
+    (["tilings", "--model", "E", "--n", "7", "--k", "10", "--s", "3", "--format", "json"], 21),
     # the svg head, the same 9 blocks as panels, the close
     (["paths", "--model", "E", "--n", "7", "--k", "10", "--s", "3", "--format", "svg"], 11),
     # the header or the head, then one chunk per row m = 0..20 (a json table adds its tail)
@@ -730,6 +742,39 @@ def test_listings_and_tables_go_out_a_block_or_a_row_at_a_time(argv, chunks):
     with contextlib.redirect_stdout(sink):
         assert cli.run([*argv, "--deterministic"]) == 0
     assert len(sink.written) == chunks
+
+
+@pytest.mark.parametrize("argv, chunks", [
+    # e_3 in 14 variables has 364 terms: the head, 2 blocks of at most 256 terms, the close
+    (["expand", "--kind", "e", "--k", "3", "--n", "14"], 4),
+    # 441 terms in each basis: the head, then per basis its head, 2 blocks and its close, then the tail
+    (["schur", "--lambda", "3,2,1", "--s", "2", "--n", "6"], 11),
+], ids=["expand", "schur"])
+def test_a_large_value_goes_out_a_block_of_terms_at_a_time(capsys, argv, chunks):
+    sink = _Chunks()
+    with contextlib.redirect_stdout(sink):
+        assert cli.run([*argv, "--format", "json", "--deterministic"]) == 0
+    assert len(sink.written) == chunks
+    assert "".join(sink.written) == json.dumps(_whole_payload(argv), separators=(", ", ": ")) + "\n"
+
+
+@pytest.mark.parametrize("argv, sorts", [
+    (["expand", "--kind", "e", "--k", "3", "--n", "14"], 1),
+    (["schur", "--lambda", "3,2,1", "--s", "2", "--n", "6"], 2),  # the e basis is sorted before the h basis goes out
+    (["paths", "--model", "H", "--n", "4", "--k", "6", "--s", "2"], 1),  # the weight_sum, before the items go out
+], ids=["expand", "schur", "listing"])
+def test_a_sort_that_runs_out_of_memory_writes_nothing(capsys, monkeypatch, argv, sorts):
+    graded_rows, calls = multipoly._graded_rows, []
+
+    def exhausted_at_the_last_sort(p):
+        calls.append(p)
+        if len(calls) == sorts:
+            raise MemoryError
+        return graded_rows(p)
+
+    monkeypatch.setattr(multipoly, "_graded_rows", exhausted_at_the_last_sort)
+    assert run_cli(capsys, *argv, "--format", "json", "--deterministic") == (2, "", "error: out of memory\n")
+    assert len(calls) == sorts
 
 
 class _Discard:

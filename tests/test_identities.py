@@ -139,6 +139,42 @@ def test_a_digest_hashes_the_sorted_json_of_the_value(n):
         assert identities._describe(value) == expected, (n, size)
 
 
+def _report_json_oracle(report: IdentityReport, include_elapsed: bool) -> str:
+    """The report line as json.dumps writes the report's fields, params sorted by name."""
+    payload = dict(report._asdict(), params=dict(sorted(report.params.items())), elapsed=round(report.elapsed, 6))
+    if not include_elapsed:
+        del payload["elapsed"]
+    return json.dumps(payload, separators=(", ", ": "))
+
+
+REPORT_TEXTS = st.one_of(st.text(), st.sampled_from(['error: ValueError: "x" \\ \u00e9 \u2211 \U0001f600', "\n\t\x00\x7f"]))
+
+
+@given(
+    st.sampled_from(list(REGISTRY)),
+    st.one_of(
+        st.fixed_dictionaries({"n": st.integers(1, 9), "k": st.integers(-3, 99), "s": st.integers(1, 9)}),
+        st.fixed_dictionaries({"k": st.integers(0, 9), "s": st.integers(1, 9)}),
+        st.fixed_dictionaries({"lam": st.lists(st.integers(1, 12), max_size=6)}),
+    ),
+    st.booleans(), REPORT_TEXTS, REPORT_TEXTS,
+    st.one_of(st.floats(0, 1e4, allow_nan=False), st.sampled_from([0.0, 1e-9, 0.1234565, 2.5e-7, 123456.7890123])),
+)
+def test_a_report_line_is_the_json_dump_of_its_fields(name, params, holds, lhs, rhs, elapsed):
+    # quotes, backslashes, control and non-ASCII characters in the texts; a lam point; elapsed on and off
+    report = IdentityReport(name, params, holds, lhs, rhs, elapsed)
+    for include_elapsed in (True, False):
+        assert report.to_json(include_elapsed=include_elapsed) == _report_json_oracle(report, include_elapsed)
+
+
+def test_the_reports_of_a_sweep_are_the_json_dumps_of_their_fields():
+    reports = [*verify_grid("mroots_closed_k", {"k": range(2, 6)}), *verify_grid("ortho", default_grid("ortho"))]
+    reports.append(IdentityReport("ortho", {"n": 1, "k": 0, "s": 1}, False, 'error: ArithmeticError: "\u00e9" \\', "", 0.5))
+    for report in reports:
+        for include_elapsed in (True, False):
+            assert report.to_json(include_elapsed=include_elapsed) == _report_json_oracle(report, include_elapsed)
+
+
 FOLDED, RAISED = [ZeroDivisionError, RuntimeError, ArithmeticError], [ValueError, OverflowError]
 
 

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from truncsym import cli
 from truncsym.exactalg import BiPoly, UniPoly
 from truncsym.multipoly import (
+    _BLOCK,
     MPoly,
+    _json_chunks,
     accumulate_product,
     collect,
     is_symmetric,
@@ -302,6 +304,22 @@ JSON_POLYS = st.integers(0, 4).flatmap(lambda n: st.dictionaries(
 @example(MPoly(0, {(): Fraction(-3, 7)}))
 def test_the_json_writer_gives_the_dump_of_to_json(p):
     assert p.to_json_text() == json.dumps(p.to_json(), separators=(", ", ": "))
+
+
+@pytest.mark.parametrize("n, count", [
+    (0, 0), (0, 1), (2, 0), (2, 1), (2, _BLOCK - 1), (2, _BLOCK), (2, _BLOCK + 1), (3, 2 * _BLOCK + 1),
+])
+def test_the_json_chunks_join_to_the_dump_of_to_json(n, count):
+    # int and Fraction coefficients of both signs, on distinct monomials of mixed degrees
+    coeffs = [Fraction(-3, 7), -5, 2**70, Fraction(1, 2), -1]
+    p = MPoly(n, {(i % 17, i // 17, i % 3)[:n]: coeffs[i % 5] for i in range(count)})
+    assert len(p.terms) == count
+    want = json.dumps(p.to_json(), separators=(", ", ": "))
+    chunks = list(_json_chunks(p, "<head>", "<tail>"))
+    assert chunks[0] == f'<head>{{"n": {n}, "terms": ['
+    assert len(chunks) == 2 + -(-count // _BLOCK)  # the head, a chunk per block of terms, the close
+    assert "".join(chunks) == f"<head>{want}<tail>"
+    assert p.to_json_text() == want
 
 
 def test_an_orbit_sum_past_the_exponent_limit_is_refused_with_one_message(capsys):

@@ -25,6 +25,18 @@ def _filled_caches():
     return filled
 
 
+def test_the_public_api_is_every_name_the_package_binds_from_its_modules():
+    # __all__ is computed: each of its names is defined in the package (REGISTRY is a dict, made in identities),
+    # no submodule or name from outside the package joins it, and a star import binds exactly those names
+    for name in truncsym.__all__:
+        value = getattr(truncsym, name)
+        assert getattr(value, "__module__", "").startswith("truncsym") or value is identities.REGISTRY, name
+    assert len(truncsym.__all__) == 42 and {"MPoly", "E", "distinct_orbit", "verify"} <= set(truncsym.__all__)
+    namespace: dict = {}
+    exec("from truncsym import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == truncsym.__all__
+
+
 def test_clear_caches_empties_every_memo_table():
     assert truncsym.verify("cubic_E", n=2, k=3, s=2).holds
     assert truncsym.verify("conversion:pq", n=3, k=2, s=2).holds

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from truncsym.partitions import (
+    _orbit,
     conjugate,
     distinct_orbit,
     enum_partitions,
@@ -110,6 +111,21 @@ def test_orbit_golden():
     assert len(distinct_orbit((2, 1, 1), 4)) == 12
     assert distinct_orbit((1, 1), 1) == []
     assert distinct_orbit((), 2) == [(0, 0)]
+
+
+def test_an_orbit_of_a_negative_length_is_refused():
+    with pytest.raises(ValueError, match="length must be >= 0"):
+        distinct_orbit((1,), -1)
+    with pytest.raises(ValueError, match="length must be >= 0"):
+        distinct_orbit((), -1)
+
+
+def test_the_orbit_walk_is_lazy():
+    # (1, 1, 1) has C(4000, 3), about 1.1e10, arrangements in 4000 slots: only the ones taken are made
+    first = list(itertools.islice(_orbit((1, 1, 1), 4000), 3))
+    assert [tuple(i for i, e in enumerate(a) if e) for a in first] == [(0, 1, 2), (0, 1, 3), (0, 1, 4)]
+    assert list(_orbit((2, 1), 3)) == distinct_orbit((2, 1), 3)
+    assert list(_orbit((1, 1), 1)) == []
 
 
 def test_orbit_is_sorted_descending_lex():

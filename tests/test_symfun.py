@@ -42,6 +42,20 @@ def test_m_lambda_is_the_orbit_sum():
         m_lambda((1, 2), 3)
 
 
+def test_an_orbit_sum_peaks_at_about_the_memory_its_value_holds():
+    # the orbit is walked into the packed dict: no list of its 9880 n-tuples is held (3.0x the value when it was)
+    MPoly.zero(40)  # the key layout of 40 variables, made once
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        value = symfun._orbit_sum(40, [((1, 1, 1), 1)])
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(value.terms) == 9880
+    assert peak - before < 1.5 * (held - before)
+
+
 def test_classical_goldens():
     x1, x2 = MPoly.variable(2, 1), MPoly.variable(2, 2)
     assert classical("e", 2, 3) == m_lambda((1, 1), 3)
