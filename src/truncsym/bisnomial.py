@@ -34,6 +34,7 @@ from operator import add, sub
 from typing import Iterator
 
 from .exactalg import BiPoly, UniPoly
+from .symfun import _validate_sn
 
 
 def _reflect(value: UniPoly, n: int, s: int) -> UniPoly:
@@ -91,16 +92,9 @@ def _gaussian_step(below: list, row: list, m: int, stop: int, s: int) -> None:
         row.append(UniPoly(out))
 
 
-def _validate(n: int, s: int) -> None:
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
-
-
 def bisnomial(n: int, k: int, s: int) -> int:
     """Coefficient of t^k in (1 + t + ... + t^s)^n."""
-    _validate(n, s)
+    _validate_sn(s, n)
     if k < 0 or k > s * n:
         return 0
     return _cell(_count_step, n, min(k, s * n - k), s, 1)
@@ -108,7 +102,7 @@ def bisnomial(n: int, k: int, s: int) -> int:
 
 def gaussian(n: int, k: int) -> UniPoly:
     """Gaussian binomial coefficient as a polynomial in q."""
-    _validate(n, 1)
+    _validate_sn(1, n)
     if k < 0 or k > n:
         return UniPoly()
     return _cell(_gaussian_step, n, min(k, n - k), 1, UniPoly(1))
@@ -120,7 +114,7 @@ def q_bisnomial(n: int, k: int, s: int) -> UniPoly:
     Satisfies Q(n, k) = sum_j q^(j*(n-1)) Q(n-1, k-j) over j = 0..s.  At
     s = 1 it equals q^binom(k,2) times the Gaussian binomial.
     """
-    _validate(n, s)
+    _validate_sn(s, n)
     if k < 0 or k > s * n:
         return UniPoly()
     if 2 * k > s * n:
@@ -144,7 +138,7 @@ def pq_bisnomial(n: int, k: int, s: int) -> BiPoly:
 
 def _table_rows(flavor: str, n: int, s: int) -> Iterator[list]:
     """Rows 0..n of the plain, q or pq table, k = 0 .. s*m each; a bad n or s is refused at once."""
-    _validate(n, s)
+    _validate_sn(s, n)
     step, one = (_count_step, 1) if flavor == "plain" else (_q_step, UniPoly(1))
     rows = islice(_rows(step, s, one, s * n + 1), n + 1)
     pq = ([BiPoly.homogenize(value, k * (m - 1)) for k, value in enumerate(row)] for m, row in enumerate(rows))

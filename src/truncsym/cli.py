@@ -8,7 +8,7 @@ combinatorial models), ``bisnomial`` (triangle values and tables) and
 stdout carries only the payload and is byte-stable for fixed inputs;
 timing goes to stderr and is silenced by ``--deterministic``.  Each
 handler yields its payload in chunks (a table row, a block of listed
-objects or of a value's terms, a report line) and returns the exit code;
+objects, of a value's terms or of report lines) and returns the exit code;
 a value is sorted before its first chunk.  ``run`` writes each
 chunk to stdout or to ``--out``, opened at the first chunk.  Exit code
 0 on success, 1 when a verification found a failing identity, 2 on bad
@@ -157,13 +157,13 @@ def _cmd_verify(args: argparse.Namespace) -> Iterator[str]:
         except NoValidPoint as exc:
             empty = empty or exc  # an error only if no id has a valid point
             continue
-        for r in reports:
-            checks, failed = checks + 1, failed + (not r.holds)
-            if args.format == "text":
-                params = " ".join(f"{key}={r.params[key]}" for key in sorted(r.params))
-                yield f"{'PASS' if r.holds else 'FAIL'} {r.identity_id} {params}\n"
-            else:
-                yield r.to_json(include_elapsed=not args.deterministic) + "\n"
+        checks, failed = checks + len(reports), failed + sum(not r.holds for r in reports)
+        if args.format == "text":
+            lines = [f"{'PASS' if r.holds else 'FAIL'} {r.identity_id} "
+                     + " ".join(f"{key}={r.params[key]}" for key in sorted(r.params)) for r in reports]
+        else:
+            lines = [r.to_json(include_elapsed=not args.deterministic) for r in reports]
+        yield from ("\n".join(lines[i:i + _BLOCK]) + "\n" for i in range(0, len(lines), _BLOCK))
     if not checks:
         raise empty
     if args.format == "text":

@@ -160,19 +160,10 @@ _PER_ROW = 4
 
 def _path_panel(path: Path, ox: int, oy: int, cols: int, rows: int) -> str:
     """The path on a cols x rows grid from (ox, oy), its steps below the grid."""
-    parts = []
-    for gx in range(cols + 1):
-        x = ox + gx * _CELL
-        parts.append(
-            f'<line x1="{x}" y1="{oy}" x2="{x}" y2="{oy + rows * _CELL}" '
-            f'stroke="#cccccc" stroke-width="1"/>'
-        )
-    for gy in range(rows + 1):
-        y = oy + gy * _CELL
-        parts.append(
-            f'<line x1="{ox}" y1="{y}" x2="{ox + cols * _CELL}" y2="{y}" '
-            f'stroke="#cccccc" stroke-width="1"/>'
-        )
+    ends = [(x, oy, x, oy + rows * _CELL) for x in range(ox, ox + (cols + 1) * _CELL, _CELL)]  # the verticals,
+    ends += [(ox, y, ox + cols * _CELL, y) for y in range(oy, oy + (rows + 1) * _CELL, _CELL)]  # then the horizontals
+    parts = [f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="#cccccc" stroke-width="1"/>'
+             for x1, y1, x2, y2 in ends]
     px, py = ox, oy + rows * _CELL
     points = [f"{px},{py}"]
     for step in path:

@@ -37,7 +37,9 @@ the body looks the constructor up when it runs.  A check returns the two sides
 of its identity, ``(lhs, rhs)``, and decides nothing: ``verify`` and
 ``verify_grid`` share one runner that compares the sides once, renders them and
 times the point, into an ``IdentityReport``; ``verify`` says which exceptions
-propagate and which fold into a failed report.
+propagate and which fold into a failed report.  A polynomial's report text is
+made at its first report and kept on the value, so a cached side that comes
+back in many points and identities is rendered once.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, 
 
 from .bisnomial import bisnomial, gaussian, pq_bisnomial, pq_gaussian, q_bisnomial
 from .exactalg import BiPoly, UniPoly
-from .multipoly import MPoly, accumulate_product, collect, substitute_power
+from .multipoly import MPoly, _report_text, accumulate_product, collect, substitute_power
 from .partitions import (
     Partition,
     enum_partitions,
@@ -60,7 +62,7 @@ from .partitions import (
     multinomial,
     multiplicities,
 )
-from .symfun import E, H, P, classical, m_lambda, m_lambda_at_roots, product_over_partition
+from .symfun import E, H, P, _product_over_partition, classical, m_lambda, m_lambda_at_roots
 
 
 def _sign(m: int) -> int:
@@ -68,13 +70,7 @@ def _sign(m: int) -> int:
 
 
 def _describe(value: object) -> str:
-    if not isinstance(value, MPoly) or len(value.terms) <= 40:
-        return str(value)
-    import hashlib  # only a value past 40 terms needs it, so a CLI start does not load it
-    term = '{"coeff": "%s", "exps": [' + ", ".join(["%d"] * value.n) + "]}"  # the sort_keys dump of to_json()
-    blob = f'{{"n": {value.n}, "terms": [{", ".join([term % (c, *e) for e, c in value.canonical_terms()])}]}}'
-    digest = hashlib.sha256(blob.encode()).hexdigest()[:12]
-    return f"<{len(value.terms)} terms, degree {value.degree()}, sha256 {digest}>"
+    return _report_text(value) if isinstance(value, MPoly) else str(value)
 
 
 class IdentityReport(NamedTuple):
@@ -242,7 +238,7 @@ def _partition_sum(kind: str, k: int, s: int, n: int, coef: Callable[[Partition]
     the coefficient denominators, in one ``_conv``, then scaled by 1/L once."""
     coefs = {lam: coef(lam) for lam in enum_partitions(k)}
     scale, one = lcm(*[c.denominator for c in coefs.values()]), MPoly.one(n)
-    total = _conv(n, ((c.numerator * scale // c.denominator, one, product_over_partition(kind, lam, s, n))
+    total = _conv(n, ((c.numerator * scale // c.denominator, one, _product_over_partition(kind, lam, s, n))
                       for lam, c in coefs.items()))
     return total if scale == 1 else Fraction(1, scale) * total
 
@@ -256,7 +252,7 @@ def _scalar_sum(k: int, s: int, coef: Callable[[Partition], Fraction]) -> Fracti
 def _roots_sum(k: int, s: int, basis: str, n: int) -> MPoly:
     """sum over lam |- k, len(lam) <= s of m_lam(roots) * basis_lam(x), in one ``_conv``."""
     one = MPoly.one(n)
-    return _conv(n, ((c, one, product_over_partition(basis, lam, None, n))
+    return _conv(n, ((c, one, _product_over_partition(basis, lam, None, n))
                      for lam in enum_partitions(k, max_length=s) if (c := m_lambda_at_roots(lam, s))))
 
 
@@ -484,7 +480,7 @@ def _spec(identity_id: str) -> IdentitySpec:
 
 
 def _run(spec: IdentitySpec, params: dict) -> IdentityReport:
-    """Check one valid point: compare its two sides once, render them and time it all."""
+    """Check one valid point, its params in arity order: compare its two sides once, render them and time it all."""
     start = time.perf_counter()
     try:
         lhs, rhs = spec.check(**params)
@@ -496,10 +492,9 @@ def _run(spec: IdentitySpec, params: dict) -> IdentityReport:
     except Exception as exc:  # fold per-point failures into the report
         holds, lhs_text, rhs_text = False, f"error: {type(exc).__name__}: {exc}", ""
     elapsed = time.perf_counter() - start
-    out_params = {
-        name: (list(params[name]) if name == "lam" else params[name]) for name in spec.arity
-    }
-    return IdentityReport(spec.name, out_params, bool(holds), lhs_text, rhs_text, elapsed)
+    if "lam" in params:
+        params = dict(params, lam=list(params["lam"]))
+    return IdentityReport(spec.name, params, bool(holds), lhs_text, rhs_text, elapsed)
 
 
 def verify(identity_id: str, **params) -> IdentityReport:
@@ -513,8 +508,7 @@ def verify(identity_id: str, **params) -> IdentityReport:
     spec = _spec(identity_id)
     if set(params) != set(spec.arity):
         raise ValueError(f"{identity_id} takes parameters {list(spec.arity)}, got {sorted(params)}")
-    if "lam" in params:
-        params = dict(params, lam=tuple(params["lam"]))
+    params = {name: tuple(params[name]) if name == "lam" else params[name] for name in spec.arity}  # arity order
     reason = spec.why_invalid(**params)
     if reason is not None:
         raise ValueError(f"invalid parameters for {identity_id}: {reason}")

@@ -22,7 +22,9 @@ from one sort that ``canonical_terms``, ``to_json`` and ``_json_chunks`` read.
 The last sorts at its call, then yields the JSON payload a block of _BLOCK
 terms at a time, so no text as large as the value is held; ``to_json_text`` joins it.
 ``str`` groups terms in blocks sharing an exponent multiset (cosmetic only), by
-a sort key built per term from one unpack; the one memo is the per-n key layout.
+a sort key built per term from one unpack.  The memos are the per-n key layout
+and a value's report text, kept in one slot from its first report: ``str`` up
+to 40 terms, else a one-line digest, so it lives as long as the value.
 """
 
 from __future__ import annotations
@@ -168,7 +170,7 @@ def _nonzero(terms: dict) -> dict:
 class MPoly:
     """Sparse polynomial in x1..xn with exact coefficients."""
 
-    __slots__ = ("n", "_packed")
+    __slots__ = ("n", "_packed", "_report")
 
     def __init__(self, n: int, terms: Optional[dict] = None):
         terms = terms or {}
@@ -307,8 +309,8 @@ class MPoly:
     def __str__(self) -> str:
         # at one degree, two multisets first differ in their nonzero parts; no two keys tie, so no c is compared
         rows = zip(map(_layout(self.n)[1], self._packed), self._packed.values())  # one unpack per key
-        shown = sorted([((-sum(e), tuple(sorted(filter(None, e), reverse=True)), e), c) for e, c in rows], reverse=True)
-        return _render_terms([c for _, c in shown], [_monomial_text(e) for (_, _, e), _ in shown])
+        shown = sorted([(-sum(e), sorted(filter(None, e), reverse=True), e, c) for e, c in rows], reverse=True)
+        return _render_terms([c for *_, c in shown], [_monomial_text(e) for _, _, e, _ in shown])
 
     def __repr__(self) -> str:
         return f"MPoly(n={self.n}, terms={dict(self.canonical_terms())})"
@@ -331,7 +333,22 @@ def _json_chunks(p: MPoly, head: str = "", tail: str = "") -> Iterator[str]:
     return chain([f'{head}{{"n": {p.n}, "terms": ['], blocks, [f"]}}{tail}"])
 
 
-_set_n, _set_packed = MPoly.n.__set__, MPoly._packed.__set__  # the slots, past __setattr__
+_set_n, _set_packed, _set_report = MPoly.n.__set__, MPoly._packed.__set__, MPoly._report.__set__  # past __setattr__
+
+
+def _report_text(p: MPoly) -> str:
+    """str(p) up to 40 terms, else '<N terms, degree d, sha256 ...>': made at p's first report, then kept on p."""
+    if (text := getattr(p, "_report", None)) is not None:
+        return text
+    if len(p._packed) <= 40:
+        text = str(p)
+    else:
+        import hashlib  # only a value past 40 terms needs it, so a CLI start does not load it
+        term = '{"coeff": "%s", "exps": [' + ", ".join(["%d"] * p.n) + "]}"  # the sort_keys dump of to_json()
+        blob = f'{{"n": {p.n}, "terms": [{", ".join([term % (c, *e) for _, e, c in _graded_rows(p)])}]}}'
+        text = f"<{len(p._packed)} terms, degree {p.degree()}, sha256 {hashlib.sha256(blob.encode()).hexdigest()[:12]}>"
+    _set_report(p, text)
+    return text
 
 
 def _trusted(n: int, packed: dict) -> MPoly:

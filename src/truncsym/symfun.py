@@ -88,8 +88,7 @@ def m_lambda(lam: Sequence[int], n: int) -> MPoly:
     Zero when lam has more than n parts; 1 for the empty partition.
     """
     lam = _validate_partition(lam)
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    _validate_sn(1, n)
     return _m_lambda(lam, n)
 
 
@@ -106,8 +105,7 @@ def classical(kind: str, k: int, n: int) -> MPoly:
     """
     if kind not in ("e", "h", "p"):
         raise ValueError(f"kind must be 'e', 'h' or 'p', got {kind!r}")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    _validate_sn(1, n)
     if kind == "p" and k < 1:
         raise ValueError("power sums are defined for k >= 1 only")
     if k < 0 or kind == "e" and k > n:
@@ -199,7 +197,11 @@ def product_over_partition(
 
     ``s`` is ignored for the classical kinds and required for 'E', 'H', 'P'.
     """
-    lam = _validate_partition(lam)
+    return _product_over_partition(kind, _validate_partition(lam), s, n)
+
+
+def _product_over_partition(kind: str, lam: Partition, s: Optional[int], n: int) -> MPoly:
+    """product_over_partition past the check of lam: the sums over ``enum_partitions`` call it."""
     if kind in ("E", "H", "P"):
         if s is None:
             raise ValueError(f"kind {kind!r} needs s")

@@ -441,11 +441,115 @@ def test_counting_commands_match_the_recorded_digests(capsys):
         assert digest == golden["cli " + " ".join(argv)], argv
 
 
-# sha256 of stdout shapes that bench/golden.json does not cover: the whole registry as text, and the q and pq tables as text
+# sha256 of the stdout of one small argv per shape (verb, format, flavor or model, table or value), each
+# recorded at commit efef2d3: the whole registry as text, the q and pq tables as text, and a few verify ids as
+# text and as JSON, one with values past 40 terms.  ``expand --kind H --k 4 --s 2 --n 3`` has terms of one
+# degree with different exponent multisets, so its text pins the term order of ``MPoly.__str__``.
 PINNED_TEXT = {
     "verify --id all --deterministic --format text": "e2ffca4b7fede4bfe7f2d66c065df591fb308972b01bc1ee3ff0ff39999e0a7b",
     "bisnomial --table --flavor q --n 6 --s 2 --format text": "d0bea8443d606e4fa1b46b540735bc694fb58851f2531b5f5f59bd6e81ab9b54",
     "bisnomial --table --flavor pq --n 6 --s 2 --format text": "b8748ac4a2d9f68e7477ff611676f22e004a024989b3f282e6f9bccef4cc51e7",
+    "expand --kind m --lambda 2,1 --n 3 --format text":
+        "59f183747f621406831c15056de4dafe21e5f4cbab68b7345650a8cc39ed2d13",
+    "expand --kind m --lambda 2,1 --n 3 --format json":
+        "14aa4554bb17041e578807bf498e324be7573ee2ea99ea602338ca437a0d75a6",
+    "expand --kind e --k 2 --n 4 --format text": "cf26a5a8732cf19fb8dc856a32d61be6fff945a847258fe13c5c000a55217ad1",
+    "expand --kind e --k 2 --n 4 --format json": "fe6bb6406960237046d4692dca864b7f48cfd28f34f91769697a1cfb06afd964",
+    "expand --kind h --k 3 --n 2 --format text": "aba307768ad29eb88893f267874e29081cefdb0c175cdabd1afd30dac92b5a90",
+    "expand --kind h --k 3 --n 2 --format json": "227ae35ea94b9f804a9d50e900d53d79b6b6d75b079c83f6340fdec89ea44bc6",
+    "expand --kind p --k 3 --n 3 --format text": "0e06bfe55190ae6ef344f4dcb7318db982ac3b5d78311a0148ae3bc72ec6d00a",
+    "expand --kind p --k 3 --n 3 --format json": "0242968f81aadc3294f0ac726bf7bf902baa7e03a20e62c9415ba9bb8ec7f714",
+    "expand --kind E --k 4 --s 2 --n 3 --format text":
+        "d932f6f76aa3c5b3d14d43a4e18a1758dd127f405b4e81aa701185a98e9dee5e",
+    "expand --kind E --k 4 --s 2 --n 3 --format json":
+        "46ecb128b301d42548e80c68eff73be234b15926b9d7c4eda866f5b524195981",
+    "expand --kind H --k 4 --s 2 --n 3 --format text":
+        "fdaf3960b69f6fb146bd4d7ff3aa1d3d73434297f6e21c7480584ccf4f0cfe40",
+    "expand --kind H --k 4 --s 2 --n 3 --format json":
+        "b17ea870a405d32e4d42b7c2c35a5c929085ab60870a7fc8e6e4ff2ab31e2ae4",
+    "expand --kind P --k 3 --s 2 --n 2 --format text":
+        "f3086a4778874f6956da1a044b8318df87278facd373ecce1273de6af262af4c",
+    "expand --kind P --k 3 --s 2 --n 2 --format json":
+        "abfa28e0c714f5db4df5ceb53d19bb8fd2a5127885136403e3e053a4738c4b5d",
+    "verify --id ortho --format json --deterministic":
+        "1b868e3629a4557c3e95ac3c6275fee5b7ca4fa79fb56fad2dfc3dbacefb5343",
+    "verify --id ortho --format text --deterministic":
+        "3af0b5cc1faba41cb27ff2ab1996f0258c83aa20d511e0e9bab5ff5ba5986d25",
+    "verify --id scalar_c --format json --deterministic":
+        "e2d0d16c171028cb0fa5a5f1ae2a73d483d596bd7775b15a0dcbba5111bddf92",
+    "verify --id scalar_c --format text --deterministic":
+        "499d0b71536e824b7740ea146965e4a4e328cb2984f662fbbb29305b4d5bd48e",
+    "verify --id mroots_closed_k --k 2..4 --format json --deterministic":
+        "211e8ddc36966cd9b0ce8a276c7ba5849a100db366b2835ce3f10531e3ce07b4",
+    "verify --id mroots_closed_k --k 2..4 --format text --deterministic":
+        "3ab2a12d5fa57a309465c397151d45b0505cb1559baf93fb41923a4a2a21cf37",
+    "verify --id pk_from_E --n 2..3 --k 1..4 --s 2..3 --format json --deterministic":
+        "d64fcbd3e2c2159ceb07258ed578f39be4e026dc1f3f58eff7c7f31361f8df15",
+    "verify --id inv_H --n 4 --k 4..6 --s 1 --format json --deterministic":
+        "4a2abde262bf5a0ad8c578e7093341cc19faeda1ef87ae4150ffe8695d493232",
+    "verify --id conversion:pq --n 1..3 --k 0..3 --format json --deterministic":
+        "4a67132e500513ccb689627d68a91819f90b691cfb2ece6e2c79999bd868053b",
+    "verify --id conversions --n 1..2 --k 0..2 --s 2..3 --format text --deterministic":
+        "d7e58dc4e9c0e2439c0fb31bda25737786a7f4dfdbcc30241f37a3745e693213",
+    "paths --model E --n 3 --k 4 --s 2 --format text":
+        "a8149f6efe35bda42bbdb0a41e1b979209dd80031f0e87b2fa9c4ba7f77a8599",
+    "paths --model E --n 3 --k 4 --s 2 --format json":
+        "f866cfc308f8636151fad4bbd34093630580b2c02244aa3bbb8444a788a9418d",
+    "paths --model E --n 3 --k 4 --s 2 --format svg":
+        "af5398056c6000defcceca41abd8303a061fcbf097c1e936f7e4d81a3a401990",
+    "paths --model E --n 3 --k 4 --s 2 --format csv":
+        "363f4b8cf7e86d46fb480c8d471684c3bc1baeec8bccd6b9aac1cd79a4b8b150",
+    "paths --model H --n 3 --k 4 --s 2 --format text":
+        "4cd16a020959f4574362616b1fd7cfbd4c795816e939f4fed43748546faa263b",
+    "paths --model H --n 3 --k 4 --s 2 --format json":
+        "30ed1be6c22db1c85bfa0f29228ffa1cea4d4ea96eba8954599ae20da7731efa",
+    "paths --model H --n 3 --k 4 --s 2 --format svg":
+        "7441c4b38f3b249f485d9a5145d61978e72cac77885c5c0f1a4b5fcf53f16552",
+    "paths --model H --n 3 --k 4 --s 2 --format csv":
+        "44081d3a39a869736d87040bbc44bb2769e07ed1aa79d180edba5acb5fa77116",
+    "tilings --model E --n 3 --k 4 --s 2 --format text":
+        "fd5c034d7f0b43c175b10506617212a6490f4c26b1bdfc82414bcdf378a4b418",
+    "tilings --model E --n 3 --k 4 --s 2 --format json":
+        "890731113af9101c4a3ac426092f72d8edcee767f40210f02bd18b7cc4a74360",
+    "tilings --model E --n 3 --k 4 --s 2 --format svg":
+        "d70eb0bf36d83eba0b1f10f2b996e403c937f34509c09edb935d3c4949000a1f",
+    "tilings --model E --n 3 --k 4 --s 2 --format csv":
+        "5d0dec069853a5c9e56fc97c01447b425046c694a5e2d9a5293e94a3ce2f58e3",
+    "tilings --model H --n 3 --k 4 --s 2 --format text":
+        "3828fa6af97549c07c14d15aece82c6a439cc2dfb83a6ea4a395010de39f7482",
+    "tilings --model H --n 3 --k 4 --s 2 --format json":
+        "bf2fd1c08e452ae68ed58ff26b4589eca305006b0429686029aa3446a6d079c2",
+    "tilings --model H --n 3 --k 4 --s 2 --format svg":
+        "26548bb1f69e8bd565d0ea437531f6301ac699c08e147cf40191a3b6d7010f0d",
+    "tilings --model H --n 3 --k 4 --s 2 --format csv":
+        "855c83cb606c5bb71dd766597ac393fd0e9c10e9a9f6fd62a9cf40cc8af4aaec",
+    "paths --model E --n 2 --k 5 --s 1 --format json":
+        "15a03268757bef055622a64f03450ad1e04e72a1ecdf5659fa3498467537323b",
+    "bisnomial --n 4 --k 3 --s 2 --format text": "e6c21e8d260fe71882debdb339d2402a2ca7648529bc2303f48649bce0380017",
+    "bisnomial --n 4 --k 3 --s 2 --format json": "31fed14a6fb99cb39f8a2ec07e17da417c676df8e000b9f19bdb40ea7cf7add0",
+    "bisnomial --flavor q --n 4 --k 3 --s 2 --format text":
+        "81a9139aeaed3b9d85abf66d1f5ebfbb9aa294d9ce50b0f818701083c6f38e26",
+    "bisnomial --flavor q --n 4 --k 3 --s 2 --format json":
+        "c4f8b4a445faf5c05116815b98553d40fbe03f72b83df011b73c4955a451ebb4",
+    "bisnomial --flavor pq --n 4 --k 3 --s 2 --format text":
+        "f523be93df1f6582fcd835aaeeec80ca0ec516c07bfd2ca70d38a3d90cf04ae7",
+    "bisnomial --flavor pq --n 4 --k 3 --s 2 --format json":
+        "8fd9d30d5b50662a09e309ef8c67776eedcbccd98b1992f40d5c136dc3aefc19",
+    "bisnomial --table --n 4 --s 2 --format text": "49e5fbb99dda6459ff3cad1166f0a09fe12e4a48da8fb4531f79b7cfaba576d7",
+    "bisnomial --table --n 4 --s 2 --format json": "d85afac438173fa56373a467843e9efb067032f1cbe691e3e6423723ac3bedd2",
+    "bisnomial --table --n 4 --s 2 --format csv": "b61907951e624305078707615e65dbcd495a5e6dad20e1125ee7d13a8e3e86d3",
+    "bisnomial --table --flavor q --n 3 --s 2 --format json":
+        "b192c598e948552aa47b4ad2375a1a2db415aa33e92e803cce32cb307599d40a",
+    "bisnomial --table --flavor q --n 3 --s 2 --format csv":
+        "288f311c9b8c311b3b6d6beb6da689f97b52afc206e6e436a81c7689a78b7990",
+    "bisnomial --table --flavor pq --n 3 --s 2 --format json":
+        "18cbd8b59b8815d1a5b2c7e2db14739dbb9845d4873e28b44954483346a6cd0d",
+    "bisnomial --table --flavor pq --n 3 --s 2 --format csv":
+        "dc463b2864813e5fe1c7e0385aaba0a25c96a0ba58663cce99029f9cc96f2303",
+    "schur --lambda 2,1 --s 2 --n 3 --format text": "6a1c7ffd5997d443de2fd4c08bddc51d3eeb3a4c50a6b53f647e17d7b8599ba4",
+    "schur --lambda 2,1 --s 2 --n 3 --format json": "4b42db62d1ba427dd050bfc2aa8b6bae96d4a56d28f4cbb6dfd44964243d65e2",
+    "schur --lambda 3,1 --s 1 --n 2 --format text": "17cd58802aee65cc847545f5288f88e803d562dae26ffc19474a3a205cae5768",
+    "schur --lambda 3,1 --s 1 --n 2 --format json": "987d91ff32bd1ade9b1693ad37b3d509ce76397126d4c8ef8f46ac5092944eb2",
 }
 
 
@@ -742,6 +846,22 @@ def test_listings_and_tables_go_out_a_block_or_a_row_at_a_time(argv, chunks):
     with contextlib.redirect_stdout(sink):
         assert cli.run([*argv, "--deterministic"]) == 0
     assert len(sink.written) == chunks
+
+
+@pytest.mark.parametrize("argv, lines, chunks", [
+    # 144 report lines in one block; as text, then the total line
+    (["verify", "--id", "ortho", "--format", "json"], 144, 1),
+    (["verify", "--id", "ortho", "--format", "text"], 145, 2),
+    # 280 report lines in 2 blocks of at most 256, then the total line
+    (["verify", "--id", "scalar_c", "--k", "1..140", "--s", "1..2", "--format", "text"], 281, 3),
+    # 84 report lines in each of the 5 conversion families, a block each
+    (["verify", "--id", "conversions", "--format", "json"], 420, 5),
+], ids=["ortho-json", "ortho-text", "two-blocks", "five-ids"])
+def test_report_lines_go_out_a_block_at_a_time(argv, lines, chunks):
+    sink = _Chunks()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.run([*argv, "--deterministic"]) == 0
+    assert (len(sink.written), "".join(sink.written).count("\n")) == (chunks, lines)
 
 
 @pytest.mark.parametrize("argv, chunks", [

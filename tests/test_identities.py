@@ -217,6 +217,36 @@ def test_each_side_of_a_point_is_reported_in_its_own_text(sides):
     assert (r.holds, r.lhs, r.rhs) == (lhs == rhs, identities._describe(lhs), identities._describe(rhs))
 
 
+def test_a_value_is_rendered_at_its_first_report_only(monkeypatch):
+    texts, digests = [], []
+    str_route, sha_route = MPoly.__str__, hashlib.sha256
+    monkeypatch.setattr(MPoly, "__str__", lambda p: texts.append(p) or str_route(p))
+    monkeypatch.setattr(hashlib, "sha256", lambda blob: digests.append(blob) or sha_route(blob))
+    small, large = E(2, 1, 3) + MPoly.one(3), E(6, 2, 5) + MPoly.one(5)  # new values: 4 and past 40 terms
+    first = [identities._describe(small), identities._describe(large)]
+    assert [identities._describe(small), identities._describe(large)] == first
+    assert (texts, len(digests)) == ([small], 1)
+    assert first[0] == str_route(small)
+    assert len(large.terms) > 40 and large._report == first[1] and len(first[1]) < 100  # the slot holds no term text
+    assert first[1].startswith(f"<{len(large.terms)} terms, degree 6, sha256 ")
+
+
+@pytest.mark.parametrize("make", [lambda: E(2, 1, 3), lambda: E(6, 2, 5), lambda: MPoly.constant(2, Fraction(1, 2))])
+def test_equal_values_report_alike(make):
+    value = make()
+    twin = MPoly(value.n, dict(value.terms))
+    assert twin is not value and twin == value
+    assert identities._describe(twin) == identities._describe(value)
+
+
+def test_the_report_params_are_in_arity_order_with_lam_a_list():
+    assert list(verify("ortho", s=2, k=1, n=3).params) == ["n", "k", "s"]
+    assert list(verify("conversion:plain", k=1, n=2, s=2).params) == ["s", "n", "k"]
+    assert [list(r.params) for r in verify_grid("conversion:q", {"k": [1], "n": [2], "s": [2]})] == [["s", "n", "k"]]
+    for r in (verify("mroots_closed_k", lam=(2, 1)), *verify_grid("mroots_closed_k", {"k": [3]})):
+        assert type(r.params["lam"]) is list and sum(r.params["lam"]) == 3
+
+
 def test_each_point_is_validated_once_and_its_sides_compared_once(monkeypatch):
     validated, compared = [], []
 

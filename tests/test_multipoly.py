@@ -14,6 +14,7 @@ from truncsym.multipoly import (
     _BLOCK,
     MPoly,
     _json_chunks,
+    _report_text,
     accumulate_product,
     collect,
     is_symmetric,
@@ -126,6 +127,17 @@ def test_construction_normalizes_and_validates():
 def test_arity_mismatch_is_an_error():
     with pytest.raises(ValueError):
         MPoly.one(2) + MPoly.one(3)
+
+
+@pytest.mark.parametrize("name", ["n", "_packed", "_report", "other"])
+def test_mpoly_is_immutable(name):
+    p = MPoly.variable(2, 1)
+    with pytest.raises(AttributeError, match="MPoly is immutable"):
+        setattr(p, name, 0)
+    assert _report_text(p) == "x1"  # fills the report slot, which stays closed to assignment
+    with pytest.raises(AttributeError, match="MPoly is immutable"):
+        setattr(p, name, 0)
+    assert (p.n, p._report) == (2, "x1")
 
 
 def test_mpoly_is_not_hashable():

@@ -249,6 +249,9 @@ def test_products_over_partitions():
         product_over_partition("E", (2, 1), None, 2)
     with pytest.raises(ValueError):
         product_over_partition("x", (2, 1), 2, 2)
+    for lam in ((1, 2), (2, 0), (2, -1)):  # the public entry checks lam; the sums over enum_partitions do not
+        with pytest.raises(ValueError, match="not a partition"):
+            product_over_partition("h", lam, None, 2)
 
 
 @pytest.mark.parametrize("order", ["ascending", "descending"])
