@@ -17,9 +17,9 @@ x_i * F are products by the one-term 1 and x_i) and reads them only through
 * ``_conv``: sum of c * A * B over the (c, A, B) terms, in one accumulator:
   E(t) H(-t) = 1, the Newton-type sums, the sums over x^s-substituted
   classical factors (``_conv_sum``, memoized), the sums over lam |- k of
-  coef(lam) * F_lam over a common denominator (``_partition_sum``, with its
-  scalar twin ``_scalar_sum``) and the sums over lam of the integer m_lam at
-  the roots of unity times a basis (``_roots_sum``, memoized), these two as
+  coef(lam) * F_lam over a common denominator (``_partition_sum``, from a table of integer numerators made
+  once per (rule, k), ``_coef_table``; its scalar twin ``_scalar_sum`` is memoized) and the sums over lam of
+  the integer m_lam at the roots of unity times a basis (``_roots_sum``, memoized), these two as
   c * 1 * F;
 * ``_linear_passes``: a graded series times prod_i (1 + x_i t)^(-1) or
   prod_i (1 - x_i t), one pass per variable, the passes side by side a degree
@@ -62,7 +62,7 @@ from .partitions import (
     multinomial,
     multiplicities,
 )
-from .symfun import E, H, P, _product_over_partition, classical, m_lambda, m_lambda_at_roots
+from .symfun import E, H, P, _at_roots, _m_lambda, _product_over_partition, classical, m_lambda_at_roots
 
 
 def _sign(m: int) -> int:
@@ -228,39 +228,51 @@ def _mult(lam: Partition) -> int:
     return multinomial(multiplicities(lam).values())
 
 
-def _weight(lam: Partition, shift: int, scale: int = 1) -> Fraction:
-    """(-1)^(shift + l) * scale / l times the multinomial of lam, l = len(lam)."""
-    return Fraction(_sign(shift + len(lam)) * scale, len(lam)) * _mult(lam)
+def _coef(rule: str, lam: Partition) -> Fraction:
+    """The coefficient of F_lam in the partition sum ``rule`` (Macdonald I.2), l = len(lam): (-1)^l times the
+    multinomial of lam for 'mult' (E from H, H from E), that over l for 'weight' (p_k and P from E or H), and
+    1/z_lam for 'z' (H from P) or (-1)^l / z_lam for 'signed_z' (E from P), z_lam = prod_i i^(t_i) t_i!."""
+    if rule in ("mult", "weight"):
+        return Fraction(_sign(len(lam)) * _mult(lam), len(lam) if rule == "weight" else 1)
+    z = prod(i**t * factorial(t) for i, t in multiplicities(lam).items())
+    return Fraction(_sign(len(lam)) if rule == "signed_z" else 1, z)
 
 
-def _partition_sum(kind: str, k: int, s: int, n: int, coef: Callable[[Partition], object]) -> MPoly:
-    """sum over lam |- k of coef(lam) * F_lam, F = E, H or P: as ints times the lcm L of
-    the coefficient denominators, in one ``_conv``, then scaled by 1/L once."""
-    coefs = {lam: coef(lam) for lam in enum_partitions(k)}
-    scale, one = lcm(*[c.denominator for c in coefs.values()]), MPoly.one(n)
-    total = _conv(n, ((c.numerator * scale // c.denominator, one, _product_over_partition(kind, lam, s, n))
-                      for lam, c in coefs.items()))
-    return total if scale == 1 else Fraction(1, scale) * total
+@cache
+def _coef_table(rule: str, k: int) -> tuple[Fraction, tuple[tuple[Partition, int], ...]]:
+    """(1/L, the pairs (lam, L * coefficient) in ``enum_partitions(k)`` order), L the lcm of the denominators."""
+    coefs = [(lam, _coef(rule, lam)) for lam in enum_partitions(k)]
+    scale = lcm(*[c.denominator for _, c in coefs])
+    return Fraction(1, scale), tuple((lam, c.numerator * scale // c.denominator) for lam, c in coefs)
 
 
-def _scalar_sum(k: int, s: int, coef: Callable[[Partition], Fraction]) -> Fraction:
-    """sum over lam |- k with parts <= s of coef(lam)."""
-    return sum([coef(lam) for lam in enum_partitions(k, max_part=s)], Fraction(0))
+def _partition_sum(kind: str, k: int, s: int, n: int, rule: str, c: int) -> MPoly:
+    """c * sum over lam |- k of the rule's coefficient times F_lam, F = E, H or P, in one ``_conv``, scaled once."""
+    unit, rows = _coef_table(rule, k)
+    one = MPoly.one(n)
+    total = _conv(n, ((c * num, one, _product_over_partition(kind, lam, s, n)) for lam, num in rows))
+    return total if unit == 1 else unit * total
+
+
+@cache
+def _scalar_sum(k: int, s: int) -> Fraction:
+    """sum over lam |- k with parts <= s of the 'weight' coefficient: those partitions only, few for a large k."""
+    return sum([_coef("weight", lam) for lam in enum_partitions(k, max_part=s)], Fraction(0))
 
 
 @cache
 def _roots_sum(k: int, s: int, basis: str, n: int) -> MPoly:
     """sum over lam |- k, len(lam) <= s of m_lam(roots) * basis_lam(x), in one ``_conv``."""
-    one = MPoly.one(n)
+    one = MPoly.one(n)  # no lam listed has more than s parts, so each is one ``_at_roots`` call
     return _conv(n, ((c, one, _product_over_partition(basis, lam, None, n))
-                     for lam in enum_partitions(k, max_length=s) if (c := m_lambda_at_roots(lam, s))))
+                     for lam in enum_partitions(k, max_length=s) if (c := _at_roots(lam, s))))
 
 
 def _mono_sum(n: int, k: int, s: int, shift: int) -> MPoly:
     """sum of (-1)^(shift + r) m_lam over lam |- k with parts 0 or 1 mod s+1, r the residue sum."""
     m = s + 1
     lams = enum_partitions(k, mod01=m)
-    return sum((_sign(shift + sum(part % m for part in lam)) * m_lambda(lam, n) for lam in lams), MPoly.zero(n))
+    return sum((_sign(shift + sum(part % m for part in lam)) * _m_lambda(lam, n) for lam in lams), MPoly.zero(n))
 
 
 # -- checks ------------------------------------------------------------------
@@ -274,8 +286,7 @@ def _chk_ortho(n: int, k: int, s: int):
 
 
 def _chk_inv(kind: str, n: int, k: int, s: int):
-    rhs = _partition_sum("E" if kind == "H" else "H", k, s, n, lambda lam: _sign(k + len(lam)) * _mult(lam))
-    return _family(kind)(k, s, n), rhs
+    return _family(kind)(k, s, n), _partition_sum("E" if kind == "H" else "H", k, s, n, "mult", _sign(k))
 
 
 def _chk_newton(kind: str, n: int, k: int, s: int):
@@ -302,26 +313,22 @@ def _chk_cubic_H(n: int, k: int, s: int):
 
 
 def _chk_pk_from(kind: str, n: int, k: int, s: int):
-    num_shift, den_shift = (0, 0) if kind == "E" else (1, k)
-    num = _partition_sum(kind, k, s, n, lambda lam: _weight(lam, num_shift))
-    den = _scalar_sum(k, s, lambda lam: _weight(lam, den_shift))  # +-s/k or +-1/k: scalar_c
+    num = _partition_sum(kind, k, s, n, "weight", 1 if kind == "E" else -1)
+    den = _scalar_sum(k, s) * (1 if kind == "E" else _sign(k))  # +-s/k or +-1/k: scalar_c
     return classical("p", k, n), (1 / den) * num
 
 
 def _chk_P_from(kind: str, n: int, k: int, s: int):
-    return P(k, s, n), _partition_sum(kind, k, s, n, lambda lam: _weight(lam, k if kind == "E" else 1, k))
+    return P(k, s, n), _partition_sum(kind, k, s, n, "weight", k * (_sign(k) if kind == "E" else -1))
 
 
 def _chk_scalar_c(k: int, s: int):
-    return _scalar_sum(k, s, lambda lam: _weight(lam, 0, k)), Fraction(s) if k % (s + 1) == 0 else Fraction(-1)
+    return k * _scalar_sum(k, s), Fraction(s) if k % (s + 1) == 0 else Fraction(-1)
 
 
 def _chk_from_P(kind: str, n: int, k: int, s: int):
-    def coef(lam: Partition) -> Fraction:  # 1/z_lam for H, signed for E; z_lam = prod_i i^(t_i) t_i!
-        z = prod(i**t * factorial(t) for i, t in multiplicities(lam).items())
-        return Fraction(_sign(k + len(lam)) if kind == "E" else 1, z)
-
-    return _family(kind)(k, s, n), _partition_sum("P", k, s, n, coef)
+    rule, c = ("z", 1) if kind == "H" else ("signed_z", _sign(k))
+    return _family(kind)(k, s, n), _partition_sum("P", k, s, n, rule, c)
 
 
 def _chk_rec_H(n: int, k: int, s: int):
@@ -340,7 +347,7 @@ def _chk_roots(kind: str, n: int, k: int, s: int):
 
 
 def _chk_conj_bridge(n: int, k: int, s: int):
-    lhs = sum((m_lambda(lam, n) for lam in enum_partitions(k, max_part=s)), MPoly.zero(n))
+    lhs = sum((_m_lambda(lam, n) for lam in enum_partitions(k, max_part=s)), MPoly.zero(n))
     return lhs, _sign(k) * _roots_sum(k, s, "e", n)
 
 

@@ -12,7 +12,7 @@ with ``OverflowError`` (never a wrapped monomial) when an exponent reaches
 2**(32 - bit_length(n-1)) (else it is unpacked and summed); ``is_symmetric``
 checks (1 2) and the n-cycle, which generate S_n.  The rationals have no zero
 divisors, so a product is filtered for zeros only when it has many-term
-operands, whose pairs may cancel.  Exponent tuples appear only at the API
+operands, whose pairs may cancel, and a sum only when its operands share a key.  Exponent tuples appear only at the API
 edge: ``terms`` is a tuple-keyed view unpacked on demand, and one packing
 step, shared by the constructor and the orbit sums, packs many tuples (an
 orbit walked lazily) and refuses an exponent of 2**31 or more.
@@ -22,9 +22,9 @@ from one sort that ``canonical_terms``, ``to_json`` and ``_json_chunks`` read.
 The last sorts at its call, then yields the JSON payload a block of _BLOCK
 terms at a time, so no text as large as the value is held; ``to_json_text`` joins it.
 ``str`` groups terms in blocks sharing an exponent multiset (cosmetic only), by
-a sort key built per term from one unpack.  The memos are the per-n key layout
-and a value's report text, kept in one slot from its first report: ``str`` up
-to 40 terms, else a one-line digest, so it lives as long as the value.
+a sort key built per term from one unpack.  The memos are the per-n key layout (it refuses an n that is not
+an int), one shared zero, one, -1 and x_i per n for ``constant`` and ``variable``, and a value's report text,
+kept in one slot from its first report: ``str`` up to 40 terms, else a one-line digest, so it lives as long as the value.
 """
 
 from __future__ import annotations
@@ -51,6 +51,8 @@ _BLOCK = 256  # terms or listed objects a chunk, in every streamed payload
 @cache
 def _layout(n: int) -> tuple[Callable, Callable, int, int]:
     """pack (exponent tuples to their keys, unchecked), unpack (a key), the top and the too-wide bits."""
+    if type(n) is not int:  # a lone int is its own cache key, so an equal bool or float misses and lands here
+        raise TypeError(f"variable count must be an int, got {type(n).__name__}")
     if n < 0:
         raise ValueError(f"variable count must be >= 0, got {n}")
     try:  # struct refuses a count past its size limit before it allocates
@@ -107,13 +109,6 @@ def _check_coeff_types(coeffs: Iterable) -> None:
             raise TypeError(f"coefficients must be int or Fraction, got {t.__name__}")
 
 
-def _checked(terms: dict, top: int) -> dict:
-    """terms; no field carries, as each was below 2**31, so a top bit set is past the limit."""
-    if reduce(or_, terms, 0) & top:
-        raise OverflowError("a product has an exponent of 2**31 or more")
-    return terms
-
-
 def _product(acc: dict, a: dict, b: dict, scalar: Coeff, top: int) -> dict:
     """acc += scalar * a * b on packed term dicts, returning acc: the one product loop.
 
@@ -149,9 +144,11 @@ def _pack_terms(n: int, groups: Iterable[tuple[Iterable[Monomial], Iterable[Coef
     try:
         for exps, coeffs in groups:
             packed.update(zip(pack(exps), coeffs))
-        return _checked(packed, top)
-    except (struct.error, OverflowError):
-        raise ValueError(f"exponent tuples need {n} entries in 0..2**31-1") from None
+        if not reduce(or_, packed, 0) & top:  # a field is packed exactly, so its top bit is set from 2**31 on
+            return packed
+    except struct.error:
+        pass
+    raise ValueError(f"exponent tuples need {n} entries in 0..2**31-1")
 
 
 def _graded_rows(p: "MPoly") -> list[tuple[int, Monomial, Coeff]]:
@@ -196,7 +193,9 @@ class MPoly:
 
     @classmethod
     def constant(cls, n: int, c: Coeff) -> "MPoly":
-        _layout(n)  # refuses n < 0
+        _layout(n)  # refuses an n that is not an int >= 0, before a shared value is looked up
+        if type(c) is int and -1 <= c <= 1:
+            return _shared(n, 0, c)
         if type(c) not in _SCALAR_TYPES:  # exact types pass at once; a subclass, bool too, is checked
             _check_coeff_types((c,))
         return _trusted(n, {0: c} if c else {})
@@ -204,9 +203,10 @@ class MPoly:
     @classmethod
     def variable(cls, n: int, i: int) -> "MPoly":
         """x_i, with i in 1..n."""
+        _layout(n)
         if not 1 <= i <= n:
             raise ValueError(f"variable index {i} out of range 1..{n}")
-        return _trusted(n, {1 << 32 * (i - 1): 1})
+        return _shared(n, 1 << 32 * (i - 1), 1)
 
     @classmethod
     def monomial(cls, n: int, exps: Iterable[int], c: Coeff = 1) -> "MPoly":
@@ -223,6 +223,8 @@ class MPoly:
             self._check_same_vars(other)
             if not (self._packed and other._packed):  # values are immutable: share the nonzero one
                 return self or other
+            if self._packed.keys().isdisjoint(other._packed):  # no coefficient meets another, so none cancels
+                return _trusted(self.n, self._packed | other._packed)
             out = dict(self._packed)
             get = out.get
             for key, c in other._packed.items():
@@ -255,13 +257,16 @@ class MPoly:
             if len(a) != 1:  # pairs may cancel, so only this sum is filtered
                 return _trusted(self.n, _nonzero(_product({}, a, b, 1, top)))
             ((ka, ca),) = a.items()  # one add per term of the other operand, no two alike
-            if ka:
-                return _trusted(self.n, _checked({ka + kb: ca * cb for kb, cb in b.items()}, top))
+            if ka:  # no field carries, as each was below 2**31, so a top bit set is past the limit
+                terms = {ka + kb: ca * cb for kb, cb in b.items()}
+                if reduce(or_, terms, 0) & top:
+                    raise OverflowError("a product has an exponent of 2**31 or more")
+                return _trusted(self.n, terms)
             self, other = other, ca  # a constant operand is a scalar
         elif not isinstance(other, _SCALAR_TYPES):
             return NotImplemented
         if not other:  # no zero divisors, so only a zero scalar gives zeros
-            return _trusted(self.n, {})
+            return _shared(self.n, 0, 0)
         if type(other) is int and other == 1:  # a Fraction one would change the coefficient types
             return self
         return _trusted(self.n, {key: c * other for key, c in self._packed.items()})
@@ -349,6 +354,12 @@ def _report_text(p: MPoly) -> str:
         text = f"<{len(p._packed)} terms, degree {p.degree()}, sha256 {hashlib.sha256(blob.encode()).hexdigest()[:12]}>"
     _set_report(p, text)
     return text
+
+
+@cache
+def _shared(n: int, key: int, c: int) -> MPoly:
+    """The one value c * x^key (zero for c = 0) per n, key and c in -1, 0, 1, that constant and variable return."""
+    return _trusted(n, {key: c} if c else {})
 
 
 def _trusted(n: int, packed: dict) -> MPoly:

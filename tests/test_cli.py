@@ -443,10 +443,12 @@ def test_counting_commands_match_the_recorded_digests(capsys):
 
 # sha256 of the stdout of one small argv per shape (verb, format, flavor or model, table or value), each
 # recorded at commit efef2d3: the whole registry as text, the q and pq tables as text, and a few verify ids as
-# text and as JSON, one with values past 40 terms.  ``expand --kind H --k 4 --s 2 --n 3`` has terms of one
-# degree with different exponent multisets, so its text pins the term order of ``MPoly.__str__``.
+# text and as JSON, one with values past 40 terms; the whole registry as JSON was recorded at commit 5355c37.
+# ``expand --kind H --k 4 --s 2 --n 3`` has terms of one degree with different exponent multisets, so its text
+# pins the term order of ``MPoly.__str__``.
 PINNED_TEXT = {
     "verify --id all --deterministic --format text": "e2ffca4b7fede4bfe7f2d66c065df591fb308972b01bc1ee3ff0ff39999e0a7b",
+    "verify --id all --deterministic --format json": "ee97bd4a6e208283ed63b8335e22007a57a3857986012e6f55122459e9affb7c",
     "bisnomial --table --flavor q --n 6 --s 2 --format text": "d0bea8443d606e4fa1b46b540735bc694fb58851f2531b5f5f59bd6e81ab9b54",
     "bisnomial --table --flavor pq --n 6 --s 2 --format text": "b8748ac4a2d9f68e7477ff611676f22e004a024989b3f282e6f9bccef4cc51e7",
     "expand --kind m --lambda 2,1 --n 3 --format text":

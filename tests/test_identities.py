@@ -4,6 +4,7 @@ import hashlib
 import json
 import sys
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -331,17 +332,19 @@ def test_a_negative_weight_has_no_partition_to_check():
 # One constructor per identity that its check reads on one side only (for
 # rec_H and rec_E, the only family they read).  Returning a wrong value from
 # it must fail some point of a small grid: a row that compares a route with
-# itself, or drops the operand, would still pass.
+# itself, or drops the operand, would still pass.  The sums over partitions
+# that ``enum_partitions`` made call the bodies of m_lambda and
+# m_lambda_at_roots past validation, ``_m_lambda`` and ``_at_roots``.
 ONE_SIDED = {
     "ortho": "E", "inv_H": "H", "inv_E": "E", "newton_E": "P", "newton_H": "P",
     "newton_P": "P", "cubic_E": "H", "cubic_H": "E", "pk_from_E": "classical",
     "pk_from_H": "classical", "P_from_E": "P", "P_from_H": "P", "scalar_c": "multinomial",
     "H_from_P": "H", "E_from_P": "E", "rec_H": "H", "rec_E": "E", "roots_H": "H",
-    "roots_E": "E", "conj_bridge": "m_lambda", "conv_H": "H", "conv_E": "E",
-    "conv_roots_h": "m_lambda_at_roots", "conv_roots_e": "m_lambda_at_roots",
+    "roots_E": "E", "conj_bridge": "_m_lambda", "conv_H": "H", "conv_E": "E",
+    "conv_roots_h": "_at_roots", "conv_roots_e": "_at_roots",
     "mroots_closed_k1": "m_lambda_at_roots", "mroots_closed_k": "m_lambda_at_roots",
     "mroots_closed_km1": "m_lambda_at_roots", "powsub_h": "H", "powsub_e": "E",
-    "vanish_h": "H", "vanish_e": "E", "mono_H": "m_lambda", "mono_bridge": "m_lambda",
+    "vanish_h": "H", "vanish_e": "E", "mono_H": "_m_lambda", "mono_bridge": "_m_lambda",
     "conversion:plain": "bisnomial", "conversion:q": "gaussian", "conversion:pq": "pq_bisnomial",
     "conversion:binom_recovery": "bisnomial", "conversion:qs_recovery": "q_bisnomial",
 }
@@ -459,6 +462,27 @@ def test_a_registry_sweep_builds_each_roots_and_convolution_sum_once(monkeypatch
         truncsym.clear_caches()
 
 
+def test_a_cold_sweep_builds_each_coefficient_table_once(monkeypatch):
+    tables, scalars = identities._coef_table, identities._scalar_sum
+    requested = {tables: [], scalars: []}  # the memo -> the argument tuple of every call the checks make
+    for cached in requested:
+        monkeypatch.setattr(identities, cached.__name__, lambda *args, c=cached: requested[c].append(args) or c(*args))
+    truncsym.clear_caches()
+    try:
+        for name in list_identities():  # as verify --id all
+            assert all(r.holds for r in verify_grid(name, default_grid(name))), name
+        misses = [cached.cache_info().misses for cached in requested]
+    finally:
+        truncsym.clear_caches()
+    # inv_* at k = 0..6, pk_from_* and P_from_* at 1..6, *_from_P at 1..6; the scalars of scalar_c at
+    # k = 1..8 and s = 1..4, of which pk_from_* read those with k <= 6 at every n
+    assert set(requested[tables]) == {("mult", k) for k in range(7)} | {
+        (rule, k) for rule in ("weight", "z", "signed_z") for k in range(1, 7)}
+    assert set(requested[scalars]) == {(k, s) for k in range(1, 9) for s in range(1, 5)}
+    # 800 table reads and 224 scalar reads: (n, s) in 4 x 4 for each k of each identity but scalar_c's (k, s)
+    assert misses == [25, 32] and [len(calls) for calls in requested.values()] == [800, 32 + 2 * 6 * 4 * 4]
+
+
 @pytest.mark.parametrize("error", [ValueError, OverflowError, RuntimeError])
 @pytest.mark.parametrize("make, kind, family", [("_alt_sums", ("H",), "H"), ("_alt_sums", ("E",), "E"),
                                                 ("_rebuilt_H", (), "E")])
@@ -533,25 +557,60 @@ def test_a_count_off_the_gcd_classes_raises_and_fails_the_point(monkeypatch):
     assert report.lhs.startswith("error: ArithmeticError: m_lambda_at_roots((2, 1), s=2)"), report.lhs
 
 
-# The coefficients the partition-sum checks use: ints (inv_*), Fractions over len(lam)
-# (pk_from_*, P_from_*) and 1/z_lam (*_from_P).  Their denominators all divide the largest
-# one, so one more set, over lam_1 + 1, has a least common multiple above each of them.
+# The coefficient of lam in each rule, as the partition-sum checks built it at every point before the
+# tables: (-1)^l times the multinomial of lam (inv_*), that over l = len(lam) (pk_from_*, P_from_*,
+# scalar_c), 1/z_lam (H_from_P) and (-1)^l / z_lam (E_from_P).
+def _multinomial(lam):
+    return truncsym.multinomial(truncsym.multiplicities(lam).values())
+
+
+PER_POINT = {
+    "mult": lambda lam: (-1) ** len(lam) * _multinomial(lam),
+    "weight": lambda lam: Fraction((-1) ** len(lam) * _multinomial(lam), len(lam)),
+    "z": lambda lam: 1 / Fraction(sum_oracle.z(lam)),
+    "signed_z": lambda lam: (-1) ** len(lam) / Fraction(sum_oracle.z(lam)),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(PER_POINT))
+def test_each_coefficient_table_holds_the_per_point_coefficients(rule):
+    for k in range(rule == "weight", 9):  # 1/len(lam) needs k >= 1
+        coefs = [PER_POINT[rule](lam) for lam in truncsym.enum_partitions(k)]
+        unit, rows = identities._coef_table(rule, k)
+        assert [lam for lam, _ in rows] == truncsym.enum_partitions(k)
+        assert all(type(num) is int for _, num in rows) and [unit * num for _, num in rows] == coefs, (rule, k)
+        assert unit == Fraction(1, lcm(*[Fraction(c).denominator for c in coefs]))  # the least common denominator
+        assert [identities._coef(rule, lam) for lam, _ in rows] == coefs
+    truncsym.clear_caches()
+
+
+# The (rule, c(k)) pairs of the partition-sum checks, and one rule over lam_1 + 1 whose
+# denominators are coprime to others, so its least common multiple exceeds the largest.
 PARTITION_COEFS = {
-    "int": lambda k: lambda lam: (-1) ** (k + len(lam)) * identities._mult(lam),
-    "weight": lambda k: lambda lam: identities._weight(lam, 1),
-    "scaled": lambda k: lambda lam: identities._weight(lam, k, k),
-    "one_over_z": lambda k: lambda lam: 1 / Fraction(sum_oracle.z(lam)),
-    "coprime": lambda k: lambda lam: Fraction(len(lam), lam[0] + 1),
+    "int": ("mult", lambda k: (-1) ** k),  # inv_*
+    "weight": ("weight", lambda k: -1),  # pk_from_H
+    "scaled": ("weight", lambda k: k * (-1) ** k),  # P_from_E
+    "one_over_z": ("z", lambda k: 1),  # H_from_P
+    "signed_z": ("signed_z", lambda k: (-1) ** k),  # E_from_P
+    "coprime": ("coprime", lambda k: 1),
 }
 
 
 @pytest.mark.parametrize("coef", sorted(PARTITION_COEFS))
 @pytest.mark.parametrize("kind", ["E", "H", "P"])
-def test_partition_sums_match_the_polynomial_adds(kind, coef):
-    for n in range(1, 4):
-        for s in range(1, 4):
-            for k in range(0 if coef == "int" and kind != "P" else 1, 6):  # P_lam and 1/len(lam) need k >= 1
-                got = identities._partition_sum(kind, k, s, n, PARTITION_COEFS[coef](k))
-                expected = sum_oracle.partition_sum(kind, k, s, n, PARTITION_COEFS[coef](k))
+def test_partition_sums_match_the_polynomial_adds(kind, coef, monkeypatch):
+    rules = dict(PER_POINT, coprime=lambda lam: Fraction(len(lam), lam[0] + 1))
+    real = identities._coef  # the package's rules, and the coprime one of this test
+    monkeypatch.setattr(identities, "_coef", lambda rule, lam: rules[rule](lam) if rule == "coprime" else real(rule, lam))
+    rule, c = PARTITION_COEFS[coef]
+    truncsym.clear_caches()
+    try:
+        for n, s in [(1, 1), (1, 3), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3)]:
+            # P_lam and 1/len(lam) need k >= 1
+            for k in range(0 if coef in ("int", "one_over_z", "signed_z") and kind != "P" else 1, 9):
+                got = identities._partition_sum(kind, k, s, n, rule, c(k))
+                expected = sum_oracle.partition_sum(kind, k, s, n, lambda lam: c(k) * rules[rule](lam))
                 assert got == expected, (kind, coef, n, k, s)
                 assert (str(got), got.to_json()) == (str(expected), expected.to_json())
+    finally:
+        truncsym.clear_caches()
