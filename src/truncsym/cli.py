@@ -117,23 +117,18 @@ def _value_json(value) -> str:
 
 def _cmd_expand(args: argparse.Namespace) -> Iterator[str]:
     kind = args.kind
-    meta: dict = {"kind": kind}
+    axes = ("lam", "n") if kind == "m" else ("k", "n") if kind in ("e", "h", "p") else ("k", "s", "n")
+    if any(getattr(args, axis) is None for axis in axes):
+        flags = ["--lambda" if axis == "lam" else f"--{axis}" for axis in axes]
+        raise ValueError(f"kind {kind} needs {', '.join(flags[:-1])} and {flags[-1]}")
+    meta: dict = {"kind": kind, **{axis: getattr(args, axis) for axis in axes}}
     if kind == "m":
-        if args.lam is None or args.n is None:
-            raise ValueError("kind m needs --lambda and --n")
-        lam = parse_partition(args.lam)
+        meta["lam"] = list(lam := parse_partition(args.lam))
         poly = m_lambda(lam, args.n)
-        meta.update(lam=list(lam), n=args.n)
     elif kind in ("e", "h", "p"):
-        if args.k is None or args.n is None:
-            raise ValueError(f"kind {kind} needs --k and --n")
         poly = classical(kind, args.k, args.n)
-        meta.update(k=args.k, n=args.n)
     else:  # E, H or P: the parser allows no other kind
-        if args.k is None or args.s is None or args.n is None:
-            raise ValueError(f"kind {kind} needs --k, --s and --n")
         poly = {"E": E, "H": H, "P": P}[kind](args.k, args.s, args.n)
-        meta.update(k=args.k, s=args.s, n=args.n)
     if args.format == "text":  # the parser allows text or json only
         yield f"{poly}\n"
     else:  # a block of terms at a time, all sorted before the first

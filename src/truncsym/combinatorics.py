@@ -166,21 +166,38 @@ def _path_panel(path: Path, ox: int, oy: int, cols: int, rows: int) -> str:
              for x1, y1, x2, y2 in ends]
     px, py = ox, oy + rows * _CELL
     points = [f"{px},{py}"]
-    for step in path:  # East is right, North up
-        px, py = (px + _CELL, py) if step == "E" else (px, py - _CELL)
+    for step in path:
+        if step == "E":
+            px += _CELL
+        else:
+            py -= _CELL
         points.append(f"{px},{py}")
-    parts.append(f'<polyline points="{" ".join(points)}" fill="none" stroke="#c0392b" stroke-width="3"/>')
-    parts.append(f'<text x="{ox}" y="{oy + rows * _CELL + 14}" font-family="monospace" font-size="12">{path}</text>')
+    parts.append(
+        f'<polyline points="{" ".join(points)}" fill="none" '
+        f'stroke="#c0392b" stroke-width="3"/>'
+    )
+    label_y = oy + rows * _CELL + 14
+    parts.append(
+        f'<text x="{ox}" y="{label_y}" font-family="monospace" font-size="12">'
+        f"{path}</text>"
+    )
     return "".join(parts)
 
 
 def _tiling_panel(tiling: Tiling, ox: int, oy: int, cols: int, rows: int) -> str:
     """The tiling as red and green cells of a cols-cell board from (ox, oy), its letters right of the board."""
-    cells = [f'<rect x="{ox + pos * _CELL}" y="{oy}" width="{_CELL}" height="{_CELL}" '
-             f'fill="{"#c0392b" if cell == "r" else "#27ae60"}" stroke="#333333" stroke-width="1"/>'
-             for pos, cell in enumerate(tiling)]
-    x, y = ox + cols * _CELL + 4, oy + _CELL - 7
-    return "".join(cells) + f'<text x="{x}" y="{y}" font-family="monospace" font-size="12">{tiling}</text>'
+    parts = []
+    for pos, cell in enumerate(tiling):
+        fill = "#c0392b" if cell == "r" else "#27ae60"
+        parts.append(
+            f'<rect x="{ox + pos * _CELL}" y="{oy}" width="{_CELL}" height="{_CELL}" '
+            f'fill="{fill}" stroke="#333333" stroke-width="1"/>'
+        )
+    parts.append(
+        f'<text x="{ox + cols * _CELL + 4}" y="{oy + _CELL - 7}" '
+        f'font-family="monospace" font-size="12">{tiling}</text>'
+    )
+    return "".join(parts)
 
 
 def _svg_chunks(objects: list[str], n: int, k: int, kind: str) -> Iterator[str]:

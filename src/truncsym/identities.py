@@ -49,7 +49,7 @@ from fractions import Fraction
 from functools import cache, partial
 from itertools import count, islice, product as _cartesian
 from json.encoder import encode_basestring_ascii as _quote
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .bisnomial import bisnomial, gaussian, pq_bisnomial, pq_gaussian, q_bisnomial
@@ -223,35 +223,31 @@ def _term(m: int, make: Callable[..., Iterator[MPoly]], *args) -> MPoly:
     return made[m]
 
 
-def _mult(lam: Partition) -> int:
-    """The multinomial coefficient of the part multiplicities of lam."""
-    return multinomial(multiplicities(lam).values())
-
-
 def _coef(rule: str, lam: Partition) -> Fraction:
-    """The coefficient of F_lam in the partition sum ``rule`` (Macdonald I.2), l = len(lam): (-1)^l times the
-    multinomial of lam for 'mult' (E from H, H from E), that over l for 'weight' (p_k and P from E or H), and
-    1/z_lam for 'z' (H from P) or (-1)^l / z_lam for 'signed_z' (E from P), z_lam = prod_i i^(t_i) t_i!."""
+    """The coefficient of F_lam in the partition sum ``rule`` (Macdonald I.2), l = len(lam), t_i the multiplicity
+    of i: (-1)^l times the multinomial of the t_i for 'mult' (E from H, H from E), that over l for 'weight' (p_k
+    and P from E or H), 1/z_lam for 'z' (H from P), (-1)^l/z_lam for 'signed_z' (E from P); z_lam = prod i^t_i t_i!."""
+    sign, t = _sign(len(lam)), multiplicities(lam)
     if rule in ("mult", "weight"):
-        return Fraction(_sign(len(lam)) * _mult(lam), len(lam) if rule == "weight" else 1)
-    z = prod(i**t * factorial(t) for i, t in multiplicities(lam).items())
-    return Fraction(_sign(len(lam)) if rule == "signed_z" else 1, z)
+        return Fraction(sign * multinomial(t.values()), len(lam) if rule == "weight" else 1)
+    return Fraction(sign if rule == "signed_z" else 1, prod(i**m * factorial(m) for i, m in t.items()))
 
 
 @cache
-def _coef_table(rule: str, k: int) -> tuple[Fraction, tuple[tuple[Partition, int], ...]]:
-    """(1/L, the pairs (lam, L * coefficient) in ``enum_partitions(k)`` order), L the lcm of the denominators."""
+def _coef_table(rule: str, k: int) -> tuple[int, tuple[tuple[Partition, int], ...]]:
+    """(L, the pairs (lam, L * coefficient) in ``enum_partitions(k)`` order), L the lcm of the denominators."""
     coefs = [(lam, _coef(rule, lam)) for lam in enum_partitions(k)]
     scale = lcm(*[c.denominator for _, c in coefs])
-    return Fraction(1, scale), tuple((lam, c.numerator * scale // c.denominator) for lam, c in coefs)
+    return scale, tuple((lam, c.numerator * scale // c.denominator) for lam, c in coefs)
 
 
 def _partition_sum(kind: str, k: int, s: int, n: int, rule: str, c: int) -> MPoly:
-    """c * sum over lam |- k of the rule's coefficient times F_lam, F = E, H or P, in one ``_conv``, scaled once."""
-    unit, rows = _coef_table(rule, k)
-    one = MPoly.one(n)
-    total = _conv(n, ((c * num, one, _product_over_partition(kind, lam, s, n)) for lam, num in rows))
-    return total if unit == 1 else unit * total
+    """c * sum over lam |- k of the rule's coefficient times F_lam, F = E, H or P, in one ``_conv``, scaled once: no
+    prime of L divides every numerator, so L / gcd(L, c) is the least common denominator, 1 for P_from_* (c = +-k)."""
+    scale, rows = _coef_table(rule, k)
+    g, one = gcd(scale, c), MPoly.one(n)
+    total = _conv(n, ((c // g * num, one, _product_over_partition(kind, lam, s, n)) for lam, num in rows))
+    return total if scale == g else Fraction(g, scale) * total
 
 
 @cache
@@ -368,7 +364,7 @@ def _chk_mroots_closed(drop: int, lam: Partition):
         cut = Fraction(k, length)
     else:
         cut = Fraction(t1 * (k - 1), length * length - length) if t1 else 0
-    return m_lambda_at_roots(lam, k - drop), _sign(length) * (1 - cut) * _mult(lam)
+    return m_lambda_at_roots(lam, k - drop), (1 - cut) * _coef("mult", lam)
 
 
 def _chk_powsub(kind: str, n: int, k: int, s: int):

@@ -12,7 +12,7 @@ with ``OverflowError`` (never a wrapped monomial) when an exponent reaches
 2**(32 - bit_length(n-1)) (else it is unpacked and summed); ``is_symmetric``
 checks (1 2) and the n-cycle, which generate S_n.  The rationals have no zero
 divisors, so a product is filtered for zeros only when it has many-term
-operands, whose pairs may cancel, and a sum only when its operands share a key.  Exponent tuples appear only at the API
+operands, whose pairs may cancel.  Exponent tuples appear only at the API
 edge: ``terms`` is a tuple-keyed view unpacked on demand, and one packing
 step, shared by the constructor and the orbit sums, packs many tuples (an
 orbit walked lazily) and refuses an exponent of 2**31 or more.
@@ -22,9 +22,9 @@ from one sort that ``canonical_terms``, ``to_json`` and ``_json_chunks`` read.
 The last sorts at its call, then yields the JSON payload a block of _BLOCK
 terms at a time, so no text as large as the value is held; ``to_json_text`` joins it.
 ``str`` groups terms in blocks sharing an exponent multiset (cosmetic only), by
-a sort key built per term from one unpack.  The memos are the per-n key layout (it refuses an n that is not
-an int), one shared zero, one, -1 and x_i per n for ``constant`` and ``variable``, and a value's report text,
-kept in one slot from its first report: ``str`` up to 40 terms, else a one-line digest, so it lives as long as the value.
+a sort key built per term from one unpack.  The memos are the per-n key layout
+and a value's report text, kept in one slot from its first report: ``str`` up
+to 40 terms, else a one-line digest, so it lives as long as the value.
 """
 
 from __future__ import annotations
@@ -193,9 +193,7 @@ class MPoly:
 
     @classmethod
     def constant(cls, n: int, c: Coeff) -> "MPoly":
-        _layout(n)  # refuses an n that is not an int >= 0, before a shared value is looked up
-        if type(c) is int and -1 <= c <= 1:
-            return _shared(n, 0, c)
+        _layout(n)  # refuses an n that is not an int >= 0
         if type(c) not in _SCALAR_TYPES:  # exact types pass at once; a subclass, bool too, is checked
             _check_coeff_types((c,))
         return _trusted(n, {0: c} if c else {})
@@ -203,10 +201,10 @@ class MPoly:
     @classmethod
     def variable(cls, n: int, i: int) -> "MPoly":
         """x_i, with i in 1..n."""
-        _layout(n)
+        _layout(n)  # refuses an n that is not an int >= 0
         if not 1 <= i <= n:
             raise ValueError(f"variable index {i} out of range 1..{n}")
-        return _shared(n, 1 << 32 * (i - 1), 1)
+        return _trusted(n, {1 << 32 * (i - 1): 1})
 
     @classmethod
     def monomial(cls, n: int, exps: Iterable[int], c: Coeff = 1) -> "MPoly":
@@ -223,8 +221,6 @@ class MPoly:
             self._check_same_vars(other)
             if not (self._packed and other._packed):  # values are immutable: share the nonzero one
                 return self or other
-            if self._packed.keys().isdisjoint(other._packed):  # no coefficient meets another, so none cancels
-                return _trusted(self.n, self._packed | other._packed)
             out = dict(self._packed)
             get = out.get
             for key, c in other._packed.items():
@@ -266,7 +262,7 @@ class MPoly:
         elif not isinstance(other, _SCALAR_TYPES):
             return NotImplemented
         if not other:  # no zero divisors, so only a zero scalar gives zeros
-            return _shared(self.n, 0, 0)
+            return _trusted(self.n, {})
         if type(other) is int and other == 1:  # a Fraction one would change the coefficient types
             return self
         return _trusted(self.n, {key: c * other for key, c in self._packed.items()})
@@ -354,12 +350,6 @@ def _report_text(p: MPoly) -> str:
         text = f"<{len(p._packed)} terms, degree {p.degree()}, sha256 {hashlib.sha256(blob.encode()).hexdigest()[:12]}>"
     _set_report(p, text)
     return text
-
-
-@cache
-def _shared(n: int, key: int, c: int) -> MPoly:
-    """The one value c * x^key (zero for c = 0) per n, key and c in -1, 0, 1, that constant and variable return."""
-    return _trusted(n, {key: c} if c else {})
 
 
 def _trusted(n: int, packed: dict) -> MPoly:

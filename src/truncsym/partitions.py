@@ -80,7 +80,9 @@ def enum_partitions(
 def conjugate(lam: Partition) -> Partition:
     """Transpose of the Young diagram."""
     lam = tuple(lam)
-    return tuple(sum(1 for p in lam if p >= i) for i in range(1, (lam[0] if lam else 0) + 1))
+    if not lam:
+        return ()
+    return tuple(sum(1 for p in lam if p >= i) for i in range(1, lam[0] + 1))
 
 
 def multiplicities(lam: Partition) -> dict[int, int]:

@@ -576,10 +576,10 @@ PER_POINT = {
 def test_each_coefficient_table_holds_the_per_point_coefficients(rule):
     for k in range(rule == "weight", 9):  # 1/len(lam) needs k >= 1
         coefs = [PER_POINT[rule](lam) for lam in truncsym.enum_partitions(k)]
-        unit, rows = identities._coef_table(rule, k)
+        scale, rows = identities._coef_table(rule, k)
         assert [lam for lam, _ in rows] == truncsym.enum_partitions(k)
-        assert all(type(num) is int for _, num in rows) and [unit * num for _, num in rows] == coefs, (rule, k)
-        assert unit == Fraction(1, lcm(*[Fraction(c).denominator for c in coefs]))  # the least common denominator
+        assert all(type(num) is int for _, num in rows) and [Fraction(num, scale) for _, num in rows] == coefs
+        assert scale == lcm(*[Fraction(c).denominator for c in coefs]), (rule, k)  # the least common denominator
         assert [identities._coef(rule, lam) for lam, _ in rows] == coefs
     truncsym.clear_caches()
 
@@ -605,12 +605,16 @@ def test_partition_sums_match_the_polynomial_adds(kind, coef, monkeypatch):
     rule, c = PARTITION_COEFS[coef]
     truncsym.clear_caches()
     try:
-        for n, s in [(1, 1), (1, 3), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3)]:
-            # P_lam and 1/len(lam) need k >= 1
-            for k in range(0 if coef in ("int", "one_over_z", "signed_z") and kind != "P" else 1, 9):
-                got = identities._partition_sum(kind, k, s, n, rule, c(k))
-                expected = sum_oracle.partition_sum(kind, k, s, n, lambda lam: c(k) * rules[rule](lam))
-                assert got == expected, (kind, coef, n, k, s)
-                assert (str(got), got.to_json()) == (str(expected), expected.to_json())
+        for n in range(1, 4):
+            for s in range(1, 4):
+                # P_lam and 1/len(lam) need k >= 1
+                for k in range(0 if coef in ("int", "one_over_z", "signed_z") and kind != "P" else 1, 9):
+                    got = identities._partition_sum(kind, k, s, n, rule, c(k))
+                    expected = sum_oracle.partition_sum(kind, k, s, n, lambda lam: c(k) * rules[rule](lam))
+                    assert got == expected, (kind, coef, n, k, s)
+                    assert (str(got), got.to_json()) == (str(expected), expected.to_json())
+                    # integral scaled coefficients (inv_*, P_from_*) give a sum with int coefficients
+                    if all(Fraction(c(k) * rules[rule](lam)).denominator == 1 for lam in truncsym.enum_partitions(k)):
+                        assert {type(v) for v in got.terms.values()} <= {int}, (kind, coef, n, k, s)
     finally:
         truncsym.clear_caches()

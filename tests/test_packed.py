@@ -19,7 +19,6 @@ from truncsym.multipoly import (
     MPoly,
     _layout,
     _product,
-    _shared,
     accumulate_product,
     collect,
     is_symmetric,
@@ -395,32 +394,9 @@ def test_a_sum_of_disjoint_key_sets_matches_the_reference(case, data):
     assert (pa.terms, pb.terms) == (a, b)  # the operands are not changed
 
 
-@pytest.mark.parametrize("n", [0, 1, 3])
-def test_the_small_constants_are_one_shared_value_per_count(n):
-    xs = [MPoly.variable(n, i) for i in range(1, n + 1)]
-    shared = [MPoly.zero(n), MPoly.one(n), MPoly.constant(n, -1), *xs]
-    again = [MPoly.constant(n, 0), MPoly.constant(n, 1), MPoly.constant(n, -1)]
-    again += [MPoly.variable(n, i) for i in range(1, n + 1)]
-    assert all(a is b for a, b in zip(shared, again)) and 0 * MPoly.one(n) is MPoly.zero(n)
-    for value, terms in zip(shared, [{}, {(0,) * n: 1}, {(0,) * n: -1}] + [
-            {tuple(int(j == i) for j in range(n)): 1} for i in range(n)]):
-        assert value.terms == terms and value.n == n
-        with pytest.raises(AttributeError, match="MPoly is immutable"):
-            value.n = n + 1
-    # a Fraction 1 or -1, or another int, is a value of its own
-    for c in (Fraction(1), Fraction(-1), 2):
-        assert MPoly.constant(n, c) is not MPoly.constant(n, c)
-        assert {type(v) for v in MPoly.constant(n, c).terms.values()} == {type(c)}
-    # clear_caches empties the table: the next value is a new object, equal to the old one
-    truncsym.clear_caches()
-    assert _shared.cache_info().currsize == 0
-    assert MPoly.one(n) is not shared[1] and MPoly.one(n) == shared[1] and _shared.cache_info().currsize == 1
-    truncsym.clear_caches()
-
-
 @pytest.mark.parametrize("n, name", [(True, "bool"), (False, "bool"), (1.0, "float"), (2.5, "float"), ("2", "str")])
 def test_a_variable_count_that_is_not_an_int_is_refused_by_its_type(n, name):
-    assert MPoly.zero(1) == MPoly.zero(1) and MPoly.one(0) == MPoly.one(0)  # the shared values of 1 and 0 are filled
+    assert MPoly.zero(1) == MPoly.zero(1) and MPoly.one(0) == MPoly.one(0)  # the layouts of 1 and 0 are cached
     for build in (lambda: MPoly.zero(n), lambda: MPoly.one(n), lambda: MPoly.constant(n, -1),
                   lambda: MPoly.constant(n, 5), lambda: MPoly(n), lambda: MPoly(n, {(0,): 1}),
                   lambda: MPoly.variable(n, 1), lambda: _layout(n)):
