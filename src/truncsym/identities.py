@@ -9,24 +9,23 @@ each identity remains an independent probe of the constructors.  The
 triangles to ordinary and Gaussian binomials.
 
 The identities restate a few relations between the generating products E(t)
-and H(t), so the checks are built from two shared shapes.  Each adds its
-products into accumulators through ``accumulate_product`` alone (c * F and
-x_i * F are products by the one-term 1 and x_i) and reads them only through
-``collect``:
+and H(t) as sums of products, so the checks are built from two shared shapes,
+each a call of ``multipoly.sum_of_products`` (c * F and x_i * F are products
+by the one-term 1 and x_i):
 
-* ``_conv``: sum of c * A * B over the (c, A, B) terms, in one accumulator:
-  E(t) H(-t) = 1, the Newton-type sums, the sums over x^s-substituted
-  classical factors (``_conv_sum``, memoized), the sums over lam |- k of
-  coef(lam) * F_lam over a common denominator (``_partition_sum``, from a table of integer numerators made
-  once per (rule, k), ``_coef_table``; its scalar twin ``_scalar_sum`` is memoized) and the sums over lam of
-  the integer m_lam at the roots of unity times a basis (``_roots_sum``, memoized), these two as
-  c * 1 * F;
+* one ``sum_of_products`` over the (c, A, B) terms: E(t) H(-t) = 1, the
+  Newton-type sums, the sums over x^s-substituted classical factors
+  (``_conv_sum``, memoized), the sums over lam |- k of coef(lam) * F_lam over a
+  common denominator (``_partition_sum``, from a table of integer numerators made
+  once per (rule, k), ``_coef_table``; its scalar twin ``_scalar_sum`` is memoized), the sums over lam of
+  the integer m_lam at the roots of unity times a basis (``_roots_sum``, memoized) and the signed sums
+  of m_lam (``_mono_sum``, conj_bridge), these three as c * 1 * F;
 * ``_linear_passes``: a graded series times prod_i (1 + x_i t)^(-1) or
   prod_i (1 - x_i t), one pass per variable, the passes side by side a degree
-  at a time: the power substitutions and the sums that vanish, every k of one
-  (kind, n, s) read from one run that ``_series`` keeps.  The rows that
+  at a time, each step one two-term ``sum_of_products``: the power substitutions and the sums that vanish,
+  every k of one (kind, n, s) read from one run that ``_series`` keeps.  The rows that
   convolve E with H or E with E at one s (ortho, newton_*, cubic_*, mono_H)
-  stay on ``_conv``: passes with the family's own truncated factor would test
+  stay one sum of products: passes with the family's own truncated factor would test
   one value against its generating product, as the constructors' split guard
   does, not two constructed values against each other.  So does ``_conv_sum``
   (conv_*): as passes it would test H against its own generating product, the
@@ -54,7 +53,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, 
 
 from .bisnomial import bisnomial, gaussian, pq_bisnomial, pq_gaussian, q_bisnomial
 from .exactalg import BiPoly, UniPoly
-from .multipoly import MPoly, _report_text, accumulate_product, collect, substitute_power
+from .multipoly import MPoly, _report_text, substitute_power, sum_of_products
 from .partitions import (
     Partition,
     enum_partitions,
@@ -139,24 +138,11 @@ def _family(kind: str) -> Callable[[int, int, int], MPoly]:
     return E if kind == "E" else H
 
 
-def _conv(n: int, terms: Iterable[tuple[object, MPoly, MPoly]]) -> MPoly:
-    """sum of c * A * B over the (c, A, B) terms, in one accumulator.
-
-    A term with a zero factor adds nothing.  The callers filter on the
-    factor that may be zero, so the other one is built only where it counts.
-    """
-    acc: dict = {}
-    for c, a, b in terms:
-        if a and b:
-            accumulate_product(acc, a, b, c)
-    return collect(n, acc)
-
-
 @cache
 def _pair_conv(kind: str, m: int, s: int, n: int) -> MPoly:
     """sum over a+b=m of F_a F_b with F = E or H, cached."""
     F = _family(kind)
-    return _conv(n, ((1, Fa, F(m - a, s, n)) for a in range(m + 1) if (Fa := F(a, s, n))))
+    return sum_of_products(n, ((1, Fa, F(m - a, s, n)) for a in range(m + 1) if (Fa := F(a, s, n))))
 
 
 @cache
@@ -168,7 +154,7 @@ def _conv_sum(f: str, n: int, k: int, s: int) -> MPoly:
     """
     g, step = ("e", s) if f == "h" else ("h", 1)
     pairs = ((j, classical(f, j, n), classical(g, k - s * j, n)) for j in range(k // s + 1))
-    return _conv(n, ((_sign(step * j), substitute_power(a, s), b) for j, a, b in pairs if a and b))
+    return sum_of_products(n, ((_sign(step * j), substitute_power(a, s), b) for j, a, b in pairs if a and b))
 
 
 def _linear_passes(n: int, series: Iterable[MPoly], divide: bool) -> Iterator[MPoly]:
@@ -184,10 +170,7 @@ def _linear_passes(n: int, series: Iterable[MPoly], divide: bool) -> Iterator[MP
             last = [term] * n
         else:
             for i, xi in enumerate(xs):
-                acc: dict = {}
-                accumulate_product(acc, one, term)
-                accumulate_product(acc, xi, last[i], -1)
-                out = collect(n, acc)
+                out = sum_of_products(n, [(1, one, term), (-1, xi, last[i])])
                 last[i], term = out if divide else term, out
         yield term
 
@@ -197,7 +180,8 @@ def _rebuilt_H(n: int, s: int) -> Iterator[MPoly]:
     rebuilt = [MPoly.one(n)]
     for top in count(1):
         yield rebuilt[-1]
-        rebuilt.append(_conv(n, ((_sign(j + 1), E(j, s, n), rebuilt[top - j]) for j in range(1, min(top, s * n) + 1))))
+        rebuilt.append(sum_of_products(n, ((_sign(j + 1), E(j, s, n), rebuilt[top - j])
+                                           for j in range(1, min(top, s * n) + 1))))
 
 
 def _alt_sums(kind: str, n: int, s: int) -> Iterator[MPoly]:
@@ -242,11 +226,11 @@ def _coef_table(rule: str, k: int) -> tuple[int, tuple[tuple[Partition, int], ..
 
 
 def _partition_sum(kind: str, k: int, s: int, n: int, rule: str, c: int) -> MPoly:
-    """c * sum over lam |- k of the rule's coefficient times F_lam, F = E, H or P, in one ``_conv``, scaled once: no
+    """c * sum over lam |- k of the rule's coefficient times F_lam, F = E, H or P, as one sum of products scaled once: no
     prime of L divides every numerator, so L / gcd(L, c) is the least common denominator, 1 for P_from_* (c = +-k)."""
     scale, rows = _coef_table(rule, k)
     g, one = gcd(scale, c), MPoly.one(n)
-    total = _conv(n, ((c // g * num, one, _product_over_partition(kind, lam, s, n)) for lam, num in rows))
+    total = sum_of_products(n, ((c // g * num, one, _product_over_partition(kind, lam, s, n)) for lam, num in rows))
     return total if scale == g else Fraction(g, scale) * total
 
 
@@ -258,17 +242,17 @@ def _scalar_sum(k: int, s: int) -> Fraction:
 
 @cache
 def _roots_sum(k: int, s: int, basis: str, n: int) -> MPoly:
-    """sum over lam |- k, len(lam) <= s of m_lam(roots) * basis_lam(x), in one ``_conv``."""
+    """sum over lam |- k, len(lam) <= s of m_lam(roots) * basis_lam(x), in one ``sum_of_products``."""
     one = MPoly.one(n)  # no lam listed has more than s parts, so each is one ``_at_roots`` call
-    return _conv(n, ((c, one, _product_over_partition(basis, lam, None, n))
-                     for lam in enum_partitions(k, max_length=s) if (c := _at_roots(lam, s))))
+    return sum_of_products(n, ((c, one, _product_over_partition(basis, lam, None, n))
+                               for lam in enum_partitions(k, max_length=s) if (c := _at_roots(lam, s))))
 
 
 def _mono_sum(n: int, k: int, s: int, shift: int) -> MPoly:
     """sum of (-1)^(shift + r) m_lam over lam |- k with parts 0 or 1 mod s+1, r the residue sum."""
-    m = s + 1
+    m, one = s + 1, MPoly.one(n)
     lams = enum_partitions(k, mod01=m)
-    return sum((_sign(shift + sum(part % m for part in lam)) * _m_lambda(lam, n) for lam in lams), MPoly.zero(n))
+    return sum_of_products(n, ((_sign(shift + sum(part % m for part in lam)), one, _m_lambda(lam, n)) for lam in lams))
 
 
 # -- checks ------------------------------------------------------------------
@@ -277,7 +261,7 @@ def _mono_sum(n: int, k: int, s: int, shift: int) -> MPoly:
 
 
 def _chk_ortho(n: int, k: int, s: int):
-    lhs = _conv(n, ((_sign(j), Ej, H(k - j, s, n)) for j in range(k + 1) if (Ej := E(j, s, n))))
+    lhs = sum_of_products(n, ((_sign(j), Ej, H(k - j, s, n)) for j in range(k + 1) if (Ej := E(j, s, n))))
     return lhs, MPoly.one(n) if k == 0 else MPoly.zero(n)
 
 
@@ -287,24 +271,24 @@ def _chk_inv(kind: str, n: int, k: int, s: int):
 
 def _chk_newton(kind: str, n: int, k: int, s: int):
     F, sign = _family(kind), (-1 if kind == "E" else 1)
-    rhs = _conv(n, ((sign ** (j - 1), P(j, s, n), Fj) for j in range(1, k + 1) if (Fj := F(k - j, s, n))))
+    rhs = sum_of_products(n, ((sign ** (j - 1), P(j, s, n), Fj) for j in range(1, k + 1) if (Fj := F(k - j, s, n))))
     return k * F(k, s, n), rhs
 
 
 def _chk_newton_P(n: int, k: int, s: int):
-    rhs = _conv(n, ((_sign(j - 1) * j, Ej, H(k - j, s, n)) for j in range(1, k + 1) if (Ej := E(j, s, n))))
+    rhs = sum_of_products(n, ((_sign(j - 1) * j, Ej, H(k - j, s, n)) for j in range(1, k + 1) if (Ej := E(j, s, n))))
     return P(k, s, n), rhs
 
 
 def _chk_cubic_E(n: int, k: int, s: int):
-    rhs = _conv(n, ((_sign(k - m) * m, conv, H(k - m, s, n))
-                    for m in range(1, k + 1) if (conv := _pair_conv("E", m, s, n))))
+    rhs = sum_of_products(n, ((_sign(k - m) * m, conv, H(k - m, s, n))
+                              for m in range(1, k + 1) if (conv := _pair_conv("E", m, s, n))))
     return (2 * k) * E(k, s, n), rhs
 
 
 def _chk_cubic_H(n: int, k: int, s: int):
-    rhs = _conv(n, ((_sign(k - m - 1) * (k - m), _pair_conv("H", m, s, n), Ek3)
-                    for m in range(k) if (Ek3 := E(k - m, s, n))))
+    rhs = sum_of_products(n, ((_sign(k - m - 1) * (k - m), _pair_conv("H", m, s, n), Ek3)
+                              for m in range(k) if (Ek3 := E(k - m, s, n))))
     return k * H(k, s, n), rhs
 
 
@@ -343,7 +327,8 @@ def _chk_roots(kind: str, n: int, k: int, s: int):
 
 
 def _chk_conj_bridge(n: int, k: int, s: int):
-    lhs = sum((_m_lambda(lam, n) for lam in enum_partitions(k, max_part=s)), MPoly.zero(n))
+    one = MPoly.one(n)
+    lhs = sum_of_products(n, ((1, one, _m_lambda(lam, n)) for lam in enum_partitions(k, max_part=s)))
     return lhs, _sign(k) * _roots_sum(k, s, "e", n)
 
 

@@ -2,12 +2,14 @@
 
 ``MPoly`` is a sparse polynomial in x1..xn with ``int`` or ``Fraction``
 coefficients; the constructor and ``constant`` refuse any other type, and
-``bool`` (``TypeError``).  A term is stored under a packed exponent: one int
+``bool`` (``TypeError``), as the constructor, ``variable`` and ``pad`` refuse an
+exponent, index or variable count that is not an ``int``.  A term is stored under a packed exponent: one int
 holding the exponent of x_i in bits 32(i-1) .. 32i-1.  Every stored exponent
 is below 2**31, so two keys add without a carry between fields: a product is
 one int add per pair of terms (one per term with a one-term operand), refused
 with ``OverflowError`` (never a wrapped monomial) when an exponent reaches
-2**31, and a pad to more variables keeps every key.  As 2**32 = 1 mod
+2**31, and a pad to more variables keeps every key.  ``sum_of_products`` sums
+c * a * b over many terms through the same loop, into one private accumulator.  As 2**32 = 1 mod
 2**32 - 1, a key mod 2**32 - 1 is its degree while no field reaches
 2**(32 - bit_length(n-1)) (else it is unpacked and summed); ``is_symmetric``
 checks (1 2) and the n-cycle, which generate S_n.  The rationals have no zero
@@ -172,6 +174,8 @@ class MPoly:
     def __init__(self, n: int, terms: Optional[dict] = None):
         terms = terms or {}
         _check_coeff_types(terms.values())
+        if bad := set(map(type, chain.from_iterable(terms))) - {int}:  # one check per distinct exponent type
+            raise TypeError(f"exponents must be int, got {', '.join(sorted(t.__name__ for t in bad))}")
         _set_n(self, n)
         _set_packed(self, _nonzero(_pack_terms(n, [(terms, terms.values())])))
 
@@ -202,6 +206,8 @@ class MPoly:
     def variable(cls, n: int, i: int) -> "MPoly":
         """x_i, with i in 1..n."""
         _layout(n)  # refuses an n that is not an int >= 0
+        if type(i) is not int:
+            raise TypeError(f"variable index must be an int, got {type(i).__name__}")
         if not 1 <= i <= n:
             raise ValueError(f"variable index {i} out of range 1..{n}")
         return _trusted(n, {1 << 32 * (i - 1): 1})
@@ -294,6 +300,8 @@ class MPoly:
 
     def pad(self, n: int) -> "MPoly":
         """Reinterpret in n >= self.n variables, new variables unused."""
+        if type(n) is not int:
+            raise TypeError(f"variable count must be an int, got {type(n).__name__}")
         if n < self.n:
             raise ValueError(f"cannot shrink from {self.n} to {n} variables")
         return self if n == self.n else _trusted(n, self._packed)
@@ -360,28 +368,27 @@ def _trusted(n: int, packed: dict) -> MPoly:
     return self
 
 
-def accumulate_product(acc: dict, a: MPoly, b: MPoly, scalar: Coeff = 1) -> None:
-    """acc += scalar * a * b, in place; a and b have the same variable count.
+def sum_of_products(n: int, terms: Iterable[tuple[Coeff, MPoly, MPoly]]) -> MPoly:
+    """sum of c * a * b over the (c, a, b) terms, in n variables: one private packed accumulator, no value per term.
 
-    Shared by the identity checks that sum many pairwise products; avoids
-    building every intermediate polynomial.  A one-term a (1, or x_i for a
-    linear factor) makes it one linear pass over b.  acc is opaque (packed
-    keys): start it empty and read it only through ``collect``; an
-    OverflowError leaves it as it was.
+    The identity checks and the constructors' split and determinant sum their
+    products here.  A one-term a (1, or x_i for a linear factor) makes a term
+    one linear pass over b, and a term with a zero factor adds nothing.  An
+    operand not in n variables, zero or not, raises ValueError, and an
+    exponent that reaches 2**31 OverflowError.
     """
-    a._check_same_vars(b)
-    if scalar:
-        _product(acc, a._packed, b._packed, scalar, _layout(a.n)[2])
+    acc, top = {}, _layout(n)[2]
+    for c, a, b in terms:
+        if a.n != n or b.n != n:
+            raise ValueError(f"variable count mismatch: {n} vs {b.n if a.n == n else a.n}")
+        if c and a._packed and b._packed:
+            _product(acc, a._packed, b._packed, c, top)
+    return _trusted(n, _nonzero(acc))
 
 
 def _shift_variables(p: MPoly, a: int, n: int) -> MPoly:
     """p in n >= p.n + a variables with each x_i renamed x_(i+a): one shift of 32a bits per key."""
     return _trusted(n, {key << 32 * a: c for key, c in p._packed.items()})
-
-
-def collect(n: int, acc: dict) -> MPoly:
-    """Finish an accumulate_product run, dropping zero entries."""
-    return _trusted(n, _nonzero(acc))
 
 
 def substitute_power(p: MPoly, s: int) -> MPoly:

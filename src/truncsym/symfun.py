@@ -55,7 +55,7 @@ from itertools import repeat
 from math import factorial, gcd
 from typing import Callable, Iterable, Optional, Sequence
 
-from .multipoly import MPoly, _pack_terms, _shift_variables, _trusted, accumulate_product, collect
+from .multipoly import MPoly, _pack_terms, _shift_variables, _trusted, sum_of_products
 from .partitions import (
     Partition,
     _orbit,
@@ -128,11 +128,10 @@ def _split(F: Callable[[int, int, int], MPoly], one: Callable[[int], int], d: in
     if n < 2:  # a zero is built without its monomial, whose exponent may not fit
         c = one(k) if n else int(k == 0)
         return MPoly.monomial(n, (k,) * n, c) if c else MPoly.zero(n)
-    a, acc = n // 2, {}
-    for j in range(max(0, k - d * (n - a)), min(k, d * a) + 1):
-        if (left := F(j, s, a)) and (right := F(k - j, s, n - a)):
-            accumulate_product(acc, left.pad(n), _shift_variables(right, a, n))
-    return collect(n, acc)
+    a = n // 2
+    return sum_of_products(n, ((1, left.pad(n), _shift_variables(right, a, n))
+                               for j in range(max(0, k - d * (n - a)), min(k, d * a) + 1)
+                               if (left := F(j, s, a)) and (right := F(k - j, s, n - a))))
 
 
 def _orbit_sum(n: int, signed: Iterable[tuple[Partition, int]]) -> MPoly:
@@ -284,8 +283,8 @@ def _det(mat: list[list[MPoly]], n: int) -> MPoly:
             for j, entry in enumerate(row):
                 if entry and not cols >> j & 1:
                     sign = -1 if (cols >> j).bit_count() % 2 else 1  # columns of cols right of j
-                    accumulate_product(grown.setdefault(cols | 1 << j, {}), entry, minor, sign)
-        minors = {cols: minor for cols, acc in grown.items() if (minor := collect(n, acc))}
+                    grown.setdefault(cols | 1 << j, []).append((sign, entry, minor))
+        minors = {cols: minor for cols, terms in grown.items() if (minor := sum_of_products(n, terms))}
     return minors.get((1 << len(mat)) - 1, MPoly.zero(n))
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import truncsym
 import sum_oracle
 from series_oracle import series_inverse, series_product
-from truncsym import identities, symfun
+from truncsym import identities, multipoly, symfun
 from truncsym.exactalg import BiPoly
 from truncsym.multipoly import MPoly
 from truncsym.symfun import E, H, classical
@@ -390,20 +390,32 @@ def test_exactly_the_alternating_sums_run_on_linear_passes(monkeypatch):
 
 
 def test_every_sum_of_products_goes_through_the_one_kernel_entry(monkeypatch):
-    # rebind the kernel as a tracer does, and record which shape calls it
-    kernel, callers = identities.accumulate_product, []
+    # rebind the kernel as a tracer does, where identities and symfun bind it, and record which shape calls it
+    kernel, callers = multipoly.sum_of_products, []
 
     def counting(*args):
-        callers.append(sys._getframe(1).f_code.co_name)
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):  # before Python 3.12 a comprehension runs in a frame of its own
+            frame = frame.f_back
+        callers.append(frame.f_code.co_name)
         return kernel(*args)
 
-    monkeypatch.setattr(identities, "accumulate_product", counting)
+    for module in (identities, symfun):
+        monkeypatch.setattr(module, "sum_of_products", counting)
     truncsym.clear_caches()  # a memoized side would not reach the kernel
-    for name, shape in [("powsub_h", "_linear_passes"), ("vanish_e", "_linear_passes"),
-                        ("inv_H", "_conv"), ("roots_H", "_conv")]:
+    for name, shapes in [("powsub_h", {"_linear_passes"}), ("vanish_e", {"_linear_passes"}),
+                         ("inv_H", {"_partition_sum"}), ("roots_H", {"_roots_sum"}), ("ortho", {"_chk_ortho"}),
+                         ("mono_H", {"_rebuilt_H", "_mono_sum"}), ("conj_bridge", {"_chk_conj_bridge", "_roots_sum"})]:
         callers.clear()
         assert verify(name, n=2, k=3, s=2).holds
-        assert set(callers) == {shape}, (name, callers)
+        assert set(callers) - {"_split"} == shapes, (name, callers)  # a cold E, H or classical value is split
+    truncsym.clear_caches()
+    callers.clear()
+    assert E(3, 2, 4) == symfun.m_lambda((2, 1), 4) + symfun.m_lambda((1, 1, 1), 4)
+    assert callers == ["_split"] * 5  # E(3, 2, 4), then E(j, 2, 2) for j = 0..3; one variable is a closed form
+    callers.clear()
+    assert symfun.schur_det((2, 1), 2, 4) == symfun.schur_det((2, 1), 2, 4, basis="e")
+    assert set(callers) == {"_det", "_split"}, callers  # the cold H of the first determinant are split
 
 
 @settings(max_examples=80, deadline=None)
@@ -422,14 +434,14 @@ def test_linear_passes_match_the_series_oracle(n, m, divide, data):
 
 def _pass_steps(monkeypatch):
     """The kernel calls made from the pass generator, counted from here on."""
-    kernel, steps = identities.accumulate_product, []
+    kernel, steps = multipoly.sum_of_products, []
 
     def counting(*args):
         if sys._getframe(1).f_code.co_name == "_linear_passes":
             steps.append(args)
         return kernel(*args)
 
-    monkeypatch.setattr(identities, "accumulate_product", counting)
+    monkeypatch.setattr(identities, "sum_of_products", counting)
     return steps
 
 
@@ -443,7 +455,7 @@ def test_every_k_of_a_sweep_reads_one_run_of_the_passes(monkeypatch):
         assert verify("powsub_h", n=2, k=6, s=3).holds
     finally:
         truncsym.clear_caches()
-    assert swept == len(steps) - swept == 2 * 2 * 6 * 3  # two calls per pass and degree, degrees 1..k*s
+    assert swept == len(steps) - swept == 2 * 6 * 3  # one call per pass and degree, degrees 1..k*s
 
 
 def test_a_registry_sweep_builds_each_roots_and_convolution_sum_once(monkeypatch):

@@ -15,11 +15,10 @@ from truncsym.multipoly import (
     MPoly,
     _json_chunks,
     _report_text,
-    accumulate_product,
-    collect,
     is_symmetric,
     specialize,
     substitute_power,
+    sum_of_products,
 )
 from truncsym.symfun import E, m_lambda
 
@@ -348,14 +347,13 @@ def test_an_orbit_sum_past_the_exponent_limit_is_refused_with_one_message(capsys
     assert capsys.readouterr() == ("", "error: exponent tuples need 1 entries in 0..2**31-1\n")
 
 
-def test_accumulate_product_fuses_multiply_add():
+def test_sum_of_products_fuses_multiply_add():
     a = MPoly(2, {(1, 0): 1, (0, 1): 1})
     b = MPoly(2, {(1, 0): 1, (0, 1): -1})
-    acc = {}
-    accumulate_product(acc, a, b)
-    accumulate_product(acc, a, a, scalar=2)
     want = a * b + 2 * (a * a)
-    assert collect(2, acc) == want
+    assert sum_of_products(2, [(1, a, b), (2, a, a)]) == want
+    assert sum_of_products(2, iter([(1, a, b), (0, a, a), (2, a, a), (5, a, MPoly.zero(2))])) == want
+    assert sum_of_products(2, []) == MPoly.zero(2) and sum_of_products(0, []) == MPoly.zero(0)
     assert a * b == MPoly(2, {(2, 0): 1, (0, 2): -1})
 
 

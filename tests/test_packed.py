@@ -19,10 +19,9 @@ from truncsym.multipoly import (
     MPoly,
     _layout,
     _product,
-    accumulate_product,
-    collect,
     is_symmetric,
     substitute_power,
+    sum_of_products,
 )
 
 from json_oracle import mpoly_from_json
@@ -82,10 +81,7 @@ def test_ring_operations_match_the_reference(case):
     assert (pa - pb).terms == ref_add(a, {e: -c for e, c in b.items()})
     assert (pa * pb).terms == ref_mul(a, b)
     assert (pa == pb) == (a == b)
-    acc: dict = {}
-    accumulate_product(acc, pa, pb, 3)
-    accumulate_product(acc, pb, pa, -3)
-    assert collect(n, acc) == MPoly.zero(n)
+    assert sum_of_products(n, [(3, pa, pb), (-3, pb, pa)]) == MPoly.zero(n)
 
 
 @settings(max_examples=60)
@@ -149,7 +145,7 @@ def test_a_product_reaching_the_limit_raises_instead_of_wrapping():
     with pytest.raises(OverflowError):
         MPoly.monomial(2, (LIMIT - 1, 0)) * MPoly.variable(2, 1)
     with pytest.raises(OverflowError):
-        accumulate_product({}, MPoly.monomial(1, (LIMIT - 1,)), MPoly.monomial(1, (1,)))
+        sum_of_products(1, [(1, MPoly.monomial(1, (LIMIT - 1,)), MPoly.monomial(1, (1,)))])
     with pytest.raises(OverflowError):
         MPoly.monomial(1, (2**16,)) ** (2**15)
     with pytest.raises(OverflowError):
@@ -166,18 +162,19 @@ def test_a_shift_is_the_product_by_a_monomial(case, data):
     i, j = data.draw(st.integers(1, n)), data.draw(st.integers(0, 3))
     scalar = data.draw(st.sampled_from([1, -1, 3]))
     monomial = tuple(j if col == i - 1 else 0 for col in range(n))
-    shifted: dict = {}  # a one-term operand makes the product one linear pass
-    accumulate_product(shifted, MPoly.monomial(n, monomial), MPoly(n, a), scalar)
-    assert collect(n, shifted).terms == ref_mul(a, {monomial: scalar})
+    shifted = sum_of_products(n, [(scalar, MPoly.monomial(n, monomial), MPoly(n, a))])  # one linear pass
+    assert shifted.terms == ref_mul(a, {monomial: scalar})
 
 
 def test_a_shift_reaching_the_limit_raises_instead_of_wrapping():
     top = MPoly.monomial(2, (LIMIT - 1, 0))
     with pytest.raises(OverflowError):
-        accumulate_product({}, MPoly.variable(2, 1), top)
-    acc: dict = {}
-    accumulate_product(acc, MPoly.monomial(2, (0, LIMIT - 1)), top)  # the neighbouring field reaches its own limit only
-    assert collect(2, acc).terms == {(LIMIT - 1, LIMIT - 1): 1}
+        sum_of_products(2, [(1, MPoly.variable(2, 1), top)])
+    with pytest.raises(OverflowError):  # past a first term that fits
+        sum_of_products(2, [(1, MPoly.one(2), top), (-1, MPoly.variable(2, 1), top)])
+    # the neighbouring field reaches its own limit only
+    near = sum_of_products(2, [(1, MPoly.monomial(2, (0, LIMIT - 1)), top)])
+    assert near.terms == {(LIMIT - 1, LIMIT - 1): 1}
     # every pass of a linear factor shifts by x_i, so the series' top exponent may reach the limit
     for divide in (True, False):
         with pytest.raises(OverflowError):
@@ -196,13 +193,15 @@ def test_a_product_raises_exactly_when_some_pair_reaches_the_limit(n, data):
     acc = {(0,) * n: 5}
     packed = dict(MPoly(n, acc)._packed)
     over = any(x + y >= LIMIT for e1 in a for e2 in b for x, y in zip(e1, e2))
+    terms = [(1, MPoly.one(n), MPoly(n, acc)), (2, MPoly(n, a), MPoly(n, b))]
     if over:
         with pytest.raises(OverflowError):
-            accumulate_product(packed, MPoly(n, a), MPoly(n, b), 2)
-        assert collect(n, packed).terms == acc  # refused before any term was added
+            _product(packed, MPoly(n, a)._packed, MPoly(n, b)._packed, 2, _layout(n)[2])
+        assert packed == MPoly(n, acc)._packed  # refused before any term was added
+        with pytest.raises(OverflowError):
+            sum_of_products(n, terms)
     else:
-        accumulate_product(packed, MPoly(n, a), MPoly(n, b), 2)
-        assert collect(n, packed).terms == ref_add(acc, ref_mul(ref_mul(a, b), {(0,) * n: 2}))
+        assert sum_of_products(n, terms).terms == ref_add(acc, ref_mul(ref_mul(a, b), {(0,) * n: 2}))
 
 
 @pytest.mark.parametrize("a, b, over", [
@@ -217,18 +216,50 @@ def test_the_or_bound_is_only_a_filter(a, b, over):
     acc: dict = {}
     if over:
         with pytest.raises(OverflowError):
-            accumulate_product(acc, pa, pb)
+            _product(acc, pa._packed, pb._packed, 1, _layout(1)[2])
         assert acc == {}
+        with pytest.raises(OverflowError):
+            sum_of_products(1, [(1, pa, pb)])
     else:
-        accumulate_product(acc, pa, pb)
-        assert collect(1, acc) == pa * pb
+        assert sum_of_products(1, [(1, pa, pb)]) == pa * pb
 
 
-def test_accumulate_product_refuses_operands_in_different_variable_counts():
-    acc: dict = {}
-    with pytest.raises(ValueError):
-        accumulate_product(acc, MPoly.variable(1, 1), MPoly.variable(2, 2))
-    assert acc == {}
+@settings(max_examples=150)
+@given(st.sampled_from(sorted(COEFFS)), st.booleans(), st.booleans(), st.data())
+def test_sum_of_products_matches_the_reference(ring, one_term_first, cancel, data):
+    n, factors = data.draw(operands(count=3, ring=ring))
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    factors += [{}, {data.draw(exps): data.draw(COEFFS[ring].filter(bool))}]  # a zero and a one-term operand
+    index = st.integers(0, len(factors) - 1)
+    picks = data.draw(st.lists(st.tuples(COEFFS[ring], index, index), max_size=5))  # zero scalars included
+    if one_term_first:  # 1 times a one-term operand first: the product loop copies the other operand's terms
+        picks.insert(0, (1, len(factors) - 1, data.draw(index)))
+    if cancel:  # every term again with the opposite scalar and its operands swapped
+        picks += [(-c, j, i) for c, i, j in picks]
+    values = [MPoly(n, f) for f in factors]
+    total = sum_of_products(n, ((c, values[i], values[j]) for c, i, j in picks))
+    expected: dict = {}
+    for c, i, j in picks:
+        expected = ref_add(expected, ref_mul(ref_mul(factors[i], factors[j]), {(0,) * n: c}))
+    assert total.terms == expected and all(total._packed.values())
+    assert not cancel or total == MPoly.zero(n)
+    assert [v.terms for v in values] == factors  # no operand is changed
+
+
+@pytest.mark.parametrize("n, a, b", [
+    (1, MPoly.variable(1, 1), MPoly.variable(2, 2)),
+    (2, MPoly.variable(1, 1), MPoly.variable(2, 2)),
+    (2, MPoly.variable(2, 1), MPoly.zero(3)),  # a zero operand is checked too
+    (2, MPoly.zero(3), MPoly.variable(2, 1)),
+    (2, MPoly.zero(1), MPoly.zero(1)),  # operands that agree with each other, not with n
+    (0, MPoly.one(1), MPoly.one(1)),
+])
+def test_sum_of_products_refuses_an_operand_in_another_variable_count(n, a, b):
+    for scalar in (1, 0):  # a zero scalar does not hide it
+        with pytest.raises(ValueError):
+            sum_of_products(n, [(scalar, a, b)])
+        with pytest.raises(ValueError):  # nor a valid term before it
+            sum_of_products(n, [(1, MPoly.one(n), MPoly.one(n)), (scalar, a, b)])
 
 
 @pytest.mark.parametrize("n, m", [(2, 3), (3, 2), (0, 1)])
@@ -327,7 +358,7 @@ def test_a_one_term_product_matches_the_product_loop(ring, data):
     exps = data.draw(st.tuples(*[st.integers(0, 3)] * n))
     c = data.draw(COEFFS[ring].filter(bool))
     one, p = MPoly(n, {exps: c}), MPoly(n, a)
-    expected = collect(n, _product({}, one._packed, p._packed, 1, _layout(n)[2]))
+    expected = sum_of_products(n, [(1, one, p)])  # the product loop
     assert one * p == expected and p * one == expected
     assert expected.terms == ref_mul({exps: c}, a)
     assert all((one * p)._packed.values()) and all((p * one)._packed.values())
@@ -392,6 +423,35 @@ def test_a_sum_of_disjoint_key_sets_matches_the_reference(case, data):
         if a and b:  # a new dict; with an empty operand the sum is the other operand, shared
             assert total._packed is not pa._packed and total._packed is not pb._packed
     assert (pa.terms, pb.terms) == (a, b)  # the operands are not changed
+
+
+@pytest.mark.parametrize("bad, name", [(True, "bool"), (False, "bool"), (1.0, "float"), (3.0, "float"), ("1", "str"),
+                                       (Fraction(1), "Fraction")])
+def test_a_variable_index_exponent_or_pad_count_that_is_not_an_int_is_refused_by_its_type(bad, name):
+    # each was checked by value alone: variable(2, True) was x1, and pad(3.0) gave a value with a float n
+    with pytest.raises(TypeError, match=f"^variable index must be an int, got {name}$"):
+        MPoly.variable(2, bad)
+    for build in (lambda: MPoly(2, {(bad, 0): 1}), lambda: MPoly(2, {(0, 0): 1, (1, bad): 2}),
+                  lambda: MPoly.monomial(2, (1, bad)), lambda: MPoly.monomial(2, (bad, 1), 3)):
+        with pytest.raises(TypeError, match=f"^exponents must be int, got {name}$"):
+            build()
+    for p in (MPoly.one(2), MPoly.zero(3), MPoly.variable(3, 1)):
+        with pytest.raises(TypeError, match=f"^variable count must be an int, got {name}$"):
+            p.pad(bad)
+
+
+def test_the_exponent_types_are_named_once_each():
+    with pytest.raises(TypeError, match="^exponents must be int, got bool, float$"):
+        MPoly(3, {(1.0, True, 0): 1, (2.0, 0, False): 1, (0, 1, 2): 1})
+
+
+def test_valid_values_keep_their_json():
+    assert MPoly.monomial(2, (1, 1)).to_json_text() == '{"n": 2, "terms": [{"exps": [1, 1], "coeff": "1"}]}'
+    assert MPoly.variable(3, 2).to_json_text() == '{"n": 3, "terms": [{"exps": [0, 1, 0], "coeff": "1"}]}'
+    padded = MPoly(2, {(0, 0): 1, (2, 1): Fraction(-1, 2)}).pad(3)
+    assert padded.to_json_text() == ('{"n": 3, "terms": [{"exps": [0, 0, 0], "coeff": "1"}, '
+                                     '{"exps": [2, 1, 0], "coeff": "-1/2"}]}')
+    assert json.loads(padded.to_json_text()) == padded.to_json() and type(padded.n) is int
 
 
 @pytest.mark.parametrize("n, name", [(True, "bool"), (False, "bool"), (1.0, "float"), (2.5, "float"), ("2", "str")])
