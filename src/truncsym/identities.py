@@ -4,9 +4,10 @@ Every entry in ``REGISTRY`` checks one identity on concrete parameters.  Each
 side is built by its own route, and a side that several identities share is
 built once and memoized, as E and H are.  Checks never assume each other's
 conclusions: no sum is routed through an already-verified equivalent form, so
-each identity remains an independent probe of the constructors.  The
-``conversion:<kind>`` entries check the closed forms that tie the bisnomial
-triangles to ordinary and Gaussian binomials.
+each identity remains an independent probe of the constructors.  The five
+``conversion:<kind>`` entries are two check bodies over a ring, a conversion and
+a recovery, that tie the bisnomial triangles to ordinary and Gaussian binomials:
+each identity is written once, and its count, q or (p,q) ring is looked up by name.
 
 The identities restate a few relations between the generating products E(t)
 and H(t) as sums of products, so the checks are built from two shared shapes,
@@ -370,37 +371,32 @@ def _chk_mono_bridge(n: int, k: int, s: int):
 
 
 # Conversions between the triangles of ``bisnomial``: s is the step of the
-# identity (s >= 2), and the truncated triangle involved has depth s-1.
+# identity (s >= 2), and the truncated triangle involved has depth s-1.  Each is one
+# statement over Z[q], its q = 1 case the count form and its homogenization the (p,q) form.
 
 
-def _chk_conversion_plain(n: int, k: int, s: int):
-    rhs = sum((-1) ** j * comb(n, j) * comb(n + k - s * j - 1, k - s * j) for j in range(k // s + 1))
-    return bisnomial(n, k, s - 1), rhs
+def _ring(flavor: str) -> tuple[Callable, Callable, Callable, Callable]:
+    """(triangle, Gaussian binomial, monomial c * q^e, substitution q -> q^s) of a ring, looked up when a check runs."""
+    if flavor == "plain":
+        return bisnomial, comb, lambda c, e: c, lambda x, s: x
+    if flavor == "q":
+        return q_bisnomial, gaussian, UniPoly.term, UniPoly.scale_exponents
+    return pq_bisnomial, pq_gaussian, lambda c, e: BiPoly.term(c, e, e), BiPoly.scale_exponents
 
 
-def _chk_conversion_q(flavor: str, n: int, k: int, s: int):
-    """The q or (p,q) triangle as an alternating sum of Gaussian products."""
-    pq = flavor == "pq"
-    gauss = pq_gaussian if pq else gaussian
-    lhs = (pq_bisnomial if pq else q_bisnomial)(n, k, s - 1)
-    rhs = BiPoly() if pq else UniPoly()
-    for j in range(k // s + 1):
-        e = s * comb(j, 2)
-        unit = BiPoly.term((-1) ** j, e, e) if pq else UniPoly.term((-1) ** j, e)
-        rhs = rhs + unit * gauss(n, j).scale_exponents(s) * gauss(n + k - s * j - 1, k - s * j)
-    return lhs, rhs
+def _chk_conversion(flavor: str, n: int, k: int, s: int):
+    """The triangle as an alternating sum of Gaussian products."""
+    tri, gauss, mono, sub = _ring(flavor)
+    terms = (mono((-1) ** j, s * comb(j, 2)) * sub(gauss(n, j), s) * gauss(n + k - s * j - 1, k - s * j)
+             for j in range(k // s + 1))
+    return tri(n, k, s - 1), sum(terms, mono(0, 0))
 
 
-def _chk_conversion_binom_recovery(n: int, k: int, s: int):
-    return comb(n, k), sum((-1) ** (k + j) * comb(n, j) * bisnomial(n, k * s - j, s - 1) for j in range(k * s + 1))
-
-
-def _chk_conversion_qs_recovery(n: int, k: int, s: int):
-    # multiplied through to stay in Z[q]
-    lhs = UniPoly.term(1, s * comb(k, 2)) * gaussian(n, k).scale_exponents(s)
-    terms = (UniPoly.term((-1) ** (k + j), comb(j, 2)) * gaussian(n, j) * q_bisnomial(n, k * s - j, s - 1)
-             for j in range(k * s + 1))
-    return lhs, sum(terms, UniPoly())
+def _chk_recovery(flavor: str, n: int, k: int, s: int):
+    # multiplied through by q^(s * C(k, 2)) to stay in Z[q]
+    tri, gauss, mono, sub = _ring(flavor)
+    terms = (mono((-1) ** (k + j), comb(j, 2)) * gauss(n, j) * tri(n, k * s - j, s - 1) for j in range(k * s + 1))
+    return mono(1, s * comb(k, 2)) * sub(gauss(n, k), s), sum(terms, mono(0, 0))
 
 
 # -- registry ------------------------------------------------------------------
@@ -443,11 +439,11 @@ REGISTRY: dict[str, IdentitySpec] = {
         IdentitySpec("vanish_e", partial(_chk_vanish, "E"), k_min=1, s_min=2, avoid_k_mult_of_s=True),
         IdentitySpec("mono_H", _chk_mono_H),
         IdentitySpec("mono_bridge", _chk_mono_bridge),
-        IdentitySpec("conversion:plain", _chk_conversion_plain, _SNK, k_default_max=6, s_min=2),
-        IdentitySpec("conversion:q", partial(_chk_conversion_q, "q"), _SNK, k_default_max=6, s_min=2),
-        IdentitySpec("conversion:pq", partial(_chk_conversion_q, "pq"), _SNK, k_default_max=6, s_min=2),
-        IdentitySpec("conversion:binom_recovery", _chk_conversion_binom_recovery, _SNK, k_default_max=6, s_min=2),
-        IdentitySpec("conversion:qs_recovery", _chk_conversion_qs_recovery, _SNK, k_default_max=6, s_min=2),
+        IdentitySpec("conversion:plain", partial(_chk_conversion, "plain"), _SNK, k_default_max=6, s_min=2),
+        IdentitySpec("conversion:q", partial(_chk_conversion, "q"), _SNK, k_default_max=6, s_min=2),
+        IdentitySpec("conversion:pq", partial(_chk_conversion, "pq"), _SNK, k_default_max=6, s_min=2),
+        IdentitySpec("conversion:binom_recovery", partial(_chk_recovery, "plain"), _SNK, k_default_max=6, s_min=2),
+        IdentitySpec("conversion:qs_recovery", partial(_chk_recovery, "q"), _SNK, k_default_max=6, s_min=2),
     ]
 }
 
