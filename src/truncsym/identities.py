@@ -5,9 +5,8 @@ side is built by its own route, and a side that several identities share is
 built once and memoized, as E and H are.  Checks never assume each other's
 conclusions: no sum is routed through an already-verified equivalent form, so
 each identity remains an independent probe of the constructors.  The five
-``conversion:<kind>`` entries are two check bodies over a ring, a conversion and
-a recovery, that tie the bisnomial triangles to ordinary and Gaussian binomials:
-each identity is written once, and its count, q or (p,q) ring is looked up by name.
+``conversion:<kind>`` entries, which tie the bisnomial triangles to ordinary and
+Gaussian binomials, are two check bodies over a ring that is looked up by name.
 
 The identities restate a few relations between the generating products E(t)
 and H(t) as sums of products, so the checks are built from two shared shapes,
@@ -341,7 +340,7 @@ def _chk_conv_roots(f: str, n: int, k: int, s: int):
     return _conv_sum(f, n, k, s), _sign(k) * _roots_sum(k, s - 1, f, n)
 
 
-def _chk_mroots_closed(drop: int, lam: Partition):
+def _chk_mroots_closed(drop: int, lam: Sequence[int]):
     """m_lam at the s = k - drop roots against its closed form, k = |lam|, drop = 0, 1 or 2."""
     k, length, t1 = sum(lam), len(lam), multiplicities(lam).get(1, 0)
     if drop == 0:
@@ -377,11 +376,9 @@ def _chk_mono_bridge(n: int, k: int, s: int):
 
 def _ring(flavor: str) -> tuple[Callable, Callable, Callable, Callable]:
     """(triangle, Gaussian binomial, monomial c * q^e, substitution q -> q^s) of a ring, looked up when a check runs."""
-    if flavor == "plain":
-        return bisnomial, comb, lambda c, e: c, lambda x, s: x
-    if flavor == "q":
-        return q_bisnomial, gaussian, UniPoly.term, UniPoly.scale_exponents
-    return pq_bisnomial, pq_gaussian, lambda c, e: BiPoly.term(c, e, e), BiPoly.scale_exponents
+    return {"plain": (bisnomial, comb, lambda c, e: c, lambda x, s: x),
+            "q": (q_bisnomial, gaussian, UniPoly.term, UniPoly.scale_exponents),
+            "pq": (pq_bisnomial, pq_gaussian, lambda c, e: BiPoly.term(c, e, e), BiPoly.scale_exponents)}[flavor]
 
 
 def _chk_conversion(flavor: str, n: int, k: int, s: int):
@@ -463,6 +460,14 @@ def _spec(identity_id: str) -> IdentitySpec:
     return spec
 
 
+def _ints(identity_id: str, axes: Mapping[str, Iterable]) -> dict[str, list]:
+    """Each axis's values as a list, unless one is not an int (a bool is not): a ValueError names its axis and type."""
+    axes = {name: list(values) for name, values in axes.items()}
+    if bad := next(((name, v) for name, values in axes.items() for v in values if type(v) is not int), None):
+        raise ValueError(f"invalid parameters for {identity_id}: {bad[0]} takes ints only, got {type(bad[1]).__name__}")
+    return axes
+
+
 def _run(spec: IdentitySpec, params: dict) -> IdentityReport:
     """Check one valid point, its params in arity order: compare its two sides once, render them and time it all."""
     start = time.perf_counter()
@@ -476,8 +481,6 @@ def _run(spec: IdentitySpec, params: dict) -> IdentityReport:
     except Exception as exc:  # fold per-point failures into the report
         holds, lhs_text, rhs_text = False, f"error: {type(exc).__name__}: {exc}", ""
     elapsed = time.perf_counter() - start
-    if "lam" in params:
-        params = dict(params, lam=list(params["lam"]))
     return IdentityReport(spec.name, params, bool(holds), lhs_text, rhs_text, elapsed)
 
 
@@ -492,7 +495,8 @@ def verify(identity_id: str, **params) -> IdentityReport:
     spec = _spec(identity_id)
     if set(params) != set(spec.arity):
         raise ValueError(f"{identity_id} takes parameters {list(spec.arity)}, got {sorted(params)}")
-    params = {name: tuple(params[name]) if name == "lam" else params[name] for name in spec.arity}  # arity order
+    params = {name: list(params[name]) if name == "lam" else params[name] for name in spec.arity}  # arity order
+    _ints(identity_id, {name: value if name == "lam" else [value] for name, value in params.items()})
     reason = spec.why_invalid(**params)
     if reason is not None:
         raise ValueError(f"invalid parameters for {identity_id}: {reason}")
@@ -509,16 +513,16 @@ def verify_grid(identity_id: str, grid: Mapping[str, Iterable[int]]) -> list[Ide
     with no valid point raises NoValidPoint (a ValueError) with the first
     point's reason, so that an empty sweep never reads as a passing one.
     """
-    spec = _spec(identity_id)
+    spec, grid = _spec(identity_id), _ints(identity_id, grid)  # every value typed before any check runs
     if spec.arity == ("lam",):
         if "k" not in grid:
             raise ValueError(f"{identity_id} needs a 'k' range of partition weights")
-        points = ({"lam": lam} for k in grid["k"] if k >= 0 for lam in enum_partitions(k))
+        points = ({"lam": list(lam)} for k in grid["k"] if k >= 0 for lam in enum_partitions(k))
     else:
         missing = [axis for axis in spec.arity if axis not in grid]
         if missing:
             raise ValueError(f"{identity_id} needs ranges for {missing}")
-        axes = [list(grid[axis]) for axis in spec.arity]
+        axes = [grid[axis] for axis in spec.arity]
         points = (dict(zip(spec.arity, combo)) for combo in _cartesian(*axes))
     reports, first_reason = [], None
     for point in points:

@@ -20,7 +20,7 @@ Partition = tuple[int, ...]
 
 def is_partition(lam: Iterable[int]) -> bool:
     lam = tuple(lam)
-    if any(not isinstance(p, int) or p < 1 for p in lam):
+    if any(type(p) is not int or p < 1 for p in lam):  # a bool is not a part
         return False
     return all(lam[i] >= lam[i + 1] for i in range(len(lam) - 1))
 

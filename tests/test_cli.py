@@ -265,6 +265,14 @@ def test_bisnomial_csv_table(capsys):
     assert out.startswith("n,k,value\r\n0,0,1\r\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--n", "3", "--s", "2"), "bisnomial needs --k (or --table)"),
+    (("--n", "3", "--k", "1", "--s", "2", "--format", "csv"), "bisnomial values support --format text or json"),
+], ids=["no-k", "csv-value"])
+def test_a_bisnomial_value_needs_k_and_a_value_format(capsys, argv, message):
+    assert run_cli(capsys, "bisnomial", *argv) == (2, "", f"error: {message}\n")
+
+
 def test_schur_reports_both_bases(capsys):
     code, out, _ = run_cli(
         capsys, "schur", "--lambda", "2,1", "--s", "2", "--n", "2", "--deterministic"
@@ -332,6 +340,33 @@ def test_usage_errors_exit_two(capsys):
     assert run_cli(capsys, "nonsense")[0] == 2
     assert run_cli(capsys, "expand", "--kind", "E", "--k", "1", "--n", "1")[0] == 2  # missing --s
     assert run_cli(capsys, "verify", "--id", "ortho", "--k", "0..x")[0] == 2
+
+
+def test_main_exits_with_the_code_of_run(capsys, monkeypatch):
+    for argv, code, out in [(["--k", "1"], 0, "3\n"), (["--k", "1", "--format", "csv"], 2, "")]:
+        monkeypatch.setattr(sys, "argv", ["truncsym", "bisnomial", "--n", "3", "--s", "2", "--deterministic", *argv])
+        with pytest.raises(SystemExit) as exited:
+            cli.main()
+        assert (exited.value.code, capsys.readouterr().out) == (code, out)
+
+
+def test_a_stdout_closed_by_its_reader_is_sent_to_the_null_device(capsys, monkeypatch):
+    # in-process: the descriptor calls are recorded, not made; CI runs the real closed pipe in a subprocess
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return 99
+
+    redirected = []
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    monkeypatch.setattr(cli.os, "open", lambda path, flags: ("opened", path, flags))
+    monkeypatch.setattr(cli.os, "dup2", lambda fd, fd2: redirected.append((fd, fd2)))
+    assert cli.run(["bisnomial", "--n", "3", "--k", "1", "--s", "2", "--deterministic"]) == 2
+    monkeypatch.undo()
+    assert redirected == [(("opened", os.devnull, os.O_WRONLY), 99)]
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
 
 
 def test_a_negative_multiplicity_exits_two(capsys):

@@ -149,6 +149,12 @@ def test_model_and_input_validation():
         tiling_weight("rxg", 2)
     with pytest.raises(ValueError):
         enum_objects(2, 2, 2, model="E", objects="widgets")
+    with pytest.raises(ValueError, match="^k must be >= 0, got -1$"):
+        enum_paths(2, -1, 2, model="H")
+    with pytest.raises(ValueError, match="^s must be >= 1, got 0$"):
+        enum_tilings(2, 2, 0, model="E")
+    with pytest.raises(ValueError, match="^s must be >= 1, got 0$"):
+        path_sign("NEN", 0)
 
 
 def test_describe_lines():

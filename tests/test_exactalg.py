@@ -113,6 +113,26 @@ def test_unipoly_and_bipoly_are_immutable():
             setattr(v, attr, 0)
 
 
+def test_the_dense_rings_refuse_arguments_out_of_range():
+    with pytest.raises(ValueError, match="^negative powers are not defined here$"):
+        UniPoly([1, 1]) ** -1
+    with pytest.raises(ValueError, match="^exponent must be >= 0$"):
+        UniPoly.term(1, -1)
+    with pytest.raises(ValueError, match="^scale factor must be >= 1$"):
+        UniPoly([1, 1]).scale_exponents(0)
+    with pytest.raises(ValueError, match="^a q-polynomial of degree 2 has no homogenization to 1$"):
+        BiPoly.homogenize(UniPoly([0, 0, 1]), 1)
+
+
+def test_the_dense_rings_repr_their_coefficients_and_hash_by_value():
+    assert repr(UniPoly([1, 0, -2, 0])) == "UniPoly([1, 0, -2])"
+    assert repr(BiPoly({(2, 0): 2, (0, 2): -1})) == "BiPoly({(0, 2): -1, (2, 0): 2})"
+    assert repr(BiPoly()) == "BiPoly({})"
+    # equal values hash alike, and the degree is part of a nonzero value
+    assert hash(BiPoly({(1, 0): 2})) == hash(BiPoly.term(2, 1, 0))
+    assert len({BiPoly.term(1, 1, 0), BiPoly.term(1, 2, 0), BiPoly.homogenize(UniPoly([1]), 1)}) == 2
+
+
 def test_the_dense_rings_refuse_each_other():
     """A UniPoly and a BiPoly have no mixed arithmetic, and values of the two types are never equal."""
     with pytest.raises(TypeError):

@@ -4,6 +4,7 @@ import hashlib
 import json
 import sys
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 import pytest
@@ -14,7 +15,7 @@ import truncsym
 import sum_oracle
 from series_oracle import series_inverse, series_product
 from truncsym import identities, multipoly, symfun
-from truncsym.exactalg import BiPoly
+from truncsym.exactalg import BiPoly, UniPoly
 from truncsym.multipoly import MPoly
 from truncsym.symfun import E, H, classical
 from truncsym.identities import (
@@ -95,6 +96,45 @@ def test_verify_rejects_unknown_and_misparameterized_calls():
         verify("vanish_h", k=4, s=2, n=2)  # k must avoid multiples of s
     with pytest.raises(ValueError):
         verify("mroots_closed_km1", lam=(1,))  # weight too small
+    with pytest.raises(ValueError, match=r"^invalid parameters for mroots_closed_k: not a partition: \(1, 2\)$"):
+        verify("mroots_closed_k", lam=[1, 2])
+    with pytest.raises(ValueError, match="^mroots_closed_k needs a 'k' range of partition weights$"):
+        verify_grid("mroots_closed_k", {"n": [1]})
+    with pytest.raises(ValueError, match=r"^ortho needs ranges for \['k', 's'\]$"):
+        verify_grid("ortho", {"n": [1]})
+
+
+@pytest.mark.parametrize("name, params, message", [
+    ("mroots_closed_k1", {"lam": [True]}, "lam takes ints only, got bool"),
+    ("mroots_closed_k", {"lam": (2, 1.0)}, "lam takes ints only, got float"),
+    ("ortho", {"n": True, "k": 2, "s": 1}, "n takes ints only, got bool"),
+    ("ortho", {"n": 2, "k": 2.0, "s": 1}, "k takes ints only, got float"),
+    ("conversion:q", {"s": Fraction(2), "n": 2, "k": 1}, "s takes ints only, got Fraction"),
+])
+def test_a_parameter_that_is_not_an_int_is_refused(name, params, message):
+    # a bool or a float would reach the report's JSON as True or 2.0, or fail the point inside the check
+    with pytest.raises(ValueError, match=f"^invalid parameters for {name}: {message}$"):
+        verify(name, **params)
+
+
+@pytest.mark.parametrize("name, grid, message", [
+    ("ortho", {"n": [1.0], "k": [1], "s": [1]}, "n takes ints only, got float"),
+    ("ortho", {"n": range(1, 3), "k": [1], "s": [1, True]}, "s takes ints only, got bool"),
+    ("mroots_closed_k", {"k": [2, 3.0]}, "k takes ints only, got float"),
+    ("mroots_closed_k", {"k": (w for w in [2, True])}, "k takes ints only, got bool"),
+])
+def test_a_grid_value_that_is_not_an_int_is_refused_before_any_check_runs(name, grid, message, monkeypatch):
+    monkeypatch.setattr(identities, "_run", lambda spec, point: pytest.fail(f"{spec.name} ran at {point}"))
+    with pytest.raises(ValueError, match=f"^invalid parameters for {name}: {message}$"):
+        verify_grid(name, grid)
+
+
+def test_every_report_of_a_valid_sweep_is_valid_json():
+    for name in list_identities():
+        for report in verify_grid(name, default_grid(name, n_max=2, k_max=3, s_max=3)):
+            for include_elapsed in (True, False):
+                record = json.loads(report.to_json(include_elapsed=include_elapsed))
+                assert (record["identity_id"], record["params"], record["holds"]) == (name, report.params, True)
 
 
 def test_report_json_is_stable_and_ordered():
@@ -365,6 +405,20 @@ def test_every_identity_fails_when_a_one_sided_constructor_is_wrong(name, monkey
     finally:
         truncsym.clear_caches()
     assert any(not r.holds for r in reports), (name, ONE_SIDED[name])
+
+
+@pytest.mark.parametrize("body, degree", [
+    (identities._chk_conversion, lambda n, k, s: k * (n - 1)),
+    (identities._chk_recovery, lambda n, k, s: k * s * (n - 1)),
+], ids=["conversion", "recovery"])
+def test_one_conversion_body_states_one_identity_in_every_ring(body, degree):
+    # the q sides at q = 1 are the count sides, and the (p,q) sides are the q sides homogenized;
+    # the recovery holds in the (p,q) ring too, though no registry entry runs it there
+    for n, k, s in product(range(1, 5), range(7), range(2, 5)):
+        plain, q, pq = (body(flavor, n, k, s) for flavor in ("plain", "q", "pq"))
+        assert all(type(side) is UniPoly for side in q) and q[0] == q[1], (n, k, s)
+        assert tuple(side(1) for side in q) == plain, (n, k, s)
+        assert pq == tuple(BiPoly.homogenize(side, degree(n, k, s)) for side in q), (n, k, s)
 
 
 # The checks whose right side is a product of a graded series with

@@ -1,6 +1,8 @@
 """Unit tests for multivariate polynomials and the truncated-series oracle."""
 
+import ast
 import json
+import operator
 import tracemalloc
 from fractions import Fraction
 
@@ -172,6 +174,33 @@ def test_a_bool_coefficient_is_refused(c):
         MPoly(1, {(1,): c})
     with pytest.raises(TypeError, match="int or Fraction, got bool"):
         MPoly.constant(2, c)
+
+
+def test_a_term_view_reprs_as_the_dict_of_its_terms():
+    p = MPoly(2, {(1, 0): 2, (0, 3): -1})
+    assert ast.literal_eval(repr(p.terms)) == {(1, 0): 2, (0, 3): -1}
+    assert repr(MPoly.zero(2).terms) == "{}"
+
+
+@pytest.mark.parametrize("other", ["x", 1.5, UniPoly([0, 1])], ids=["str", "float", "unipoly"])
+def test_sums_and_differences_with_another_type_are_refused(other):
+    p = MPoly.variable(2, 1)
+    for pair in ((p, other), (other, p)):
+        with pytest.raises(TypeError):
+            operator.add(*pair)
+        with pytest.raises(TypeError):
+            operator.sub(*pair)
+
+
+def test_a_scalar_minus_a_polynomial():
+    x1 = MPoly.variable(2, 1)
+    assert 3 - x1 == MPoly(2, {(0, 0): 3, (1, 0): -1})
+    assert Fraction(1, 2) - x1 == -(x1 - Fraction(1, 2))
+
+
+def test_a_power_substitution_needs_a_positive_power():
+    with pytest.raises(ValueError, match="^power must be >= 1, got 0$"):
+        substitute_power(MPoly.variable(2, 1), 0)
 
 
 def test_degree_and_homogeneity():

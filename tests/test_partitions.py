@@ -51,6 +51,7 @@ def test_is_partition():
     assert not is_partition((1, 3))
     assert not is_partition((3, 0))
     assert not is_partition((-1,))
+    assert not is_partition((True,)) and not is_partition((2, 1.0))  # a bool is not a part
 
 
 partitions = st.integers(0, 10).map(lambda k: enum_partitions(k)).flatmap(st.sampled_from)
@@ -169,3 +170,18 @@ def test_enumeration_and_orbits_match_a_brute_force_filter():
 def test_enum_rejects_negative_weight():
     with pytest.raises(ValueError):
         enum_partitions(-1)
+
+
+@pytest.mark.parametrize("bound, message", [
+    ({"max_part": -1}, "max_part must be >= 0"),
+    ({"max_length": -1}, "max_length must be >= 0"),
+    ({"mod01": 0}, "mod01 must be >= 1"),
+])
+def test_enum_rejects_a_bound_out_of_range(bound, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        enum_partitions(3, **bound)
+
+
+def test_a_multinomial_of_a_negative_count_is_refused():
+    with pytest.raises(ValueError, match="^counts must be >= 0$"):
+        multinomial([2, -1])

@@ -397,6 +397,8 @@ def test_determinant_forms_validate_shape():
         schur_det((3,), 2, 2, basis="e")  # conjugate has more rows than variables
     with pytest.raises(ValueError):
         schur_det((2, 1), 2, 2, basis="x")
+    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+        schur_det((), 2, 0)  # a determinant needs a variable, though the family E(k, s, 0) exists
 
 
 def _corrupt_x1(monkeypatch, family: str):
