@@ -390,7 +390,7 @@ def _chk_conversion(flavor: str, n: int, k: int, s: int):
 
 
 def _chk_recovery(flavor: str, n: int, k: int, s: int):
-    # multiplied through by q^(s * C(k, 2)) to stay in Z[q]
+    """The Gaussian binomial at q^s from the triangle, multiplied through by q^(s * C(k, 2)) to stay in Z[q]."""
     tri, gauss, mono, sub = _ring(flavor)
     terms = (mono((-1) ** (k + j), comb(j, 2)) * gauss(n, j) * tri(n, k * s - j, s - 1) for j in range(k * s + 1))
     return mono(1, s * comb(k, 2)) * sub(gauss(n, k), s), sum(terms, mono(0, 0))
