@@ -7,10 +7,11 @@ Run from the repository root, with pytest and hypothesis installed::
 The script runs the tier-1 suite in this process under ``sys.settrace``.  A
 statement of a function body counts as reached when a line event fires on one
 of its lines: any line of a simple statement, the header of a compound one
-(``if``, ``for``, ``with``, ``def`` with its decorators, ``except`` ...).
+(``if``, ``for``, ``with``, ``def``, ``except`` ...).
 Hypothesis runs in a profile of its own: no deadline, since tracing slows every
 example, derandomized and without its example database, so that two runs of one
-tree reach the same lines.  What only a subprocess runs is not seen.
+tree reach the same lines.  What only a subprocess or another thread runs is
+not seen.
 
 It prints each unreached statement as ``file:line: text`` and exits 1 when the
 suite fails, when an unreached statement has no entry in ``ALLOWED``, or when an
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import ast
 import sys
-import threading
 from collections import Counter
 from pathlib import Path
 
@@ -37,30 +37,28 @@ ALLOWED: dict[tuple[str, str], tuple[int, str]] = {}
 
 def statement_spans(source: str) -> list[tuple[int, int]]:
     """(first, last) line of each statement of a function body, in source order: the header of a compound
-    statement (from its first decorator), the whole of a simple one.  Docstrings and other bare constants
-    compile to nothing and are left out."""
+    statement, the whole of a simple one.  Docstrings and other bare constants compile to nothing and are left out."""
     spans = []
 
     def header(node: ast.AST, children: list[ast.AST]) -> None:
-        first = min([node.lineno, *(d.lineno for d in getattr(node, "decorator_list", ()))])
         last = min(child.lineno for child in children) - 1 if children else node.end_lineno
-        spans.append((first, max(first, last)))
+        spans.append((node.lineno, max(node.lineno, last)))
 
     def walk(body: list[ast.stmt], in_function: bool) -> None:
         for stmt in body:
             if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant):
                 continue
             blocks = [getattr(stmt, field, []) for field in ("body", "orelse", "finalbody")]
-            handlers, cases = getattr(stmt, "handlers", []), getattr(stmt, "cases", [])
+            handlers = getattr(stmt, "handlers", [])
             if in_function:
-                header(stmt, [child for block in blocks for child in block] + handlers + [c.pattern for c in cases])
+                header(stmt, [child for block in blocks for child in block] + handlers)
             inner = in_function or isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
             for block in blocks:
                 walk(block, inner)
-            for clause in handlers + cases:
-                if in_function and isinstance(clause, ast.ExceptHandler):
-                    header(clause, clause.body)
-                walk(clause.body, in_function)
+            for handler in handlers:
+                if in_function:
+                    header(handler, handler.body)
+                walk(handler.body, in_function)
 
     walk(ast.parse(source).body, False)
     return sorted(set(spans))
@@ -101,14 +99,12 @@ def run_suite(args: list[str]) -> tuple[int, dict[str, set[int]]]:
     def on_call(frame, event, arg):
         return on_line if frame.f_code.co_filename in fired else None
 
-    threading.settrace(on_call)
     sys.settrace(on_call)
     try:
         status = pytest.main(["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors",
                               "--hypothesis-profile=reach", "-W", "ignore::pytest.PytestAssertRewriteWarning", *args])
     finally:
         sys.settrace(None)
-        threading.settrace(None)
     return int(status), fired
 
 
