@@ -63,7 +63,7 @@ __version__ = "0.1.0"
 # every argument-keyed memo, bound at import so that a rebound public name (E, say) cannot hide one
 _CACHES = (E, H, classical, symfun._m_lambda, symfun._at_roots, identities._pair_conv, identities._conv_sum,
            identities._roots_sum, identities._series, identities._coef_table, identities._scalar_sum,
-           multipoly._layout, _bisnomial_cell)
+           multipoly._layout, multipoly._text_of, _bisnomial_cell)
 
 
 def clear_caches() -> None:

@@ -39,12 +39,9 @@ Tiling = str
 
 def _run_vectors(n: int, k: int, s: int, model: str) -> list[tuple[int, ...]]:
     """Admissible run vectors summing to k, descending lexicographic (the path order)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
+    for name, value, low in (("n", n, 1), ("k", k, 0), ("s", s, 1)):
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
     if model not in ("E", "H"):
         raise ValueError(f"model must be 'E' or 'H', got {model!r}")
     bound = {"max_part": s} if model == "E" else {"mod01": s + 1}

@@ -1,44 +1,41 @@
 """Mechanical verifier for the algebraic identity catalog.
 
-Every entry in ``REGISTRY`` checks one identity on concrete parameters.  Each
-side is built by its own route, and a side that several identities share is
-built once and memoized, as E and H are.  Checks never assume each other's
-conclusions: no sum is routed through an already-verified equivalent form, so
-each identity remains an independent probe of the constructors.  The five
-``conversion:<kind>`` entries, which tie the bisnomial triangles to ordinary and
-Gaussian binomials, are two check bodies over a ring that is looked up by name.
+Every entry in ``REGISTRY`` checks one identity on concrete parameters.  Each side is built by its
+own route, and a side that several identities share is built once and memoized, as E and H are.
+Checks never assume each other's conclusions: no sum is routed through an already-verified
+equivalent form, so each identity remains an independent probe of the constructors.  The five
+``conversion:<kind>`` entries, which tie the bisnomial triangles to ordinary and Gaussian
+binomials, are two check bodies over a ring that is looked up by name.
 
-The identities restate a few relations between the generating products E(t)
-and H(t) as sums of products, so the checks are built from two shared shapes,
-each a call of ``multipoly.sum_of_products`` (c * F and x_i * F are products
-by the one-term 1 and x_i):
+The identities restate a few relations between the generating products E(t) and H(t) as sums of
+products, so the checks are built from two shared shapes, each a call of
+``multipoly.sum_of_products`` (c * F and x_i * F are products by the one-term 1 and x_i):
 
-* one ``sum_of_products`` over the (c, A, B) terms: E(t) H(-t) = 1, the
-  Newton-type sums, the sums over x^s-substituted classical factors
-  (``_conv_sum``, memoized), the sums over lam |- k of coef(lam) * F_lam over a
-  common denominator (``_partition_sum``, from a table of integer numerators made
-  once per (rule, k), ``_coef_table``; its scalar twin ``_scalar_sum`` is memoized), the sums over lam of
-  the integer m_lam at the roots of unity times a basis (``_roots_sum``, memoized) and the signed sums
-  of m_lam (``_mono_sum``, conj_bridge), these three as c * 1 * F;
-* ``_linear_passes``: a graded series times prod_i (1 + x_i t)^(-1) or
-  prod_i (1 - x_i t), one pass per variable, the passes side by side a degree
-  at a time, each step one two-term ``sum_of_products``: the power substitutions and the sums that vanish,
-  every k of one (kind, n, s) read from one run that ``_series`` keeps.  The rows that
-  convolve E with H or E with E at one s (ortho, newton_*, cubic_*, mono_H)
-  stay one sum of products: passes with the family's own truncated factor would test
-  one value against its generating product, as the constructors' split guard
-  does, not two constructed values against each other.  So does ``_conv_sum``
-  (conv_*): as passes it would test H against its own generating product, the
+* one ``sum_of_products`` over the (c, A, B) terms: E(t) H(-t) = 1, the Newton-type sums, the
+  pair sums of cubic_* (``_pair_conv``, memoized, each unordered pair F_a F_b made once), the
+  sums over x^s-substituted classical factors (``_conv_sum``, memoized), the sums over lam |- k
+  of coef(lam) * F_lam over a common denominator (``_partition_sum``, from a table of integer
+  numerators made once per (rule, k), ``_coef_table``; its scalar twin ``_scalar_sum`` is
+  memoized), the sums over lam of the integer m_lam at the roots of unity times a basis
+  (``_roots_sum``, memoized) and the signed sums of m_lam (``_mono_sum``, conj_bridge), these
+  three as c * 1 * F;
+* ``_linear_passes``: a graded series times prod_i (1 + x_i t)^(-1) or prod_i (1 - x_i t), one
+  pass per variable, the passes side by side a degree at a time, each step one two-term
+  ``sum_of_products``: the power substitutions and the sums that vanish, every k of one
+  (kind, n, s) read from one run that ``_series`` keeps.  The rows that convolve E with H or E
+  with E at one s (ortho, newton_*, cubic_*, mono_H) stay one sum of products: passes with the
+  family's own truncated factor would test one value against its generating product, as the
+  constructors' split guard does, not two constructed values against each other.  So does
+  ``_conv_sum`` (conv_*): as passes it would test H against its own generating product, the
   tests' oracle.
 
-An E/H twin is one check body: its registry row binds the family by name, and
-the body looks the constructor up when it runs.  A check returns the two sides
-of its identity, ``(lhs, rhs)``, and decides nothing: ``verify`` and
-``verify_grid`` share one runner that compares the sides once, renders them and
-times the point, into an ``IdentityReport``; ``verify`` says which exceptions
-propagate and which fold into a failed report.  A polynomial's report text is
-made at its first report and kept on the value, so a cached side that comes
-back in many points and identities is rendered once.
+An E/H twin is one check body: its registry row binds the family by name, and the body looks the
+constructor up when it runs.  A check returns the two sides of its identity, ``(lhs, rhs)``, and
+decides nothing: ``verify`` and ``verify_grid`` share one runner that compares the sides once,
+renders them and times the point, into an ``IdentityReport``; ``verify`` says which exceptions
+propagate and which fold into a failed report.  A polynomial's report text is kept on the value
+from its first report and, up to 256 terms, read by value (``multipoly._report_text``): the
+routes of a sweep meet one polynomial as many objects, and each distinct text is rendered once.
 """
 
 from __future__ import annotations
@@ -66,10 +63,6 @@ from .symfun import E, H, P, _at_roots, _m_lambda, _product_over_partition, clas
 
 def _sign(m: int) -> int:
     return -1 if m % 2 else 1
-
-
-def _describe(value: object) -> str:
-    return _report_text(value) if isinstance(value, MPoly) else str(value)
 
 
 class IdentityReport(NamedTuple):
@@ -140,9 +133,9 @@ def _family(kind: str) -> Callable[[int, int, int], MPoly]:
 
 @cache
 def _pair_conv(kind: str, m: int, s: int, n: int) -> MPoly:
-    """sum over a+b=m of F_a F_b with F = E or H, cached."""
+    """sum over a+b=m of F_a F_b with F = E or H, cached: each pair a <= b made once, weighted 2 (1 at a = b)."""
     F = _family(kind)
-    return sum_of_products(n, ((1, Fa, F(m - a, s, n)) for a in range(m + 1) if (Fa := F(a, s, n))))
+    return sum_of_products(n, ((2 - (2 * a == m), Fa, F(m - a, s, n)) for a in range(m // 2 + 1) if (Fa := F(a, s, n))))
 
 
 @cache
@@ -461,7 +454,9 @@ def _spec(identity_id: str) -> IdentitySpec:
 
 
 def _ints(identity_id: str, axes: Mapping[str, Iterable]) -> dict[str, list]:
-    """Each axis's values as a list, unless one is not an int (a bool is not): a ValueError names its axis and type."""
+    """Each axis's values as a list, unless one is not iterable or not an int (a bool is not): a ValueError names it."""
+    if bad := next((name for name, values in axes.items() if not isinstance(values, Iterable)), None):
+        raise ValueError(f"invalid parameters for {identity_id}: {bad} takes an iterable, got {type(axes[bad]).__name__}")
     axes = {name: list(values) for name, values in axes.items()}
     if bad := next(((name, v) for name, values in axes.items() for v in values if type(v) is not int), None):
         raise ValueError(f"invalid parameters for {identity_id}: {bad[0]} takes ints only, got {type(bad[1]).__name__}")
@@ -474,8 +469,8 @@ def _run(spec: IdentitySpec, params: dict) -> IdentityReport:
     try:
         lhs, rhs = spec.check(**params)
         holds = lhs == rhs
-        lhs_text = _describe(lhs)  # equal values of one type render (and hash) alike in every ring here
-        rhs_text = lhs_text if holds and type(lhs) is type(rhs) else _describe(rhs)
+        lhs_text = _report_text(lhs)  # equal values of one type render (and hash) alike in every ring here
+        rhs_text = lhs_text if holds and type(lhs) is type(rhs) else _report_text(rhs)
     except (ValueError, OverflowError):
         raise  # a value the package cannot build, not a verdict on the identity
     except Exception as exc:  # fold per-point failures into the report
@@ -495,8 +490,8 @@ def verify(identity_id: str, **params) -> IdentityReport:
     spec = _spec(identity_id)
     if set(params) != set(spec.arity):
         raise ValueError(f"{identity_id} takes parameters {list(spec.arity)}, got {sorted(params)}")
-    params = {name: list(params[name]) if name == "lam" else params[name] for name in spec.arity}  # arity order
-    _ints(identity_id, {name: value if name == "lam" else [value] for name, value in params.items()})
+    axes = _ints(identity_id, {name: params[name] if name == "lam" else [params[name]] for name in spec.arity})
+    params = {name: values if name == "lam" else values[0] for name, values in axes.items()}  # arity order, lam a list
     reason = spec.why_invalid(**params)
     if reason is not None:
         raise ValueError(f"invalid parameters for {identity_id}: {reason}")

@@ -1,32 +1,30 @@
 """Sparse multivariate polynomials, their specializations and a symmetry test.
 
-``MPoly`` is a sparse polynomial in x1..xn with ``int`` or ``Fraction``
-coefficients; the constructor and ``constant`` refuse any other type, and
-``bool`` (``TypeError``), as the constructor, ``variable`` and ``pad`` refuse an
-exponent, index or variable count that is not an ``int``.  A term is stored under a packed exponent: one int
-holding the exponent of x_i in bits 32(i-1) .. 32i-1.  Every stored exponent
-is below 2**31, so two keys add without a carry between fields: a product is
-one int add per pair of terms (one per term with a one-term operand), refused
-with ``OverflowError`` (never a wrapped monomial) when an exponent reaches
-2**31, and a pad to more variables keeps every key.  ``sum_of_products`` sums
-c * a * b over many terms through the same loop, into one private accumulator.  As 2**32 = 1 mod
-2**32 - 1, a key mod 2**32 - 1 is its degree while no field reaches
-2**(32 - bit_length(n-1)) (else it is unpacked and summed); ``is_symmetric``
-checks (1 2) and the n-cycle, which generate S_n.  The rationals have no zero
-divisors, so a product is filtered for zeros only when it has many-term
-operands, whose pairs may cancel.  Exponent tuples appear only at the API
-edge: ``terms`` is a tuple-keyed view unpacked on demand, and one packing
-step, shared by the constructor and the orbit sums, packs many tuples (an
+``MPoly`` is a sparse polynomial in x1..xn with ``int`` or ``Fraction`` coefficients; the
+constructor and ``constant`` refuse any other type, and ``bool`` (``TypeError``), as the
+constructor, ``variable`` and ``pad`` refuse an exponent, index or variable count that is not an
+``int``.  A term is stored under a packed exponent: one int holding the exponent of x_i in bits
+32(i-1) .. 32i-1.  Every stored exponent is below 2**31, so two keys add without a carry between
+fields: a product is one int add per pair of terms, one per term with a one-term operand and none
+with a constant, whose product keeps the other operand's keys.  It is refused with
+``OverflowError`` (never a wrapped monomial) when an exponent reaches 2**31, and a pad to more
+variables keeps every key.  ``sum_of_products`` sums c * a * b over many terms through the same
+loop, into one private accumulator.  As 2**32 = 1 mod 2**32 - 1, a key mod 2**32 - 1 is its
+degree while no field reaches 2**(32 - bit_length(n-1)) (else it is unpacked and summed);
+``is_symmetric`` checks (1 2) and the n-cycle, which generate S_n.  The rationals have no zero
+divisors, so a product is filtered for zeros only when it has many-term operands, whose pairs may
+cancel.  Exponent tuples appear only at the API edge: ``terms`` is a tuple-keyed view unpacked on
+demand, and one packing step, shared by the constructor and the orbit sums, packs many tuples (an
 orbit walked lazily) and refuses an exponent of 2**31 or more.
 
-Canonical order is graded lexicographic (total degree, then exponent tuple),
-from one sort that ``canonical_terms``, ``to_json`` and ``_json_chunks`` read.
-The last sorts at its call, then yields the JSON payload a block of _BLOCK
-terms at a time, so no text as large as the value is held; ``to_json_text`` joins it.
-``str`` groups terms in blocks sharing an exponent multiset (cosmetic only), by
-a sort key built per term from one unpack.  The memos are the per-n key layout
-and a value's report text, kept in one slot from its first report: ``str`` up
-to 40 terms, else a one-line digest, so it lives as long as the value.
+Canonical order is graded lexicographic (total degree, then exponent tuple), from one sort that
+``canonical_terms``, ``to_json`` and ``_json_chunks`` read.  The last sorts at its call, then
+yields the JSON payload a block of _BLOCK terms at a time, so no text as large as the value is
+held; ``to_json_text`` joins it.  ``str`` groups terms in blocks sharing an exponent multiset
+(cosmetic only), by a sort key built per term from one unpack.  The memos are the per-n key layout
+and the report text (``str`` up to 40 terms, else a one-line digest), kept in a slot from a value's
+first report and, up to _BLOCK terms, read by value from ``_text_of`` (at most 1,024 texts): the
+identity checks meet one polynomial by many routes, as many objects.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from __future__ import annotations
 import struct
 from collections.abc import Mapping
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache, lru_cache, reduce
 from itertools import chain, product as _pairs, repeat, starmap
 from operator import or_
 from typing import Callable, Iterable, Iterator, Optional, Union
@@ -119,8 +117,14 @@ def _product(acc: dict, a: dict, b: dict, scalar: Coeff, top: int) -> dict:
     """
     if (reduce(or_, a, 0) + reduce(or_, b, 0)) & top and reduce(or_, map(sum, _pairs(a, b)), 0) & top:
         raise OverflowError("a product has an exponent of 2**31 or more")
-    if len(a) == 1 and not acc and type(c := a.get(0, 0) * scalar) is int and c == 1:
-        acc.update(b)  # 1 * b into an empty accumulator: b's terms in b's order
+    if len(a) == 1 and 0 in a:  # a constant: b's terms under b's own keys, no key made per pair
+        c, get = a[0] * scalar, acc.get
+        if not acc and type(c) is int and c == 1:
+            acc.update(b)  # 1 * b into an empty accumulator: b's terms in b's order
+            return acc
+        for key, cb in b.items():
+            old = get(key)
+            acc[key] = c * cb if old is None else old + c * cb
         return acc
     get, b_items = acc.get, b.items() if len(a) == 1 else list(b.items())
     for e1, c1 in a.items():
@@ -345,19 +349,30 @@ def _json_chunks(p: MPoly, head: str = "", tail: str = "") -> Iterator[str]:
 _set_n, _set_packed, _set_report = MPoly.n.__set__, MPoly._packed.__set__, MPoly._report.__set__  # past __setattr__
 
 
-def _report_text(p: MPoly) -> str:
-    """str(p) up to 40 terms, else '<N terms, degree d, sha256 ...>': made at p's first report, then kept on p."""
-    if (text := getattr(p, "_report", None)) is not None:
-        return text
-    if len(p._packed) <= 40:
-        text = str(p)
-    else:
-        import hashlib  # only a value past 40 terms needs it, so a CLI start does not load it
-        term = '{"coeff": "%s", "exps": [' + ", ".join(["%d"] * p.n) + "]}"  # the sort_keys dump of to_json()
-        blob = f'{{"n": {p.n}, "terms": [{", ".join([term % (c, *e) for _, e, c in _graded_rows(p)])}]}}'
-        text = f"<{len(p._packed)} terms, degree {p.degree()}, sha256 {hashlib.sha256(blob.encode()).hexdigest()[:12]}>"
-    _set_report(p, text)
+def _report_text(p: object) -> str:
+    """str(p), except that an MPoly's text is kept on it from its first report, read by value up to _BLOCK terms."""
+    if not isinstance(p, MPoly):
+        return str(p)
+    if (text := getattr(p, "_report", None)) is None:
+        text = _text_of(p.n, frozenset(p._packed.items())) if len(p._packed) <= _BLOCK else _render(p)
+        _set_report(p, text)
     return text
+
+
+@lru_cache(maxsize=1024)
+def _text_of(n: int, items: frozenset) -> str:
+    """_render of a twin with these packed terms: the text sorts every term, and an int renders as its equal Fraction."""
+    return _render(_trusted(n, dict(items)))
+
+
+def _render(p: MPoly) -> str:
+    """str(p) up to 40 terms, else '<N terms, degree d, sha256 ...>'."""
+    if len(p._packed) <= 40:
+        return str(p)
+    import hashlib  # only a value past 40 terms needs it, so a CLI start does not load it
+    term = '{"coeff": "%s", "exps": [' + ", ".join(["%d"] * p.n) + "]}"  # the sort_keys dump of to_json()
+    blob = f'{{"n": {p.n}, "terms": [{", ".join([term % (c, *e) for _, e, c in _graded_rows(p)])}]}}'
+    return f"<{len(p._packed)} terms, degree {p.degree()}, sha256 {hashlib.sha256(blob.encode()).hexdigest()[:12]}>"
 
 
 def _trusted(n: int, packed: dict) -> MPoly:

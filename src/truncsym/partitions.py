@@ -12,7 +12,7 @@ of ``symfun`` pack each arrangement as it comes, holding no list of them.
 from __future__ import annotations
 
 from collections import Counter
-from math import factorial
+from math import factorial, prod
 from typing import Iterable, Iterator, Optional
 
 Partition = tuple[int, ...]
@@ -42,14 +42,12 @@ def enum_partitions(
     parts once they cannot hold the rest in the parts still allowed, and a
     tail of ones is emitted at once.
     """
-    if k < 0:
-        raise ValueError(f"partition weight must be >= 0, got {k}")
-    if max_part is not None and max_part < 0:
-        raise ValueError("max_part must be >= 0")
-    if max_length is not None and max_length < 0:
-        raise ValueError("max_length must be >= 0")
-    if mod01 is not None and mod01 < 1:
-        raise ValueError("mod01 must be >= 1")
+    bounds = (("max_part", max_part, 0), ("max_length", max_length, 0), ("mod01", mod01, 1))
+    for name, value, low in [("partition weight", k, 0), *[b for b in bounds if b[1] is not None]]:  # None: no bound
+        if type(value) is not int:  # a bool is not an int here
+            raise ValueError(f"{name} must be an int, got {type(value).__name__}")
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
 
     if k == 0:
         return [()]
@@ -80,9 +78,7 @@ def enum_partitions(
 def conjugate(lam: Partition) -> Partition:
     """Transpose of the Young diagram."""
     lam = tuple(lam)
-    if not lam:
-        return ()
-    return tuple(sum(1 for p in lam if p >= i) for i in range(1, lam[0] + 1))
+    return tuple(sum(1 for p in lam if p >= i) for i in range(1, max(lam, default=0) + 1))
 
 
 def multiplicities(lam: Partition) -> dict[int, int]:
@@ -95,10 +91,7 @@ def multinomial(counts: Iterable[int]) -> int:
     counts = list(counts)
     if any(c < 0 for c in counts):
         raise ValueError("counts must be >= 0")
-    out = factorial(sum(counts))
-    for c in counts:
-        out //= factorial(c)
-    return out
+    return factorial(sum(counts)) // prod(map(factorial, counts))
 
 
 def distinct_orbit(lam: Partition, n: int) -> list[tuple[int, ...]]:

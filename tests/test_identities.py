@@ -110,6 +110,7 @@ def test_verify_rejects_unknown_and_misparameterized_calls():
     ("ortho", {"n": True, "k": 2, "s": 1}, "n takes ints only, got bool"),
     ("ortho", {"n": 2, "k": 2.0, "s": 1}, "k takes ints only, got float"),
     ("conversion:q", {"s": Fraction(2), "n": 2, "k": 1}, "s takes ints only, got Fraction"),
+    ("mroots_closed_k", {"lam": 3}, "lam takes an iterable, got int"),
 ])
 def test_a_parameter_that_is_not_an_int_is_refused(name, params, message):
     # a bool or a float would reach the report's JSON as True or 2.0, or fail the point inside the check
@@ -122,6 +123,8 @@ def test_a_parameter_that_is_not_an_int_is_refused(name, params, message):
     ("ortho", {"n": range(1, 3), "k": [1], "s": [1, True]}, "s takes ints only, got bool"),
     ("mroots_closed_k", {"k": [2, 3.0]}, "k takes ints only, got float"),
     ("mroots_closed_k", {"k": (w for w in [2, True])}, "k takes ints only, got bool"),
+    ("ortho", {"n": 3, "k": [1], "s": [1]}, "n takes an iterable, got int"),
+    ("mroots_closed_k", {"k": 4}, "k takes an iterable, got int"),
 ])
 def test_a_grid_value_that_is_not_an_int_is_refused_before_any_check_runs(name, grid, message, monkeypatch):
     monkeypatch.setattr(identities, "_run", lambda spec, point: pytest.fail(f"{spec.name} ran at {point}"))
@@ -177,7 +180,7 @@ def test_a_digest_hashes_the_sorted_json_of_the_value(n):
         value = MPoly(n, {e: coeffs[j % len(coeffs)] for j, e in enumerate(exps)})
         blob = json.dumps(value.to_json(), sort_keys=True).encode()
         expected = f"<{size} terms, degree {value.degree()}, sha256 {hashlib.sha256(blob).hexdigest()[:12]}>"
-        assert identities._describe(value) == expected, (n, size)
+        assert multipoly._report_text(value) == expected, (n, size)
 
 
 def _report_json_oracle(report: IdentityReport, include_elapsed: bool) -> str:
@@ -255,21 +258,60 @@ def test_each_side_of_a_point_is_reported_in_its_own_text(sides):
         r = verify("sides", k=1)
     finally:
         del REGISTRY["sides"]
-    assert (r.holds, r.lhs, r.rhs) == (lhs == rhs, identities._describe(lhs), identities._describe(rhs))
+    assert (r.holds, r.lhs, r.rhs) == (lhs == rhs, multipoly._report_text(lhs), multipoly._report_text(rhs))
 
 
 def test_a_value_is_rendered_at_its_first_report_only(monkeypatch):
+    multipoly._text_of.cache_clear()  # an equal value reported by an earlier test would be read from the memo
     texts, digests = [], []
     str_route, sha_route = MPoly.__str__, hashlib.sha256
     monkeypatch.setattr(MPoly, "__str__", lambda p: texts.append(p) or str_route(p))
     monkeypatch.setattr(hashlib, "sha256", lambda blob: digests.append(blob) or sha_route(blob))
     small, large = E(2, 1, 3) + MPoly.one(3), E(6, 2, 5) + MPoly.one(5)  # new values: 4 and past 40 terms
-    first = [identities._describe(small), identities._describe(large)]
-    assert [identities._describe(small), identities._describe(large)] == first
-    assert (texts, len(digests)) == ([small], 1)
+    first = [multipoly._report_text(small), multipoly._report_text(large)]
+    assert [multipoly._report_text(small), multipoly._report_text(large)] == first
+    assert (len(texts), len(digests)) == (1, 1) and texts[0] == small  # rendered once, from an equal twin
     assert first[0] == str_route(small)
     assert len(large.terms) > 40 and large._report == first[1] and len(first[1]) < 100  # the slot holds no term text
     assert first[1].startswith(f"<{len(large.terms)} terms, degree 6, sha256 ")
+
+
+def test_a_cold_registry_sweep_stays_within_its_work_counts(monkeypatch):
+    # a ratchet: the product calls, term pairs and first renders of verify_grid over every id's default grid, cold;
+    # a change that lowers a count lowers its figure here too
+    counts = {"calls": 0, "pairs": 0, "renders": 0}
+    product, render = multipoly._product, multipoly._render
+
+    def counted_product(acc, a, b, scalar, top):
+        counts["calls"], counts["pairs"] = counts["calls"] + 1, counts["pairs"] + len(a) * len(b)
+        return product(acc, a, b, scalar, top)
+
+    def counted_render(p):
+        counts["renders"] += 1
+        return render(p)
+
+    monkeypatch.setattr(multipoly, "_product", counted_product)
+    monkeypatch.setattr(multipoly, "_render", counted_render)
+    truncsym.clear_caches()
+    for name in list_identities():
+        assert all(r.holds for r in verify_grid(name, default_grid(name))), name
+    assert counts["calls"] <= 13_717 and counts["pairs"] <= 378_488, counts
+    assert counts["renders"] == 477, counts  # the distinct report texts: each is rendered once
+
+
+@pytest.mark.parametrize("kind", ["E", "H"])
+def test_a_pair_sum_makes_each_unordered_pair_once_and_equals_the_full_sum(kind, monkeypatch):
+    F = symfun.E if kind == "E" else symfun.H
+    for n, m, s in product(range(1, 4), range(7), range(1, 4)):
+        want = sum((F(a, s, n) * F(m - a, s, n) for a in range(m + 1)), MPoly.zero(n))
+        assert identities._pair_conv(kind, m, s, n) == want, (kind, n, m, s)
+    made = []
+    monkeypatch.setattr(identities, "sum_of_products", lambda n, terms: made.extend(terms) or MPoly.zero(n))
+    identities._pair_conv.__wrapped__(kind, 5, 3, 2)  # the body, past the memo
+    assert [c for c, _, _ in made] == [2, 2, 2]  # a = 0, 1, 2 of a + b = 5, each pair once, weighted 2
+    made.clear()
+    identities._pair_conv.__wrapped__(kind, 4, 3, 2)
+    assert [c for c, _, _ in made] == [2, 2, 1]  # a = 2 = b is its own mirror
 
 
 @pytest.mark.parametrize("make", [lambda: E(2, 1, 3), lambda: E(6, 2, 5), lambda: MPoly.constant(2, Fraction(1, 2))])
@@ -277,7 +319,7 @@ def test_equal_values_report_alike(make):
     value = make()
     twin = MPoly(value.n, dict(value.terms))
     assert twin is not value and twin == value
-    assert identities._describe(twin) == identities._describe(value)
+    assert multipoly._report_text(twin) == multipoly._report_text(value)
 
 
 def test_the_report_params_are_in_arity_order_with_lam_a_list():

@@ -10,13 +10,16 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from truncsym import cli
+import truncsym
+from truncsym import cli, multipoly
 from truncsym.exactalg import BiPoly, UniPoly
 from truncsym.multipoly import (
     _BLOCK,
     MPoly,
     _json_chunks,
+    _product,
     _report_text,
+    _trusted,
     is_symmetric,
     specialize,
     substitute_power,
@@ -384,6 +387,71 @@ def test_sum_of_products_fuses_multiply_add():
     assert sum_of_products(2, iter([(1, a, b), (0, a, a), (2, a, a), (5, a, MPoly.zero(2))])) == want
     assert sum_of_products(2, []) == MPoly.zero(2) and sum_of_products(0, []) == MPoly.zero(0)
     assert a * b == MPoly(2, {(2, 0): 1, (0, 2): -1})
+
+
+def _pair_loop(acc: dict, a: dict, b: dict, scalar) -> dict:
+    """acc += scalar * a * b by the general pair loop, one key added per pair: the oracle of the constant path."""
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            key = e1 + e2
+            acc[key] = acc[key] + c1 * scalar * c2 if key in acc else c1 * scalar * c2
+    return acc
+
+
+@pytest.mark.parametrize("filled", [False, True], ids=["empty", "filled"])
+@pytest.mark.parametrize("c", [-2, 1, Fraction(1, 2)])
+def test_a_constant_operand_adds_under_the_other_operands_keys_as_the_pair_loop_does(c, filled):
+    b = MPoly(3, {(2, 0, 0): 3, (1, 1, 0): -1, (0, 0, 4): Fraction(2, 3)})._packed
+    # empty with c = 1 is the copy of b; filled has one term that b's term cancels to zero, one that b does not touch
+    start = MPoly(3, {(1, 1, 0): c, (5, 0, 0): 7})._packed if filled else {}
+    top = multipoly._layout(3)[2]
+    for a, scalar in (({0: 1}, c), ({0: c}, 1)):
+        acc, want = dict(start), _pair_loop(dict(start), a, b, scalar)
+        assert _product(acc, a, b, scalar, top) is acc
+        assert list(acc.items()) == list(want.items())  # keys, order and values
+        assert [type(v) for v in acc.values()] == [type(v) for v in want.values()]
+    assert (0 in acc.values()) == filled  # the sum filters it, not the loop
+    assert sum_of_products(3, [(c, MPoly.one(3), _trusted(3, b))]) == c * _trusted(3, b)
+
+
+def test_a_report_text_is_read_by_value_from_one_render(monkeypatch):
+    multipoly._text_of.cache_clear()
+    renders, render = [], multipoly._render
+    monkeypatch.setattr(multipoly, "_render", lambda p: renders.append(p) or render(p))
+    for value in (E(2, 1, 3), E(6, 2, 5)):  # str, and the digest of a value of 41 to 256 terms
+        reversed_twin = _trusted(value.n, dict(reversed(value._packed.items())))
+        fraction_twin = _trusted(value.n, {key: Fraction(c) for key, c in value._packed.items()})
+        # the premise of the memo: neither insertion order nor an int's equal Fraction shows in the text
+        assert render(reversed_twin) == render(fraction_twin) == render(value)
+        twins = (MPoly(value.n, dict(value.terms)), reversed_twin, fraction_twin)  # fresh objects, empty slots
+        assert [_report_text(twin) for twin in twins] == [render(value)] * 3
+        assert all(twin._report == render(value) for twin in twins)  # and each keeps it in its slot
+    assert [len(p._packed) for p in renders] == [3, 45]  # one render a distinct value
+    assert multipoly._text_of.cache_info()[:2] == (4, 2)  # hits, misses
+
+
+def test_a_value_past_a_block_of_terms_renders_directly_and_is_not_kept(monkeypatch):
+    value = E(8, 2, 7)
+    twin = MPoly(value.n, dict(value.terms))
+    assert len(twin._packed) > _BLOCK
+    before = multipoly._text_of.cache_info()
+    monkeypatch.setattr(multipoly, "_text_of", lambda n, items: pytest.fail("a large value reached the memo"))
+    assert _report_text(twin) == multipoly._render(value) == twin._report
+    monkeypatch.undo()
+    assert multipoly._text_of.cache_info() == before
+
+
+def test_the_text_memo_keeps_1024_texts_and_clear_caches_empties_it():
+    multipoly._text_of.cache_clear()
+    for i in range(1, 1031):
+        assert _report_text(MPoly.constant(1, i)) == str(i)
+    info = multipoly._text_of.cache_info()
+    assert (info.hits, info.misses, info.maxsize, info.currsize) == (0, 1030, 1024, 1024)
+    _report_text(MPoly.constant(1, 1030))  # recent: read from the memo
+    _report_text(MPoly.constant(1, 1))  # the least recently used: evicted, so rendered again
+    assert multipoly._text_of.cache_info()[:2] == (1, 1031)
+    truncsym.clear_caches()
+    assert multipoly._text_of.cache_info().currsize == 0
 
 
 def test_series_inverse_of_one_minus_x1t_is_geometric():

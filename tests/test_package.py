@@ -50,7 +50,7 @@ def test_clear_caches_empties_every_memo_table():
     for table in ("symfun.E", "symfun.H", "identities._pair_conv", "identities._conv_sum",
                   "identities._roots_sum", "identities._series", "identities._coef_table", "identities._scalar_sum",
                   "bisnomial._cell", "exactalg._POWER_TEXTS",
-                  "symfun._PRODUCT_CACHE", "symfun._at_roots", "multipoly._layout"):
+                  "symfun._PRODUCT_CACHE", "symfun._at_roots", "multipoly._layout", "multipoly._text_of"):
         assert f"truncsym.{table}" in filled, table
     truncsym.clear_caches()
     assert _filled_caches() == []
@@ -63,7 +63,7 @@ def test_every_cache_counts_its_hits_and_is_cleared_behind_a_rebound_name(monkey
         symfun._m_lambda: ((2, 1), 3), symfun._at_roots: ((2, 1), 2), identities._pair_conv: ("E", 2, 1, 2),
         identities._conv_sum: ("h", 2, 3, 2), identities._roots_sum: (3, 2, "h", 2), identities._series: (identities._alt_sums, "H", 2, 2),
         identities._coef_table: ("weight", 4), identities._scalar_sum: (4, 2),
-        multipoly._layout: (3,),
+        multipoly._layout: (3,), multipoly._text_of: (2, frozenset({(1 << 32, 2)})),
         bisnomial._cell: (bisnomial._count_step, 4, 3, 2, 1),
     }
     assert set(calls) == set(truncsym._CACHES)

@@ -173,13 +173,27 @@ def test_enum_rejects_negative_weight():
 
 
 @pytest.mark.parametrize("bound, message", [
-    ({"max_part": -1}, "max_part must be >= 0"),
-    ({"max_length": -1}, "max_length must be >= 0"),
-    ({"mod01": 0}, "mod01 must be >= 1"),
+    ({"max_part": -1}, "max_part must be >= 0, got -1"),
+    ({"max_length": -1}, "max_length must be >= 0, got -1"),
+    ({"mod01": 0}, "mod01 must be >= 1, got 0"),
 ])
 def test_enum_rejects_a_bound_out_of_range(bound, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         enum_partitions(3, **bound)
+
+
+@pytest.mark.parametrize("args, bound, message", [
+    ((True,), {}, "partition weight must be an int, got bool"),
+    ((2.0,), {}, "partition weight must be an int, got float"),
+    ((None,), {}, "partition weight must be an int, got NoneType"),
+    ((3,), {"max_part": 2.0}, "max_part must be an int, got float"),
+    ((3,), {"max_length": True}, "max_length must be an int, got bool"),
+    ((3,), {"mod01": True}, "mod01 must be an int, got bool"),
+])
+def test_enum_refuses_a_weight_or_bound_that_is_not_an_int(args, bound, message):
+    # True passed as a weight of 1 (a bool part), mod01=True as 1, and a float failed in list arithmetic
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        enum_partitions(*args, **bound)
 
 
 def test_a_multinomial_of_a_negative_count_is_refused():
