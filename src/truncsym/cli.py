@@ -263,9 +263,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expand", help="print one polynomial")
     p.add_argument("--kind", required=True, choices=["m", "e", "h", "p", "E", "H", "P"])
-    p.add_argument("--k", type=int)
-    p.add_argument("--s", type=int)
-    p.add_argument("--n", type=int)
+    for axis in ("--k", "--s", "--n"):
+        p.add_argument(axis, type=int)
     p.add_argument("--lambda", dest="lam", help="partition, e.g. '2,1,1' or '1^2 2^1'")
     common(p, ["text", "json"])
     p.set_defaults(handler="_cmd_expand")

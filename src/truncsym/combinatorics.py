@@ -28,6 +28,7 @@ and rendering is deterministic; as 'g' < 'r' reverses the alphabet order of
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Iterator
 
 from .multipoly import _BLOCK, MPoly, _monomial_text
@@ -161,14 +162,9 @@ def _path_panel(path: Path, ox: int, oy: int, cols: int, rows: int) -> str:
     ends += [(ox, y, ox + cols * _CELL, y) for y in range(oy, oy + (rows + 1) * _CELL, _CELL)]  # then the horizontals
     parts = [f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="#cccccc" stroke-width="1"/>'
              for x1, y1, x2, y2 in ends]
-    px, py = ox, oy + rows * _CELL
-    points = [f"{px},{py}"]
-    for step in path:
-        if step == "E":
-            px += _CELL
-        else:
-            py -= _CELL
-        points.append(f"{px},{py}")
+    xs = accumulate([_CELL * (step == "E") for step in path], initial=ox)  # a step is E or N
+    ys = accumulate([-_CELL * (step == "N") for step in path], initial=oy + rows * _CELL)
+    points = [f"{x},{y}" for x, y in zip(xs, ys)]
     parts.append(
         f'<polyline points="{" ".join(points)}" fill="none" '
         f'stroke="#c0392b" stroke-width="3"/>'
@@ -183,13 +179,9 @@ def _path_panel(path: Path, ox: int, oy: int, cols: int, rows: int) -> str:
 
 def _tiling_panel(tiling: Tiling, ox: int, oy: int, cols: int, rows: int) -> str:
     """The tiling as red and green cells of a cols-cell board from (ox, oy), its letters right of the board."""
-    parts = []
-    for pos, cell in enumerate(tiling):
-        fill = "#c0392b" if cell == "r" else "#27ae60"
-        parts.append(
-            f'<rect x="{ox + pos * _CELL}" y="{oy}" width="{_CELL}" height="{_CELL}" '
-            f'fill="{fill}" stroke="#333333" stroke-width="1"/>'
-        )
+    parts = [f'<rect x="{ox + pos * _CELL}" y="{oy}" width="{_CELL}" height="{_CELL}" '
+             f'fill="{"#c0392b" if cell == "r" else "#27ae60"}" stroke="#333333" stroke-width="1"/>'
+             for pos, cell in enumerate(tiling)]
     parts.append(
         f'<text x="{ox + cols * _CELL + 4}" y="{oy + _CELL - 7}" '
         f'font-family="monospace" font-size="12">{tiling}</text>'

@@ -187,9 +187,7 @@ class BiPoly:
         """From an int or a {(p_exp, q_exp): coeff} dict whose terms share one total degree."""
         if isinstance(terms, int):
             terms = {(0, 0): terms}
-        out = BiPoly.homogenize(UniPoly(), 0)
-        for (i, j), c in terms.items():
-            out = out + BiPoly.term(c, i, j)
+        out = sum((BiPoly.term(c, i, j) for (i, j), c in terms.items()), BiPoly.homogenize(UniPoly(), 0))
         object.__setattr__(self, "degree", out.degree)
         object.__setattr__(self, "_q", out._q)
 

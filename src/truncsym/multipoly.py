@@ -17,11 +17,11 @@ cancel.  Exponent tuples appear only at the API edge: ``terms`` is a tuple-keyed
 demand, and one packing step, shared by the constructor and the orbit sums, packs many tuples (an
 orbit walked lazily) and refuses an exponent of 2**31 or more.
 
-Canonical order is graded lexicographic (total degree, then exponent tuple), from one sort that
-``canonical_terms``, ``to_json`` and ``_json_chunks`` read.  The last sorts at its call, then
-yields the JSON payload a block of _BLOCK terms at a time, so no text as large as the value is
-held; ``to_json_text`` joins it.  ``str`` groups terms in blocks sharing an exponent multiset
-(cosmetic only), by a sort key built per term from one unpack.  The memos are the per-n key layout
+Canonical order is graded lexicographic (total degree, then exponent tuple); ``str`` groups terms
+sharing an exponent multiset (cosmetic only).  Both sort the keys themselves on one compact key per
+term (a byte per field while every field is below 2**8), then stably by degree, and unpack a key as
+its term is written.  ``_json_chunks`` sorts at its call, then yields the JSON payload a block of
+_BLOCK terms at a time, so no text as large as the value is held.  The memos are the per-n key layout
 and the report text (``str`` up to 40 terms, else a one-line digest), kept in a slot from a value's
 first report and, up to _BLOCK terms, read by value from ``_text_of`` (at most 1,024 texts): the
 identity checks meet one polynomial by many routes, as many objects.
@@ -33,7 +33,7 @@ import struct
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache, lru_cache, reduce
-from itertools import chain, product as _pairs, repeat, starmap
+from itertools import chain, islice, product as _pairs, repeat, starmap
 from operator import or_
 from typing import Callable, Iterable, Iterator, Optional, Union
 
@@ -136,11 +136,12 @@ def _product(acc: dict, a: dict, b: dict, scalar: Coeff, top: int) -> dict:
     return acc
 
 
-def _degrees(p: "MPoly") -> Iterable[int]:
-    """The degree of each term: its key mod 2**32 - 1, exact while its n fields sum below that."""
+def _degree(p: "MPoly") -> Callable[[int], int]:
+    """A key's degree: the key mod 2**32 - 1, exact while its n fields sum below that; else its fields summed."""
     if reduce(or_, p._packed, 0) & _layout(p.n)[3]:
-        return map(sum, p.terms)
-    return map(_FIELD.__rmod__, p._packed)
+        unpack = _layout(p.n)[1]
+        return lambda key: sum(unpack(key))
+    return _FIELD.__rmod__
 
 
 def _pack_terms(n: int, groups: Iterable[tuple[Iterable[Monomial], Iterable[Coeff]]]) -> dict:
@@ -157,9 +158,18 @@ def _pack_terms(n: int, groups: Iterable[tuple[Iterable[Monomial], Iterable[Coef
     raise ValueError(f"exponent tuples need {n} entries in 0..2**31-1")
 
 
-def _graded_rows(p: "MPoly") -> list[tuple[int, Monomial, Coeff]]:
-    """(degree, exps, c) per term, graded-lex ascending: one unpack per key, one sort that compares no c."""
-    return sorted(zip(_degrees(p), map(_layout(p.n)[1], p._packed), p._packed.values()))
+def _sorted_terms(p: "MPoly", text: bool = False) -> tuple[Iterator[Monomial], Iterator[Coeff]]:
+    """p's exponent tuples and coefficients by degree, then by tuple (graded-lex) or, for text, by nonzero parts, then
+    tuple, both reversed.  The keys are sorted at the call on one compact key each, a byte a field (x1 first) while all
+    are below 2**8, else the tuple, then stably by degree; at one degree two multisets differ in their nonzero parts.
+    """
+    unpack, size = _layout(p.n)[1], 4 * p.n
+    narrow = max(unpack(reduce(or_, p._packed, 0)), default=0) < 2**8
+    exps, parts = ((lambda key: key.to_bytes(size, "little")[::4]), bytes) if narrow else (unpack, tuple)
+    order = (lambda key: parts(sorted(filter(None, e := exps(key)), reverse=True)) + e) if text else exps
+    keys = sorted(p._packed, key=order, reverse=text)
+    keys.sort(key=_degree(p))
+    return map(unpack, keys), map(p._packed.__getitem__, keys)
 
 
 def _nonzero(terms: dict) -> dict:
@@ -296,10 +306,10 @@ class MPoly:
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return max(_degrees(self), default=-1)
+        return max(map(_degree(self), self._packed), default=-1)
 
     def is_homogeneous(self, k: Optional[int] = None) -> bool:
-        degrees = set(_degrees(self))
+        degrees = set(map(_degree(self), self._packed))
         return len(degrees) <= 1 and (k is None or degrees <= {k})
 
     def pad(self, n: int) -> "MPoly":
@@ -315,15 +325,13 @@ class MPoly:
 
     def canonical_terms(self) -> list[tuple[Monomial, Coeff]]:
         """Terms sorted graded-lexicographically (ascending)."""
-        return [(exps, c) for _, exps, c in _graded_rows(self)]
+        return list(zip(*_sorted_terms(self)))
 
     # -- rendering -----------------------------------------------------------
 
     def __str__(self) -> str:
-        # at one degree, two multisets first differ in their nonzero parts; no two keys tie, so no c is compared
-        rows = zip(map(_layout(self.n)[1], self._packed), self._packed.values())  # one unpack per key
-        shown = sorted([(-sum(e), sorted(filter(None, e), reverse=True), e, c) for e, c in rows], reverse=True)
-        return _render_terms([c for *_, c in shown], [_monomial_text(e) for _, _, e, _ in shown])
+        exps, coeffs = _sorted_terms(self, text=True)
+        return _render_terms(coeffs, map(_monomial_text, exps))
 
     def __repr__(self) -> str:
         return f"MPoly(n={self.n}, terms={dict(self.canonical_terms())})"
@@ -331,7 +339,7 @@ class MPoly:
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {"n": self.n, "terms": [{"exps": list(exps), "coeff": str(c)} for _, exps, c in _graded_rows(self)]}
+        return {"n": self.n, "terms": [{"exps": list(exps), "coeff": str(c)} for exps, c in zip(*_sorted_terms(self))]}
 
     def to_json_text(self) -> str:
         """json.dumps(self.to_json(), separators=(", ", ": ")), written with no dict per term."""
@@ -340,9 +348,9 @@ class MPoly:
 
 def _json_chunks(p: MPoly, head: str = "", tail: str = "") -> Iterator[str]:
     """head + p.to_json_text() + tail: the head, then _BLOCK terms a chunk; all sorted at the call, before any chunk."""
-    rows, term = _graded_rows(p), '{"exps": [' + ", ".join(["%d"] * p.n) + '], "coeff": "%s"}'
-    blocks = ((", " if i else "") + ", ".join([term % (*exps, c) for _, exps, c in rows[i:i + _BLOCK]])
-              for i in range(0, len(rows), _BLOCK))
+    terms, term = zip(*_sorted_terms(p)), '{"exps": [' + ", ".join(["%d"] * p.n) + '], "coeff": "%s"}'
+    blocks = ((", " if i else "") + ", ".join([term % (*exps, c) for exps, c in islice(terms, _BLOCK)])
+              for i in range(0, len(p._packed), _BLOCK))
     return chain([f'{head}{{"n": {p.n}, "terms": ['], blocks, [f"]}}{tail}"])
 
 
@@ -371,7 +379,7 @@ def _render(p: MPoly) -> str:
         return str(p)
     import hashlib  # only a value past 40 terms needs it, so a CLI start does not load it
     term = '{"coeff": "%s", "exps": [' + ", ".join(["%d"] * p.n) + "]}"  # the sort_keys dump of to_json()
-    blob = f'{{"n": {p.n}, "terms": [{", ".join([term % (c, *e) for _, e, c in _graded_rows(p)])}]}}'
+    blob = f'{{"n": {p.n}, "terms": [{", ".join([term % (c, *e) for e, c in zip(*_sorted_terms(p))])}]}}'
     return f"<{len(p._packed)} terms, degree {p.degree()}, sha256 {hashlib.sha256(blob.encode()).hexdigest()[:12]}>"
 
 
@@ -408,6 +416,8 @@ def _shift_variables(p: MPoly, a: int, n: int) -> MPoly:
 
 def substitute_power(p: MPoly, s: int) -> MPoly:
     """p(x1^s, ..., xn^s): every exponent multiplied by s."""
+    if type(s) is not int:  # a float power would make float keys, and a bool one is taken as its value
+        raise TypeError(f"power must be an int, got {type(s).__name__}")
     if s < 1:
         raise ValueError(f"power must be >= 1, got {s}")
     # the fields scale without a carry while every product stays below 2**31

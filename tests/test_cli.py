@@ -921,15 +921,15 @@ def test_a_large_value_goes_out_a_block_of_terms_at_a_time(capsys, argv, chunks)
     (["paths", "--model", "H", "--n", "4", "--k", "6", "--s", "2"], 1),  # the weight_sum, before the items go out
 ], ids=["expand", "schur", "listing"])
 def test_a_sort_that_runs_out_of_memory_writes_nothing(capsys, monkeypatch, argv, sorts):
-    graded_rows, calls = multipoly._graded_rows, []
+    sorted_terms, calls = multipoly._sorted_terms, []
 
-    def exhausted_at_the_last_sort(p):
+    def exhausted_at_the_last_sort(p, text=False):
         calls.append(p)
         if len(calls) == sorts:
             raise MemoryError
-        return graded_rows(p)
+        return sorted_terms(p, text)
 
-    monkeypatch.setattr(multipoly, "_graded_rows", exhausted_at_the_last_sort)
+    monkeypatch.setattr(multipoly, "_sorted_terms", exhausted_at_the_last_sort)
     assert run_cli(capsys, *argv, "--format", "json", "--deterministic") == (2, "", "error: out of memory\n")
     assert len(calls) == sorts
 

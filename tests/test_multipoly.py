@@ -3,6 +3,7 @@
 import ast
 import json
 import operator
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -206,6 +207,14 @@ def test_a_power_substitution_needs_a_positive_power():
         substitute_power(MPoly.variable(2, 1), 0)
 
 
+@pytest.mark.parametrize("power, name", [(2.0, "float"), (True, "bool"), (False, "bool"), (Fraction(2), "Fraction"),
+                                         ("2", "str")])
+def test_a_power_substitution_refuses_a_power_that_is_not_an_int(power, name):
+    # 2.0 gave float keys, whose JSON and text raised, and True was taken as the power 1
+    with pytest.raises(TypeError, match=f"^power must be an int, got {name}$"):
+        substitute_power(MPoly.variable(2, 1) + MPoly.variable(2, 2), power)
+
+
 def test_degree_and_homogeneity():
     p = MPoly(2, {(2, 1): 1, (0, 3): -1})
     assert p.degree() == 3
@@ -253,6 +262,51 @@ def test_rendering_keeps_the_per_term_display_order(p, wide):
         terms = sorted(poly.terms.items(), key=_old_display_key)
         old = render_terms([(c, _old_monomial_text(exps)) for exps, c in terms])
         assert str(poly) == old
+
+
+def _mixed_terms(n, count, top):
+    """count distinct exponent tuples of mixed degrees, one with a field of top, and int and Fraction coefficients."""
+    rng = random.Random(n * count)
+    exps = {tuple(rng.choices(range(4), k=n)) for _ in range(count)} | {(top,) + (1,) * (n - 1)}
+    return {e: (-1) ** i * (Fraction(i, 3) if i % 2 else i + 1) for i, e in enumerate(sorted(exps))}
+
+
+_ORDER_CASES = {
+    "n0": MPoly(0, {(): Fraction(-3, 7)}),
+    "n1": MPoly(1, {(e,): e - 2 for e in (0, 1, 3, 255)}),
+    "n1-256": MPoly(1, {(e,): Fraction(1, e + 1) for e in (0, 1, 3, 256)}),
+    "n2": MPoly(2, _mixed_terms(2, 12, 255)),
+    "n2-256": MPoly(2, _mixed_terms(2, 12, 256)),
+    "n2-2**31-1": MPoly(2, {**_mixed_terms(2, 12, 2**31 - 1), (1, 2**31 - 1): 5, (2**31 - 1, 2**31 - 1): -1}),
+    "n40": MPoly(40, _mixed_terms(40, 60, 255)),
+    "n40-256": MPoly(40, _mixed_terms(40, 60, 256)),
+    "n40-2**31-1": MPoly(40, _mixed_terms(40, 60, 2**31 - 1)),
+}
+
+
+@pytest.mark.parametrize("p", _ORDER_CASES.values(), ids=_ORDER_CASES)
+def test_the_key_sorts_give_the_orders_of_the_row_sorts(p):
+    # the graded-lex rows and the 4-tuple text key, one per term, that the sorts of packed keys replace
+    graded = sorted(p.terms.items(), key=lambda t: (sum(t[0]), t[0]))
+    shown = sorted([(-sum(e), sorted(filter(None, e), reverse=True), e, c) for e, c in p.terms.items()], reverse=True)
+    assert p.canonical_terms() == graded
+    assert p.to_json() == {"n": p.n, "terms": [{"exps": list(e), "coeff": str(c)} for e, c in graded]}
+    assert json.loads(p.to_json_text()) == p.to_json()
+    assert str(p) == render_terms([(c, _old_monomial_text(e)) for _, _, e, c in shown])
+
+
+def test_writing_a_large_value_holds_a_compact_key_per_term():
+    # E(3, 1, 40) has 9,880 terms in 40 variables.  With a (degree, exponent tuple, c) row per term the JSON
+    # write peaked at 4.20 MiB under tracemalloc, and str with a 4-tuple key per term at 6.20 MiB (Python 3.11)
+    p = E(3, 1, 40)
+    for write, bound_mib in ((lambda: sum(map(len, _json_chunks(p))), 1.5), (lambda: len(str(p)), 2.5)):
+        tracemalloc.start()
+        try:
+            write()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mib * 2**20
 
 
 def _term_by_term(p: MPoly, kind: str):
